@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import Blowup, StiffnessFailure
 from .models import VectorFieldModel
-from .util import scaled_product
+from .util import rescale_pow2, scaled_product
 
 # Dormand-Prince 5(4) coefficients; the 5th-order solution is propagated
 # and the last stage is evaluated at it (FSAL structure).
@@ -207,13 +207,6 @@ def integrate(model: VectorFieldModel, x0, t_span: float,
     )
 
 
-def flow_to(model, x0, t_span, step_ctrl=None):
-    """End state of the flow after t_span (no cocycle bookkeeping)."""
-    if t_span == 0:
-        return np.array(x0, dtype=float)
-    return integrate(model, x0, t_span, step_ctrl).states[-1]
-
-
 def batch_rk4(model, states, dt, n_steps):
     """Fixed-step classical RK4 over a batch of initial states.
 
@@ -247,19 +240,21 @@ def _pair_index(n):
 
 
 def wedge2_of(m) -> np.ndarray:
-    """Second compound matrix of M, built from 2x2 minors.
+    """Second compound matrix of M (or of each matrix of a stack), built
+    from 2x2 minors.
 
     Row/column pairs are ordered lexicographically; entry
     ((i<j),(k<l)) = M[i,k] M[j,l] - M[i,l] M[j,k].  Multiplicative:
     wedge2_of(A @ B) = wedge2_of(A) @ wedge2_of(B).
     """
     m = np.asarray(m, dtype=float)
-    n = m.shape[0]
+    n = m.shape[-1]
     if n < 2:
         raise ValueError("wedge square needs n >= 2")
     ri, rj = _pair_index(n)
-    return (m[np.ix_(ri, ri)] * m[np.ix_(rj, rj)]
-            - m[np.ix_(ri, rj)] * m[np.ix_(rj, ri)])
+    ri_c, rj_c = ri[:, None], rj[:, None]
+    return (m[..., ri_c, ri] * m[..., rj_c, rj]
+            - m[..., ri_c, rj] * m[..., rj_c, ri])
 
 
 def wedge_cocycle(orbit: OrbitSegment) -> WedgeCocycle:
@@ -269,21 +264,11 @@ def wedge_cocycle(orbit: OrbitSegment) -> WedgeCocycle:
     the stored tangent factors is exact up to roundoff.  Log scale
     factors keep the compound norms representable.
     """
-    n = orbit.states.shape[1]
-    p = n * (n - 1) // 2
-    out = np.empty((orbit.n_steps, p, p))
-    logs = np.empty(orbit.n_steps)
-    for k in range(orbit.n_steps):
-        w = wedge2_of(orbit.step_cocycles[k])
-        scale = 0.0
-        peak = np.max(np.abs(w))
-        if peak > 2.0 ** 500 or (0 < peak < 2.0 ** -500):
-            e = np.frexp(peak)[1]
-            w = np.ldexp(w, -e)
-            scale = e * np.log(2.0)
-        out[k] = w
-        logs[k] = scale + 2.0 * orbit.renorm_log[k]
-    return WedgeCocycle(orbit=orbit, wedge_factors=out, renorm_log=logs)
+    out = wedge2_of(orbit.step_cocycles)
+    logs = np.zeros(orbit.n_steps)
+    rescale_pow2(out, logs)
+    return WedgeCocycle(orbit=orbit, wedge_factors=out,
+                        renorm_log=logs + 2.0 * orbit.renorm_log)
 
 
 # ----------------------------------------------------------------------

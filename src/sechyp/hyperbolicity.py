@@ -19,8 +19,8 @@ from .errors import Blowup, NotAnEquilibrium, NotPeriodic
 from .flowcalc import StepControl, integrate, wedge2_of
 from .models import (SuspensionModel, VectorFieldModel, refine_equilibrium)
 from .splitting import (RATE_MARGIN, SplittingSequence, estimate_splitting,
-                        restricted_window_norm)
-from .util import fit_log_rate, qr_pos, scaled_product
+                        span_windows)
+from .util import fit_log_rate, log_norms, qr_pos, window_products
 
 # ----------------------------------------------------------------------
 # singularity classification
@@ -214,18 +214,16 @@ class FunctionalResult:
     n_samples: int
 
 
-def _window_pairs(times, window, n_starts):
-    total = times[-1] - times[0]
-    window = min(window, total)
-    latest = times[-1] - window
-    starts = np.linspace(times[0], max(times[0], latest), n_starts)
-    pairs = []
-    for s0 in starts:
-        i = int(np.searchsorted(times, s0, side="left"))
-        j = int(np.searchsorted(times, min(s0 + window, times[-1]), side="right")) - 1
-        if j > i:
-            pairs.append((i, j))
-    return pairs
+def _tau_windows(times, tau, n_samples):
+    """Index pairs (i, j) of time-tau windows from n_samples starts spread
+    over the grid; each window ends at the last grid time within tau of
+    its (grid-snapped) start, and windows shorter than one block are
+    dropped."""
+    starts = np.linspace(times[0], times[-1] - tau, n_samples)
+    i = np.searchsorted(times, starts, side="left")
+    j = np.searchsorted(times, times[i] + tau, side="right") - 1
+    keep = j > i
+    return i[keep], j[keep]
 
 
 def _plane_grid(d, n_planes, seed=40813):
@@ -245,26 +243,26 @@ def _plane_grid(d, n_planes, seed=40813):
     return planes
 
 
-def _min_plane_log_det(m, log_scale, planes):
-    """Smallest log |det| of the restriction of m to a 2-plane.
+def _min_plane_log_det(mats, log_scales, planes):
+    """Smallest log |det| of the restriction of each matrix to a 2-plane.
 
     The exact minimizer is the plane of the two smallest right singular
     vectors (the bottom singular 2-vector of the second compound is
     decomposable); the sampled plane grid is kept as an independent
     cross-check and can only agree or exceed it.
     """
-    s = np.linalg.svd(m, compute_uv=False)
-    best = float(np.log(s[-1]) + np.log(s[-2]) + 2 * log_scale)
+    s = np.linalg.svd(mats, compute_uv=False)
+    best = np.log(s[:, -1]) + np.log(s[:, -2]) + 2 * log_scales
     if planes is not None:
-        for p in planes:
-            sv = np.linalg.svd(m @ p, compute_uv=False)
-            best = min(best, float(np.log(sv[0]) + np.log(sv[1]) + 2 * log_scale))
+        sv = np.linalg.svd(mats[:, None] @ np.stack(planes), compute_uv=False)
+        grid = np.log(sv[..., 0]) + np.log(sv[..., 1]) + 2 * log_scales[:, None]
+        best = np.minimum(best, grid.min(axis=1))
     return best
 
 
-def _restricted_product(r_factors, i, j):
-    m, log_scale = scaled_product(r_factors, i, j)
-    return m, log_scale
+def _window_summary(rates, window):
+    return FunctionalResult(float(rates.mean()), float(rates.min()),
+                            float(rates.max()), window, len(rates))
 
 
 def sectional_expansion_functional(seq: SplittingSequence, window: float,
@@ -280,13 +278,10 @@ def sectional_expansion_functional(seq: SplittingSequence, window: float,
     rcu, _ = seq.restricted("cu")
     times = seq.times
     planes = None if seq.d_cu == 2 else _plane_grid(seq.d_cu, n_planes)
-    rates = []
-    for i, j in _window_pairs(times, window, n_starts):
-        m, ls = _restricted_product(rcu, i, j)
-        rates.append(_min_plane_log_det(m, ls, planes) / (times[j] - times[i]))
-    rates = np.asarray(rates)
-    return FunctionalResult(float(rates.mean()), float(rates.min()),
-                            float(rates.max()), window, len(rates))
+    i, j = span_windows(times, [min(window, times[-1] - times[0])], n_starts)
+    mats, ls = window_products(rcu, i, j)
+    rates = _min_plane_log_det(mats, ls, planes) / (times[j] - times[i])
+    return _window_summary(rates, window)
 
 
 def volume_expansion_functional(seq: SplittingSequence, window: float,
@@ -294,14 +289,10 @@ def volume_expansion_functional(seq: SplittingSequence, window: float,
     """Windowed log |det| rate of the cocycle restricted to E^cu."""
     rcu, _ = seq.restricted("cu")
     times = seq.times
-    rates = []
-    for i, j in _window_pairs(times, window, n_starts):
-        m, ls = _restricted_product(rcu, i, j)
-        sign, logdet = np.linalg.slogdet(m)
-        rates.append((logdet + seq.d_cu * ls) / (times[j] - times[i]))
-    rates = np.asarray(rates)
-    return FunctionalResult(float(rates.mean()), float(rates.min()),
-                            float(rates.max()), window, len(rates))
+    i, j = span_windows(times, [min(window, times[-1] - times[0])], n_starts)
+    mats, ls = window_products(rcu, i, j)
+    logdet = np.linalg.slogdet(mats)[1]
+    return _window_summary((logdet + seq.d_cu * ls) / (times[j] - times[i]), window)
 
 
 def ash_functional(seq: SplittingSequence, n_checkpoints: int = 24,
@@ -314,14 +305,11 @@ def ash_functional(seq: SplittingSequence, n_checkpoints: int = 24,
     total = times[-1] - times[0]
     planes = None if seq.d_cu == 2 else _plane_grid(seq.d_cu, n_planes)
     horizons = np.geomspace(total / 64.0, total, n_checkpoints)
-    best = -np.inf
-    for horizon in horizons:
-        j = int(np.searchsorted(times, times[0] + horizon, side="right")) - 1
-        if j <= 0:
-            continue
-        m, ls = _restricted_product(rcu, 0, j)
-        best = max(best, _min_plane_log_det(m, ls, planes) / (times[j] - times[0]))
-    return float(best)
+    j = np.searchsorted(times, times[0] + horizons, side="right") - 1
+    j = j[j > 0]
+    mats, ls = window_products(rcu, np.zeros_like(j), j)
+    rates = _min_plane_log_det(mats, ls, planes) / (times[j] - times[0])
+    return float(np.max(rates, initial=-np.inf))
 
 
 def mnuse_functional(seq: SplittingSequence, tau: float,
@@ -337,66 +325,54 @@ def mnuse_functional(seq: SplittingSequence, tau: float,
     """
     rcu, _ = seq.restricted("cu")
     times = seq.times
-    t_last = times[-1] - tau
-    if t_last <= times[0]:
+    if times[-1] - tau <= times[0]:
         raise ValueError("valid range shorter than one tau window")
-    starts = np.linspace(times[0], t_last, n_samples)
-    vals = []
-    for s0 in starts:
-        i = int(np.searchsorted(times, s0, side="left"))
-        j = int(np.searchsorted(times, times[i] + tau, side="right")) - 1
-        if j <= i:
-            continue
-        m, ls = _restricted_product(rcu, i, j)
-        w = wedge2_of(m)
-        sv = np.linalg.svd(w, compute_uv=False)
-        span = times[j] - times[i]
-        vals.append(-(np.log(sv[-1]) + 2 * ls) / span)
-    return float(np.mean(vals))
+    i, j = _tau_windows(times, tau, n_samples)
+    return float(np.mean(_inverse_wedge_rates(rcu, times, i, j)))
+
+
+def _inverse_wedge_rates(rcu, times, i, j):
+    """log ||[wedge^2 (product over [i, j))]^{-1}|| per unit time."""
+    mats, ls = window_products(rcu, i, j)
+    sv = np.linalg.svd(wedge2_of(mats), compute_uv=False)
+    return -(np.log(sv[:, -1]) + 2 * ls) / (times[j] - times[i])
 
 
 def nuse_functional(lpf_cocycle, seq: SplittingSequence, tau: float) -> float:
     """Per-unit-time average of log ||(P^tau | N^cu)^{-1}|| over the orbit
     of the time-tau map, where N^cu = E^cu intersected with the normal
     space of the flow direction."""
-    orbit = seq.orbit
     times = seq.times
     n_windows = int(np.floor((times[-1] - times[0]) / tau))
     if n_windows < 1:
         raise ValueError("valid range shorter than one tau window")
 
     # checkpoint indices closest to the tau grid
-    edges_k = []
-    for i in range(n_windows + 1):
-        target = times[0] + i * tau
-        k = int(np.searchsorted(times, target, side="left"))
-        k = min(k, len(times) - 1)
-        edges_k.append(k)
+    edges = np.searchsorted(times, times[0] + np.arange(n_windows + 1) * tau,
+                            side="left")
+    edges = np.minimum(edges, len(times) - 1)
+    ka, kb = edges[:-1], edges[1:]
+    keep = kb > ka
+    ka, kb = ka[keep], kb[keep]
 
     d_ncu = seq.d_cu - 1
-    total = 0.0
-    total_time = 0.0
-    for w in range(n_windows):
-        ka, kb = edges_k[w], edges_k[w + 1]
-        if kb <= ka:
-            continue
-        ga, gb = int(seq.grid[ka]), int(seq.grid[kb])
-        ua = _ncu_coords(lpf_cocycle, seq, ka, ga, d_ncu)
-        ub = _ncu_coords(lpf_cocycle, seq, kb, gb, d_ncu)
-        p, ls = scaled_product(lpf_cocycle.lpf_factors, ga, gb)
-        restricted = ub.T @ (p @ ua)
-        sv = np.linalg.svd(restricted, compute_uv=False)
-        total += -(np.log(sv[-1]) + ls)
-        total_time += times[kb] - times[ka]
+    ua = _ncu_coords(lpf_cocycle, seq, ka, d_ncu)
+    ub = _ncu_coords(lpf_cocycle, seq, kb, d_ncu)
+    p, ls = window_products(lpf_cocycle.lpf_factors, seq.grid[ka], seq.grid[kb])
+    sv = np.linalg.svd(ub.transpose(0, 2, 1) @ (p @ ua), compute_uv=False)
+    # running sums, accumulated window by window in time order
+    total = np.cumsum(-(np.log(sv[:, -1]) + ls))[-1]
+    total_time = np.cumsum(times[kb] - times[ka])[-1]
     return float(total / total_time)
 
 
-def _ncu_coords(lpf_cocycle, seq, k, grid_index, d_ncu):
-    """Orthonormal coordinates of N^cu = E^cu ^ X^perp in the normal frame."""
-    frame = lpf_cocycle.frames[grid_index]
-    c = frame.T @ seq.Ecu[k]
-    u, s, _ = np.linalg.svd(c, full_matrices=False)
-    return u[:, :d_ncu]
+def _ncu_coords(lpf_cocycle, seq, ks, d_ncu):
+    """Orthonormal coordinates of N^cu = E^cu ^ X^perp in the normal frame
+    at each checkpoint of ks."""
+    frames = lpf_cocycle.frames[seq.grid[ks]]
+    c = frames.transpose(0, 2, 1) @ seq.Ecu[ks]
+    u, _, _ = np.linalg.svd(c, full_matrices=False)
+    return u[:, :, :d_ncu]
 
 
 def nne_functional(seq: SplittingSequence, n_dirs: int = 8,
@@ -414,8 +390,6 @@ def nne_functional(seq: SplittingSequence, n_dirs: int = 8,
     and the pushed flow direction (the 2-plane they span); this is
     flagged in every report that carries the statistic.
     """
-    from .models import SuspensionModel
-
     orbit = seq.orbit
     model = orbit.model
     suspension = isinstance(model, SuspensionModel)
@@ -430,7 +404,6 @@ def nne_functional(seq: SplittingSequence, n_dirs: int = 8,
         v = np.array([0.0, 0.0, 1.0]) if suspension else model.eval(x)
         dirs[k] = v / np.linalg.norm(v)
 
-    worst = np.inf
     results = []
     tried = 0
     while len(results) < n_dirs and tried < 10 * n_dirs:
@@ -456,7 +429,6 @@ def nne_functional(seq: SplittingSequence, n_dirs: int = 8,
         tail = rates[len(rates) // 2:]
         val = float(np.min(tail))
         results.append(val)
-        worst = min(worst, val)
     arr = np.asarray(results)
     return FunctionalResult(float(arr.mean()), float(arr.min()),
                             float(arr.max()), float(times[-1] - times[0]),
@@ -494,6 +466,41 @@ def _singular_distances(orbit, model):
     return d
 
 
+def msh_windows(t, dist, grid, radius, avoid, n_starts=6):
+    """Fit windows for the MSH decay slopes, from starts clear of the
+    singular set.
+
+    `t` and `dist` are the sample times and each sample's distance to
+    the singular set; `grid` holds the sample indices of the candidate
+    window starts.  A start qualifies when every sample from it up to
+    the last one at or before t + avoid lies farther than `radius` from
+    the singular set, and that time is within the samples.  Up to
+    n_starts qualifying starts, evenly spread, are paired with five
+    spans from avoid / 10 to avoid; each window ends at the last start
+    candidate within its span.
+
+    Returns (n_qualifying, k0, k1): k0/k1 index `grid`, start-major.
+    """
+    tg = t[grid]
+    t_end = tg + avoid
+    last = np.searchsorted(t, t_end, side="right") - 1
+    # next sample at or after each index that is not clear of the
+    # singular set (a NaN distance is not clear)
+    hit = np.where(dist > radius, len(dist), np.arange(len(dist)))
+    next_hit = np.minimum.accumulate(hit[::-1])[::-1]
+    qual = np.flatnonzero((t_end <= t[-1] + 1e-9) & (next_hit[grid] > last))
+    n_qual = len(qual)
+    if n_qual < 2:
+        return n_qual, qual[:0], qual[:0]
+    k0 = qual[np.linspace(0, n_qual - 1, min(n_starts, n_qual)).astype(int)]
+    spans = np.linspace(avoid / 10.0, avoid, 5)
+    k1 = np.searchsorted(tg, tg[k0, None] + spans, side="right") - 1
+    k0 = np.repeat(k0, len(spans))
+    k1 = k1.reshape(-1)
+    keep = k1 > k0
+    return n_qual, k0[keep], k1[keep]
+
+
 def msh_estimate(lpf_cocycle, seq: SplittingSequence, radius: float,
                  avoid_window: float, sing_analyses=None,
                  n_starts: int = 6) -> MshResult:
@@ -510,67 +517,34 @@ def msh_estimate(lpf_cocycle, seq: SplittingSequence, radius: float,
     """
     orbit = seq.orbit
     times = seq.times
-    dist = _singular_distances(orbit, orbit.model)
     d_ns = seq.d_s
     d_nu = seq.d_cu - 1
 
-    # restricted LPF factor streams on the checkpoint grid
-    k_blocks = seq.n_blocks
-    ns_f = np.empty((k_blocks, d_ns, d_ns))
-    nu_f = np.empty((k_blocks, d_nu, d_nu))
-    ns_b = [None] * (k_blocks + 1)
-    nu_b = [None] * (k_blocks + 1)
-    for k in range(k_blocks + 1):
-        g = int(seq.grid[k])
-        frame = lpf_cocycle.frames[g]
-        cs = frame.T @ seq.Es[k]
-        u, _, _ = np.linalg.svd(cs, full_matrices=False)
-        ns_b[k] = u[:, :d_ns]
-        nu_b[k] = _ncu_coords(lpf_cocycle, seq, k, g, d_nu)
-    for k in range(k_blocks):
-        ga, gb = int(seq.grid[k]), int(seq.grid[k + 1])
-        p, ls = scaled_product(lpf_cocycle.lpf_factors, ga, gb)
-        p = p * np.exp(ls)
-        ns_f[k] = ns_b[k + 1].T @ (p @ ns_b[k])
-        nu_f[k] = nu_b[k + 1].T @ (p @ nu_b[k])
-
-    # qualifying starts: forward window clear of the singular set
-    qual = []
-    for k in range(len(times)):
-        t_end = times[k] + avoid_window
-        if t_end > orbit.times[-1] + 1e-9:
-            break
-        g0 = int(seq.grid[k])
-        g1 = int(np.searchsorted(orbit.times, t_end, side="right")) - 1
-        if np.min(dist[g0:g1 + 1]) > radius:
-            qual.append(k)
-    n_qual = len(qual)
-
+    n_qual, k0, k1 = msh_windows(orbit.times,
+                                 _singular_distances(orbit, orbit.model),
+                                 seq.grid, radius, avoid_window, n_starts)
     if n_qual < 2:
         return MshResult(False, np.nan, np.nan, np.nan,
                          False, n_qual, radius, avoid_window,
                          details={"reason": "no qualifying windows"})
 
-    spans = np.linspace(avoid_window / 10.0, avoid_window, 5)
-    xs_s, ys_s, xs_u, ys_u, ys_d = [], [], [], [], []
-    start_sample = [qual[i] for i in
-                    np.linspace(0, n_qual - 1, min(n_starts, n_qual)).astype(int)]
-    for k0 in start_sample:
-        for span in spans:
-            k1 = int(np.searchsorted(times, times[k0] + span, side="right")) - 1
-            if k1 <= k0:
-                continue
-            dt = times[k1] - times[k0]
-            ln_s = restricted_window_norm(ns_f, k0, k1)
-            ln_u = restricted_window_norm(nu_f, k0, k1, inverse=True)
-            xs_s.append(dt)
-            ys_s.append(ln_s)
-            xs_u.append(dt)
-            ys_u.append(ln_u)
-            ys_d.append(ln_s + ln_u)
-    slope_s, _, _ = fit_log_rate(xs_s, ys_s)
-    slope_u, _, _ = fit_log_rate(xs_u, ys_u)
-    slope_d, _, _ = fit_log_rate(xs_s, ys_d)
+    # restricted LPF factor streams on the checkpoint grid
+    frames = lpf_cocycle.frames[seq.grid]
+    u, _, _ = np.linalg.svd(frames.transpose(0, 2, 1) @ seq.Es,
+                            full_matrices=False)
+    ns_b = u[:, :, :d_ns]
+    nu_b = _ncu_coords(lpf_cocycle, seq, np.arange(len(seq)), d_nu)
+    p, ls = window_products(lpf_cocycle.lpf_factors, seq.grid[:-1], seq.grid[1:])
+    p = p * np.exp(ls)[:, None, None]
+    ns_f = ns_b[1:].transpose(0, 2, 1) @ (p @ ns_b[:-1])
+    nu_f = nu_b[1:].transpose(0, 2, 1) @ (p @ nu_b[:-1])
+
+    dt = times[k1] - times[k0]
+    ln_s = log_norms(*window_products(ns_f, k0, k1))
+    ln_u = log_norms(*window_products(nu_f, k0, k1), inverse=True)
+    slope_s, _, _ = fit_log_rate(dt, ln_s)
+    slope_u, _, _ = fit_log_rate(dt, ln_u)
+    slope_d, _, _ = fit_log_rate(dt, ln_s + ln_u)
 
     sing_ok = True
     details = {}
@@ -718,29 +692,9 @@ def nush_periodic_check(model, seed, period_guess, tau: float = 1.0,
     rs, _ = seq.restricted("s")
     rcu, _ = seq.restricted("cu")
     times = seq.times
-    t_last = times[-1] - tau
-    starts = np.linspace(times[0], t_last, 64)
-    evals, wvals = [], []
-    for s0 in starts:
-        i = int(np.searchsorted(times, s0, side="left"))
-        j = int(np.searchsorted(times, times[i] + tau, side="right")) - 1
-        if j <= i:
-            continue
-        span = times[j] - times[i]
-        evals.append(restricted_window_norm(rs, i, j) / span)
-        m, ls = _restricted_product(rcu, i, j)
-        w = wedge2_of(m) if m.shape[0] > 1 else m
-        sv = np.linalg.svd(w, compute_uv=False)
-        wvals.append(-(np.log(sv[-1]) + 2 * ls) / span)
+    i, j = _tau_windows(times, tau, 64)
+    evals = log_norms(*window_products(rs, i, j)) / (times[j] - times[i])
+    wvals = _inverse_wedge_rates(rcu, times, i, j)
     e_avg, w_avg = float(np.mean(evals)), float(np.mean(wvals))
     return NushPeriodicResult(x, period, res, e_avg, w_avg,
                               bool(e_avg <= eta and w_avg <= eta), eta)
-
-
-def __getattr__(name):
-    # Report assembly lives in .report; re-exported lazily here as part
-    # of this module's public surface (avoids a circular import).
-    if name in ("assemble_report", "ConditionVerdict", "KNOWN_CONDITIONS"):
-        from . import report
-        return getattr(report, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -71,13 +71,6 @@ class LPFCocycle:
     def n_steps(self):
         return self.lpf_factors.shape[0]
 
-    def frame_at(self, k) -> NormalFrame:
-        return NormalFrame(
-            point=self.orbit.states[k],
-            flow_dir=self.flow_dirs[k],
-            normal_basis=self.frames[k],
-        )
-
     def propagator(self, i, j):
         """Composed LPF factor over grid indices [i, j] as (matrix, log_scale)."""
         m, log_scale = scaled_product(self.lpf_factors, i, j)

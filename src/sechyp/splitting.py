@@ -24,7 +24,8 @@ import numpy as np
 
 from .errors import SpectralGapFailure
 from .flowcalc import OrbitSegment
-from .util import fit_log_rate, haar_frame, principal_angles, qr_pos
+from .util import (fit_log_rate, haar_frame, log_norms, principal_angles, qr_pos,
+                   window_products)
 
 # Minimum acceptable singular-value ratio at the splitting cut over one
 # warmup window; below this there is no numerical domination to lock onto.
@@ -105,20 +106,12 @@ class SplittingSequence:
 def _block_factors(orbit: OrbitSegment, stride: int):
     """Products of `stride` consecutive step factors, with renorm folded in."""
     n_steps = orbit.n_steps
-    n = orbit.states.shape[1]
-    grid = list(range(0, n_steps + 1, stride))
+    grid = np.arange(0, n_steps + 1, stride)
     if grid[-1] != n_steps:
-        grid.append(n_steps)
-    grid = np.asarray(grid)
-    k_blocks = grid.shape[0] - 1
-    out = np.empty((k_blocks, n, n))
-    scale = np.exp(orbit.renorm_log)
-    for k in range(k_blocks):
-        m = orbit.step_cocycles[grid[k]] * scale[grid[k]]
-        for i in range(grid[k] + 1, grid[k + 1]):
-            m = (orbit.step_cocycles[i] * scale[i]) @ m
-        out[k] = m
-    return grid, out
+        grid = np.append(grid, n_steps)
+    steps = orbit.step_cocycles * np.exp(orbit.renorm_log)[:, None, None]
+    mats, log_scales = window_products(steps, grid[:-1], grid[1:])
+    return grid, mats * np.exp(log_scales)[:, None, None]
 
 
 def _forward_sweep(factors, n, seed):
@@ -288,49 +281,36 @@ class RateFit:
     n_samples: int
 
 
-def _span_grid(times, spans, n_starts):
+def span_windows(times, spans, n_starts):
+    """Index pairs (i, j) into `times` of windows of each span, with
+    n_starts window starts spread evenly over the grid per span.
+
+    Spans default to six from a tenth of the grid length up to all of
+    it; longer spans are dropped.  A window ends at the last grid time
+    within its span, and windows shorter than one block are dropped.
+    """
     window = times[-1] - times[0]
     if spans is None:
         spans = np.linspace(window / 10.0, window, 6)
     spans = np.asarray(spans, dtype=float)
     spans = spans[spans <= window + 1e-12]
-    pairs = []
-    for span in spans:
-        latest = times[-1] - span
-        starts = np.linspace(times[0], max(times[0], latest), n_starts)
-        for s0 in starts:
-            i = int(np.searchsorted(times, s0, side="left"))
-            j = int(np.searchsorted(times, min(s0 + span, times[-1]), side="right")) - 1
-            if j > i:
-                pairs.append((i, j))
-    return pairs
+    starts = np.concatenate([
+        np.linspace(times[0], max(times[0], times[-1] - span), n_starts)
+        for span in spans])
+    ends = np.minimum(starts + np.repeat(spans, n_starts), times[-1])
+    i = np.searchsorted(times, starts, side="left")
+    j = np.searchsorted(times, ends, side="right") - 1
+    keep = j > i
+    return i[keep], j[keep]
 
 
-def restricted_window_norm(r_factors, i, j, inverse=False):
-    """log spectral norm of the restricted block product over [i, j), or
-    of its inverse, with power-of-two rescaling.
-
-    When the product's condition number exceeds the float range the
-    smallest singular value is recovered through the determinant
-    identity log s_min = log|det| - sum(log s_others)."""
-    d = r_factors.shape[1]
-    m = np.eye(d)
-    log_scale = 0.0
-    for k in range(i, j):
-        m = r_factors[k] @ m
-        peak = np.max(np.abs(m))
-        if peak > 2.0 ** 500 or peak < 2.0 ** -500:
-            e = np.frexp(peak)[1]
-            m = np.ldexp(m, -e)
-            log_scale += e * np.log(2.0)
-    s = np.linalg.svd(m, compute_uv=False)
-    if inverse:
-        if s[-1] > 0 and s[0] / s[-1] < 1e250:
-            return float(-np.log(s[-1]) - log_scale)
-        logdet = np.linalg.slogdet(m)[1]
-        log_smin = logdet - float(np.sum(np.log(s[:-1])))
-        return float(-log_smin - log_scale)
-    return float(np.log(s[0]) + log_scale)
+def _rate_fit(times, i, j, log_values):
+    spans = times[j] - times[i]
+    slope, _, resid = fit_log_rate(spans, log_values)
+    intercept = float(np.max(log_values - slope * spans))
+    return RateFit(slope=slope, intercept=intercept, residual=resid,
+                   passed=slope <= -RATE_MARGIN,
+                   window=float(times[-1] - times[0]), n_samples=len(i))
 
 
 def domination_rate(seq: SplittingSequence, spans=None, n_starts: int = 5) -> RateFit:
@@ -344,18 +324,10 @@ def domination_rate(seq: SplittingSequence, spans=None, n_starts: int = 5) -> Ra
     rs, _ = seq.restricted("s")
     rcu, _ = seq.restricted("cu")
     times = seq.times
-    pairs = _span_grid(times, spans, n_starts)
-    xs, ys = [], []
-    for i, j in pairs:
-        log_d = (restricted_window_norm(rs, i, j)
-                 + restricted_window_norm(rcu, i, j, inverse=True))
-        xs.append(times[j] - times[i])
-        ys.append(log_d)
-    slope, _, resid = fit_log_rate(xs, ys)
-    intercept = float(np.max(np.asarray(ys) - slope * np.asarray(xs)))
-    return RateFit(slope=slope, intercept=intercept, residual=resid,
-                   passed=slope <= -RATE_MARGIN,
-                   window=float(times[-1] - times[0]), n_samples=len(pairs))
+    i, j = span_windows(times, spans, n_starts)
+    log_d = (log_norms(*window_products(rs, i, j))
+             + log_norms(*window_products(rcu, i, j), inverse=True))
+    return _rate_fit(times, i, j, log_d)
 
 
 def contraction_rate(seq: SplittingSequence, spans=None, n_starts: int = 5) -> RateFit:
@@ -363,16 +335,8 @@ def contraction_rate(seq: SplittingSequence, spans=None, n_starts: int = 5) -> R
     slope is <= -1e-3 per unit time."""
     rs, _ = seq.restricted("s")
     times = seq.times
-    pairs = _span_grid(times, spans, n_starts)
-    xs, ys = [], []
-    for i, j in pairs:
-        xs.append(times[j] - times[i])
-        ys.append(restricted_window_norm(rs, i, j))
-    slope, _, resid = fit_log_rate(xs, ys)
-    intercept = float(np.max(np.asarray(ys) - slope * np.asarray(xs)))
-    return RateFit(slope=slope, intercept=intercept, residual=resid,
-                   passed=slope <= -RATE_MARGIN,
-                   window=float(times[-1] - times[0]), n_samples=len(pairs))
+    i, j = span_windows(times, spans, n_starts)
+    return _rate_fit(times, i, j, log_norms(*window_products(rs, i, j)))
 
 
 def flow_containment(seq: SplittingSequence) -> float:

@@ -90,8 +90,6 @@ class SectionStreams:
     times: np.ndarray      # (n+1, B) accumulated crossing times
     log_fp: np.ndarray     # (n, B) log |f'|
     log_gy: np.ndarray     # (n, B) log |g_y|
-    gx: np.ndarray         # (n, B)
-    roof_dx: np.ndarray    # (n, B) tau'
     tilt: np.ndarray       # (n+1, B) center-unstable graph slope h
     log_a: np.ndarray      # (n, B)
     clipped: int           # crossings where the roof argument was clipped
@@ -167,8 +165,6 @@ def run_section_streams(model: SuspensionModel, seeds, n_returns: int,
     ts = np.empty((n_returns + 1, b))
     log_fp = np.empty((n_returns, b))
     log_gy = np.empty((n_returns, b))
-    gxs = np.empty((n_returns, b))
-    rdx = np.empty((n_returns, b))
     tilts = np.empty((n_returns + 1, b))
     log_a = np.empty((n_returns, b))
 
@@ -188,8 +184,6 @@ def run_section_streams(model: SuspensionModel, seeds, n_returns: int,
         hn = (gx + gy * h) / fp
         log_fp[k] = np.log(np.abs(fp))
         log_gy[k] = np.log(np.abs(gy)) if np.all(gy > 0) else np.log(np.maximum(np.abs(gy), 1e-300))
-        gxs[k] = gx
-        rdx[k] = 0.0 if rc == 0.0 else -rc / x
         log_a[k] = log_fp[k] + 0.5 * (np.log1p(hn * hn) - np.log1p(h * h))
         ts[k + 1] = ts[k] + roof
         x, y, h = fx, fy, hn
@@ -198,8 +192,8 @@ def run_section_streams(model: SuspensionModel, seeds, n_returns: int,
 
     return SectionStreams(
         model=model, x=xs, y=ys, times=ts,
-        log_fp=log_fp, log_gy=log_gy, gx=gxs, roof_dx=rdx,
-        tilt=tilts, log_a=log_a, clipped=clipped,
+        log_fp=log_fp, log_gy=log_gy, tilt=tilts, log_a=log_a,
+        clipped=clipped,
     )
 
 

@@ -76,15 +76,49 @@ def subspace_gap(a, b):
     return float(np.arcsin(min(1.0, s)))
 
 
-def _rescale(m, log_scale):
-    peak = np.max(np.abs(m))
-    if peak == 0.0:
-        return m, log_scale
-    if peak > _SCALE_HI or peak < _SCALE_LO:
-        e = np.frexp(peak)[1]
-        m = np.ldexp(m, -e)
-        log_scale += e * np.log(2.0)
-    return m, log_scale
+def rescale_pow2(mats, log_scales):
+    """Rescale, in place, each matrix of a (P, d, d) stack whose largest
+    |entry| lies outside [2^-500, 2^500] by an exact power of two, and
+    add the log of the factor given up to log_scales[p] (in place).
+    """
+    peak = np.abs(mats).max(axis=(1, 2))
+    out = (peak > _SCALE_HI) | (peak < _SCALE_LO)
+    if out.any():
+        out &= peak > 0.0
+        e = np.frexp(peak[out])[1]
+        mats[out] = np.ldexp(mats[out], -e[:, None, None])
+        log_scales[out] += e * np.log(2.0)
+
+
+def window_products(factors, starts, stops):
+    """Products factors[stop-1] @ ... @ factors[start] over many windows.
+
+    Returns (mats[P, d, d], log_scales[P]); the true product of window p
+    is exp(log_scales[p]) * mats[p], and an empty window (stop <= start)
+    gives the identity.  Every window is rescaled by its own power of
+    two after each factor (see `rescale_pow2`), so arbitrarily long
+    products stay representable.  The loop runs once per offset into
+    the windows, over all windows still open at that offset.
+    """
+    starts = np.asarray(starts, dtype=np.intp).reshape(-1)
+    lengths = np.asarray(stops, dtype=np.intp).reshape(-1) - starts
+    d = factors.shape[-1]
+    # longest first, so the windows still open at each offset are a prefix
+    order = np.argsort(-lengths, kind="stable")
+    first = starts[order]
+    n_open = lengths.shape[0] - np.searchsorted(
+        np.sort(lengths), np.arange(lengths.max(initial=0)), side="right")
+    mats = np.broadcast_to(np.eye(d), (starts.shape[0], d, d)).copy()
+    log_scales = np.zeros(starts.shape[0])
+    for offset, n in enumerate(n_open):
+        m = factors[first[:n] + offset] @ mats[:n]
+        rescale_pow2(m, log_scales[:n])
+        mats[:n] = m
+    out_mats = np.empty_like(mats)
+    out_mats[order] = mats
+    out_scales = np.empty_like(log_scales)
+    out_scales[order] = log_scales
+    return out_mats, out_scales
 
 
 def scaled_product(factors, start, stop):
@@ -92,56 +126,29 @@ def scaled_product(factors, start, stop):
 
     Returns (matrix, log_scale); the true product is exp(log_scale) * matrix.
     """
-    d = factors[start].shape[0] if stop > start else factors.shape[-1]
-    m = np.eye(d)
-    log_scale = 0.0
-    for k in range(start, stop):
-        m = factors[k] @ m
-        m, log_scale = _rescale(m, log_scale)
-    return m, log_scale
+    mats, log_scales = window_products(factors, [start], [stop])
+    return mats[0], float(log_scales[0])
 
 
-def pushed_log_norm(factors, start, stop, basis):
-    """log of the spectral norm of (product over [start, stop)) @ basis.
+def log_norms(mats, log_scales, inverse=False):
+    """log spectral norms of exp(log_scales[p]) * mats[p], or of their
+    inverses, for a (P, d, d) stack.
 
-    The block is pushed step by step with exact power-of-two rescaling,
-    so arbitrarily long contractions or expansions stay representable.
+    When a matrix's condition number exceeds the float range the
+    smallest singular value is recovered through the determinant
+    identity log s_min = log|det| - sum(log s_others).
     """
-    w = np.array(basis, dtype=float)
-    if w.ndim == 1:
-        w = w[:, None]
-    log_scale = 0.0
-    for k in range(start, stop):
-        w = factors[k] @ w
-        w, log_scale = _rescale(w, log_scale)
-    s = np.linalg.norm(w, 2)
-    if s == 0.0:
-        return -np.inf
-    return float(np.log(s) + log_scale)
-
-
-def pulled_log_norm(factors, start, stop, basis):
-    """log spectral norm of (product over [start, stop))^{-1} @ basis.
-
-    Applies per-step inverses in reverse order via linear solves.
-    """
-    w = np.array(basis, dtype=float)
-    if w.ndim == 1:
-        w = w[:, None]
-    log_scale = 0.0
-    for k in range(stop - 1, start - 1, -1):
-        w = np.linalg.solve(factors[k], w)
-        w, log_scale = _rescale(w, log_scale)
-    s = np.linalg.norm(w, 2)
-    if s == 0.0:
-        return -np.inf
-    return float(np.log(s) + log_scale)
-
-
-def scaled_svdvals(factors, start, stop):
-    """Singular values of the product over [start, stop) as (values, log_scale)."""
-    m, log_scale = scaled_product(factors, start, stop)
-    return np.linalg.svd(m, compute_uv=False), log_scale
+    s = np.linalg.svd(mats, compute_uv=False)
+    if not inverse:
+        return np.log(s[:, 0]) + log_scales
+    with np.errstate(divide="ignore", invalid="ignore"):
+        far = ~((s[:, -1] > 0) & (s[:, 0] / s[:, -1] < 1e250))
+        out = -np.log(s[:, -1]) - log_scales
+    if far.any():
+        logdet = np.linalg.slogdet(mats[far])[1]
+        log_smin = logdet - np.sum(np.log(s[far, :-1]), axis=1)
+        out[far] = -log_smin - log_scales[far]
+    return out
 
 
 def check_basis_rank(w, limit=1e8):

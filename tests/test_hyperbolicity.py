@@ -108,10 +108,10 @@ class TestSectionalVolume:
     def test_grid_min_never_below_exact(self, saddle4_seq):
         # the sampled plane grid cross-checks the exact bottom pair:
         # its minimum cannot undercut the singular-value bound
-        from sechyp.hyperbolicity import (_min_plane_log_det, _plane_grid,
-                                          _restricted_product)
+        from sechyp.hyperbolicity import _min_plane_log_det, _plane_grid
+        from sechyp.util import scaled_product
         rcu, _ = saddle4_seq.restricted("cu")
-        m, ls = _restricted_product(rcu, 0, 40)
+        m, ls = scaled_product(rcu, 0, 40)
         s = np.linalg.svd(m, compute_uv=False)
         exact = float(np.log(s[-1]) + np.log(s[-2]) + 2 * ls)
         planes = _plane_grid(3, 64)
@@ -120,7 +120,7 @@ class TestSectionalVolume:
                   + 2 * ls)
             for p in planes)
         assert grid_only >= exact - 1e-9
-        assert _min_plane_log_det(m, ls, planes) <= grid_only + 1e-12
+        assert _min_plane_log_det(m[None], np.array([ls]), planes)[0] <= grid_only + 1e-12
 
     def test_lorenz_sectional_band(self, lorenz_seq_60):
         sec = sectional_expansion_functional(lorenz_seq_60, 20.0)
