@@ -24,14 +24,16 @@ from . import suspension as susp
 from .errors import ConfigError
 from .flowcalc import StepControl, batch_rk4, integrate
 from .hyperbolicity import (ash_functional, classify_singularity,
-                            mnuse_functional, msh_estimate, nne_functional,
-                            nuse_functional, nush_periodic_check,
+                            mnuse_functional, msh_estimate, msh_windows,
+                            nne_functional, nuse_functional,
+                            nush_periodic_check,
                             sectional_expansion_functional,
                             volume_expansion_functional)
 from .lpf import lpf_along
 from .models import SuspensionModel, VectorFieldModel, load_model
 from .splitting import (RATE_MARGIN, contraction_rate, domination_rate,
                         estimate_splitting)
+from .util import fit_log_rate
 
 KNOWN_CONDITIONS = ("PH", "SingularHyp", "SH", "ASH", "NUSE", "MNUSE", "NNE",
                     "MSH-estimate", "NUSH-periodic")
@@ -278,42 +280,22 @@ def _suspension_msh_row(streams, b, config, margin):
     avoid = _cfg(config, "msh", "avoid_window",
                  default=5.0 * streams.model.roof_floor)
     t = streams.times[:, b]
-    xs = np.abs(streams.x[:, b])
-    s_ns = np.concatenate([[0.0], np.cumsum(streams.log_gy[:, b])])
-    s_nu = np.concatenate([[0.0], np.cumsum(streams.log_a[:, b])])
-
-    qual = []
-    n = streams.n_returns
-    for k in range(n):
-        j = int(np.searchsorted(t, t[k] + avoid, side="right"))
-        if j > n:
-            break
-        if np.min(xs[k:j + 1]) > radius:
-            qual.append(k)
-    if len(qual) < 2:
+    n_qual, k0, k1 = msh_windows(t, np.abs(streams.x[:, b]), np.arange(len(t)),
+                                 radius, avoid)
+    if n_qual < 2:
         return {"msh_fit_pass": False, "msh_qualifying": 0,
                 "msh_slopes": (np.nan, np.nan, np.nan)}
 
-    starts = [qual[i] for i in np.linspace(0, len(qual) - 1,
-                                           min(6, len(qual))).astype(int)]
-    spans = np.linspace(avoid / 10.0, avoid, 5)
-    xs_fit, ys_s, ys_u = [], [], []
-    for k0 in starts:
-        for span in spans:
-            k1 = int(np.searchsorted(t, t[k0] + span, side="right")) - 1
-            if k1 <= k0:
-                continue
-            dt = t[k1] - t[k0]
-            xs_fit.append(dt)
-            ys_s.append(s_ns[k1] - s_ns[k0])
-            ys_u.append(-(s_nu[k1] - s_nu[k0]))
-    from .util import fit_log_rate
-
-    slope_s, _, _ = fit_log_rate(xs_fit, ys_s)
-    slope_u, _, _ = fit_log_rate(xs_fit, ys_u)
-    slope_d, _, _ = fit_log_rate(xs_fit, list(np.asarray(ys_s) + np.asarray(ys_u)))
+    s_ns = np.concatenate([[0.0], np.cumsum(streams.log_gy[:, b])])
+    s_nu = np.concatenate([[0.0], np.cumsum(streams.log_a[:, b])])
+    dt = t[k1] - t[k0]
+    ys_s = s_ns[k1] - s_ns[k0]
+    ys_u = -(s_nu[k1] - s_nu[k0])
+    slope_s, _, _ = fit_log_rate(dt, ys_s)
+    slope_u, _, _ = fit_log_rate(dt, ys_u)
+    slope_d, _, _ = fit_log_rate(dt, ys_s + ys_u)
     ok = bool(slope_s <= -margin and slope_u <= -margin and slope_d <= -margin)
-    return {"msh_fit_pass": ok, "msh_qualifying": len(qual),
+    return {"msh_fit_pass": ok, "msh_qualifying": n_qual,
             "msh_slopes": (float(slope_s), float(slope_u), float(slope_d))}
 
 

@@ -1,8 +1,11 @@
+import numpy as np
+import numpy.testing as npt
 import pytest
 
 from sechyp.errors import ConfigError
 from sechyp.models import load_model
-from sechyp.report import (assemble_report, config_hash)
+from sechyp.report import (_suspension_msh_row, assemble_report, config_hash)
+from sechyp.suspension import SectionStreams
 
 
 def verdict_map(report):
@@ -101,6 +104,29 @@ class TestSuspensionReport:
         # they were counted; the a.e. statement must exclude them
         assert report["n_seeds"] == 18
         assert v["ASH"]["fraction"] == 1.0
+
+
+class TestSuspensionMshScan:
+    def test_window_ends_at_last_crossing_inside(self):
+        # unit-spaced crossings, one sample (index 4) on the singular
+        # side of the radius: the window [0, 3] of start 0 ends at
+        # crossing 3, so only the first crossing past it comes close
+        n = 20
+        x = np.full((n + 1, 1), 0.5)
+        x[4] = 0.01
+        streams = SectionStreams(
+            model=load_model("geometric_lorenz"), x=x,
+            y=np.zeros((n + 1, 1)),
+            times=np.arange(n + 1, dtype=float)[:, None],
+            log_fp=np.full((n, 1), 0.5), log_gy=np.full((n, 1), -1.0),
+            tilt=np.zeros((n + 1, 1)), log_a=np.full((n, 1), 0.5),
+            clipped=0)
+        cfg = {"msh": {"radius": 0.05, "avoid_window": 3.0}}
+        row = _suspension_msh_row(streams, 0, cfg, 1e-3)
+        # starts 0..17 end inside the orbit; 1..4 see crossing 4
+        assert row["msh_qualifying"] == 14
+        assert row["msh_fit_pass"]
+        npt.assert_allclose(row["msh_slopes"], (-1.0, -0.5, -1.5))
 
 
 class TestWorkers:
