@@ -48,7 +48,12 @@ class ConfigError(SechypError):
 
     def __init__(self, field, message):
         self.field = field
+        self.message = message
         super().__init__(f"config field '{field}': {message}")
+
+    def __reduce__(self):
+        # rebuild from (field, message) so the error crosses process pools
+        return type(self), (self.field, self.message)
 
 
 class TangencyWarning(UserWarning):

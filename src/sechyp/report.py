@@ -269,7 +269,7 @@ def _suspension_ensemble(model, config, conditions):
             rows[b]["con_slope"] = con.slope
             if "NNE" in conditions:
                 rows[b]["nne_min"] = nne_functional(seq).min_rate
-    return rows, all_seeds
+    return rows, all_seeds, {"clipped_roof_crossings": streams.clipped}
 
 
 def _suspension_msh_row(streams, b, config, margin):
@@ -425,7 +425,8 @@ def assemble_report(model, config: dict) -> dict:
 
     Returns the report dictionary (JSON-serializable): model identity,
     seed, per-condition verdicts, singularity classifications, and the
-    config hash for provenance.
+    config hash for provenance.  Suspension reports add a `diagnostics`
+    block counting the crossings whose roof argument was clipped.
     """
     conditions = list(config.get("conditions", []))
     for c in conditions:
@@ -434,12 +435,13 @@ def assemble_report(model, config: dict) -> dict:
 
     window = float(_cfg(config, "windows", "T", default=100.0))
     sing_analyses = []
+    diagnostics = None
     if isinstance(model, VectorFieldModel):
         for s in model.singularities:
             sing_analyses.append(classify_singularity(model, s, arc_budget=200.0))
-        rows, seeds_used = _ode_ensemble(model, config, conditions)
+        rows, _ = _ode_ensemble(model, config, conditions)
     elif isinstance(model, SuspensionModel):
-        rows, seeds_used = _suspension_ensemble(model, config, conditions)
+        rows, _, diagnostics = _suspension_ensemble(model, config, conditions)
         window = float(_cfg(config, "windows", "n_returns", default=10000))
     else:
         raise ConfigError("model", "verify requires a flow or suspension model")
@@ -452,7 +454,7 @@ def assemble_report(model, config: dict) -> dict:
             verdicts.append(_aggregate(c, rows, config, sing_analyses, window))
 
     warnings = _consistency_scan(verdicts)
-    return {
+    report = {
         "model": model.name,
         "params": {k: v for k, v in model.params.items() if k != "table"},
         "seed": config.get("seed", 20250808),
@@ -463,6 +465,9 @@ def assemble_report(model, config: dict) -> dict:
         "singularities": [sa.as_dict() for sa in sing_analyses],
         "consistency_warnings": warnings,
     }
+    if diagnostics is not None:
+        report["diagnostics"] = diagnostics
+    return report
 
 
 def _consistency_scan(verdicts):

@@ -1,4 +1,5 @@
 import json
+import pickle
 
 import pytest
 
@@ -37,6 +38,13 @@ class TestConfig:
     def test_missing_file(self):
         with pytest.raises(ConfigError):
             load_config("/nonexistent/cfg.json")
+
+    def test_config_error_pickles(self):
+        # a worker's ConfigError must reach the parent process intact
+        err = pickle.loads(pickle.dumps(ConfigError("ensemble.box", "missing")))
+        assert isinstance(err, ConfigError)
+        assert err.field == "ensemble.box"
+        assert str(err) == "config field 'ensemble.box': missing"
 
     def test_bad_json_reports_line(self, tmp_path):
         path = tmp_path / "bad.json"

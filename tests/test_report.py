@@ -89,6 +89,8 @@ class TestSuspensionReport:
         assert v["NUSH-periodic"]["verdict"] == "fail"
         orbits = v["NUSH-periodic"]["details"]["orbits"]
         assert all(abs(o["wedge_average"]) < 1e-6 for o in orbits)
+        clipped = report["diagnostics"]["clipped_roof_crossings"]
+        assert isinstance(clipped, int) and clipped >= 0
 
     def test_probes_excluded_from_fractions(self):
         sus = load_model("geometric_lorenz")
