@@ -360,7 +360,8 @@ def nuse_functional(lpf_cocycle, seq: SplittingSequence, tau: float) -> float:
     ub = _ncu_coords(lpf_cocycle, seq, kb, d_ncu)
     p, ls = window_products(lpf_cocycle.lpf_factors, seq.grid[ka], seq.grid[kb])
     sv = np.linalg.svd(ub.transpose(0, 2, 1) @ (p @ ua), compute_uv=False)
-    # running sums, accumulated window by window in time order
+    # summed window by window in time order: np.sum's pairwise order
+    # would move the last digits of the reported rate
     total = np.cumsum(-(np.log(sv[:, -1]) + ls))[-1]
     total_time = np.cumsum(times[kb] - times[ka])[-1]
     return float(total / total_time)

@@ -82,9 +82,10 @@ def rescale_pow2(mats, log_scales):
     add the log of the factor given up to log_scales[p] (in place).
     """
     peak = np.abs(mats).max(axis=(1, 2))
-    out = (peak > _SCALE_HI) | (peak < _SCALE_LO)
-    if out.any():
-        out &= peak > 0.0
+    # one test for the whole stack first (a NaN peak fails it too)
+    if not (_SCALE_LO <= peak.min(initial=np.inf)
+            and peak.max(initial=0.0) <= _SCALE_HI):
+        out = (peak > _SCALE_HI) | ((peak < _SCALE_LO) & (peak > 0.0))
         e = np.frexp(peak[out])[1]
         mats[out] = np.ldexp(mats[out], -e[:, None, None])
         log_scales[out] += e * np.log(2.0)
@@ -102,23 +103,19 @@ def window_products(factors, starts, stops):
     """
     starts = np.asarray(starts, dtype=np.intp).reshape(-1)
     lengths = np.asarray(stops, dtype=np.intp).reshape(-1) - starts
-    d = factors.shape[-1]
     # longest first, so the windows still open at each offset are a prefix
     order = np.argsort(-lengths, kind="stable")
     first = starts[order]
-    n_open = lengths.shape[0] - np.searchsorted(
+    n_open = len(lengths) - np.searchsorted(
         np.sort(lengths), np.arange(lengths.max(initial=0)), side="right")
-    mats = np.broadcast_to(np.eye(d), (starts.shape[0], d, d)).copy()
-    log_scales = np.zeros(starts.shape[0])
-    for offset, n in enumerate(n_open):
-        m = factors[first[:n] + offset] @ mats[:n]
+    mats = np.tile(np.eye(factors.shape[-1]), (len(lengths), 1, 1))
+    log_scales = np.zeros(len(lengths))
+    for offset, n in enumerate(n_open.tolist()):
+        m = factors.take(first[:n] + offset, axis=0) @ mats[:n]
         rescale_pow2(m, log_scales[:n])
         mats[:n] = m
-    out_mats = np.empty_like(mats)
-    out_mats[order] = mats
-    out_scales = np.empty_like(log_scales)
-    out_scales[order] = log_scales
-    return out_mats, out_scales
+    back = np.argsort(order)
+    return mats[back], log_scales[back]
 
 
 def scaled_product(factors, start, stop):
