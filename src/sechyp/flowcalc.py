@@ -14,6 +14,7 @@ bit-reproducible.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from itertools import combinations
@@ -37,6 +38,26 @@ _B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
 # b5 - b4: weights of the embedded error estimate
 _E1, _E3, _E4, _E5, _E6, _E7 = (71 / 57600, -71 / 16695, 71 / 1920,
                                 -17253 / 339200, 22 / 525, -1 / 40)
+
+# The stage slopes live in one buffer in the slot order k2, k1, k3, ..., k7:
+# every stage sum is then one axis-0 reduce over a contiguous run of
+# slots (k2 is absent from the 5th-order and error sums), and a sum that
+# starts k2, k1 equals the textbook k1, k2 order exactly (a+b == b+a).
+_K1, _K7 = 1, 6
+
+
+def _weights(*w):
+    return np.array(w)[:, None, None]
+
+
+# indexed by the slot a stage writes; stage 2 (slot 0) uses h*a21 directly
+_STAGE_W = (None, None,
+            _weights(_A32, _A31),
+            _weights(_A42, _A41, _A43),
+            _weights(_A52, _A51, _A53, _A54),
+            _weights(_A62, _A61, _A63, _A64, _A65))
+_SOL_W = _weights(_B1, _B3, _B4, _B5, _B6)       # slots k1, k3..k6
+_ERR_W = _weights(_E1, _E3, _E4, _E5, _E6, _E7)  # slots k1, k3..k7
 
 
 @dataclass(frozen=True)
@@ -114,13 +135,11 @@ class WedgeCocycle:
         return m, log_scale
 
 
-def _rhs(model, y):
-    """Augmented right-hand side on the (n, n+1) block [x | M]."""
-    x = y[:, 0]
-    out = np.empty_like(y)
-    out[:, 0] = model.eval(x)
-    np.matmul(model.jacobian(x), y[:, 1:], out=out[:, 1:])
-    return out
+def _norm(v):
+    """Euclidean norm, computed as np.linalg.norm computes it (sqrt of
+    v . v on the raveled array) without its dispatch overhead."""
+    r = v.ravel()
+    return math.sqrt(r.dot(r))
 
 
 def _initial_step(model, x0, ctrl):
@@ -155,42 +174,55 @@ def integrate(model: VectorFieldModel, x0, t_span: float,
     n = x0.shape[0]
 
     times = [0.0]
-    states = [x0.copy()]
-    factors = []
-
     t = 0.0
-    x = x0.copy()
     max_step = min(ctrl.max_step, t_span / 8.0)
     h_prop = min(_initial_step(model, x0, ctrl), max_step)
     t_edge = 1e-14 * max(1.0, t_span)
-    y_id = np.eye(n)
+
+    k = np.empty((7, n, n + 1))
+    k_state = [k[i, :, 0] for i in range(7)]
+    k_tangent = [k[i, :, 1:] for i in range(7)]
+
+    def slope(slot, ys):
+        """Augmented right-hand side [f(x) | J(x) M] written into k[slot];
+        returns J(x)."""
+        x = ys[:, 0]
+        k_state[slot][:] = model.eval(x)
+        jac = model.jacobian(x)
+        np.matmul(jac, ys[:, 1:], out=k_tangent[slot])
+        return jac
+
+    y = np.empty((n, n + 1))
+    y[:, 0] = x0
+    y[:, 1:] = np.eye(n)
+    y_norm = _norm(y)
+    slope(_K1, y)
+    blocks = []
 
     while t_span - t > t_edge:
         h = min(h_prop, t_span - t)
-        y = np.empty((n, n + 1))
-        y[:, 0] = x
-        y[:, 1:] = y_id
-        k1 = _rhs(model, y)
-        k2 = _rhs(model, y + (h * _A21) * k1)
-        k3 = _rhs(model, y + h * (_A31 * k1 + _A32 * k2))
-        k4 = _rhs(model, y + h * (_A41 * k1 + _A42 * k2 + _A43 * k3))
-        k5 = _rhs(model, y + h * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4))
-        k6 = _rhs(model, y + h * (_A61 * k1 + _A62 * k2 + _A63 * k3
-                                  + _A64 * k4 + _A65 * k5))
-        y5 = y + h * (_B1 * k1 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6)
-        k7 = _rhs(model, y5)
-        err = h * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7)
+        slope(0, y + (h * _A21) * k[_K1])
+        for s in range(2, 6):
+            slope(s, y + h * np.add.reduce(_STAGE_W[s] * k[:s], axis=0))
+        y5 = y + h * np.add.reduce(_SOL_W * k[_K1:_K7], axis=0)
+        jac5 = slope(_K7, y5)
+        err = h * np.add.reduce(_ERR_W * k[_K1:], axis=0)
         # scalar weight: rotation-invariant error norm over state + cocycle
-        weight = ctrl.atol + ctrl.rtol * max(np.linalg.norm(y), np.linalg.norm(y5))
-        enorm = np.linalg.norm(err) / weight
+        weight = ctrl.atol + ctrl.rtol * max(y_norm, _norm(y5))
+        enorm = _norm(err) / weight
         if enorm <= 1.0:
             t += h
-            x = y5[:, 0]
-            if np.linalg.norm(x) > ctrl.bound:
+            if _norm(y5[:, 0]) > ctrl.bound:
                 raise Blowup(f"state norm exceeded {ctrl.bound:.3e} at t={t:.6g}")
             times.append(t)
-            states.append(x.copy())
-            factors.append(y5[:, 1:].copy())
+            blocks.append(y5)
+            y[:, 0] = y5[:, 0]
+            y_norm = _norm(y)
+            # first same as last: the next step's k1 is [f(x5) | J(x5) I].
+            # J(x5) I == J(x5) up to the sign of zero entries, and every
+            # stage adds those to y's identity block, where it cannot show
+            k_state[_K1][:] = k_state[_K7]
+            k_tangent[_K1][:] = jac5
             fac = 5.0 if enorm == 0 else min(5.0, 0.9 * enorm ** -0.2)
         else:
             fac = max(0.2, 0.9 * enorm ** -0.2)
@@ -198,12 +230,16 @@ def integrate(model: VectorFieldModel, x0, t_span: float,
         if h_prop < ctrl.min_step_floor * max(1.0, abs(t)):
             raise StiffnessFailure(f"step size underflow at t={t:.6g}")
 
+    blocks = np.array(blocks)
+    states = np.empty((len(times), n))
+    states[0] = x0
+    states[1:] = blocks[:, :, 0]
     return OrbitSegment(
         model=model,
         times=np.array(times),
-        states=np.array(states),
-        step_cocycles=np.array(factors),
-        renorm_log=np.zeros(len(factors)),
+        states=states,
+        step_cocycles=np.ascontiguousarray(blocks[:, :, 1:]),
+        renorm_log=np.zeros(len(blocks)),
     )
 
 

@@ -10,7 +10,7 @@ means the probe budget ran out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -90,7 +90,12 @@ def _grow_manifold(model, sigma, direction, forward, trapping, ball_radius,
     """Grow a 1-d local invariant manifold along an eigendirection and
     test whether it reaches the trapping region minus a ball around the
     equilibrium.  Returns 'yes' when it does while staying inside the
-    region, 'undetermined' otherwise."""
+    region, 'undetermined' otherwise.
+
+    A state whose norm exceeds that of the farthest corner of the
+    (slackened) region lies outside it, so the probe is integrated with
+    that norm as its blowup bound: it stops where the verdict is fixed
+    instead of running on under a field that may blow up."""
     work = model
     if not forward:
         def back_eval(x, _m=model):
@@ -103,18 +108,21 @@ def _grow_manifold(model, sigma, direction, forward, trapping, ball_radius,
             name=model.name + "_rev", dim=model.dim, params=model.params,
             eval=back_eval, jacobian=back_jac,
         )
-    lo, hi = trapping[:, 0], trapping[:, 1]
+    lo, hi = trapping[:, 0] - 1e-9, trapping[:, 1] + 1e-9
+    corner = np.maximum(np.abs(lo), np.abs(hi))
+    ctrl = step_ctrl or StepControl()
+    ctrl = replace(ctrl, bound=min(ctrl.bound, float(np.linalg.norm(corner))))
     x = sigma + 1e-6 * direction
     arc = 0.0
     reached = False
     for _ in range(200):
         try:
-            orbit = integrate(work, x, 1.0, step_ctrl)
+            orbit = integrate(work, x, 1.0, ctrl)
         except Blowup:
             return "undetermined"
         seg = np.linalg.norm(np.diff(orbit.states, axis=0), axis=1)
         arc += float(np.sum(seg))
-        inside = np.all((orbit.states >= lo - 1e-9) & (orbit.states <= hi + 1e-9))
+        inside = np.all((orbit.states >= lo) & (orbit.states <= hi))
         if not inside:
             return "undetermined"
         if np.max(np.linalg.norm(orbit.states - sigma, axis=1)) > ball_radius:
@@ -605,6 +613,11 @@ def _refine_periodic(model, seed, period_guess, step_ctrl, residual=1e-10,
             delta = np.linalg.solve(jac, rhs)
         except np.linalg.LinAlgError:
             break
+        # trust region on the period: |dp| <= p/2 keeps a poor Newton
+        # step from sending the period (and every later integration) off
+        # towards infinity
+        if abs(delta[n]) > 0.5 * period:
+            delta = delta * (0.5 * period / abs(delta[n]))
         lam = 1.0
         improved = False
         base = np.linalg.norm(r)

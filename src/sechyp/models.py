@@ -97,12 +97,14 @@ def make_lorenz(sigma: float, rho: float, beta: float) -> VectorFieldModel:
     if sigma <= 0 or beta <= 0:
         raise ValueError("sigma and beta must be positive")
 
+    # unpacked to Python floats: the same IEEE operations as on numpy
+    # scalars, without their per-operation overhead
     def f(s):
-        x, y, z = s
+        x, y, z = np.asarray(s, dtype=float).tolist()
         return np.array([sigma * (y - x), x * (rho - z) - y, x * y - beta * z])
 
     def jac(s):
-        x, y, z = s
+        x, y, z = np.asarray(s, dtype=float).tolist()
         return np.array([
             [-sigma, sigma, 0.0],
             [rho - z, -1.0, -x],

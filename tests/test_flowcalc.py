@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -8,7 +10,8 @@ from sechyp.flowcalc import (OrbitSegment, StepControl, batch_rk4, integrate,
                              load_orbit_cache, orbit_to_csv,
                              restrict_cocycle, save_orbit_cache, wedge2_of,
                              wedge_cocycle)
-from sechyp.models import make_linear_saddle
+from sechyp.models import (conjugate_model, make_linear_field,
+                           make_linear_saddle)
 
 
 class TestIntegrate:
@@ -66,6 +69,168 @@ class TestIntegrate:
         assert np.array_equal(a.times, b.times)
         assert np.array_equal(a.states, b.states)
         assert np.array_equal(a.step_cocycles, b.step_cocycles)
+
+
+# ----------------------------------------------------------------------
+# reference step kernel: the term-by-term Dormand-Prince 5(4) loop, with
+# seven right-hand-side evaluations per attempted step and np.linalg.norm,
+# and the Lorenz field on numpy scalars.  integrate() must reproduce it
+# bit for bit.
+# ----------------------------------------------------------------------
+
+_A21 = 1 / 5
+_A31, _A32 = 3 / 40, 9 / 40
+_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
+_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+_A61, _A62, _A63, _A64, _A65 = (9017 / 3168, -355 / 33, 46732 / 5247,
+                                49 / 176, -5103 / 18656)
+_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
+_E1, _E3, _E4, _E5, _E6, _E7 = (71 / 57600, -71 / 16695, 71 / 1920,
+                                -17253 / 339200, 22 / 525, -1 / 40)
+
+
+def _ref_rhs(model, y):
+    x = y[:, 0]
+    out = np.empty_like(y)
+    out[:, 0] = model.eval(x)
+    np.matmul(model.jacobian(x), y[:, 1:], out=out[:, 1:])
+    return out
+
+
+def _ref_initial_step(model, x0, ctrl):
+    f0 = model.eval(x0)
+    d0 = np.linalg.norm(x0)
+    d1 = np.linalg.norm(f0)
+    h0 = 1e-6 if (d1 < 1e-10 or d0 < 1e-10) else 0.01 * d0 / d1
+    x1 = x0 + h0 * f0
+    d2 = np.linalg.norm(model.eval(x1) - f0) / h0
+    if max(d1, d2) <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** 0.2
+    return min(100 * h0, h1, ctrl.max_step)
+
+
+def _ref_integrate(model, x0, t_span, ctrl=None):
+    ctrl = ctrl or StepControl()
+    x0 = np.asarray(x0, dtype=float)
+    n = x0.shape[0]
+    times, states, factors = [0.0], [x0.copy()], []
+    t = 0.0
+    x = x0.copy()
+    max_step = min(ctrl.max_step, t_span / 8.0)
+    h_prop = min(_ref_initial_step(model, x0, ctrl), max_step)
+    t_edge = 1e-14 * max(1.0, t_span)
+    y_id = np.eye(n)
+    while t_span - t > t_edge:
+        h = min(h_prop, t_span - t)
+        y = np.empty((n, n + 1))
+        y[:, 0] = x
+        y[:, 1:] = y_id
+        k1 = _ref_rhs(model, y)
+        k2 = _ref_rhs(model, y + (h * _A21) * k1)
+        k3 = _ref_rhs(model, y + h * (_A31 * k1 + _A32 * k2))
+        k4 = _ref_rhs(model, y + h * (_A41 * k1 + _A42 * k2 + _A43 * k3))
+        k5 = _ref_rhs(model, y + h * (_A51 * k1 + _A52 * k2 + _A53 * k3
+                                      + _A54 * k4))
+        k6 = _ref_rhs(model, y + h * (_A61 * k1 + _A62 * k2 + _A63 * k3
+                                      + _A64 * k4 + _A65 * k5))
+        y5 = y + h * (_B1 * k1 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6)
+        k7 = _ref_rhs(model, y5)
+        err = h * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6
+                   + _E7 * k7)
+        weight = ctrl.atol + ctrl.rtol * max(np.linalg.norm(y),
+                                             np.linalg.norm(y5))
+        enorm = np.linalg.norm(err) / weight
+        if enorm <= 1.0:
+            t += h
+            x = y5[:, 0]
+            if np.linalg.norm(x) > ctrl.bound:
+                raise Blowup(f"state norm exceeded {ctrl.bound:.3e} at t={t:.6g}")
+            times.append(t)
+            states.append(x.copy())
+            factors.append(y5[:, 1:].copy())
+            fac = 5.0 if enorm == 0 else min(5.0, 0.9 * enorm ** -0.2)
+        else:
+            fac = max(0.2, 0.9 * enorm ** -0.2)
+        h_prop = min(h_prop * fac, max_step)
+    return np.array(times), np.array(states), np.array(factors)
+
+
+def _ref_lorenz(model):
+    """The Lorenz field evaluated on numpy scalars."""
+    p = model.params
+    sigma, rho, beta = p["sigma"], p["rho"], p["beta"]
+
+    def f(s):
+        x, y, z = s
+        return np.array([sigma * (y - x), x * (rho - z) - y, x * y - beta * z])
+
+    def jac(s):
+        x, y, z = s
+        return np.array([[-sigma, sigma, 0.0], [rho - z, -1.0, -x],
+                         [y, x, -beta]])
+
+    return dataclasses.replace(model, eval=f, jacobian=jac)
+
+
+def _kernel_cases(lorenz):
+    rng = np.random.default_rng(41)
+    q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    a5 = 0.3 * rng.standard_normal((5, 5))
+    return {
+        "lorenz-rtol7": (lorenz, [1.0, 1.0, 20.0], 10.0, StepControl(rtol=1e-7)),
+        "lorenz-rtol9": (lorenz, [-3.0, 2.0, 25.0], 4.0, StepControl(rtol=1e-9)),
+        "lorenz-z-axis": (lorenz, [0.0, 0.0, 1.0], 4.0, StepControl(rtol=1e-8)),
+        "lorenz-conjugated": (conjugate_model(lorenz, q),
+                              q @ np.array([1.0, 2.0, 20.0]), 4.0,
+                              StepControl(rtol=1e-8)),
+        "saddle-4d": (make_linear_saddle([-3.0, -0.5, 1.0, 2.0]),
+                      [0.1, 0.2, 0.3, 0.4], 3.0, None),
+        "linear-5d-max-step": (make_linear_field(a5), rng.standard_normal(5),
+                               4.0, StepControl(rtol=1e-8, max_step=0.05)),
+    }
+
+
+class TestStepKernel:
+    @pytest.mark.parametrize("case", ["lorenz-rtol7", "lorenz-rtol9",
+                                      "lorenz-z-axis", "lorenz-conjugated",
+                                      "saddle-4d", "linear-5d-max-step"])
+    def test_bit_identical_to_reference(self, lorenz, case):
+        model, x0, t_span, ctrl = _kernel_cases(lorenz)[case]
+        orb = integrate(model, x0, t_span, ctrl)
+        ref_model = model
+        if case.startswith("lorenz-") and case != "lorenz-conjugated":
+            ref_model = _ref_lorenz(model)
+        times, states, cocycles = _ref_integrate(ref_model, x0, t_span, ctrl)
+        assert np.array_equal(orb.times, times)
+        assert np.array_equal(orb.states, states)
+        assert np.array_equal(orb.step_cocycles, cocycles)
+
+    def test_blowup_at_reference_time(self, lorenz):
+        # the time-reversed Lorenz field blows up in finite time
+        def reversed_field(m):
+            return dataclasses.replace(m, eval=lambda x: -m.eval(x),
+                                       jacobian=lambda x: -m.jacobian(x))
+
+        ctrl = StepControl(rtol=1e-7, bound=60.0)
+        with pytest.raises(Blowup) as got:
+            integrate(reversed_field(lorenz), [1.0, 1.0, 20.0], 5.0, ctrl)
+        with pytest.raises(Blowup) as want:
+            _ref_integrate(reversed_field(_ref_lorenz(lorenz)),
+                           [1.0, 1.0, 20.0], 5.0, ctrl)
+        assert str(got.value) == str(want.value)
+
+    def test_first_same_as_last_eval_count(self, lorenz):
+        calls = [0]
+
+        def counted(x):
+            calls[0] += 1
+            return lorenz.eval(x)
+
+        orb = integrate(dataclasses.replace(lorenz, eval=counted),
+                        [1.0, 1.0, 20.0], 20.0, StepControl(rtol=1e-7))
+        assert calls[0] / orb.n_steps <= 6.2
 
 
 class TestCocycleProperties:

@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from sechyp import hyperbolicity
 from sechyp.errors import NotAnEquilibrium, NotPeriodic
-from sechyp.flowcalc import integrate
+from sechyp.flowcalc import StepControl, integrate
 from sechyp.hyperbolicity import (ash_functional,
                                   classify_singularity, mnuse_functional,
                                   msh_estimate, nne_functional,
@@ -81,10 +84,53 @@ class TestClassify:
 
     def test_unstable_side_of_origin_is_active(self, lorenz):
         # the unstable branch stays inside the trapping box, so the
-        # unstable half of the活 condition is decidable; the stable
+        # unstable half of the active condition is decidable; the stable
         # probes exit the box and the verdict stays undetermined
         sa = classify_singularity(lorenz, np.zeros(3), arc_budget=100.0)
         assert sa.active in ("undetermined", "yes")
+
+
+    def test_box_stop_keeps_every_probe_verdict(self, lorenz, monkeypatch):
+        # activity probes stop at the norm of the trapping box's farthest
+        # corner; forcing the default 1e6 blowup bound back must give the
+        # same verdict on every real eigendirection, in both signs
+        ctrl = StepControl(rtol=1e-7)
+        steps = [0]
+
+        def counted(model, x0, t_span, step_ctrl=None):
+            orb = integrate(model, x0, t_span, step_ctrl)
+            steps[0] += orb.n_steps
+            return orb
+
+        def unbounded(model, x0, t_span, step_ctrl=None):
+            return counted(model, x0, t_span,
+                           dataclasses.replace(step_ctrl, bound=1e6))
+
+        saddle = make_linear_saddle([2.0, -3.0, -0.5])
+        cases = [(lorenz, s) for s in lorenz.singularities]
+        cases.append((saddle, np.zeros(3)))
+        backward_lorenz = []
+        for model, sigma in cases:
+            box = np.asarray(model.trapping_region, dtype=float)
+            ball = 0.05 * float(np.max(box[:, 1] - box[:, 0]))
+            eigs, vecs = np.linalg.eig(model.jacobian(sigma))
+            for i in np.where(np.abs(eigs.imag) <= 1e-10)[0]:
+                v = np.real(vecs[:, i]) / np.linalg.norm(np.real(vecs[:, i]))
+                forward = eigs[i].real > 0
+                for direction in (v, -v):
+                    got = []
+                    for fn in (counted, unbounded):
+                        monkeypatch.setattr(hyperbolicity, "integrate", fn)
+                        steps[0] = 0
+                        got.append((hyperbolicity._grow_manifold(
+                            model, sigma, direction, forward, box, ball,
+                            200.0, ctrl), steps[0]))
+                    assert got[0][0] == got[1][0]
+                    if model is lorenz and not forward:
+                        backward_lorenz.append((got[0][1], got[1][1]))
+        # a wing equilibrium's backward probe stops after a few steps
+        # instead of running on until the state norm reaches 1e6
+        assert any(10 * new <= old for new, old in backward_lorenz)
 
 
 class TestSectionalVolume:
@@ -263,3 +309,19 @@ class TestPeriodic:
         with pytest.raises(NotPeriodic):
             nush_periodic_check(lorenz, np.array([30.0, -40.0, 80.0]), 0.3,
                                 tau=0.5, max_iter=8)
+
+    def test_shooting_failure_work_is_bounded(self, lorenz, monkeypatch):
+        # the trust region on the period keeps a failing shooting from
+        # growing the period (and the integration length) without bound
+        steps = [0]
+
+        def counted(model, x0, t_span, step_ctrl=None):
+            orb = integrate(model, x0, t_span, step_ctrl)
+            steps[0] += orb.n_steps
+            return orb
+
+        monkeypatch.setattr(hyperbolicity, "integrate", counted)
+        with pytest.raises(NotPeriodic):
+            nush_periodic_check(lorenz, np.array([30.0, -40.0, 80.0]), 0.3,
+                                tau=0.5, max_iter=8)
+        assert 0 < steps[0] <= 10_000
