@@ -1,10 +1,12 @@
 """Orbit integration and tangent/wedge cocycle propagation.
 
-The integrator is an explicit Dormand-Prince 5(4) embedded pair.  The
-variational equation dM/dt = DX(x) M is co-integrated with the state as
-one coupled system, restarted from the identity on every accepted step,
-so the stored per-step matrices compose to the transition matrix over
-any span of grid points.
+The integrator is an explicit Dormand-Prince 5(4) embedded pair whose
+last stage is reused as the next step's first (six right-hand-side
+evaluations per attempted step; Hairer, Norsett & Wanner, Solving ODEs
+I, II.5).  The variational equation dM/dt = DX(x) M is co-integrated
+with the state as one coupled system, restarted from the identity on
+every accepted step, so the stored per-step matrices compose to the
+transition matrix over any span of grid points.
 
 Error control uses a single scalar weight atol + rtol * ||Y|| over the
 augmented state, which makes the accepted step sequence invariant under

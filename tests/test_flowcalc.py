@@ -6,10 +6,10 @@ import pytest
 import scipy.linalg as sla
 
 from sechyp.errors import Blowup, DegenerateBasis
-from sechyp.flowcalc import (OrbitSegment, StepControl, batch_rk4, integrate,
-                             load_orbit_cache, orbit_to_csv,
-                             restrict_cocycle, save_orbit_cache, wedge2_of,
-                             wedge_cocycle)
+from sechyp.flowcalc import (OrbitSegment, StepControl, _initial_step,
+                             batch_rk4, integrate, load_orbit_cache,
+                             orbit_to_csv, restrict_cocycle, save_orbit_cache,
+                             wedge2_of, wedge_cocycle)
 from sechyp.models import (conjugate_model, make_linear_field,
                            make_linear_saddle)
 
@@ -75,7 +75,7 @@ class TestIntegrate:
 # reference step kernel: the term-by-term Dormand-Prince 5(4) loop, with
 # seven right-hand-side evaluations per attempted step and np.linalg.norm,
 # and the Lorenz field on numpy scalars.  integrate() must reproduce it
-# bit for bit.
+# bit for bit (the starting step size is shared, not part of the kernel).
 # ----------------------------------------------------------------------
 
 _A21 = 1 / 5
@@ -97,20 +97,6 @@ def _ref_rhs(model, y):
     return out
 
 
-def _ref_initial_step(model, x0, ctrl):
-    f0 = model.eval(x0)
-    d0 = np.linalg.norm(x0)
-    d1 = np.linalg.norm(f0)
-    h0 = 1e-6 if (d1 < 1e-10 or d0 < 1e-10) else 0.01 * d0 / d1
-    x1 = x0 + h0 * f0
-    d2 = np.linalg.norm(model.eval(x1) - f0) / h0
-    if max(d1, d2) <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** 0.2
-    return min(100 * h0, h1, ctrl.max_step)
-
-
 def _ref_integrate(model, x0, t_span, ctrl=None):
     ctrl = ctrl or StepControl()
     x0 = np.asarray(x0, dtype=float)
@@ -119,7 +105,7 @@ def _ref_integrate(model, x0, t_span, ctrl=None):
     t = 0.0
     x = x0.copy()
     max_step = min(ctrl.max_step, t_span / 8.0)
-    h_prop = min(_ref_initial_step(model, x0, ctrl), max_step)
+    h_prop = min(_initial_step(model, x0, ctrl), max_step)
     t_edge = 1e-14 * max(1.0, t_span)
     y_id = np.eye(n)
     while t_span - t > t_edge:
