@@ -98,7 +98,45 @@ def validate_config(cfg: dict):
     if "eta" in thr:
         _require(float(thr["eta"]) < 0, "verify.thresholds.eta",
                  "must be negative")
+    sim = cfg.get("simulate", {})
+    if "n_returns" in sim:
+        _require(_is_int(sim["n_returns"]) and sim["n_returns"] >= 1,
+                 "simulate.n_returns", "must be an integer >= 1")
+    if sim.get("section") is not None:
+        _validate_section(sim["section"])
     return cfg
+
+
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_vector(v):
+    return (isinstance(v, list) and len(v) > 0
+            and all(isinstance(c, (int, float)) and not isinstance(c, bool)
+                    and np.isfinite(c) for c in v))
+
+
+def _validate_section(spec):
+    """A section is the literal "suspension-canonical" or an affine plane
+    {point, normal[, orientation]}; its dimension is checked against the
+    model's when the model is loaded."""
+    if spec == "suspension-canonical":
+        return
+    _require(isinstance(spec, dict) and "point" in spec and "normal" in spec,
+             "simulate.section",
+             'expected {"point": [...], "normal": [...]} or '
+             '"suspension-canonical"')
+    for key in ("point", "normal"):
+        _require(_is_vector(spec[key]), f"simulate.section.{key}",
+                 "must be a nonempty list of finite numbers")
+    _require(len(spec["point"]) == len(spec["normal"]), "simulate.section",
+             "point and normal must have the same length")
+    _require(any(c != 0 for c in spec["normal"]), "simulate.section.normal",
+             "must be a nonzero vector")
+    if "orientation" in spec:
+        _require(_is_int(spec["orientation"]) and spec["orientation"] in (-1, 1),
+                 "simulate.section.orientation", "must be 1 or -1")
 
 
 def _effective_seed(cfg, override):
@@ -203,10 +241,10 @@ def _simulate_returns(model, cfg, sim, seed, out, args):
                  "suspension-canonical requires a suspension model")
         section = spec
     else:
-        _require(isinstance(spec, dict) and "point" in spec and "normal" in spec,
-                 "simulate.section",
-                 'expected {"point": [...], "normal": [...]} or '
-                 '"suspension-canonical"')
+        _require(not isinstance(model, SuspensionModel), "simulate.section",
+                 'a suspension model needs "suspension-canonical"')
+        _require(len(spec["point"]) == model.dim, "simulate.section",
+                 f"point and normal must have length {model.dim}")
         section = SectionSpec(point=np.asarray(spec["point"], dtype=float),
                               normal=np.asarray(spec["normal"], dtype=float),
                               orientation=int(spec.get("orientation", 1)))

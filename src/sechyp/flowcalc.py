@@ -159,13 +159,15 @@ def _initial_step(model, x0, ctrl):
     return min(100 * h0, h1, ctrl.max_step)
 
 
-def integrate(model: VectorFieldModel, x0, t_span: float,
-              step_ctrl: Optional[StepControl] = None) -> OrbitSegment:
-    """Integrate an orbit and its tangent cocycle over [0, t_span].
+def dp5_steps(model: VectorFieldModel, x0, t_span: float,
+              step_ctrl: Optional[StepControl] = None):
+    """Accepted Dormand-Prince steps of an orbit over [0, t_span].
 
-    Deterministic given (model, x0, step_ctrl).  Raises Blowup when the
-    state norm exceeds step_ctrl.bound and StiffnessFailure when the
-    step size underflows.
+    Yields (t, y5) once per accepted step: the step-end time and the
+    (n, n+1) augmented state [x | M], where M is the step's tangent
+    cocycle factor.  Each y5 is a fresh array.  A caller that stops
+    consuming early pays for no further step; the steps it saw are
+    those integrate would store.  Raises as integrate does.
     """
     ctrl = step_ctrl or StepControl()
     if not t_span > 0:
@@ -175,7 +177,6 @@ def integrate(model: VectorFieldModel, x0, t_span: float,
         raise ValueError("x0 must be finite")
     n = x0.shape[0]
 
-    times = [0.0]
     t = 0.0
     max_step = min(ctrl.max_step, t_span / 8.0)
     h_prop = min(_initial_step(model, x0, ctrl), max_step)
@@ -199,7 +200,6 @@ def integrate(model: VectorFieldModel, x0, t_span: float,
     y[:, 1:] = np.eye(n)
     y_norm = _norm(y)
     slope(_K1, y)
-    blocks = []
 
     while t_span - t > t_edge:
         h = min(h_prop, t_span - t)
@@ -216,8 +216,7 @@ def integrate(model: VectorFieldModel, x0, t_span: float,
             t += h
             if _norm(y5[:, 0]) > ctrl.bound:
                 raise Blowup(f"state norm exceeded {ctrl.bound:.3e} at t={t:.6g}")
-            times.append(t)
-            blocks.append(y5)
+            yield t, y5
             y[:, 0] = y5[:, 0]
             y_norm = _norm(y)
             # first same as last: the next step's k1 is [f(x5) | J(x5) I].
@@ -232,8 +231,24 @@ def integrate(model: VectorFieldModel, x0, t_span: float,
         if h_prop < ctrl.min_step_floor * max(1.0, abs(t)):
             raise StiffnessFailure(f"step size underflow at t={t:.6g}")
 
+
+def integrate(model: VectorFieldModel, x0, t_span: float,
+              step_ctrl: Optional[StepControl] = None) -> OrbitSegment:
+    """Integrate an orbit and its tangent cocycle over [0, t_span].
+
+    Deterministic given (model, x0, step_ctrl).  Raises Blowup when the
+    state norm exceeds step_ctrl.bound and StiffnessFailure when the
+    step size underflows.
+    """
+    times = [0.0]
+    blocks = []
+    for t, y5 in dp5_steps(model, x0, t_span, step_ctrl):
+        times.append(t)
+        blocks.append(y5)
+
+    x0 = np.asarray(x0, dtype=float)
     blocks = np.array(blocks)
-    states = np.empty((len(times), n))
+    states = np.empty((len(times), x0.shape[0]))
     states[0] = x0
     states[1:] = blocks[:, :, 0]
     return OrbitSegment(

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import NearSingularity, NoReturn, SingularPoint, TangencyWarning
-from .flowcalc import OrbitSegment, integrate
+from .flowcalc import OrbitSegment, dp5_steps, integrate
 from .models import SuspensionModel, VectorFieldModel
 from .util import orthonormal_complement, qr_pos, scaled_product, unit
 
@@ -167,8 +167,11 @@ def return_map(model, section, x0, n_returns: int,
 
     For a SuspensionModel with the canonical section this reproduces
     the skew-product section map and the roof return times exactly.
-    For a vector field the crossing times are located by sign change of
-    the section functional and refined by bisection to 1e-12 in time.
+    For a vector field each accepted integrator step is tested for a sign
+    change of the section functional as it is taken; the crossing time
+    inside a bracketing step is refined by a safeguarded Newton iteration
+    to 1e-12 in time, and integration stops at the step that holds the
+    last requested crossing.
 
     Raises NoReturn if the budget runs out before the requested number
     of crossings; records a TangencyWarning when the transversality
@@ -198,8 +201,9 @@ def _field_returns(model, section, x0, n_returns, t_budget, step_ctrl):
     nrm = unit(np.asarray(section.normal, dtype=float))
     sgn = 1.0 if section.orientation >= 0 else -1.0
 
-    def g(x):
-        return float((x - p) @ nrm)
+    def phi(x):
+        """Section functional, signed so that a crossing goes - to +."""
+        return sgn * float((x - p) @ nrm)
 
     if t_budget is None:
         t_budget = 50.0 * max(1, n_returns)
@@ -208,32 +212,35 @@ def _field_returns(model, section, x0, n_returns, t_budget, step_ctrl):
     x = np.asarray(x0, dtype=float)
     t_base = 0.0
     chunk = min(100.0, t_budget)
-    remaining = t_budget
-    while remaining > 0 and len(pts) < n_returns:
-        orbit = integrate(model, x, min(chunk, remaining), step_ctrl)
-        gv = np.array([g(s) for s in orbit.states])
-        k = 0
-        while k < orbit.n_steps and len(pts) < n_returns:
-            crossed = (gv[k] < 0.0 <= gv[k + 1]) if sgn > 0 else (gv[k] > 0.0 >= gv[k + 1])
-            if crossed:
-                tc, xc = _bisect_crossing(model, orbit.states[k], orbit.times[k],
-                                          orbit.times[k + 1], g, sgn, step_ctrl)
-                flux = abs(model.eval(xc) @ nrm)
-                margin = flux / max(np.linalg.norm(model.eval(xc)), 1e-300)
+    while t_base < t_budget and len(pts) < n_returns:
+        t_lo, x_lo, phi_lo = 0.0, x, phi(x)
+        for t_hi, y5 in dp5_steps(model, x, min(chunk, t_budget - t_base),
+                                  step_ctrl):
+            x_hi = y5[:, 0]
+            phi_hi = phi(x_hi)
+            if phi_lo < 0.0 <= phi_hi:
+                dt, xc, fc = _refine_crossing(model, x_lo, phi_lo, phi_hi,
+                                              t_hi - t_lo, phi, sgn * nrm,
+                                              step_ctrl)
+                tc = t_base + t_lo + dt
+                flux = abs(fc @ nrm)
+                margin = flux / max(np.linalg.norm(fc), 1e-300)
                 if flux <= 1e-6:
                     raise NoReturn(
-                        f"crossing at t={t_base + tc:.6g} is tangent (flux {flux:.2e})"
+                        f"crossing at t={tc:.6g} is tangent (flux {flux:.2e})"
                     )
                 if margin < 1e-3:
-                    msg = f"transversality margin {margin:.2e} at t={t_base + tc:.6g}"
+                    msg = f"transversality margin {margin:.2e} at t={tc:.6g}"
                     warnings.warn(msg, TangencyWarning)
                     warns.append(msg)
                 pts.append(xc)
-                times.append(t_base + tc)
-            k += 1
-        x = orbit.states[-1]
-        t_base += orbit.times[-1]
-        remaining = t_budget - t_base
+                times.append(tc)
+                if len(pts) == n_returns:
+                    break
+            t_lo, x_lo, phi_lo = t_hi, x_hi, phi_hi
+        if t_lo == 0.0:  # the remaining budget is too short for one step
+            break
+        x, t_base = x_lo, t_base + t_lo
     if len(pts) < n_returns:
         raise NoReturn(
             f"found {len(pts)}/{n_returns} crossings within budget {t_budget:g}"
@@ -241,30 +248,36 @@ def _field_returns(model, section, x0, n_returns, t_budget, step_ctrl):
     return ReturnMapResult(points=pts, times=times, warnings=warns)
 
 
-def _bisect_crossing(model, x_lo, t_lo, t_hi, g, sgn, step_ctrl, tol=1e-12):
-    """Bisect the crossing time inside one accepted step.
+def _refine_crossing(model, x_lo, phi_lo, phi_hi, h, phi, dphi_dx, step_ctrl,
+                     tol=1e-12, max_iter=100):
+    """Crossing time inside one accepted step of length h, by a Newton
+    iteration on phi(x(s)) = 0 safeguarded by the bracket phi < 0 <= phi.
 
-    States are re-integrated from the step-begin state, so the located
-    point lies on the true orbit to integrator accuracy.
+    phi_lo < 0 <= phi_hi are the values at the step's ends.  The slope
+    d phi / ds = dphi_dx . f(x) costs nothing beyond f(x); the secant
+    through the step's ends is the first guess, and any Newton step that
+    leaves the bracket is replaced by bisection.  States are
+    re-integrated from the step-begin state, so the located point lies
+    on the true orbit to integrator accuracy.  Returns (s, x(s), f(x(s)))
+    once the Newton correction or the bracket falls below tol.
     """
-    a, b = 0.0, t_hi - t_lo
-    ga = g(x_lo) * sgn
-    x_at = {0.0: x_lo}
-
-    def state(dt):
-        if dt not in x_at:
-            x_at[dt] = integrate(model, x_lo, dt, step_ctrl).states[-1]
-        return x_at[dt]
-
-    gb = g(state(b)) * sgn
-    if ga == 0.0:
-        return t_lo, x_lo
-    if gb < 0.0:  # crossing sits at the far node up to roundoff
-        return t_hi, state(b)
-    while b - a > tol:
-        mid = 0.5 * (a + b)
-        if g(state(mid)) * sgn < 0.0:
-            a = mid
+    a, b = 0.0, h
+    s = h * phi_lo / (phi_lo - phi_hi)
+    for _ in range(max_iter):
+        # integrate needs a span above its 1e-14 end-of-span slack
+        s = max(s, tol)
+        x = integrate(model, x_lo, s, step_ctrl).states[-1]
+        fx = model.eval(x)
+        val = phi(x)
+        if val < 0.0:
+            a = s
         else:
-            b = mid
-    return t_lo + b, state(b)
+            b = s
+        slope = float(dphi_dx @ fx)
+        step = val / slope if slope > 0.0 else np.inf
+        if abs(step) <= tol or b - a <= tol:
+            return s, x, fx
+        s -= step
+        if not a < s < b:
+            s = 0.5 * (a + b)
+    raise NoReturn(f"crossing refinement did not converge in {max_iter} steps")

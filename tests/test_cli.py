@@ -1,5 +1,7 @@
 import json
 import pickle
+import runpy
+import sys
 
 import pytest
 
@@ -237,6 +239,58 @@ class TestSections:
                          "section": {"plane": [0, 0, 1]}},
         })
         assert main(["simulate", "-c", path]) == 2
+
+
+    @pytest.mark.parametrize("simulate, field", [
+        ({"n_returns": 0}, "simulate.n_returns"),
+        ({"n_returns": 2.5}, "simulate.n_returns"),
+        ({"section": {"point": [0, 0, 27.0], "normal": [0, 0, 0]}},
+         "simulate.section.normal"),
+        ({"section": {"point": [0, 27.0], "normal": [0, 1.0]}},
+         "simulate.section"),
+        ({"section": {"point": [0, 0, 27.0], "normal": [0, 1.0]}},
+         "simulate.section"),
+        ({"section": {"point": [0, 0, 27.0], "normal": [0, 0, 1.0],
+                      "orientation": 0}}, "simulate.section.orientation"),
+        ({"section": {"point": [0, 0, 27.0], "normal": [0, 0, 1.0],
+                      "orientation": 2}}, "simulate.section.orientation"),
+    ])
+    def test_bad_returns_config_exit_2(self, tmp_path, capsys, simulate, field):
+        path = write_config(tmp_path, {
+            "model": "lorenz",
+            "output_dir": str(tmp_path / "b"),
+            "simulate": {"x0": [1.0, 1.0, 1.0], "n_returns": 3,
+                         "section": {"point": [0, 0, 27.0],
+                                     "normal": [0, 0, 1.0]},
+                         **simulate},
+        })
+        assert main(["simulate", "-c", path]) == 2
+        assert f"config field '{field}'" in capsys.readouterr().err
+        assert not (tmp_path / "b" / "lorenz_returns.csv").exists()
+
+    def test_downward_orientation_accepted(self, tmp_path):
+        path = write_config(tmp_path, {
+            "model": "lorenz",
+            "output_dir": str(tmp_path / "d"),
+            "simulate": {"x0": [1.0, 1.0, 1.0], "n_returns": 2,
+                         "section": {"point": [0, 0, 27.0],
+                                     "normal": [0, 0, 1.0],
+                                     "orientation": -1}},
+        })
+        assert main(["simulate", "-c", path]) == 0
+
+
+def test_python_dash_m_runs_cli(tmp_path, monkeypatch):
+    path = write_config(tmp_path, {
+        "model": "lorenz",
+        "output_dir": str(tmp_path / "m"),
+        "simulate": {"x0": [1.0, 1.0, 1.0], "t_span": 1.0},
+    })
+    monkeypatch.setattr(sys, "argv", ["sechyp", "simulate", "-c", path])
+    with pytest.raises(SystemExit) as done:
+        runpy.run_module("sechyp", run_name="__main__")
+    assert done.value.code == 0
+    assert (tmp_path / "m" / "lorenz_orbit.csv").exists()
 
 
 def test_shipped_configs_validate():

@@ -7,7 +7,7 @@ import scipy.linalg as sla
 
 from sechyp.errors import Blowup, DegenerateBasis
 from sechyp.flowcalc import (OrbitSegment, StepControl, _initial_step,
-                             batch_rk4, integrate, load_orbit_cache,
+                             batch_rk4, dp5_steps, integrate, load_orbit_cache,
                              orbit_to_csv, restrict_cocycle, save_orbit_cache,
                              wedge2_of, wedge_cocycle)
 from sechyp.models import (conjugate_model, make_linear_field,
@@ -192,6 +192,19 @@ class TestStepKernel:
         assert np.array_equal(orb.times, times)
         assert np.array_equal(orb.states, states)
         assert np.array_equal(orb.step_cocycles, cocycles)
+
+    @pytest.mark.parametrize("case", ["lorenz-rtol9", "lorenz-conjugated",
+                                      "linear-5d-max-step"])
+    def test_integrate_collects_generator_steps(self, lorenz, case):
+        model, x0, t_span, ctrl = _kernel_cases(lorenz)[case]
+        orb = integrate(model, x0, t_span, ctrl)
+        steps = list(dp5_steps(model, x0, t_span, ctrl))
+        assert np.array_equal(orb.times[1:], [t for t, _ in steps])
+        blocks = np.array([y5 for _, y5 in steps])
+        assert np.array_equal(orb.states[1:], blocks[:, :, 0])
+        assert np.array_equal(orb.step_cocycles, blocks[:, :, 1:])
+        # every yielded state is its own array, not a reused buffer
+        assert len({id(y5) for _, y5 in steps}) == len(steps)
 
     def test_blowup_at_reference_time(self, lorenz):
         # the time-reversed Lorenz field blows up in finite time

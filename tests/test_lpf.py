@@ -2,8 +2,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import sechyp.lpf as lpf_mod
 from sechyp.errors import NearSingularity, NoReturn, SingularPoint
-from sechyp.flowcalc import integrate
+from sechyp.flowcalc import StepControl, integrate
 from sechyp.lpf import (NormalFrame, SectionSpec, direct_lpf_factor, lpf_along,
                         normal_frame, project_normal, recover_ambient,
                         return_map)
@@ -156,3 +157,110 @@ class TestReturnMap:
                           normal=np.array([0.0, 0.0, 1.0]))
         with pytest.raises(NoReturn):
             return_map(lorenz, sec, [1.0, 1.0, 1.0], 1, t_budget=20.0)
+
+
+def _bisect_crossing_ref(model, x_lo, t_lo, t_hi, g, sgn, step_ctrl, tol=1e-12):
+    """Reference crossing: plain bisection of the crossing time inside one
+    accepted step, re-integrating from the step-begin state at every
+    midpoint (the refinement return_map used before its Newton step)."""
+    a, b = 0.0, t_hi - t_lo
+    x_at = {0.0: x_lo}
+
+    def state(dt):
+        if dt not in x_at:
+            x_at[dt] = integrate(model, x_lo, dt, step_ctrl).states[-1]
+        return x_at[dt]
+
+    if g(state(b)) * sgn < 0.0:
+        return t_hi, state(b)
+    while b - a > tol:
+        mid = 0.5 * (a + b)
+        if g(state(mid)) * sgn < 0.0:
+            a = mid
+        else:
+            b = mid
+    return t_lo + b, state(b)
+
+
+class TestFieldCrossings:
+    """Vector-field return maps against a bisection reference."""
+
+    CTRL = StepControl(rtol=1e-9, atol=1e-12)
+    X0 = [1.0, 2.0, 20.0]
+
+    @staticmethod
+    def section(orientation):
+        return SectionSpec(point=np.array([0.0, 0.0, 27.0]),
+                           normal=np.array([0.0, 0.0, 1.0]),
+                           orientation=orientation)
+
+    @pytest.mark.parametrize("orientation", [1, -1])
+    def test_crossings_match_bisection_reference(self, lorenz, orientation):
+        # t_budget 20 makes the whole run one 20-unit chunk, so the main
+        # orbit is integrate(..., 20.0) step for step
+        n = 12
+        res = return_map(lorenz, self.section(orientation), self.X0, n,
+                         t_budget=20.0, step_ctrl=self.CTRL)
+        orb = integrate(lorenz, self.X0, 20.0, self.CTRL)
+
+        def g(x):
+            return float(x[2] - 27.0)
+
+        gv = orientation * (orb.states[:, 2] - 27.0)
+        ks = np.flatnonzero((gv[:-1] < 0.0) & (gv[1:] >= 0.0))[:n]
+        assert len(ks) == n
+        for k, t, p in zip(ks, res.times, res.points):
+            t_ref, p_ref = _bisect_crossing_ref(
+                lorenz, orb.states[k], orb.times[k], orb.times[k + 1], g,
+                orientation, self.CTRL)
+            assert abs(t - t_ref) <= 1e-10
+            assert abs(p[2] - 27.0) <= 1e-9
+            npt.assert_allclose(p, p_ref, atol=1e-8)
+            assert orientation * lorenz.eval(p)[2] > 0
+
+    def test_crossings_continue_across_chunks(self, lorenz):
+        # the orbit is integrated in 100-unit chunks, each restarted from
+        # the last state of the one before; crossings in the second chunk
+        # are timed from the end of the first
+        first = integrate(lorenz, self.X0, 100.0, self.CTRL)
+        gv = first.states[:, 2] - 27.0
+        n_first = int(np.count_nonzero((gv[:-1] < 0.0) & (gv[1:] >= 0.0)))
+        res = return_map(lorenz, self.section(1), self.X0, n_first + 2,
+                         t_budget=200.0, step_ctrl=self.CTRL)
+        second = integrate(lorenz, first.states[-1], 100.0, self.CTRL)
+        gv = second.states[:, 2] - 27.0
+        ks = np.flatnonzero((gv[:-1] < 0.0) & (gv[1:] >= 0.0))[:2]
+        for k, t in zip(ks, res.times[n_first:]):
+            t_ref, _ = _bisect_crossing_ref(
+                lorenz, second.states[k], second.times[k],
+                second.times[k + 1], lambda x: float(x[2] - 27.0), 1.0,
+                self.CTRL)
+            assert abs(t - (first.times[-1] + t_ref)) <= 1e-10
+
+    def test_integrate_calls_per_crossing(self, lorenz, monkeypatch):
+        calls = [0]
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr(lpf_mod, "integrate", counted)
+        n = 20
+        return_map(lorenz, self.section(-1), self.X0, n, step_ctrl=self.CTRL)
+        assert calls[0] <= 8 * n
+
+    def test_no_step_past_last_crossing(self, lorenz, monkeypatch):
+        seen = []
+        steps = lpf_mod.dp5_steps
+
+        def recorded(*args, **kwargs):
+            for t, y5 in steps(*args, **kwargs):
+                seen.append(t)
+                yield t, y5
+
+        monkeypatch.setattr(lpf_mod, "dp5_steps", recorded)
+        res = return_map(lorenz, self.section(1), self.X0, 6,
+                         step_ctrl=self.CTRL)
+        # all six crossings lie in the first 100-unit chunk, so the
+        # recorded step times are the crossing times' own clock
+        assert seen[-2] < res.times[-1] <= seen[-1]
