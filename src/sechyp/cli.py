@@ -67,13 +67,16 @@ def validate_config(cfg: dict):
     if "seed" in cfg:
         _require(isinstance(cfg["seed"], int) and cfg["seed"] >= 0,
                  "seed", "must be a nonnegative integer")
-    tol = cfg.get("tolerances", {})
+    tol = _section(cfg, "tolerances", "tolerances")
     for key, lo, hi in (("rtol", 1e-13, 1e-2), ("atol", 1e-16, 1e-2),
                         ("bound", 1.0, 1e12)):
         if key in tol:
-            _require(lo <= float(tol[key]) <= hi, f"tolerances.{key}",
-                     f"must lie in [{lo:g}, {hi:g}]")
-    ver = cfg.get("verify", {})
+            _require(_is_number(tol[key]) and lo <= tol[key] <= hi,
+                     f"tolerances.{key}", f"must be a number in [{lo:g}, {hi:g}]")
+    ver = _section(cfg, "verify", "verify")
+    for key in ("ensemble", "windows", "thresholds", "splitting", "msh",
+                "tolerances"):
+        _section(ver, key, f"verify.{key}")
     if "conditions" in ver:
         from .report import KNOWN_CONDITIONS
         for c in ver["conditions"]:
@@ -89,16 +92,16 @@ def validate_config(cfg: dict):
     win = ver.get("windows", {})
     for key in ("T", "tau"):
         if key in win:
-            _require(float(win[key]) > 0, f"verify.windows.{key}",
-                     "must be positive")
+            _require(_is_number(win[key]) and win[key] > 0,
+                     f"verify.windows.{key}", "must be a positive number")
     if "n_returns" in win:
         _require(isinstance(win["n_returns"], int) and win["n_returns"] >= 10,
                  "verify.windows.n_returns", "must be an integer >= 10")
     thr = ver.get("thresholds", {})
     if "eta" in thr:
-        _require(float(thr["eta"]) < 0, "verify.thresholds.eta",
-                 "must be negative")
-    sim = cfg.get("simulate", {})
+        _require(_is_number(thr["eta"]) and thr["eta"] < 0,
+                 "verify.thresholds.eta", "must be a negative number")
+    sim = _section(cfg, "simulate", "simulate")
     if "n_returns" in sim:
         _require(_is_int(sim["n_returns"]) and sim["n_returns"] >= 1,
                  "simulate.n_returns", "must be an integer >= 1")
@@ -107,14 +110,25 @@ def validate_config(cfg: dict):
     return cfg
 
 
+def _section(parent, key, field):
+    """parent[key] ({} when absent), which must be a JSON object."""
+    sec = parent.get(key, {})
+    _require(isinstance(sec, dict), field, "must be an object")
+    return sec
+
+
 def _is_int(v):
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _is_number(v):
+    """A JSON number that is finite as a float (NaN fails the comparison)."""
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max)
+
+
 def _is_vector(v):
-    return (isinstance(v, list) and len(v) > 0
-            and all(isinstance(c, (int, float)) and not isinstance(c, bool)
-                    and np.isfinite(c) for c in v))
+    return isinstance(v, list) and len(v) > 0 and all(map(_is_number, v))
 
 
 def _validate_section(spec):

@@ -47,6 +47,9 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (71 / 57600, -71 / 16695, 71 / 1920,
 # starts k2, k1 equals the textbook k1, k2 order exactly (a+b == b+a).
 _K1, _K7 = 1, 6
 
+# spans end this close to their end (times max(1, t_span))
+TIME_RESOLUTION = 1e-14
+
 
 def _weights(*w):
     return np.array(w)[:, None, None]
@@ -172,6 +175,8 @@ def dp5_steps(model: VectorFieldModel, x0, t_span: float,
     ctrl = step_ctrl or StepControl()
     if not t_span > 0:
         raise ValueError("t_span must be positive")
+    if t_span <= TIME_RESOLUTION:
+        raise ValueError(f"t_span {t_span:g} is at or below the time resolution")
     x0 = np.asarray(x0, dtype=float)
     if not np.all(np.isfinite(x0)):
         raise ValueError("x0 must be finite")
@@ -180,7 +185,7 @@ def dp5_steps(model: VectorFieldModel, x0, t_span: float,
     t = 0.0
     max_step = min(ctrl.max_step, t_span / 8.0)
     h_prop = min(_initial_step(model, x0, ctrl), max_step)
-    t_edge = 1e-14 * max(1.0, t_span)
+    t_edge = TIME_RESOLUTION * max(1.0, t_span)
 
     k = np.empty((7, n, n + 1))
     k_state = [k[i, :, 0] for i in range(7)]
@@ -260,24 +265,26 @@ def integrate(model: VectorFieldModel, x0, t_span: float,
     )
 
 
+def rk4_step(f, x, dt):
+    """One classical RK4 step of x' = f(x); f acts on the whole array x."""
+    k1 = f(x)
+    k2 = f(x + 0.5 * dt * k1)
+    k3 = f(x + 0.5 * dt * k2)
+    k4 = f(x + dt * k3)
+    return x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
 def batch_rk4(model, states, dt, n_steps):
     """Fixed-step classical RK4 over a batch of initial states.
 
     Vectorized ensemble propagation for statistics (basin sampling,
-    transients); the adaptive integrator remains the cocycle path.
-    states has shape (batch, n); returns the final (batch, n) array.
+    transients) through the model's `eval_batch`; the adaptive
+    integrator remains the cocycle path.  states has shape (batch, n);
+    returns the final (batch, n) array.
     """
     x = np.array(states, dtype=float)
-
-    def f(xb):
-        return np.stack([model.eval(row) for row in xb])
-
     for _ in range(n_steps):
-        k1 = f(x)
-        k2 = f(x + 0.5 * dt * k1)
-        k3 = f(x + 0.5 * dt * k2)
-        k4 = f(x + dt * k3)
-        x = x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        x = rk4_step(model.eval_batch, x, dt)
     return x
 
 

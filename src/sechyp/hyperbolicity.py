@@ -98,15 +98,11 @@ def _grow_manifold(model, sigma, direction, forward, trapping, ball_radius,
     instead of running on under a field that may blow up."""
     work = model
     if not forward:
-        def back_eval(x, _m=model):
-            return -_m.eval(x)
-
-        def back_jac(x, _m=model):
-            return -_m.jacobian(x)
-
         work = VectorFieldModel(
             name=model.name + "_rev", dim=model.dim, params=model.params,
-            eval=back_eval, jacobian=back_jac,
+            eval=lambda x: -model.eval(x),
+            jacobian=lambda x: -model.jacobian(x),
+            eval_batch=lambda states: -model.eval_batch(states),
         )
     lo, hi = trapping[:, 0] - 1e-9, trapping[:, 1] + 1e-9
     corner = np.maximum(np.abs(lo), np.abs(hi))

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import NearSingularity, NoReturn, SingularPoint, TangencyWarning
-from .flowcalc import OrbitSegment, dp5_steps, integrate
+from .flowcalc import TIME_RESOLUTION, OrbitSegment, dp5_steps, integrate
 from .models import SuspensionModel, VectorFieldModel
 from .util import orthonormal_complement, qr_pos, scaled_product, unit
 
@@ -103,7 +103,7 @@ def lpf_along(orbit: OrbitSegment, speed_floor: float = 1e-8,
         dirs = np.tile(np.array([0.0, 0.0, 1.0]), (k_steps + 1, 1))
         speeds = np.ones(k_steps + 1)
     else:
-        vel = np.stack([model.eval(s) for s in orbit.states])
+        vel = model.eval_batch(orbit.states)
         speeds = np.linalg.norm(vel, axis=1)
         if np.min(speeds) <= speed_floor:
             bad = int(np.argmin(speeds))
@@ -212,10 +212,12 @@ def _field_returns(model, section, x0, n_returns, t_budget, step_ctrl):
     x = np.asarray(x0, dtype=float)
     t_base = 0.0
     chunk = min(100.0, t_budget)
-    while t_base < t_budget and len(pts) < n_returns:
+    while len(pts) < n_returns:
+        span = min(chunk, t_budget - t_base)
+        if span <= TIME_RESOLUTION:  # the remaining budget holds no step
+            break
         t_lo, x_lo, phi_lo = 0.0, x, phi(x)
-        for t_hi, y5 in dp5_steps(model, x, min(chunk, t_budget - t_base),
-                                  step_ctrl):
+        for t_hi, y5 in dp5_steps(model, x, span, step_ctrl):
             x_hi = y5[:, 0]
             phi_hi = phi(x_hi)
             if phi_lo < 0.0 <= phi_hi:
@@ -238,8 +240,6 @@ def _field_returns(model, section, x0, n_returns, t_budget, step_ctrl):
                 if len(pts) == n_returns:
                     break
             t_lo, x_lo, phi_lo = t_hi, x_hi, phi_hi
-        if t_lo == 0.0:  # the remaining budget is too short for one step
-            break
         x, t_base = x_lo, t_base + t_lo
     if len(pts) < n_returns:
         raise NoReturn(
@@ -264,7 +264,7 @@ def _refine_crossing(model, x_lo, phi_lo, phi_hi, h, phi, dphi_dx, step_ctrl,
     a, b = 0.0, h
     s = h * phi_lo / (phi_lo - phi_hi)
     for _ in range(max_iter):
-        # integrate needs a span above its 1e-14 end-of-span slack
+        # integrate needs a span above its time resolution
         s = max(s, tol)
         x = integrate(model, x_lo, s, step_ctrl).states[-1]
         fx = model.eval(x)

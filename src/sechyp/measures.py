@@ -13,8 +13,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import SingularPoint
-from .flowcalc import OrbitSegment
+from .flowcalc import OrbitSegment, batch_rk4, rk4_step
 from .models import IntervalMap, SuspensionModel, VectorFieldModel
 from .util import haar_frame, qr_pos
 
@@ -244,24 +243,10 @@ def uniform_cdf(lo, hi):
 
 
 def map_pushforward(m: IntervalMap, samples):
-    """One application of the map to a sample array (vectorized for the
-    shipped Lorenz-type maps, loop otherwise); singular points are
-    excluded by masking."""
+    """One application of the map to a sample array through its
+    `eval_batch`; samples at the map's singular points are dropped."""
     x = np.asarray(samples, dtype=float)
-    if m.name == "intermittent_lorenz":
-        mask = x != 0.0
-        x = x[mask]
-        return np.where(x > 0, 2.0 * np.sqrt(np.abs(x)) - 1.0,
-                        1.0 - 2.0 * np.sqrt(np.abs(x)))
-    if m.name == "expanding_lorenz":
-        return np.where(x >= 0, 2.0 * x - 1.0, 2.0 * x + 1.0)
-    out = []
-    for v in x:
-        try:
-            out.append(m.eval(float(v)))
-        except SingularPoint:
-            continue
-    return np.asarray(out)
+    return m.eval_batch(x[~np.isin(x, m.singular_points)])
 
 
 def histogram_to_csv(h: Histogram, path, header_comment=None):
@@ -278,32 +263,6 @@ def histogram_to_csv(h: Histogram, path, header_comment=None):
 # ----------------------------------------------------------------------
 # basin sampling
 # ----------------------------------------------------------------------
-
-def _batch_eval(model: VectorFieldModel):
-    """Vectorized field evaluation over a (B, n) state batch for the
-    shipped models; falls back to a row loop."""
-    p = model.params
-    if model.name == "lorenz":
-        sig, rho, beta = p["sigma"], p["rho"], p["beta"]
-
-        def f(x):
-            out = np.empty_like(x)
-            out[:, 0] = sig * (x[:, 1] - x[:, 0])
-            out[:, 1] = x[:, 0] * (rho - x[:, 2]) - x[:, 1]
-            out[:, 2] = x[:, 0] * x[:, 1] - beta * x[:, 2]
-            return out
-        return f
-    if "matrix" in p:
-        a = np.asarray(p["matrix"], dtype=float)
-
-        def f(x):
-            return x @ a.T
-        return f
-
-    def f(x):
-        return np.stack([model.eval(row) for row in x])
-    return f
-
 
 @dataclass
 class BasinSample:
@@ -324,33 +283,19 @@ def basin_sample(model: VectorFieldModel, reference, grid_states,
     with panel="abs" (symmetric chaotic attractors otherwise hide
     behind cancelling signs) or of x_i with panel="signed" (needed to
     separate basins of distinct sinks).  The comparison is
-    |avg - ref| <= tol * (1 + |ref|) per component.  Fixed-step
-    vectorized RK4 drives the ensemble (statistics only,
+    |avg - ref| <= tol * (1 + |ref|) per component.  Fixed-step RK4
+    on the model's `eval_batch` drives the ensemble (statistics only,
     cross-validated against the adaptive integrator); `reference` is
     typically the panel of a long reference run.  Pass reference=None
     together with a single grid point to compute such a panel.
     """
     if panel not in ("abs", "signed"):
         raise ValueError("panel must be 'abs' or 'signed'")
-    x = np.array(grid_states, dtype=float)
-    f = _batch_eval(model)
-    n_trans = int(round(transient / dt))
+    x = batch_rk4(model, grid_states, dt, int(round(transient / dt)))
     n_avg = int(round(T / dt))
-
-    for _ in range(n_trans):
-        k1 = f(x)
-        k2 = f(x + 0.5 * dt * k1)
-        k3 = f(x + 0.5 * dt * k2)
-        k4 = f(x + dt * k3)
-        x = x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-
     acc = np.zeros_like(x)
     for _ in range(n_avg):
-        k1 = f(x)
-        k2 = f(x + 0.5 * dt * k1)
-        k3 = f(x + 0.5 * dt * k2)
-        k4 = f(x + dt * k3)
-        x = x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        x = rk4_step(model.eval_batch, x, dt)
         acc += np.abs(x) if panel == "abs" else x
     avg = acc / n_avg
 

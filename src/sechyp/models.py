@@ -20,9 +20,10 @@ class VectorFieldModel:
     """Autonomous field on R^n with exact Jacobian.
 
     `eval` maps a state to a velocity vector, `jacobian` to the n x n
-    derivative matrix.  `singularities` lists declared equilibria (each
-    must satisfy ||eval(s)|| < 1e-10).  `trapping_region` is an
-    axis-aligned sampling box, shape (n, 2), or None.
+    derivative matrix, `eval_batch` a (B, n) state array to the (B, n)
+    velocities (row b equal to eval(X[b])).  `singularities` lists
+    declared equilibria (||eval(s)|| < 1e-10 each).  `trapping_region`
+    is an axis-aligned sampling box, shape (n, 2), or None.
     """
 
     name: str
@@ -30,6 +31,7 @@ class VectorFieldModel:
     params: dict
     eval: Callable[[np.ndarray], np.ndarray]
     jacobian: Callable[[np.ndarray], np.ndarray]
+    eval_batch: Callable[[np.ndarray], np.ndarray]
     singularities: tuple = ()
     trapping_region: Optional[np.ndarray] = None
 
@@ -42,27 +44,33 @@ class IntervalMap:
     """One-dimensional map of a closed interval, with analytic derivative.
 
     `singular_points` collects the finitely many points where the map
-    or its derivative is undefined or unbounded.
+    or its derivative is undefined or unbounded.  `eval_batch` and
+    `derivative_batch` are their elementwise forms on float arrays; they
+    raise SingularPoint when the scalar form raises at any element.
     """
 
     name: str
     domain: tuple
     eval: Callable[[float], float]
     derivative: Callable[[float], float]
+    eval_batch: Callable[[np.ndarray], np.ndarray]
+    derivative_batch: Callable[[np.ndarray], np.ndarray]
     singular_points: tuple = ()
-    params: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
 class SkewProductMap:
-    """Skew product (x, y) -> (base(x), fiber(x, y)) on I^2 minus the singular line."""
+    """Skew product (x, y) -> (base(x), fiber(x, y)) on I^2 minus the singular line.
+
+    `fiber`, `fiber_dx` and `fiber_dy` are elementwise: on float arrays
+    they act element by element (a constant may come back as a scalar).
+    """
 
     base: IntervalMap
     fiber: Callable[[float, float], float]
     fiber_dx: Callable[[float, float], float]
     fiber_dy: Callable[[float, float], float]
     fiber_contraction_rate: float
-    params: dict = field(default_factory=dict)
 
     def eval(self, x, y):
         return self.base.eval(x), self.fiber(x, y)
@@ -73,7 +81,8 @@ class SuspensionModel:
     """Suspension semiflow over a skew-product section map.
 
     The roof gives the return time to the section; it may be unbounded
-    near the base map's singular points but stays >= roof_floor.
+    near the base map's singular points but stays >= roof_floor.  `roof`
+    and `roof_derivative` are elementwise like the fiber closures.
     """
 
     name: str
@@ -103,6 +112,11 @@ def make_lorenz(sigma: float, rho: float, beta: float) -> VectorFieldModel:
         x, y, z = np.asarray(s, dtype=float).tolist()
         return np.array([sigma * (y - x), x * (rho - z) - y, x * y - beta * z])
 
+    def f_batch(states):
+        x, y, z = states.T
+        return np.column_stack(
+            (sigma * (y - x), x * (rho - z) - y, x * y - beta * z))
+
     def jac(s):
         x, y, z = np.asarray(s, dtype=float).tolist()
         return np.array([
@@ -124,6 +138,7 @@ def make_lorenz(sigma: float, rho: float, beta: float) -> VectorFieldModel:
         params={"sigma": sigma, "rho": rho, "beta": beta},
         eval=f,
         jacobian=jac,
+        eval_batch=f_batch,
         singularities=tuple(sings),
         trapping_region=box,
     )
@@ -139,6 +154,9 @@ def make_linear_field(a, name="linear") -> VectorFieldModel:
     def f(s):
         return a @ s
 
+    def f_batch(states):
+        return states @ a.T
+
     def jac(_s):
         return a.copy()
 
@@ -149,6 +167,7 @@ def make_linear_field(a, name="linear") -> VectorFieldModel:
         params={"matrix": a.tolist()},
         eval=f,
         jacobian=jac,
+        eval_batch=f_batch,
         singularities=(np.zeros(n),),
         trapping_region=box,
     )
@@ -176,6 +195,9 @@ def conjugate_model(model: VectorFieldModel, q) -> VectorFieldModel:
     def f(s):
         return q @ model.eval(qt @ s)
 
+    def f_batch(states):
+        return model.eval_batch(states @ q) @ qt
+
     def jac(s):
         return q @ model.jacobian(qt @ s) @ qt
 
@@ -185,6 +207,7 @@ def conjugate_model(model: VectorFieldModel, q) -> VectorFieldModel:
         params=dict(model.params),
         eval=f,
         jacobian=jac,
+        eval_batch=f_batch,
         singularities=tuple(q @ s for s in model.singularities),
         trapping_region=None,
     )
@@ -228,6 +251,15 @@ def polynomial_field_from_table(table: dict) -> VectorFieldModel:
                 out[i] += c * np.prod(s ** e)
         return out
 
+    def f_batch(states):
+        # full exponent rows, as in `f`: a broadcast 2 turns into x * x
+        reps = (states.shape[0], 1)
+        out = np.zeros(states.shape)
+        for i, rows in enumerate(terms):
+            for e, c in rows:
+                out[:, i] += c * np.prod(states ** np.tile(e, reps), axis=1)
+        return out
+
     def jac(s):
         out = np.zeros((n, n))
         for i, rows in enumerate(terms):
@@ -250,6 +282,7 @@ def polynomial_field_from_table(table: dict) -> VectorFieldModel:
         params={"table": table},
         eval=f,
         jacobian=jac,
+        eval_batch=f_batch,
         singularities=(),
         trapping_region=box,
     )
@@ -316,11 +349,25 @@ def make_intermittent_lorenz_map() -> IntervalMap:
             raise SingularPoint("derivative unbounded at 0")
         return 1.0 / np.sqrt(abs(x))
 
+    # count_nonzero is the cheapest test for a zero in a small array
+    def f_batch(x):
+        if np.count_nonzero(x) < x.size:
+            raise SingularPoint("intermittent map undefined at 0")
+        r = 2.0 * np.sqrt(np.abs(x))
+        return np.where(x > 0, r - 1.0, 1.0 - r)
+
+    def df_batch(x):
+        if np.count_nonzero(x) < x.size:
+            raise SingularPoint("derivative unbounded at 0")
+        return 1.0 / np.sqrt(np.abs(x))
+
     return IntervalMap(
         name="intermittent_lorenz",
         domain=(-1.0, 1.0),
         eval=f,
         derivative=df,
+        eval_batch=f_batch,
+        derivative_batch=df_batch,
         singular_points=(0.0,),
     )
 
@@ -345,11 +392,19 @@ def make_expanding_lorenz_map() -> IntervalMap:
     def df(_x):
         return 2.0
 
+    def f_batch(x):
+        return np.where(x >= 0, 2.0 * x - 1.0, 2.0 * x + 1.0)
+
+    def df_batch(x):
+        return np.full(np.shape(x), 2.0)
+
     return IntervalMap(
         name="expanding_lorenz",
         domain=(-1.0, 1.0),
         eval=f,
         derivative=df,
+        eval_batch=f_batch,
+        derivative_batch=df_batch,
         singular_points=(0.0,),
     )
 
@@ -445,7 +500,6 @@ def make_geometric_lorenz_suspension(
         fiber_dx=g_dx,
         fiber_dy=g_dy,
         fiber_contraction_rate=c1,
-        params={"c1": c1, "c2": c2, "c3": c3},
     )
 
     def roof(x):
@@ -517,11 +571,13 @@ def load_model(name: str, params: Optional[dict] = None):
 
 
 def validate_model(model: VectorFieldModel, n_states=100, seed=7, h=1e-6):
-    """Check declared equilibria and Jacobian consistency.
+    """Check declared equilibria, the batched form and Jacobian consistency.
 
-    Equilibria must have residual < 1e-10; the analytic Jacobian must
-    match central finite differences of `eval` to relative error 1e-5
-    at random states in the trapping region (unit box if none).
+    Equilibria must have residual < 1e-10.  At random states in the
+    trapping region (unit box if none), `eval_batch` must equal `eval`
+    row by row to 1e-12 relative to the largest velocity (matrix
+    products may sum in another order), and the analytic Jacobian must
+    match central finite differences of `eval` to relative error 1e-5.
     Returns the max relative Jacobian error observed.
     """
     for s in model.singularities:
@@ -532,9 +588,13 @@ def validate_model(model: VectorFieldModel, n_states=100, seed=7, h=1e-6):
     box = model.trapping_region
     if box is None:
         box = np.tile([-1.0, 1.0], (model.dim, 1))
+    states = box[:, 0] + (box[:, 1] - box[:, 0]) * rng.random((n_states, model.dim))
+    rows = np.array([model.eval(x) for x in states])
+    gap = np.max(np.abs(model.eval_batch(states) - rows))
+    if not gap <= 1e-12 * max(1.0, np.max(np.abs(rows))):
+        raise ValueError(f"eval_batch differs from eval by {gap:.3e}")
     worst = 0.0
-    for _ in range(n_states):
-        x = box[:, 0] + (box[:, 1] - box[:, 0]) * rng.random(model.dim)
+    for x in states:
         j = model.jacobian(x)
         fd = np.empty_like(j)
         for k in range(model.dim):

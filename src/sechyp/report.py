@@ -30,7 +30,8 @@ from .hyperbolicity import (ash_functional, classify_singularity,
                             sectional_expansion_functional,
                             volume_expansion_functional)
 from .lpf import lpf_along
-from .models import SuspensionModel, VectorFieldModel, load_model
+from .models import (SuspensionModel, VectorFieldModel, interval_fixed_points,
+                     load_model)
 from .splitting import (RATE_MARGIN, contraction_rate, domination_rate,
                         estimate_splitting)
 from .util import fit_log_rate
@@ -187,16 +188,11 @@ def _ode_ensemble(model, config, conditions):
 
 def _suspension_probes(model):
     """Boundary fixed orbits of the base map as designated probes."""
-    from .models import interval_fixed_points
-
     probes = []
     skew = model.section_map
-    c1 = skew.params["c1"]
-    c3 = skew.params["c3"]
     for xf in interval_fixed_points(skew.base):
-        # fiber fixed point over xf: y = c1 y |xf|^c2 + c3 sign(xf)
-        gy = skew.fiber_dy(xf, 0.0)
-        y_star = c3 * np.sign(xf) / (1.0 - gy)
+        # fiber fixed point y* = g(xf, y*) over xf; g is affine in y
+        y_star = skew.fiber(xf, 0.0) / (1.0 - skew.fiber_dy(xf, 0.0))
         probes.append((float(xf), float(y_star)))
     return probes
 

@@ -109,36 +109,14 @@ class SectionStreams:
         return np.array([[c, 0.0], [h * c, 0.0], [0.0, 1.0]])
 
 
-def _vector_map(model, x, y):
-    """One skew-product return, vectorized over seed arrays."""
-    skew = model.section_map
-    base = skew.base
-    if base.name == "intermittent_lorenz":
-        fx = np.where(x > 0, 2.0 * np.sqrt(np.abs(x)) - 1.0,
-                      1.0 - 2.0 * np.sqrt(np.abs(x)))
-        fp = 1.0 / np.sqrt(np.abs(x))
-    elif base.name == "expanding_lorenz":
-        fx = np.where(x >= 0, 2.0 * x - 1.0, 2.0 * x + 1.0)
-        fp = np.full_like(x, 2.0)
-    else:
-        fx = np.array([base.eval(v) for v in x])
-        fp = np.array([base.derivative(v) for v in x])
-    p = skew.params
-    c1, c2, c3 = p["c1"], p["c2"], p["c3"]
-    ax = np.abs(x) ** c2
-    gy = c1 * ax
-    gx = np.zeros_like(x) if c2 == 0 else c1 * y * c2 * np.abs(x) ** (c2 - 1.0) * np.sign(x)
-    fy = c1 * y * ax + c3 * np.sign(x)
-    return fx, fy, fp, gx, gy
-
-
 def run_section_streams(model: SuspensionModel, seeds, n_returns: int,
                         tilt_warmup: int = 12) -> SectionStreams:
     """Iterate the section map for a batch of seeds and collect streams.
 
     seeds has shape (B, 2).  The tilt recursion is warmed up over
     `tilt_warmup` pre-returns so the center-unstable graph slope has
-    converged before crossing 0.
+    converged before crossing 0.  The batch moves through the base
+    map's batched forms and the model's elementwise fiber and roof.
     """
     seeds = np.asarray(seeds, dtype=float)
     x = seeds[:, 0].copy()
@@ -146,9 +124,8 @@ def run_section_streams(model: SuspensionModel, seeds, n_returns: int,
     b = x.shape[0]
     if np.any(x == 0.0):
         raise SingularPoint("seed on the singular line")
-
-    rc = model.params.get("roof_log_coeff", 0.0)
-    tau0 = model.params.get("tau0", model.roof_floor)
+    skew = model.section_map
+    base = skew.base
 
     # The graph slope h at a point is determined by its backward
     # itinerary, so the recursion is warmed up forward and the orbit is
@@ -156,9 +133,9 @@ def run_section_streams(model: SuspensionModel, seeds, n_returns: int,
     # |g_y / f'|, uniformly < 1 for the shipped fiber maps).
     h = np.zeros(b)
     for _ in range(tilt_warmup):
-        fx, fy, fp, gx, gy = _vector_map(model, x, y)
-        h = (gx + gy * h) / fp
-        x, y = fx, fy
+        fp = base.derivative_batch(x)
+        h = (skew.fiber_dx(x, y) + skew.fiber_dy(x, y) * h) / fp
+        x, y = base.eval_batch(x), skew.fiber(x, y)
 
     xs = np.empty((n_returns + 1, b))
     ys = np.empty((n_returns + 1, b))
@@ -172,21 +149,21 @@ def run_section_streams(model: SuspensionModel, seeds, n_returns: int,
     tilts[0] = h
     clipped = 0
     for k in range(n_returns):
-        if np.any(x == 0.0):
+        if np.count_nonzero(x) < b:
             raise SingularPoint(f"orbit hit the singular line at return {k}")
-        fx, fy, fp, gx, gy = _vector_map(model, x, y)
+        fp = base.derivative_batch(x)
+        gy = skew.fiber_dy(x, y)
         xa = np.abs(x)
         small = xa < ROOF_CLIP
         if np.any(small):
             clipped += int(np.sum(small))
             xa = np.maximum(xa, ROOF_CLIP)
-        roof = tau0 if rc == 0.0 else tau0 - rc * np.log(xa)
-        hn = (gx + gy * h) / fp
+        hn = (skew.fiber_dx(x, y) + gy * h) / fp
         log_fp[k] = np.log(np.abs(fp))
         log_gy[k] = np.log(np.abs(gy)) if np.all(gy > 0) else np.log(np.maximum(np.abs(gy), 1e-300))
         log_a[k] = log_fp[k] + 0.5 * (np.log1p(hn * hn) - np.log1p(h * h))
-        ts[k + 1] = ts[k] + roof
-        x, y, h = fx, fy, hn
+        ts[k + 1] = ts[k] + model.roof(xa)
+        x, y, h = base.eval_batch(x), skew.fiber(x, y), hn
         xs[k + 1], ys[k + 1] = x, y
         tilts[k + 1] = h
 

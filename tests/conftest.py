@@ -1,11 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from sechyp.flowcalc import StepControl, integrate
 from sechyp.models import (make_geometric_lorenz_suspension,
                            make_intermittent_lorenz_map, make_linear_saddle,
                            make_lorenz)
 from sechyp.splitting import estimate_splitting
+
+# Property tests run the same examples on every run: derandomized
+# generation, no example database, no per-example deadline.
+settings.register_profile("deterministic", deadline=None, derandomize=True,
+                          database=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture(scope="session")

@@ -268,6 +268,27 @@ class TestSections:
         assert f"config field '{field}'" in capsys.readouterr().err
         assert not (tmp_path / "b" / "lorenz_returns.csv").exists()
 
+    @pytest.mark.parametrize("section, field", [
+        ({"tolerances": {"rtol": "abc"}}, "tolerances.rtol"),
+        ({"verify": {"windows": {"T": None}}}, "verify.windows.T"),
+        ({"verify": {"thresholds": {"eta": "x"}}}, "verify.thresholds.eta"),
+        ({"verify": {"ensemble": "big"}}, "verify.ensemble"),
+        ({"verify": {"windows": {"T": float("inf")}}}, "verify.windows.T"),
+        ({"tolerances": {"bound": 10 ** 400}}, "tolerances.bound"),
+    ])
+    def test_wrong_typed_config_exit_2(self, tmp_path, capsys, section, field):
+        path = write_config(tmp_path, {
+            "model": "lorenz",
+            "output_dir": str(tmp_path / "b"),
+            "simulate": {"x0": [1.0, 1.0, 1.0], "n_returns": 3,
+                         "section": {"point": [0, 0, 27.0],
+                                     "normal": [0, 0, 1.0]}},
+            **section,
+        })
+        assert main(["simulate", "-c", path]) == 2
+        assert f"config field '{field}'" in capsys.readouterr().err
+        assert not (tmp_path / "b" / "lorenz_returns.csv").exists()
+
     def test_downward_orientation_accepted(self, tmp_path):
         path = write_config(tmp_path, {
             "model": "lorenz",

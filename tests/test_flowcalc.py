@@ -63,6 +63,12 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             integrate(lorenz, [np.nan, 1.0, 1.0], 1.0)
 
+    @pytest.mark.parametrize("t_span", [1e-15, 1e-14])
+    def test_rejects_span_at_time_resolution(self, lorenz, t_span):
+        with pytest.raises(ValueError, match="time resolution"):
+            integrate(lorenz, [1.0, 1.0, 1.0], t_span)
+        assert integrate(lorenz, [1.0, 1.0, 1.0], 1e-13).n_steps >= 1
+
     def test_determinism_bit_identical(self, lorenz):
         a = integrate(lorenz, [1.0, 1.0, 1.0], 5.0)
         b = integrate(lorenz, [1.0, 1.0, 1.0], 5.0)
@@ -399,3 +405,21 @@ def test_batch_rk4_matches_adaptive(lorenz):
     ref1 = integrate(lorenz, x[1], 2.0).states[-1]
     assert np.linalg.norm(end[0] - ref0) < 1e-6
     assert np.linalg.norm(end[1] - ref1) < 1e-6
+
+
+def test_batch_rk4_matches_rowwise_scalar_rk4(lorenz):
+    # the same RK4 step driven by eval row by row: Lorenz's batched form
+    # is bit-equal to its scalar form, so the ensembles agree bit for bit
+    x = np.random.default_rng(5).uniform(-20.0, 20.0, (25, 3))
+    ref = x.copy()
+
+    def rows(xb):
+        return np.stack([lorenz.eval(row) for row in xb])
+
+    for _ in range(200):
+        k1 = rows(ref)
+        k2 = rows(ref + 0.5 * 0.01 * k1)
+        k3 = rows(ref + 0.5 * 0.01 * k2)
+        k4 = rows(ref + 0.01 * k3)
+        ref = ref + (0.01 / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    assert batch_rk4(lorenz, x, 0.01, 200).tobytes() == ref.tobytes()

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -59,6 +61,12 @@ class TestLorenz:
 
     def test_validate_model(self, lorenz):
         assert validate_model(lorenz) < 1e-5
+
+    def test_validate_model_checks_batched_form(self, lorenz):
+        off = dataclasses.replace(
+            lorenz, eval_batch=lambda s: lorenz.eval_batch(s) * (1.0 + 1e-9))
+        with pytest.raises(ValueError, match="eval_batch"):
+            validate_model(off)
 
     def test_every_shipped_field_validates(self):
         shipped = [

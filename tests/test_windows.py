@@ -10,8 +10,7 @@ from hypothesis.extra import numpy as hnp
 from sechyp.hyperbolicity import msh_windows
 from sechyp.util import window_products
 
-PROPERTY = settings(max_examples=200, deadline=None, derandomize=True,
-                    database=None)
+PROPERTY = settings(max_examples=200)
 
 
 def reference_products(factors, starts, stops):
