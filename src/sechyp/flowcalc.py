@@ -177,6 +177,9 @@ def dp5_steps(model: VectorFieldModel, x0, t_span: float,
         raise ValueError("t_span must be positive")
     if t_span <= TIME_RESOLUTION:
         raise ValueError(f"t_span {t_span:g} is at or below the time resolution")
+    if t_span / 8.0 < ctrl.min_step_floor:
+        raise ValueError(f"t_span {t_span:g} is too short: its largest step "
+                         f"t_span / 8 is below the step floor {ctrl.min_step_floor:g}")
     x0 = np.asarray(x0, dtype=float)
     if not np.all(np.isfinite(x0)):
         raise ValueError("x0 must be finite")

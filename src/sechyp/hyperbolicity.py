@@ -18,8 +18,8 @@ import numpy as np
 from .errors import Blowup, NotAnEquilibrium, NotPeriodic
 from .flowcalc import StepControl, integrate, wedge2_of
 from .models import (SuspensionModel, VectorFieldModel, refine_equilibrium)
-from .splitting import (RATE_MARGIN, SplittingSequence, estimate_splitting,
-                        span_windows)
+from .splitting import (RATE_MARGIN, SplittingSequence, _checkpoint_flow_dirs,
+                        estimate_splitting, span_windows)
 from .util import fit_log_rate, log_norms, qr_pos, window_products
 
 # ----------------------------------------------------------------------
@@ -395,46 +395,40 @@ def nne_functional(seq: SplittingSequence, n_dirs: int = 8,
     and the pushed flow direction (the 2-plane they span); this is
     flagged in every report that carries the statistic.
     """
-    orbit = seq.orbit
-    model = orbit.model
-    suspension = isinstance(model, SuspensionModel)
     rng = np.random.default_rng(seed)
-    k_blocks = seq.n_blocks
     times = seq.times
+    dirs = _checkpoint_flow_dirs(seq)
 
-    # flow directions and norms at checkpoints
-    dirs = np.empty((k_blocks + 1, orbit.states.shape[1]))
-    for k in range(k_blocks + 1):
-        x = orbit.states[seq.grid[k]]
-        v = np.array([0.0, 0.0, 1.0]) if suspension else model.eval(x)
-        dirs[k] = v / np.linalg.norm(v)
-
-    results = []
-    tried = 0
-    while len(results) < n_dirs and tried < 10 * n_dirs:
-        tried += 1
+    # directions first: the flow-cone test reads checkpoint 0 only
+    accepted = []
+    for _ in range(10 * n_dirs):
+        if len(accepted) == n_dirs:
+            break
         coords = rng.standard_normal(seq.d_cu)
         v = seq.Ecu[0] @ (coords / np.linalg.norm(coords))
-        angle = np.arccos(np.clip(abs(v @ dirs[0]), 0, 1))
-        if angle <= flow_cone:
-            continue
-        log_norm = 0.0
-        w = v.copy()
-        rates = []
-        for k in range(k_blocks):
-            w = seq.factors[k] @ w
-            nw = np.linalg.norm(w)
-            log_norm += np.log(nw)
-            w = w / nw
-            t_el = times[k + 1] - times[0]
-            sin_t = np.sqrt(max(0.0, 1.0 - float(w @ dirs[k + 1]) ** 2))
-            if sin_t <= 0 or t_el <= 0:
-                continue
-            rates.append((log_norm + np.log(sin_t)) / t_el)
-        tail = rates[len(rates) // 2:]
-        val = float(np.min(tail))
-        results.append(val)
-    arr = np.asarray(results)
+        if np.arccos(np.clip(abs(v @ dirs[0]), 0, 1)) > flow_cone:
+            accepted.append(v)
+
+    # push them together, one stacked matvec per block
+    w = np.reshape(accepted, (len(accepted), seq.Ecu.shape[1], 1))
+    pushed = np.empty((seq.n_blocks,) + w.shape)
+    norms = np.empty((seq.n_blocks, len(accepted)))
+    for k in range(seq.n_blocks):
+        w = seq.factors[k] @ w
+        norms[k] = np.sqrt(np.vecdot(w[:, :, 0], w[:, :, 0]))
+        w = np.divide(w, norms[k][:, None, None], out=pushed[k])
+    log_norm = np.cumsum(np.log(norms), axis=0)
+    cos = np.vecdot(pushed[:, :, :, 0], dirs[1:, None, :])
+    # Python's float ** per entry: numpy's square differs from it in the
+    # last bit
+    cos2 = np.reshape([c ** 2 for c in cos.ravel().tolist()], cos.shape)
+    sin_t = np.sqrt(np.maximum(0.0, 1.0 - cos2))
+    t_el = (times[1:] - times[0])[:, None]
+    valid = ~((sin_t <= 0) | (t_el <= 0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rates = (log_norm + np.log(sin_t)) / t_el
+    tails = [r[ok][ok.sum() // 2:] for r, ok in zip(rates.T, valid.T)]
+    arr = np.array([float(np.min(tail)) for tail in tails])
     return FunctionalResult(float(arr.mean()), float(arr.min()),
                             float(arr.max()), float(times[-1] - times[0]),
                             len(arr))

@@ -118,17 +118,16 @@ def lpf_along(orbit: OrbitSegment, speed_floor: float = 1e-8,
         rot, _ = qr_pos(np.random.default_rng(frame_seed)
                         .standard_normal((n - 1, n - 1)))
         frames[0] = frames[0] @ rot
-    factors = np.empty((k_steps, n - 1, n - 1))
+    pushed = np.empty((k_steps, n, n - 1))
     for k in range(k_steps):
         # transport the previous basis, project off the new flow
         # direction, re-orthonormalize; the sign-fixed QR maximizes
         # overlap with the transported basis (no sign flips).
-        w = orbit.step_cocycles[k] @ frames[k]
+        w = np.matmul(orbit.step_cocycles[k], frames[k], out=pushed[k])
         d = dirs[k + 1]
-        w = w - np.outer(d, d @ w)
-        q, _ = qr_pos(w)
+        q, _ = qr_pos(w - d[:, None] * (d @ w))
         frames[k + 1] = q
-        factors[k] = q.T @ (orbit.step_cocycles[k] @ frames[k])
+    factors = frames[1:].swapaxes(1, 2) @ pushed
     return LPFCocycle(orbit=orbit, flow_dirs=dirs, frames=frames, lpf_factors=factors)
 
 

@@ -33,7 +33,7 @@ from .lpf import lpf_along
 from .models import (SuspensionModel, VectorFieldModel, interval_fixed_points,
                      load_model)
 from .splitting import (RATE_MARGIN, contraction_rate, domination_rate,
-                        estimate_splitting)
+                        estimate_splitting, estimate_splittings)
 from .util import fit_log_rate
 
 KNOWN_CONDITIONS = ("PH", "SingularHyp", "SH", "ASH", "NUSE", "MNUSE", "NNE",
@@ -254,10 +254,11 @@ def _suspension_ensemble(model, config, conditions):
         sample += list(range(size, all_seeds.shape[0]))
         ph_returns = min(n_returns, 2000)
         dom_spans = np.linspace(2.0, 20.0, 5) * model.roof_floor
-        for b in sample:
-            orbit = susp.suspension_orbit(model, all_seeds[b], ph_returns)
-            warmup = 10.0 * model.roof_floor
-            seq = estimate_splitting(orbit, d_s=1, warmup=warmup, stride=1)
+        orbits = [susp.suspension_orbit(model, all_seeds[b], ph_returns)
+                  for b in sample]
+        seqs = estimate_splittings(orbits, d_s=1, warmup=10.0 * model.roof_floor,
+                                   stride=1)
+        for b, seq in zip(sample, seqs):
             dom = domination_rate(seq, spans=dom_spans)
             con = contraction_rate(seq, spans=dom_spans)
             rows[b]["ph_pass"] = bool(dom.passed and con.passed)

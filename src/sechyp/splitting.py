@@ -114,30 +114,39 @@ def _block_factors(orbit: OrbitSegment, stride: int):
     return grid, mats * np.exp(log_scales)[:, None, None]
 
 
-def _forward_sweep(factors, n, seed):
-    steps = factors.shape[0]
-    q = haar_frame(n, n, seed)
-    frames = np.empty((steps + 1, n, n))
-    logs = np.zeros((steps + 1, n))
-    frames[0] = q
-    for k in range(steps):
-        q, r = qr_pos(factors[k] @ q)
-        frames[k + 1] = q
-        logs[k + 1] = logs[k] + np.log(np.abs(np.diag(r)))
-    return frames, logs
+def _sweep(factors, n, seed, backward=False):
+    """QR sweeps of many members at once: forward through each member's
+    (K_b, n, n) block factors, or backward through their inverses.
 
-
-def _backward_sweep(factors, n, seed):
-    steps = factors.shape[0]
-    q = haar_frame(n, n, seed + 1)
-    frames = np.empty((steps + 1, n, n))
-    logs = np.zeros((steps + 1, n))
-    frames[steps] = q
-    for k in range(steps - 1, -1, -1):
-        q, r = qr_pos(np.linalg.solve(factors[k], q))
-        frames[k] = q
-        logs[k] = logs[k + 1] + np.log(np.abs(np.diag(r)))
-    return frames, logs
+    Members run longest first, so the ones still open at step j are a
+    prefix and each step is one stacked QR (and solve).  Returns per
+    member its K_b + 1 frames and cumulative log |diag R|, in checkpoint
+    order.
+    """
+    lengths = np.array([f.shape[0] for f in factors])
+    order = np.argsort(-lengths, kind="stable")
+    n_open = len(lengths) - np.searchsorted(
+        np.sort(lengths), np.arange(lengths.max()), side="right")
+    # the block each sorted member starts from in the concatenated stack
+    start = np.cumsum(lengths)[order] - (1 if backward else lengths[order])
+    step = -1 if backward else 1
+    flat = np.concatenate(factors)
+    frames = np.empty((len(factors), len(n_open) + 1, n, n))
+    diag = np.ones((len(factors), len(n_open), n))
+    q = np.tile(haar_frame(n, n, seed + 1 if backward else seed), (len(factors), 1, 1))
+    frames[:, 0] = q
+    for j, m in enumerate(n_open.tolist()):
+        f = flat.take(start[:m] + step * j, axis=0)
+        q, r = qr_pos(np.linalg.solve(f, q[:m]) if backward else f @ q[:m])
+        frames[:m, j + 1] = q
+        diag[:m, j] = np.diagonal(r, axis1=1, axis2=2)
+    logs = np.zeros((len(factors), len(n_open) + 1, n))
+    logs[:, 1:] = np.cumsum(np.log(np.abs(diag)), axis=1)
+    rows = zip(np.argsort(order), lengths)
+    if backward:  # index j holds checkpoint K_b - j
+        return [(frames[i, size::-1].copy(), logs[i, size::-1].copy())
+                for i, size in rows]
+    return [(frames[i, :size + 1], logs[i, :size + 1]) for i, size in rows]
 
 
 def estimate_splitting(orbit: OrbitSegment, d_s: int, warmup: float,
@@ -153,17 +162,53 @@ def estimate_splitting(orbit: OrbitSegment, d_s: int, warmup: float,
     Raises SpectralGapFailure when the singular-value ratio at either
     cut over one warmup window falls below 1 + 1e-3.
     """
-    n = orbit.states.shape[1]
+    return estimate_splittings([orbit], d_s, warmup, init_seed, stride)[0]
+
+
+def estimate_splittings(orbits, d_s: int, warmup: float,
+                        init_seed: int = 12902, stride: int = 1):
+    """`estimate_splitting` of each orbit in a list, one
+    SplittingSequence per member, bit for bit.
+
+    The members' sweeps run together, one stacked QR (and solve) per
+    block over the members still open, so short members of one
+    dimension share the per-call cost.  If any member fails, the
+    members are redone one by one, and the first failing member raises
+    what `estimate_splitting` raises on it.
+    """
+    if not orbits:
+        return []
+    try:
+        return _estimate_members(orbits, d_s, warmup, init_seed, stride)
+    except (ValueError, SpectralGapFailure):
+        if len(orbits) == 1:
+            raise
+        return [_estimate_members([orbit], d_s, warmup, init_seed, stride)[0]
+                for orbit in orbits]
+
+
+def _estimate_members(orbits, d_s, warmup, init_seed, stride):
+    n = orbits[0].states.shape[1]
     d_cu = n - d_s
     if d_s < 1 or d_cu < 2:
         raise ValueError("need d_s >= 1 and d_cu = n - d_s >= 2")
-    if orbit.t_span <= 2 * warmup:
-        raise ValueError("orbit shorter than twice the warmup")
+    for orbit in orbits:
+        if orbit.t_span <= 2 * warmup:
+            raise ValueError("orbit shorter than twice the warmup")
 
-    full_grid, factors = _block_factors(orbit, stride)
-    f_frames, f_logs = _forward_sweep(factors, n, init_seed)
-    b_frames, b_logs = _backward_sweep(factors, n, init_seed)
+    blocks = [_block_factors(orbit, stride) for orbit in orbits]
+    factors = [f for _, f in blocks]
+    forward = _sweep(factors, n, init_seed)
+    backward = _sweep(factors, n, init_seed, backward=True)
+    return [_sequence(orbit, grid, f, fwd, bwd, d_s, warmup)
+            for orbit, (grid, f), fwd, bwd in zip(orbits, blocks, forward, backward)]
 
+
+def _sequence(orbit, full_grid, factors, forward, backward, d_s, warmup):
+    """One member's SplittingSequence from its swept frames and logs."""
+    (f_frames, f_logs), (b_frames, b_logs) = forward, backward
+    n = orbit.states.shape[1]
+    d_cu = n - d_s
     t_full = orbit.times[full_grid]
     span = orbit.t_span
     k0 = int(np.searchsorted(t_full, t_full[0] + warmup, side="left"))
@@ -185,15 +230,11 @@ def estimate_splitting(orbit: OrbitSegment, d_s: int, warmup: float,
     ecu = f_frames[k0:k1 + 1, :, :d_cu]
     es = b_frames[k0:k1 + 1, :, :d_s]
     k_count = k1 - k0
-    angles = np.empty(k_count + 1)
-    for k in range(k_count + 1):
-        angles[k] = principal_angles(es[k], ecu[k])[0]
-
     seq = SplittingSequence(
         orbit=orbit, d_s=d_s, d_cu=d_cu,
         grid=full_grid[k0:k1 + 1],
         factors=factors[k0:k1],
-        Es=es, Ecu=ecu, angles=angles,
+        Es=es, Ecu=ecu, angles=principal_angles(es, ecu)[:, 0],
         defect_s=np.zeros(k_count), defect_cu=np.zeros(k_count),
         gap_s=gap_s, gap_cu=gap_cu,
     )
@@ -339,26 +380,28 @@ def contraction_rate(seq: SplittingSequence, spans=None, n_starts: int = 5) -> R
     return _rate_fit(times, i, j, log_norms(*window_products(rs, i, j)))
 
 
+def _checkpoint_flow_dirs(seq: SplittingSequence):
+    """Unit flow directions at the checkpoints, (K+1, n): the vertical
+    unit vector on a suspension, else the normalized vector field (zero
+    where the field vanishes)."""
+    from .models import SuspensionModel
+
+    model = seq.orbit.model
+    if isinstance(model, SuspensionModel):
+        return np.tile([0.0, 0.0, 1.0], (len(seq), 1))
+    v = model.eval_batch(seq.orbit.states[seq.grid])
+    speed = np.sqrt(np.vecdot(v, v))[:, None]
+    return np.divide(v, speed, out=np.zeros_like(v), where=speed > 0)
+
+
 def flow_containment(seq: SplittingSequence) -> float:
     """Max angle (radians) between the flow direction and its projection
     onto E^cu along the checkpoints; 0 means the flow direction is
     contained in the estimated center-unstable bundle."""
-    from .models import SuspensionModel
-
-    orbit = seq.orbit
-    model = orbit.model
-    suspension = isinstance(model, SuspensionModel)
-    worst = 0.0
-    for k in range(len(seq)):
-        x = orbit.states[seq.grid[k]]
-        v = np.array([0.0, 0.0, 1.0]) if suspension else model.eval(x)
-        nv = np.linalg.norm(v)
-        if nv == 0:
-            continue
-        v = v / nv
-        resid = v - seq.Ecu[k] @ (seq.Ecu[k].T @ v)
-        worst = max(worst, float(np.arcsin(min(1.0, np.linalg.norm(resid)))))
-    return worst
+    v = _checkpoint_flow_dirs(seq)[:, :, None]
+    resid = (v - seq.Ecu @ (seq.Ecu.swapaxes(1, 2) @ v))[:, :, 0]
+    sines = np.minimum(1.0, np.sqrt(np.vecdot(resid, resid)))
+    return float(np.max(np.arcsin(sines), initial=0.0))
 
 
 def splitting_to_csv(seq: SplittingSequence, path, header_comment=None):

@@ -18,16 +18,18 @@ _SCALE_LO = 2.0 ** -500
 
 
 def qr_pos(a):
-    """QR factorisation with nonnegative diagonal of R.
+    """QR factorisation with nonnegative diagonal of R, of one matrix or
+    of each matrix in a (..., m, k) stack.
 
     numpy's Householder QR leaves the diagonal sign arbitrary; flipping
     columns makes the factorisation unique, which keeps transported
-    frames continuous along an orbit.
+    frames continuous along an orbit.  A stack goes to LAPACK in one
+    call and gives each matrix's factors bit for bit.
     """
     q, r = np.linalg.qr(a)
-    d = np.sign(np.diag(r))
+    d = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
     d[d == 0] = 1.0
-    return q * d, r * d[:, None]
+    return q * d[..., None, :], r * d[..., :, None]
 
 
 def unit(v):
@@ -56,11 +58,12 @@ def orthonormal_complement(v):
 
 
 def principal_angles(a, b):
-    """Principal angles (radians, ascending) between column spans."""
+    """Principal angles (radians, ascending) between column spans, of
+    one pair or of each pair in (..., n, k) stacks."""
     qa, _ = qr_pos(np.asarray(a, dtype=float))
     qb, _ = qr_pos(np.asarray(b, dtype=float))
-    s = np.linalg.svd(qa.T @ qb, compute_uv=False)
-    return np.arccos(np.clip(s, -1.0, 1.0))[::-1]
+    s = np.linalg.svd(qa.swapaxes(-2, -1) @ qb, compute_uv=False)
+    return np.arccos(np.clip(s, -1.0, 1.0))[..., ::-1]
 
 
 def subspace_gap(a, b):

@@ -7,6 +7,7 @@ from sechyp.models import (make_geometric_lorenz_suspension,
                            make_intermittent_lorenz_map, make_linear_saddle,
                            make_lorenz)
 from sechyp.splitting import estimate_splitting
+from sechyp.suspension import suspension_orbit
 
 # Property tests run the same examples on every run: derandomized
 # generation, no example database, no per-example deadline.
@@ -62,3 +63,15 @@ def intermittent_map():
 @pytest.fixture(scope="session")
 def intermittent_suspension(intermittent_map):
     return make_geometric_lorenz_suspension(intermittent_map)
+
+
+@pytest.fixture(scope="session")
+def suspension_orbit_400(intermittent_suspension):
+    return suspension_orbit(intermittent_suspension, [0.371, -0.24], 400)
+
+
+@pytest.fixture(scope="session")
+def suspension_seq(intermittent_suspension, suspension_orbit_400):
+    """Splitting with the report's warmup of ten roof floors."""
+    return estimate_splitting(suspension_orbit_400, d_s=1,
+                              warmup=10.0 * intermittent_suspension.roof_floor)

@@ -1,17 +1,28 @@
 """Property tests: each model's batched form against its scalar form,
-and map_pushforward's handling of singular points."""
+map_pushforward's handling of singular points, and stacked linear
+algebra (QR, principal angles, member-stacked splitting sweeps) against
+one call per matrix or member."""
+
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from sechyp.errors import SingularPoint
+from sechyp import splitting
+from sechyp.errors import SingularPoint, SpectralGapFailure
+from sechyp.flowcalc import StepControl, integrate
 from sechyp.measures import map_pushforward
 from sechyp.models import (conjugate_model, make_expanding_lorenz_map,
+                           make_geometric_lorenz_suspension,
                            make_intermittent_lorenz_map, make_linear_field,
-                           make_lorenz, polynomial_field_from_table)
+                           make_linear_saddle, make_lorenz,
+                           polynomial_field_from_table)
+from sechyp.splitting import estimate_splitting, estimate_splittings
+from sechyp.suspension import suspension_orbit
+from sechyp.util import principal_angles, qr_pos
 
 INTERVAL_MAPS = [make_intermittent_lorenz_map(), make_expanding_lorenz_map()]
 
@@ -154,3 +165,136 @@ def test_pushforward_drops_exactly_the_singular_samples(m, x):
     pushed = map_pushforward(m, x)
     assert len(pushed) == len(kept) == np.count_nonzero(x)
     assert_bit_equal(pushed, [m.eval(v) for v in kept])
+
+
+# ----------------------------------------------------------------------
+# stacked linear algebra
+# ----------------------------------------------------------------------
+
+@st.composite
+def matrix_stacks(draw, n, k):
+    """(B, n, k) stacks; some columns are zeroed, which puts exact zeros
+    on the diagonal of R."""
+    b = draw(st.integers(1, 6))
+    a = draw(hnp.arrays(np.float64, (b, n, k),
+                        elements=st.floats(-1e3, 1e3) | st.just(0.0)))
+    zero = draw(hnp.arrays(np.bool_, (b, k)))
+    a[np.broadcast_to(zero[:, None, :], a.shape)] = 0.0
+    return a
+
+
+@st.composite
+def qr_cases(draw):
+    n = draw(st.integers(2, 5))
+    return draw(matrix_stacks(n, draw(st.integers(1, n))))
+
+
+@st.composite
+def angle_cases(draw):
+    n = draw(st.integers(2, 5))
+    a = draw(matrix_stacks(n, draw(st.integers(1, n))))
+    b = draw(matrix_stacks(n, draw(st.integers(1, n))))
+    m = min(len(a), len(b))
+    return a[:m], b[:m]
+
+
+@given(qr_cases())
+def test_stacked_qr_pos_is_per_matrix(a):
+    q, r = qr_pos(a)
+    for i in range(len(a)):
+        qi, ri = qr_pos(a[i])
+        assert_bit_equal(q[i], qi)
+        assert_bit_equal(r[i], ri)
+    assert np.all(np.diagonal(r, axis1=1, axis2=2) >= 0.0)
+
+
+@given(angle_cases())
+def test_stacked_principal_angles_are_per_pair(case):
+    a, b = case
+    angles = principal_angles(a, b)
+    for i in range(len(a)):
+        assert_bit_equal(angles[i], principal_angles(a[i], b[i]))
+
+
+# members of one dimension and different lengths: Lorenz orbits of three
+# spans and suspension orbits of two return counts
+MEMBER_WARMUP = 5.0
+
+
+@pytest.fixture(scope="module")
+def member_pool():
+    lorenz = make_lorenz(10.0, 28.0, 8.0 / 3.0)
+    ctrl = StepControl(rtol=1e-6, atol=1e-9)
+    susp = make_geometric_lorenz_suspension(make_intermittent_lorenz_map())
+    return ([integrate(lorenz, x0, t_span, ctrl)
+             for x0, t_span in (([1.0, 1.0, 20.0], 22.0),
+                                ([-3.0, 2.0, 25.0], 31.0),
+                                ([5.0, -4.0, 30.0], 37.5))]
+            + [suspension_orbit(susp, xy, n)
+               for xy, n in (([0.371, -0.24], 60), ([-0.62, 0.5], 90))])
+
+
+@pytest.fixture(scope="module")
+def member_reference(member_pool):
+    cache = {}
+
+    def reference(i, stride):
+        if (i, stride) not in cache:
+            cache[i, stride] = estimate_splitting(member_pool[i], 1, MEMBER_WARMUP,
+                                                  stride=stride)
+        return cache[i, stride]
+    return reference
+
+
+SEQUENCE_ARRAYS = ("grid", "factors", "Es", "Ecu", "angles", "defect_s", "defect_cu")
+
+
+@settings(max_examples=25)
+@given(members=st.lists(st.integers(0, 4), min_size=1, max_size=5),
+       stride=st.sampled_from([1, 3]))
+def test_member_splittings_equal_one_member_calls(member_pool, member_reference,
+                                                  members, stride):
+    # one stacked sweep each way: a failed stack would be redone member
+    # by member and hide the fault
+    with mock.patch.object(splitting, "_sweep", wraps=splitting._sweep) as sweep:
+        seqs = estimate_splittings([member_pool[i] for i in members], 1,
+                                   MEMBER_WARMUP, stride=stride)
+    assert sweep.call_count == 2
+    assert len(seqs) == len(members)
+    for i, seq in zip(members, seqs):
+        ref = member_reference(i, stride)
+        assert seq.orbit is member_pool[i]
+        assert (seq.d_s, seq.d_cu) == (ref.d_s, ref.d_cu)
+        for name in SEQUENCE_ARRAYS:
+            assert_bit_equal(getattr(seq, name), getattr(ref, name))
+        assert_bit_equal(seq.gap_s, ref.gap_s)
+        assert_bit_equal(seq.gap_cu, ref.gap_cu)
+
+
+def test_no_members_no_sequences():
+    assert estimate_splittings([], 1, MEMBER_WARMUP) == []
+
+
+def _failure_of(orbit):
+    try:
+        estimate_splitting(orbit, 1, MEMBER_WARMUP)
+    except (ValueError, SpectralGapFailure) as exc:
+        return exc
+    return None
+
+
+@pytest.mark.parametrize("order, raised", [((0, 1, 2, 3), ValueError),
+                                           ((0, 2, 1, 3), SpectralGapFailure),
+                                           ((3, 2, 0, 1), SpectralGapFailure)])
+def test_first_failing_member_raises(member_pool, order, raised):
+    short = integrate(make_lorenz(10.0, 28.0, 8.0 / 3.0), [1.0, 1.0, 20.0], 8.0)
+    conformal = integrate(make_linear_saddle([1.0, 1.0, 1.0]),
+                          [1e-6, 2e-6, -1e-6], 12.0)
+    pool = [member_pool[0], short, conformal, member_pool[3]]
+    orbits = [pool[i] for i in order]
+    first = next(exc for exc in map(_failure_of, orbits) if exc is not None)
+    assert type(first) is raised
+    with pytest.raises(raised) as got:
+        estimate_splittings(orbits, 1, MEMBER_WARMUP)
+    assert type(got.value) is raised
+    assert str(got.value) == str(first)

@@ -69,6 +69,12 @@ class TestIntegrate:
             integrate(lorenz, [1.0, 1.0, 1.0], t_span)
         assert integrate(lorenz, [1.0, 1.0, 1.0], 1e-13).n_steps >= 1
 
+    @pytest.mark.parametrize("t_span", [2e-14, 5e-14])
+    def test_rejects_span_below_eight_step_floors(self, lorenz, t_span):
+        with pytest.raises(ValueError, match=f"t_span {t_span:g} "):
+            integrate(lorenz, [1.0, 1.0, 1.0], t_span)
+        assert integrate(lorenz, [1.0, 1.0, 1.0], 1e-13).n_steps >= 1
+
     def test_determinism_bit_identical(self, lorenz):
         a = integrate(lorenz, [1.0, 1.0, 1.0], 5.0)
         b = integrate(lorenz, [1.0, 1.0, 1.0], 5.0)

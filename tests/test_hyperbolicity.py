@@ -7,15 +7,15 @@ import pytest
 from sechyp import hyperbolicity
 from sechyp.errors import NotAnEquilibrium, NotPeriodic
 from sechyp.flowcalc import StepControl, integrate
-from sechyp.hyperbolicity import (ash_functional,
+from sechyp.hyperbolicity import (FunctionalResult, ash_functional,
                                   classify_singularity, mnuse_functional,
                                   msh_estimate, nne_functional,
                                   nuse_functional, nush_periodic_check,
                                   sectional_expansion_functional,
                                   volume_expansion_functional)
 from sechyp.lpf import lpf_along
-from sechyp.models import (conjugate_model, make_linear_field,
-                           make_linear_saddle)
+from sechyp.models import (SuspensionModel, conjugate_model,
+                           make_linear_field, make_linear_saddle)
 from sechyp.splitting import estimate_splitting
 from sechyp.util import qr_pos
 
@@ -261,6 +261,51 @@ class TestNNE:
     def test_lorenz_passes(self, lorenz_seq_60):
         res = nne_functional(lorenz_seq_60)
         assert res.min_rate >= -1e-3
+
+    @pytest.mark.parametrize("which", ["lorenz_seq_60", "suspension_seq"])
+    def test_stacked_directions_equal_per_direction_loop(self, which, request):
+        seq = request.getfixturevalue(which)
+        assert nne_functional(seq) == _nne_reference(seq)
+
+
+def _nne_reference(seq, n_dirs=8, flow_cone=1e-2, seed=90117):
+    """nne_functional as a loop over directions, each pushed one matvec
+    per block, with a per-checkpoint model.eval for the flow direction."""
+    model = seq.orbit.model
+    suspension = isinstance(model, SuspensionModel)
+    rng = np.random.default_rng(seed)
+    times = seq.times
+    dirs = np.empty((seq.n_blocks + 1, seq.orbit.states.shape[1]))
+    for k in range(seq.n_blocks + 1):
+        x = seq.orbit.states[seq.grid[k]]
+        v = np.array([0.0, 0.0, 1.0]) if suspension else model.eval(x)
+        dirs[k] = v / np.linalg.norm(v)
+    results = []
+    tried = 0
+    while len(results) < n_dirs and tried < 10 * n_dirs:
+        tried += 1
+        coords = rng.standard_normal(seq.d_cu)
+        v = seq.Ecu[0] @ (coords / np.linalg.norm(coords))
+        if np.arccos(np.clip(abs(v @ dirs[0]), 0, 1)) <= flow_cone:
+            continue
+        log_norm = 0.0
+        w = v.copy()
+        rates = []
+        for k in range(seq.n_blocks):
+            w = seq.factors[k] @ w
+            nw = np.linalg.norm(w)
+            log_norm += np.log(nw)
+            w = w / nw
+            t_el = times[k + 1] - times[0]
+            sin_t = np.sqrt(max(0.0, 1.0 - float(w @ dirs[k + 1]) ** 2))
+            if sin_t <= 0 or t_el <= 0:
+                continue
+            rates.append((log_norm + np.log(sin_t)) / t_el)
+        results.append(float(np.min(rates[len(rates) // 2:])))
+    arr = np.asarray(results)
+    return FunctionalResult(float(arr.mean()), float(arr.min()),
+                            float(arr.max()), float(times[-1] - times[0]),
+                            len(arr))
 
 
 class TestMsh:

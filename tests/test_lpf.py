@@ -10,7 +10,7 @@ from sechyp.lpf import (NormalFrame, SectionSpec, direct_lpf_factor, lpf_along,
                         return_map)
 from sechyp.models import (make_geometric_lorenz_suspension,
                            make_linear_field)
-from sechyp.util import orthonormal_complement
+from sechyp.util import orthonormal_complement, qr_pos
 
 
 class TestNormalFrame:
@@ -112,10 +112,35 @@ class TestLPFAlong:
                 if a > top * 1e-12:
                     assert abs(a * np.exp(s1) - b * np.exp(s2)) / (a * np.exp(s1)) < 1e-9
 
+    @pytest.mark.parametrize("which", ["lorenz_orbit", "suspension_orbit_400"])
+    def test_factors_after_loop_equal_in_loop_products(self, which, request):
+        orbit = request.getfixturevalue(which)
+        lp = lpf_along(orbit)
+        frames, factors = _lpf_reference(orbit, lp.flow_dirs)
+        assert np.array_equal(lp.frames, frames)
+        assert np.array_equal(lp.lpf_factors, factors)
+
     def test_near_singularity_raises(self, lorenz):
         orb = integrate(lorenz, np.zeros(3), 1.0)
         with pytest.raises(NearSingularity):
             lpf_along(orb)
+
+
+def _lpf_reference(orbit, dirs):
+    """lpf_along's transport with each factor q^T (C_k F_k) formed inside
+    the loop, recomputing C_k F_k."""
+    n = orbit.states.shape[1]
+    frames = np.empty((orbit.n_steps + 1, n, n - 1))
+    frames[0] = orthonormal_complement(dirs[0])
+    factors = np.empty((orbit.n_steps, n - 1, n - 1))
+    for k in range(orbit.n_steps):
+        w = orbit.step_cocycles[k] @ frames[k]
+        d = dirs[k + 1]
+        w = w - np.outer(d, d @ w)
+        q, _ = qr_pos(w)
+        frames[k + 1] = q
+        factors[k] = q.T @ (orbit.step_cocycles[k] @ frames[k])
+    return frames, factors
 
 
 class TestReturnMap:

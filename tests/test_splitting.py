@@ -4,7 +4,7 @@ import pytest
 
 from sechyp.errors import SpectralGapFailure
 from sechyp.flowcalc import integrate
-from sechyp.models import conjugate_model, make_linear_saddle
+from sechyp.models import SuspensionModel, conjugate_model, make_linear_saddle
 from sechyp.splitting import (contraction_rate, domination_rate,
                               estimate_splitting, estimator_consistency,
                               flow_containment, splitting_to_csv,
@@ -46,6 +46,19 @@ class TestEstimate:
 
     def test_lorenz_flow_direction_in_ecu(self, lorenz_seq_60):
         assert flow_containment(lorenz_seq_60) < 1e-3
+
+    @pytest.mark.parametrize("which", ["lorenz_seq_60", "suspension_seq"])
+    def test_flow_containment_equals_per_checkpoint_loop(self, which, request):
+        seq = request.getfixturevalue(which)
+        vertical = isinstance(seq.orbit.model, SuspensionModel)
+        worst = 0.0
+        for k in range(len(seq)):
+            x = seq.orbit.states[seq.grid[k]]
+            v = np.array([0.0, 0.0, 1.0]) if vertical else seq.orbit.model.eval(x)
+            v = v / np.linalg.norm(v)
+            resid = v - seq.Ecu[k] @ (seq.Ecu[k].T @ v)
+            worst = max(worst, float(np.arcsin(min(1.0, np.linalg.norm(resid)))))
+        assert flow_containment(seq) == worst
 
     def test_lorenz_angle_bounded_away_from_zero(self, lorenz_seq_60):
         assert np.min(lorenz_seq_60.angles) > 0.05
