@@ -23,10 +23,6 @@ class NoReturn(SechypError):
     """No section crossing was found within the time budget."""
 
 
-class DegenerateBasis(SechypError):
-    """A transported subspace basis lost rank (condition number > 1e8)."""
-
-
 class SpectralGapFailure(SechypError):
     """No usable singular-value gap at the requested splitting cut."""
 

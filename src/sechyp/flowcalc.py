@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import Blowup, StiffnessFailure
 from .models import VectorFieldModel
-from .util import rescale_pow2, scaled_product
+from .util import scaled_product
 
 # Dormand-Prince 5(4) coefficients; the 5th-order solution is propagated
 # and the last stage is evaluated at it (FSAL structure).
@@ -108,34 +108,9 @@ class OrbitSegment:
 
         Note: a single composed matrix carries at most the float64
         dynamic range across its singular values; determinants over
-        long spans should use log_det instead.
+        long spans should be summed per step instead.
         """
         m, log_scale = scaled_product(self.step_cocycles, i, j)
-        log_scale += float(np.sum(self.renorm_log[i:j]))
-        return m, log_scale
-
-    def log_det(self, i=0, j=None):
-        """log |det| of the transition matrix over [i, j], summed per step."""
-        if j is None:
-            j = self.n_steps
-        n = self.states.shape[1]
-        total = 0.0
-        for k in range(i, j):
-            total += np.linalg.slogdet(self.step_cocycles[k])[1]
-            total += n * self.renorm_log[k]
-        return float(total)
-
-
-@dataclass
-class WedgeCocycle:
-    """Second-exterior-power factors of an orbit's step cocycles."""
-
-    orbit: OrbitSegment
-    wedge_factors: np.ndarray
-    renorm_log: np.ndarray
-
-    def propagator(self, i, j):
-        m, log_scale = scaled_product(self.wedge_factors, i, j)
         log_scale += float(np.sum(self.renorm_log[i:j]))
         return m, log_scale
 
@@ -318,90 +293,6 @@ def wedge2_of(m) -> np.ndarray:
     ri_c, rj_c = ri[:, None], rj[:, None]
     return (m[..., ri_c, ri] * m[..., rj_c, rj]
             - m[..., ri_c, rj] * m[..., rj_c, ri])
-
-
-def wedge_cocycle(orbit: OrbitSegment) -> WedgeCocycle:
-    """Per-step exterior squares of the orbit's cocycle factors.
-
-    Built by minors from each step factor, so multiplicativity against
-    the stored tangent factors is exact up to roundoff.  Log scale
-    factors keep the compound norms representable.
-    """
-    out = wedge2_of(orbit.step_cocycles)
-    logs = np.zeros(orbit.n_steps)
-    rescale_pow2(out, logs)
-    return WedgeCocycle(orbit=orbit, wedge_factors=out,
-                        renorm_log=logs + 2.0 * orbit.renorm_log)
-
-
-# ----------------------------------------------------------------------
-# restriction to subspaces
-# ----------------------------------------------------------------------
-
-@dataclass
-class RestrictedCocycle:
-    """Cocycle expressed in transported orthonormal bases of a subspace.
-
-    factors[k] maps coordinates in bases[k] to coordinates in
-    bases[k+1]; defects[k] is the relative norm of the component of the
-    pushed subspace that leaks out of bases[k+1].
-    """
-
-    factors: np.ndarray
-    bases: np.ndarray
-    defects: np.ndarray
-
-    @property
-    def max_defect(self):
-        return float(np.max(self.defects)) if len(self.defects) else 0.0
-
-
-def restrict_cocycle(factors, subspace_basis, transport="push") -> RestrictedCocycle:
-    """Express a matrix cocycle in transported bases of a subspace.
-
-    transport="push" carries the initial basis forward with the cocycle
-    itself, re-orthonormalizing each step (zero defect by construction).
-    Passing a sequence of bases (one per grid point, shape
-    (K+1, n, d)) instead restricts against that prescribed subspace
-    sequence and reports the invariance defect of each step.
-    """
-    from .util import check_basis_rank, qr_pos
-
-    factors = np.asarray(factors)
-    n_steps = factors.shape[0]
-    b0 = np.asarray(subspace_basis, dtype=float)
-    if b0.ndim == 1:
-        b0 = b0[:, None]
-
-    prescribed = None
-    if not isinstance(transport, str):
-        prescribed = np.asarray(transport, dtype=float)
-        if prescribed.shape[0] != n_steps + 1:
-            raise ValueError("prescribed basis sequence must have K+1 entries")
-    elif transport != "push":
-        raise ValueError(f"unknown transport rule '{transport}'")
-
-    d = b0.shape[1]
-    out = np.empty((n_steps, d, d))
-    defects = np.zeros(n_steps)
-    bases = np.empty((n_steps + 1, b0.shape[0], d))
-    bases[0] = b0
-
-    for k in range(n_steps):
-        w = factors[k] @ bases[k]
-        check_basis_rank(w)
-        if prescribed is None:
-            q, r = qr_pos(w)
-            bases[k + 1] = q
-            out[k] = r
-        else:
-            bases[k + 1] = prescribed[k + 1]
-            coords = bases[k + 1].T @ w
-            leak = w - bases[k + 1] @ coords
-            out[k] = coords
-            wn = np.linalg.norm(w)
-            defects[k] = np.linalg.norm(leak) / wn if wn > 0 else 0.0
-    return RestrictedCocycle(factors=out, bases=bases, defects=defects)
 
 
 # ----------------------------------------------------------------------

@@ -17,41 +17,8 @@ import numpy as np
 
 from .errors import NearSingularity, NoReturn, SingularPoint, TangencyWarning
 from .flowcalc import TIME_RESOLUTION, OrbitSegment, dp5_steps, integrate
-from .models import SuspensionModel, VectorFieldModel
+from .models import SuspensionModel
 from .util import orthonormal_complement, qr_pos, scaled_product, unit
-
-
-@dataclass(frozen=True)
-class NormalFrame:
-    """Unit flow direction and an orthonormal basis of its complement."""
-
-    point: np.ndarray
-    flow_dir: np.ndarray
-    normal_basis: np.ndarray  # (n, n-1), columns orthonormal, all _|_ flow_dir
-
-
-def normal_frame(model: VectorFieldModel, x) -> NormalFrame:
-    x = np.asarray(x, dtype=float)
-    v = model.eval(x)
-    speed = np.linalg.norm(v)
-    if speed <= 1e-8:
-        raise NearSingularity(f"flow speed {speed:.3e} at {x}")
-    d = v / speed
-    return NormalFrame(point=x, flow_dir=d, normal_basis=orthonormal_complement(d))
-
-
-def project_normal(frame: NormalFrame, v):
-    """Coordinates of the normal component of a tangent vector.
-
-    The ambient projection is v - <v, flow_dir> flow_dir; the returned
-    coordinates are taken in frame.normal_basis.
-    """
-    v = np.asarray(v, dtype=float)
-    return frame.normal_basis.T @ v
-
-
-def recover_ambient(frame: NormalFrame, coords):
-    return frame.normal_basis @ np.asarray(coords, dtype=float)
 
 
 @dataclass

@@ -402,27 +402,3 @@ def flow_containment(seq: SplittingSequence) -> float:
     resid = (v - seq.Ecu @ (seq.Ecu.swapaxes(1, 2) @ v))[:, :, 0]
     sines = np.minimum(1.0, np.sqrt(np.vecdot(resid, resid)))
     return float(np.max(np.arcsin(sines), initial=0.0))
-
-
-def splitting_to_csv(seq: SplittingSequence, path, header_comment=None):
-    """CSV dump: time, point, E^s and E^cu basis vectors (column-major),
-    principal angle, per-block defects."""
-    n = seq.orbit.states.shape[1]
-    with open(path, "w", newline="") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        cols = (["t"] + [f"x{i}" for i in range(n)]
-                + [f"Es{c}_{i}" for c in range(seq.d_s) for i in range(n)]
-                + [f"Ecu{c}_{i}" for c in range(seq.d_cu) for i in range(n)]
-                + ["angle", "defect_s", "defect_cu"])
-        fh.write(",".join(cols) + "\n")
-        times = seq.times
-        for k in range(len(seq)):
-            x = seq.orbit.states[seq.grid[k]]
-            row = [f"{times[k]:.17g}"] + [f"{v:.17g}" for v in x]
-            row += [f"{v:.17g}" for v in seq.Es[k].T.ravel()]
-            row += [f"{v:.17g}" for v in seq.Ecu[k].T.ravel()]
-            ds = seq.defect_s[min(k, len(seq.defect_s) - 1)] if len(seq.defect_s) else 0.0
-            dcu = seq.defect_cu[min(k, len(seq.defect_cu) - 1)] if len(seq.defect_cu) else 0.0
-            row += [f"{seq.angles[k]:.17g}", f"{ds:.17g}", f"{dcu:.17g}"]
-            fh.write(",".join(row) + "\n")

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegenerateBasis
 
 # Rescale running products whenever the largest entry magnitude leaves
 # this window; powers of two keep the rescaling exact.
@@ -149,15 +148,6 @@ def log_norms(mats, log_scales, inverse=False):
         log_smin = logdet - np.sum(np.log(s[far, :-1]), axis=1)
         out[far] = -log_smin - log_scales[far]
     return out
-
-
-def check_basis_rank(w, limit=1e8):
-    """Raise DegenerateBasis when the column block is numerically rank deficient."""
-    s = np.linalg.svd(w, compute_uv=False)
-    if s[-1] == 0.0 or s[0] / s[-1] > limit:
-        raise DegenerateBasis(
-            f"transported basis condition number {s[0] / max(s[-1], 1e-300):.3e} exceeds {limit:.1e}"
-        )
 
 
 def fit_log_rate(spans, log_values):

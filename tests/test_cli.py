@@ -322,3 +322,51 @@ def test_shipped_configs_validate():
     assert len(paths) >= 3
     for p in paths:
         load_config(p)
+
+
+@pytest.mark.parametrize("command, section, field, message", [
+    ("verify", {"verify": {"windws": {"T": 5.0}}}, "verify.windws",
+     "unknown key"),
+    ("simulate", {"simulte": {"t_span": 1.0}}, "simulte", "unknown key"),
+    ("verify", {"verify": {"splitting": {"stride": 0}}},
+     "verify.splitting.stride", "must be an integer"),
+    ("simulate", {"simulate": {"t_span": -1}}, "simulate.t_span",
+     "must be a positive number"),
+    ("measure", {"measure": {"kind": "basin", "grid": [4, 4]}}, "measure.grid",
+     "must have one entry per dimension"),
+    ("spectrum", {"spectrum": {"k": 7, "T": 5.0}}, "spectrum.k",
+     "must be at most the model dimension"),
+    ("verify", {"verify": {"conditions": "SH"}}, "verify.conditions",
+     "must be a list"),
+])
+def test_config_fault_exit_2_without_output(tmp_path, capsys, command, section,
+                                            field, message):
+    # each fault sits in an otherwise small, runnable config
+    cfg = {"model": "lorenz", "output_dir": str(tmp_path / "out"),
+           "simulate": {"t_span": 1.0},
+           "verify": {"conditions": ["MNUSE"], "windows": {"T": 5.0},
+                      "ensemble": {"size": 1, "transient": 0.0}}}
+    for key, value in section.items():
+        cfg[key] = {**cfg.get(key, {}), **value}
+    assert main([command, "-c", write_config(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"config field '{field}': {message}" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("env, flags, field", [
+    ("-3", [], "SECHYP_SEED"),
+    (None, ["--seed", "-3"], "--seed"),
+])
+def test_negative_seed_override_exit_2(tmp_path, capsys, monkeypatch, env,
+                                       flags, field):
+    if env is None:
+        monkeypatch.delenv("SECHYP_SEED", raising=False)
+    else:
+        monkeypatch.setenv("SECHYP_SEED", env)
+    path = write_config(tmp_path, {"model": "lorenz",
+                                   "output_dir": str(tmp_path / "out"),
+                                   "simulate": {"t_span": 1.0}})
+    assert main(["simulate", "-c", path, *flags]) == 2
+    assert f"config field '{field}'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

@@ -5,52 +5,42 @@ import pytest
 import sechyp.lpf as lpf_mod
 from sechyp.errors import NearSingularity, NoReturn, SingularPoint
 from sechyp.flowcalc import StepControl, integrate
-from sechyp.lpf import (NormalFrame, SectionSpec, direct_lpf_factor, lpf_along,
-                        normal_frame, project_normal, recover_ambient,
-                        return_map)
+from sechyp.lpf import SectionSpec, direct_lpf_factor, lpf_along, return_map
 from sechyp.models import (make_geometric_lorenz_suspension,
                            make_linear_field)
-from sechyp.util import orthonormal_complement, qr_pos
+from sechyp.util import orthonormal_complement, qr_pos, unit
 
 
 class TestNormalFrame:
+    """The initial normal frame of `lpf_along`: the orthonormal complement
+    of the flow direction."""
+
     def test_orthonormality(self, lorenz):
         rng = np.random.default_rng(2)
         for _ in range(20):
-            x = rng.uniform(-15, 15, 3)
-            fr = normal_frame(lorenz, x)
-            g = fr.normal_basis.T @ fr.normal_basis
-            npt.assert_allclose(g, np.eye(2), atol=1e-12)
-            npt.assert_allclose(fr.normal_basis.T @ fr.flow_dir, 0.0, atol=1e-12)
-
-    def test_near_singularity_raises(self, lorenz):
-        with pytest.raises(NearSingularity):
-            normal_frame(lorenz, np.zeros(3) + 1e-12)
+            d = unit(lorenz.eval(rng.uniform(-15, 15, 3)))
+            basis = orthonormal_complement(d)
+            npt.assert_allclose(basis.T @ basis, np.eye(2), atol=1e-12)
+            npt.assert_allclose(basis.T @ d, 0.0, atol=1e-12)
 
 
 class TestProjectNormal:
+    """Normal coordinates B^T v in the complement basis B, and back B c."""
+
     def test_already_normal(self):
-        d = np.array([1.0, 0.0, 0.0])
-        fr = NormalFrame(point=np.zeros(3), flow_dir=d,
-                         normal_basis=orthonormal_complement(d))
-        coords = project_normal(fr, np.array([0.0, 1.0, 0.0]))
+        basis = orthonormal_complement(np.array([1.0, 0.0, 0.0]))
+        coords = basis.T @ np.array([0.0, 1.0, 0.0])
         npt.assert_allclose(np.linalg.norm(coords), 1.0, atol=1e-14)
-        npt.assert_allclose(recover_ambient(fr, coords), [0.0, 1.0, 0.0],
-                            atol=1e-14)
+        npt.assert_allclose(basis @ coords, [0.0, 1.0, 0.0], atol=1e-14)
 
     def test_flow_direction_killed(self):
         d = np.array([0.6, 0.8, 0.0])
-        fr = NormalFrame(point=np.zeros(3), flow_dir=d,
-                         normal_basis=orthonormal_complement(d))
-        npt.assert_allclose(project_normal(fr, d), 0.0, atol=1e-14)
+        npt.assert_allclose(orthonormal_complement(d).T @ d, 0.0, atol=1e-14)
 
     def test_gram_projection_formula(self):
-        d = np.array([1.0, 1.0, 0.0]) / np.sqrt(2)
-        fr = NormalFrame(point=np.zeros(3), flow_dir=d,
-                         normal_basis=orthonormal_complement(d))
-        coords = project_normal(fr, np.array([1.0, 0.0, 0.0]))
-        npt.assert_allclose(recover_ambient(fr, coords), [0.5, -0.5, 0.0],
-                            atol=1e-14)
+        basis = orthonormal_complement(np.array([1.0, 1.0, 0.0]) / np.sqrt(2))
+        coords = basis.T @ np.array([1.0, 0.0, 0.0])
+        npt.assert_allclose(basis @ coords, [0.5, -0.5, 0.0], atol=1e-14)
 
 
 class TestLPFAlong:

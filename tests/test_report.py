@@ -123,8 +123,8 @@ class TestSuspensionMshScan:
             log_fp=np.full((n, 1), 0.5), log_gy=np.full((n, 1), -1.0),
             tilt=np.zeros((n + 1, 1)), log_a=np.full((n, 1), 0.5),
             clipped=0)
-        cfg = {"msh": {"radius": 0.05, "avoid_window": 3.0}}
-        row = _suspension_msh_row(streams, 0, cfg, 1e-3)
+        row = _suspension_msh_row(streams, 0, radius=0.05, avoid=3.0,
+                                  margin=1e-3)
         # starts 0..17 end inside the orbit; 1..4 see crossing 4
         assert row["msh_qualifying"] == 14
         assert row["msh_fit_pass"]
@@ -156,6 +156,13 @@ class TestValidation:
     def test_unknown_condition(self):
         with pytest.raises(ConfigError):
             assemble_report(load_model("lorenz"), {"conditions": ["BOGUS"]})
+
+    def test_unknown_key_names_its_path(self):
+        # the library checks its config against the same table as the CLI
+        with pytest.raises(ConfigError) as err:
+            assemble_report(load_model("lorenz"),
+                            {"conditions": ["SH"], "windows": {"TT": 5.0}})
+        assert err.value.field == "windows.TT"
 
     def test_missing_box(self):
         m = load_model("linear_saddle", {"eigs": [1.0, -1.0]})

@@ -7,8 +7,7 @@ from sechyp.flowcalc import integrate
 from sechyp.models import SuspensionModel, conjugate_model, make_linear_saddle
 from sechyp.splitting import (contraction_rate, domination_rate,
                               estimate_splitting, estimator_consistency,
-                              flow_containment, splitting_to_csv,
-                              window_splitting)
+                              flow_containment, window_splitting)
 from sechyp.util import qr_pos, subspace_gap
 
 
@@ -163,12 +162,3 @@ class TestRates:
         seq = estimate_splitting(orb, 1, 7.0)
         assert abs(contraction_rate(seq).slope + 4.0) < 1e-6
         assert abs(domination_rate(seq).slope + 3.0) < 1e-6  # -4 - (-1)
-
-
-def test_csv_dump(lorenz_seq_60, tmp_path):
-    path = tmp_path / "split.csv"
-    splitting_to_csv(lorenz_seq_60, path, header_comment="x")
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# x"
-    assert lines[1].startswith("t,x0,x1,x2,Es0_0")
-    assert len(lines) == len(lorenz_seq_60) + 2
