@@ -21,7 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import TABLE, load_config, settings, step_control
+from .config import (REPORT_TABLE, TABLE, load_config, reject_set, settings,
+                     step_control)
 from .errors import ConfigError, SechypError
 from .flowcalc import integrate, orbit_to_csv, save_orbit_cache
 from .hyperbolicity import classify_singularity
@@ -114,8 +115,16 @@ def _write_json(path, payload):
 # subcommands
 # ----------------------------------------------------------------------
 
+# simulate keys that an interval map does not read: it iterates n times
+_MAP_UNREAD = ("simulate.section", "simulate.t_span", "simulate.n_returns",
+               "simulate.formats")
+
+
 def cmd_simulate(cfg, args):
     model, c = _setup(cfg)
+    if isinstance(model, IntervalMap):
+        reject_set(cfg, _MAP_UNREAD, "an interval map does not read it: "
+                                     "simulate writes its first n iterates")
     section = _return_section(model, c)
     seed = _effective_seed(c, args.seed)
     x0 = _initial_state(model, c["simulate.x0"], "simulate.x0", seed)
@@ -234,7 +243,12 @@ def cmd_verify(cfg, args):
     ver["seed"] = _effective_seed(c, args.seed)
     if "tolerances" in cfg and "tolerances" not in ver:
         ver["tolerances"] = cfg["tolerances"]
-    report = assemble_report(model, ver)
+    try:
+        report = assemble_report(model, ver)
+    except ConfigError as exc:
+        if exc.field not in REPORT_TABLE:
+            raise
+        raise ConfigError(f"verify.{exc.field}", exc.message) from None
     report["stamp"] = _stamp(cfg)
     path = _out_dir(c, args) / f"{c['model']}_report.json"
     _write_json(path, report)

@@ -187,11 +187,25 @@ def settings(config, table=TABLE) -> dict:
     _walk(config, table)
     out = {}
     for path, (_, default) in table.items():
-        node = config
-        for part in path.split("."):
-            node = node.get(part) if isinstance(node, dict) else None
-        out[path] = default if node is None else node
+        value = _lookup(config, path)
+        out[path] = default if value is None else value
     return out
+
+
+def _lookup(config, path):
+    """The value at dotted `path` in `config`, or None where it is unset."""
+    node = config
+    for part in path.split("."):
+        node = node.get(part) if isinstance(node, dict) else None
+    return node
+
+
+def reject_set(config, paths, message):
+    """ConfigError naming the first of `paths` that `config` sets: for
+    keys the table lists that a run on the loaded model does not read."""
+    for path in paths:
+        if _lookup(config, path) is not None:
+            raise ConfigError(path, message)
 
 
 def validate_config(cfg):

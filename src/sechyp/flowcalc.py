@@ -82,7 +82,8 @@ class OrbitSegment:
 
     step_cocycles[k] approximates DX_{t[k+1]-t[k]} at states[k]; the
     true factor is exp(renorm_log[k]) * step_cocycles[k] (the log scale
-    is zero unless a factor had to be rescaled to stay representable).
+    is zero unless a factor had to be rescaled to stay representable;
+    an integrated orbit's is a read-only view of one zero).
     """
 
     model: object
@@ -137,6 +138,28 @@ def _initial_step(model, x0, ctrl):
     return min(100 * h0, h1, ctrl.max_step)
 
 
+def _largest_step(t_span, ctrl):
+    """The largest step over a span of t_span; raises ValueError on a
+    span integration cannot take."""
+    if not t_span > 0:
+        raise ValueError("t_span must be positive")
+    if t_span <= TIME_RESOLUTION:
+        raise ValueError(f"t_span {t_span:g} is at or below the time resolution")
+    if t_span / 8.0 < ctrl.min_step_floor:
+        raise ValueError(f"t_span {t_span:g} is too short: its largest step "
+                         f"t_span / 8 is below the step floor {ctrl.min_step_floor:g}")
+    return min(ctrl.max_step, t_span / 8.0)
+
+
+def _step_factor(enorm, accepted):
+    """Factor on the step size after a step with scaled error enorm
+    (Hairer, Norsett & Wanner, Solving ODEs I, II.4), in Python float
+    arithmetic: numpy's power differs from `**` in the last bit."""
+    if accepted:
+        return 5.0 if enorm == 0 else min(5.0, 0.9 * enorm ** -0.2)
+    return max(0.2, 0.9 * enorm ** -0.2)
+
+
 def dp5_steps(model: VectorFieldModel, x0, t_span: float,
               step_ctrl: Optional[StepControl] = None):
     """Accepted Dormand-Prince steps of an orbit over [0, t_span].
@@ -148,20 +171,13 @@ def dp5_steps(model: VectorFieldModel, x0, t_span: float,
     those integrate would store.  Raises as integrate does.
     """
     ctrl = step_ctrl or StepControl()
-    if not t_span > 0:
-        raise ValueError("t_span must be positive")
-    if t_span <= TIME_RESOLUTION:
-        raise ValueError(f"t_span {t_span:g} is at or below the time resolution")
-    if t_span / 8.0 < ctrl.min_step_floor:
-        raise ValueError(f"t_span {t_span:g} is too short: its largest step "
-                         f"t_span / 8 is below the step floor {ctrl.min_step_floor:g}")
+    max_step = _largest_step(t_span, ctrl)
     x0 = np.asarray(x0, dtype=float)
     if not np.all(np.isfinite(x0)):
         raise ValueError("x0 must be finite")
     n = x0.shape[0]
 
     t = 0.0
-    max_step = min(ctrl.max_step, t_span / 8.0)
     h_prop = min(_initial_step(model, x0, ctrl), max_step)
     t_edge = TIME_RESOLUTION * max(1.0, t_span)
 
@@ -195,7 +211,8 @@ def dp5_steps(model: VectorFieldModel, x0, t_span: float,
         # scalar weight: rotation-invariant error norm over state + cocycle
         weight = ctrl.atol + ctrl.rtol * max(y_norm, _norm(y5))
         enorm = _norm(err) / weight
-        if enorm <= 1.0:
+        accepted = enorm <= 1.0
+        if accepted:
             t += h
             if _norm(y5[:, 0]) > ctrl.bound:
                 raise Blowup(f"state norm exceeded {ctrl.bound:.3e} at t={t:.6g}")
@@ -207,12 +224,51 @@ def dp5_steps(model: VectorFieldModel, x0, t_span: float,
             # stage adds those to y's identity block, where it cannot show
             k_state[_K1][:] = k_state[_K7]
             k_tangent[_K1][:] = jac5
-            fac = 5.0 if enorm == 0 else min(5.0, 0.9 * enorm ** -0.2)
-        else:
-            fac = max(0.2, 0.9 * enorm ** -0.2)
-        h_prop = min(h_prop * fac, max_step)
+        h_prop = min(h_prop * _step_factor(enorm, accepted), max_step)
         if h_prop < ctrl.min_step_floor * max(1.0, abs(t)):
             raise StiffnessFailure(f"step size underflow at t={t:.6g}")
+
+
+class _OrbitBuffer:
+    """Accepted steps of one orbit, in arrays grown in place.
+
+    Growth extrapolates the steps taken so far to the whole span (at
+    most doubling), so an orbit ends with little spare room, and no
+    per-step object is kept.
+    """
+
+    def __init__(self, x0, t_span, capacity=16):
+        n = x0.shape[0]
+        self.t_span = t_span
+        self.size = 1                      # grid points stored
+        self.times = np.zeros(capacity)
+        self.states = np.empty((capacity, n))
+        self.states[0] = x0
+        self.cocycles = np.empty((capacity - 1, n, n))
+
+    def _resize(self, capacity):
+        """Room for `capacity` grid points (and one step fewer)."""
+        for a, rows in ((self.times, capacity), (self.states, capacity),
+                        (self.cocycles, capacity - 1)):
+            a.resize((rows,) + a.shape[1:], refcheck=False)
+
+    def append(self, t, y5):
+        """Store the step ending at time t with augmented state y5."""
+        k = self.size
+        if k == self.times.shape[0]:
+            self._resize(min(16 * k, max(k + k // 8,
+                                         int(1.05 * k * self.t_span / t) + 64)))
+        self.times[k] = t
+        self.states[k] = y5[:, 0]
+        self.cocycles[k - 1] = y5[:, 1:]
+        self.size = k + 1
+
+    def segment(self, model) -> OrbitSegment:
+        """The stored orbit; it takes over the buffer's arrays."""
+        self._resize(self.size)
+        return OrbitSegment(model=model, times=self.times, states=self.states,
+                            step_cocycles=self.cocycles,
+                            renorm_log=np.broadcast_to(0.0, (self.size - 1,)))
 
 
 def integrate(model: VectorFieldModel, x0, t_span: float,
@@ -223,24 +279,134 @@ def integrate(model: VectorFieldModel, x0, t_span: float,
     state norm exceeds step_ctrl.bound and StiffnessFailure when the
     step size underflows.
     """
-    times = [0.0]
-    blocks = []
-    for t, y5 in dp5_steps(model, x0, t_span, step_ctrl):
-        times.append(t)
-        blocks.append(y5)
+    steps = dp5_steps(model, x0, t_span, step_ctrl)
+    buf = _OrbitBuffer(np.asarray(x0, dtype=float), t_span)
+    for t, y5 in steps:
+        buf.append(t, y5)
+    return buf.segment(model)
 
-    x0 = np.asarray(x0, dtype=float)
-    blocks = np.array(blocks)
-    states = np.empty((len(times), x0.shape[0]))
-    states[0] = x0
-    states[1:] = blocks[:, :, 0]
-    return OrbitSegment(
-        model=model,
-        times=np.array(times),
-        states=states,
-        step_cocycles=np.ascontiguousarray(blocks[:, :, 1:]),
-        renorm_log=np.zeros(len(blocks)),
-    )
+
+# the stage weights with an axis for the members of a batch
+_BATCH_STAGE_W = tuple(w if w is None else w[..., None] for w in _STAGE_W)
+_BATCH_SOL_W, _BATCH_ERR_W = _SOL_W[..., None], _ERR_W[..., None]
+
+# fewer members than this cost less one by one than in one batch run
+# (Lorenz at B = 2: 122 against 117 us per member and step)
+_MIN_BATCH = 3
+
+
+def _integrate_or_error(model, x0, t_span, ctrl):
+    try:
+        return integrate(model, x0, t_span, ctrl)
+    except (ValueError, Blowup, StiffnessFailure) as exc:
+        return exc
+
+
+def integrate_batch(model: VectorFieldModel, x0s, t_span: float,
+                    step_ctrl: Optional[StepControl] = None) -> list:
+    """`integrate` of every row of x0s, as one Dormand-Prince run.
+
+    Returns one entry per row: the OrbitSegment integrate returns for
+    it, or the Blowup, StiffnessFailure or ValueError (non-finite start)
+    integrate raises on it.  Each member keeps its own time, step size
+    and accept decision; a member that finishes or fails leaves the run
+    and the others go on.  An exception the model raises ends the run.
+
+    A member's orbit equals integrate's bit for bit when the model's
+    `eval_batch` and `jacobian_batch` rows equal `eval` and `jacobian`
+    bit for bit, as for every shipped model: stage sums run in
+    integrate's order, stage products are stacked (n, n) matmuls,
+    norms are dot products as in integrate, and the step control runs
+    per member in Python floats.  Fewer than three members go through
+    integrate one by one, which is then faster.
+    """
+    ctrl = step_ctrl or StepControl()
+    max_step = _largest_step(t_span, ctrl)
+    x0s = np.asarray(x0s, dtype=float)
+    if x0s.shape[0] < _MIN_BATCH:
+        return [_integrate_or_error(model, x0, t_span, ctrl) for x0 in x0s]
+    out = [None] * x0s.shape[0]
+    live = []
+    for b, x0 in enumerate(x0s):
+        if np.all(np.isfinite(x0)):
+            live.append(b)
+        else:
+            out[b] = ValueError("x0 must be finite")
+    if not live:
+        return out
+    n = x0s.shape[1]
+    t_edge = TIME_RESOLUTION * max(1.0, t_span)
+    # per live member, in Python floats: time, proposed step, norm of y
+    ts = [0.0] * len(live)
+    h_props = [min(_initial_step(model, x0s[b], ctrl), max_step) for b in live]
+    bufs = [_OrbitBuffer(x0s[b], t_span) for b in live]
+
+    y = np.empty((len(live), n, n + 1))
+    y[:, :, 0] = x0s[live]
+    y[:, :, 1:] = np.eye(n)
+    k = np.empty((7,) + y.shape)
+
+    def slope(slot, ys):
+        """The members' [f(x) | J(x) M] written into k[slot]; returns J(x)."""
+        x = ys[:, :, 0]
+        k_slot = k[slot]
+        k_slot[:, :, 0] = model.eval_batch(x)
+        jac = model.jacobian_batch(x)
+        np.matmul(jac, ys[:, :, 1:], out=k_slot[:, :, 1:])
+        return jac
+
+    def norms(a):
+        flat = a.reshape(a.shape[0], -1)
+        return np.sqrt(np.vecdot(flat, flat)).tolist()
+
+    y_norms = norms(y)
+    slope(_K1, y)
+    while live:
+        hs = [min(h_prop, t_span - t) for h_prop, t in zip(h_props, ts)]
+        h = np.array(hs)[:, None, None]
+        slope(0, y + (h * _A21) * k[_K1])
+        for s in range(2, 6):
+            slope(s, y + h * np.add.reduce(_BATCH_STAGE_W[s] * k[:s], axis=0))
+        y5 = y + h * np.add.reduce(_BATCH_SOL_W * k[_K1:_K7], axis=0)
+        jac5 = slope(_K7, y5)
+        err = h * np.add.reduce(_BATCH_ERR_W * k[_K1:], axis=0)
+        y5_norms, err_norms = norms(y5), norms(err)
+        x5_norms = norms(np.ascontiguousarray(y5[:, :, 0]))
+        keep, moved = [], []
+        for i, b in enumerate(live):
+            weight = ctrl.atol + ctrl.rtol * max(y_norms[i], y5_norms[i])
+            enorm = err_norms[i] / weight
+            accepted = enorm <= 1.0
+            if accepted:
+                ts[i] += hs[i]
+                if x5_norms[i] > ctrl.bound:
+                    out[b] = Blowup(f"state norm exceeded {ctrl.bound:.3e} "
+                                    f"at t={ts[i]:.6g}")
+                    continue
+                bufs[i].append(ts[i], y5[i])
+                moved.append(i)
+            h_props[i] = min(h_props[i] * _step_factor(enorm, accepted), max_step)
+            if h_props[i] < ctrl.min_step_floor * max(1.0, abs(ts[i])):
+                out[b] = StiffnessFailure(f"step size underflow at t={ts[i]:.6g}")
+            elif t_span - ts[i] > t_edge:
+                keep.append(i)
+            else:
+                out[b] = bufs[i].segment(model)
+        if moved:
+            # first same as last on the accepted members, as in dp5_steps
+            acc = slice(None) if len(moved) == len(live) else moved
+            y[acc, :, 0] = y5[acc, :, 0]
+            k[_K1, acc, :, 0] = k[_K7, acc, :, 0]
+            k[_K1, acc, :, 1:] = jac5[acc]
+            y_norms = norms(y)
+        if len(keep) < len(live):
+            live = [live[i] for i in keep]
+            ts = [ts[i] for i in keep]
+            h_props = [h_props[i] for i in keep]
+            y_norms = [y_norms[i] for i in keep]
+            bufs = [bufs[i] for i in keep]
+            y, k = y[keep], k[:, keep]
+    return out
 
 
 def rk4_step(f, x, dt):

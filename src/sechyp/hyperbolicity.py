@@ -103,6 +103,7 @@ def _grow_manifold(model, sigma, direction, forward, trapping, ball_radius,
             eval=lambda x: -model.eval(x),
             jacobian=lambda x: -model.jacobian(x),
             eval_batch=lambda states: -model.eval_batch(states),
+            jacobian_batch=lambda states: -model.jacobian_batch(states),
         )
     lo, hi = trapping[:, 0] - 1e-9, trapping[:, 1] + 1e-9
     corner = np.maximum(np.abs(lo), np.abs(hi))
@@ -411,22 +412,27 @@ def nne_functional(seq: SplittingSequence, n_dirs: int = 8,
 
     # push them together, one stacked matvec per block
     w = np.reshape(accepted, (len(accepted), seq.Ecu.shape[1], 1))
-    pushed = np.empty((seq.n_blocks,) + w.shape)
     norms = np.empty((seq.n_blocks, len(accepted)))
+    cos = np.empty_like(norms)
     for k in range(seq.n_blocks):
         w = seq.factors[k] @ w
         norms[k] = np.sqrt(np.vecdot(w[:, :, 0], w[:, :, 0]))
-        w = np.divide(w, norms[k][:, None, None], out=pushed[k])
-    log_norm = np.cumsum(np.log(norms), axis=0)
-    cos = np.vecdot(pushed[:, :, :, 0], dirs[1:, None, :])
+        w /= norms[k][:, None, None]
+        cos[k] = np.vecdot(w[:, :, 0], dirs[k + 1])
+    log_norm = np.cumsum(np.log(norms, out=norms), axis=0, out=norms)
     # Python's float ** per entry: numpy's square differs from it in the
-    # last bit
-    cos2 = np.reshape([c ** 2 for c in cos.ravel().tolist()], cos.shape)
-    sin_t = np.sqrt(np.maximum(0.0, 1.0 - cos2))
+    # last bit.  The sines, their logs and the rates share one array.
+    sin_t = np.fromiter((float(c) ** 2 for c in cos.flat), float,
+                        cos.size).reshape(cos.shape)
+    del cos
+    np.sqrt(np.maximum(0.0, np.subtract(1.0, sin_t, out=sin_t), out=sin_t),
+            out=sin_t)
     t_el = (times[1:] - times[0])[:, None]
     valid = ~((sin_t <= 0) | (t_el <= 0))
     with np.errstate(divide="ignore", invalid="ignore"):
-        rates = (log_norm + np.log(sin_t)) / t_el
+        rates = np.log(sin_t, out=sin_t)
+        rates += log_norm
+        rates /= t_el
     tails = [r[ok][ok.sum() // 2:] for r, ok in zip(rates.T, valid.T)]
     arr = np.array([float(np.min(tail)) for tail in tails])
     return FunctionalResult(float(arr.mean()), float(arr.min()),
@@ -460,8 +466,10 @@ def _singular_distances(orbit, model):
     if not model.singularities:
         return np.full(orbit.states.shape[0], np.inf)
     d = np.full(orbit.states.shape[0], np.inf)
-    for s in model.singularities:
-        d = np.minimum(d, np.linalg.norm(orbit.states - s, axis=1))
+    for lo in range(0, len(d), 2048):     # in blocks, to keep temporaries small
+        x, d_x = orbit.states[lo:lo + 2048], d[lo:lo + 2048]
+        for s in model.singularities:
+            np.minimum(d_x, np.linalg.norm(x - s, axis=1), out=d_x)
     return d
 
 

@@ -70,14 +70,14 @@ def lpf_along(orbit: OrbitSegment, speed_floor: float = 1e-8,
         dirs = np.tile(np.array([0.0, 0.0, 1.0]), (k_steps + 1, 1))
         speeds = np.ones(k_steps + 1)
     else:
-        vel = model.eval_batch(orbit.states)
-        speeds = np.linalg.norm(vel, axis=1)
+        dirs = model.eval_batch(orbit.states)
+        speeds = np.linalg.norm(dirs, axis=1)
         if np.min(speeds) <= speed_floor:
             bad = int(np.argmin(speeds))
             raise NearSingularity(
                 f"flow speed {speeds[bad]:.3e} at t={orbit.times[bad]:.6g}"
             )
-        dirs = vel / speeds[:, None]
+        dirs /= speeds[:, None]
 
     frames = np.empty((k_steps + 1, n, n - 1))
     frames[0] = orthonormal_complement(dirs[0])
@@ -85,16 +85,17 @@ def lpf_along(orbit: OrbitSegment, speed_floor: float = 1e-8,
         rot, _ = qr_pos(np.random.default_rng(frame_seed)
                         .standard_normal((n - 1, n - 1)))
         frames[0] = frames[0] @ rot
-    pushed = np.empty((k_steps, n, n - 1))
+    factors = np.empty((k_steps, n - 1, n - 1))
+    w = np.empty((n, n - 1))
     for k in range(k_steps):
         # transport the previous basis, project off the new flow
         # direction, re-orthonormalize; the sign-fixed QR maximizes
         # overlap with the transported basis (no sign flips).
-        w = np.matmul(orbit.step_cocycles[k], frames[k], out=pushed[k])
+        np.matmul(orbit.step_cocycles[k], frames[k], out=w)
         d = dirs[k + 1]
         q, _ = qr_pos(w - d[:, None] * (d @ w))
         frames[k + 1] = q
-    factors = frames[1:].swapaxes(1, 2) @ pushed
+        np.matmul(q.T, w, out=factors[k])
     return LPFCocycle(orbit=orbit, flow_dirs=dirs, frames=frames, lpf_factors=factors)
 
 

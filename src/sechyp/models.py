@@ -21,9 +21,13 @@ class VectorFieldModel:
 
     `eval` maps a state to a velocity vector, `jacobian` to the n x n
     derivative matrix, `eval_batch` a (B, n) state array to the (B, n)
-    velocities (row b equal to eval(X[b])).  `singularities` lists
-    declared equilibria (||eval(s)|| < 1e-10 each).  `trapping_region`
-    is an axis-aligned sampling box, shape (n, 2), or None.
+    velocities (row b equal to eval(X[b])) and `jacobian_batch` to the
+    (B, n, n) derivatives (entry b equal to jacobian(X[b])).  Every
+    shipped model's batched forms equal the scalar ones bit for bit,
+    which makes `flowcalc.integrate_batch` equal `integrate` per member.
+    `singularities` lists declared equilibria (||eval(s)|| < 1e-10
+    each).  `trapping_region` is an axis-aligned sampling box, shape
+    (n, 2), or None.
     """
 
     name: str
@@ -32,6 +36,7 @@ class VectorFieldModel:
     eval: Callable[[np.ndarray], np.ndarray]
     jacobian: Callable[[np.ndarray], np.ndarray]
     eval_batch: Callable[[np.ndarray], np.ndarray]
+    jacobian_batch: Callable[[np.ndarray], np.ndarray]
     singularities: tuple = ()
     trapping_region: Optional[np.ndarray] = None
 
@@ -97,6 +102,13 @@ class SuspensionModel:
 # vector fields
 # ----------------------------------------------------------------------
 
+def _rows_times(a, states):
+    """a @ x for every row x of states, one matrix-vector product per
+    row: bit-equal to `a @ x` on each row, which `states @ a.T` is not
+    (BLAS sums a matrix product in another order)."""
+    return np.matmul(a, states[..., None])[..., 0]
+
+
 def make_lorenz(sigma: float, rho: float, beta: float) -> VectorFieldModel:
     """Classical Lorenz field (sigma(y-x), x(rho-z)-y, xy-beta z).
 
@@ -114,8 +126,11 @@ def make_lorenz(sigma: float, rho: float, beta: float) -> VectorFieldModel:
 
     def f_batch(states):
         x, y, z = states.T
-        return np.column_stack(
-            (sigma * (y - x), x * (rho - z) - y, x * y - beta * z))
+        out = np.empty(states.shape)
+        out[:, 0] = sigma * (y - x)
+        out[:, 1] = x * (rho - z) - y
+        out[:, 2] = x * y - beta * z
+        return out
 
     def jac(s):
         x, y, z = np.asarray(s, dtype=float).tolist()
@@ -124,6 +139,18 @@ def make_lorenz(sigma: float, rho: float, beta: float) -> VectorFieldModel:
             [rho - z, -1.0, -x],
             [y, x, -beta],
         ])
+
+    jac_const = jac(np.zeros(3))      # the entries that do not vary
+
+    def jac_batch(states):
+        x, y, z = states.T
+        out = np.empty((states.shape[0], 3, 3))
+        out[:] = jac_const
+        np.subtract(rho, z, out=out[:, 1, 0])
+        np.negative(x, out=out[:, 1, 2])
+        out[:, 2, 0] = y
+        out[:, 2, 1] = x
+        return out
 
     sings = [np.zeros(3)]
     if rho > 1:
@@ -139,6 +166,7 @@ def make_lorenz(sigma: float, rho: float, beta: float) -> VectorFieldModel:
         eval=f,
         jacobian=jac,
         eval_batch=f_batch,
+        jacobian_batch=jac_batch,
         singularities=tuple(sings),
         trapping_region=box,
     )
@@ -155,10 +183,13 @@ def make_linear_field(a, name="linear") -> VectorFieldModel:
         return a @ s
 
     def f_batch(states):
-        return states @ a.T
+        return _rows_times(a, states)
 
     def jac(_s):
         return a.copy()
+
+    def jac_batch(states):
+        return np.repeat(a[None], states.shape[0], axis=0)
 
     box = np.tile([-1.0, 1.0], (n, 1))
     return VectorFieldModel(
@@ -168,6 +199,7 @@ def make_linear_field(a, name="linear") -> VectorFieldModel:
         eval=f,
         jacobian=jac,
         eval_batch=f_batch,
+        jacobian_batch=jac_batch,
         singularities=(np.zeros(n),),
         trapping_region=box,
     )
@@ -196,10 +228,13 @@ def conjugate_model(model: VectorFieldModel, q) -> VectorFieldModel:
         return q @ model.eval(qt @ s)
 
     def f_batch(states):
-        return model.eval_batch(states @ q) @ qt
+        return _rows_times(q, model.eval_batch(_rows_times(qt, states)))
 
     def jac(s):
         return q @ model.jacobian(qt @ s) @ qt
+
+    def jac_batch(states):
+        return q @ model.jacobian_batch(_rows_times(qt, states)) @ qt
 
     return VectorFieldModel(
         name=model.name + "_conjugated",
@@ -208,6 +243,7 @@ def conjugate_model(model: VectorFieldModel, q) -> VectorFieldModel:
         eval=f,
         jacobian=jac,
         eval_batch=f_batch,
+        jacobian_batch=jac_batch,
         singularities=tuple(q @ s for s in model.singularities),
         trapping_region=None,
     )
@@ -272,6 +308,20 @@ def polynomial_field_from_table(table: dict) -> VectorFieldModel:
                     out[i, j] += c * e[j] * np.prod(s ** ed)
         return out
 
+    def jac_batch(states):
+        reps = (states.shape[0], 1)
+        out = np.zeros(states.shape + (n,))
+        for i, rows in enumerate(terms):
+            for e, c in rows:
+                for j in range(n):
+                    if e[j] == 0:
+                        continue
+                    ed = e.copy()
+                    ed[j] -= 1
+                    out[:, i, j] += c * e[j] * np.prod(states ** np.tile(ed, reps),
+                                                       axis=1)
+        return out
+
     box = None
     if table.get("box") is not None:
         box = np.array(table["box"], dtype=float)
@@ -283,6 +333,7 @@ def polynomial_field_from_table(table: dict) -> VectorFieldModel:
         eval=f,
         jacobian=jac,
         eval_batch=f_batch,
+        jacobian_batch=jac_batch,
         singularities=(),
         trapping_region=box,
     )
@@ -571,14 +622,15 @@ def load_model(name: str, params: Optional[dict] = None):
 
 
 def validate_model(model: VectorFieldModel, n_states=100, seed=7, h=1e-6):
-    """Check declared equilibria, the batched form and Jacobian consistency.
+    """Check declared equilibria, the batched forms and Jacobian consistency.
 
     Equilibria must have residual < 1e-10.  At random states in the
-    trapping region (unit box if none), `eval_batch` must equal `eval`
-    row by row to 1e-12 relative to the largest velocity (matrix
-    products may sum in another order), and the analytic Jacobian must
-    match central finite differences of `eval` to relative error 1e-5.
-    Returns the max relative Jacobian error observed.
+    trapping region (unit box if none), `eval_batch` and
+    `jacobian_batch` must equal `eval` and `jacobian` row by row to
+    1e-12 relative to the largest entry (matrix products may sum in
+    another order), and the analytic Jacobian must match central finite
+    differences of `eval` to relative error 1e-5.  Returns the max
+    relative Jacobian error observed.
     """
     for s in model.singularities:
         r = np.linalg.norm(model.eval(np.asarray(s, dtype=float)))
@@ -589,10 +641,12 @@ def validate_model(model: VectorFieldModel, n_states=100, seed=7, h=1e-6):
     if box is None:
         box = np.tile([-1.0, 1.0], (model.dim, 1))
     states = box[:, 0] + (box[:, 1] - box[:, 0]) * rng.random((n_states, model.dim))
-    rows = np.array([model.eval(x) for x in states])
-    gap = np.max(np.abs(model.eval_batch(states) - rows))
-    if not gap <= 1e-12 * max(1.0, np.max(np.abs(rows))):
-        raise ValueError(f"eval_batch differs from eval by {gap:.3e}")
+    for name, scalar, batch in (("eval", model.eval, model.eval_batch),
+                                ("jacobian", model.jacobian, model.jacobian_batch)):
+        rows = np.array([scalar(x) for x in states])
+        gap = np.max(np.abs(batch(states) - rows))
+        if not gap <= 1e-12 * max(1.0, np.max(np.abs(rows))):
+            raise ValueError(f"{name}_batch differs from {name} by {gap:.3e}")
     worst = 0.0
     for x in states:
         j = model.jacobian(x)

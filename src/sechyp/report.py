@@ -21,9 +21,9 @@ import numpy as np
 
 from . import __version__
 from . import suspension as susp
-from .config import REPORT_TABLE, settings, step_control
+from .config import REPORT_TABLE, reject_set, settings, step_control
 from .errors import ConfigError, NotPeriodic
-from .flowcalc import batch_rk4, integrate
+from .flowcalc import batch_rk4, integrate, integrate_batch
 from .hyperbolicity import (NushPeriodicResult, ash_functional,
                             classify_singularity, mnuse_functional,
                             msh_estimate, msh_windows, nne_functional,
@@ -51,6 +51,16 @@ class ConditionVerdict:
     details: dict = field(default_factory=dict)
 
 
+# members a flow ensemble integrates together at most: one batch of
+# orbits is held at once, about 104 bytes per step and member in 3-d
+ENSEMBLE_BATCH = 25
+
+
+# report keys that a suspension ensemble does not read
+_SUSPENSION_UNREAD = tuple(p for p in REPORT_TABLE if p.startswith("splitting.")
+                          ) + ("ensemble.box",)
+
+
 def config_hash(config: dict) -> str:
     return hashlib.sha256(
         json.dumps(config, sort_keys=True, default=str).encode()
@@ -61,7 +71,7 @@ def config_hash(config: dict) -> str:
 # per-seed evaluation, vector fields
 # ----------------------------------------------------------------------
 
-def _ode_seed_eval(model, x0, conditions, s):
+def _ode_seed_eval(orbit, conditions, s):
     """All requested per-seed statistics for one vector-field orbit;
     `s` holds the report settings."""
     warmup = s["splitting.warmup"]
@@ -70,13 +80,34 @@ def _ode_seed_eval(model, x0, conditions, s):
     margin = s["thresholds.margin"]
     sens = s["tau_sensitivity"]
 
-    orbit = integrate(model, x0, T + 2 * warmup, step_control(s))
     seq = estimate_splitting(orbit, d_s=s["splitting.d_s"], warmup=warmup,
                              stride=s["splitting.stride"])
-    need_lpf = any(c in conditions for c in ("NUSE", "MSH-estimate"))
-    lpf = lpf_along(orbit) if need_lpf else None
-
+    lpf = (lpf_along(orbit) if any(c in conditions for c in ("NUSE", "MSH-estimate"))
+           else None)
+    # what follows reads the block and LPF factors only: release the
+    # orbit's per-step factors while the rest of its batch waits
+    orbit.step_cocycles = None
     out = {}
+
+    def rates(cond, rate):
+        if cond in conditions:
+            out[f"{cond.lower()}_rate"] = rate(tau)
+            if sens:
+                out[f"{cond.lower()}_tau"] = {str(tv): rate(tv) for tv in sens}
+
+    # the LPF functionals first, so that the LPF cocycle is freed before
+    # the others run
+    if lpf is not None:
+        rates("NUSE", lambda t: nuse_functional(lpf, seq, t))
+        if "MSH-estimate" in conditions:
+            msh = msh_estimate(lpf, seq, radius=s["msh.radius"],
+                               avoid_window=s["msh.avoid_window"] or 5.0)
+            out["msh_slopes"] = (msh.ns_slope, msh.nu_slope, msh.domination_slope)
+            out["msh_fit_pass"] = bool(msh.ns_slope <= -margin
+                                       and msh.nu_slope <= -margin
+                                       and msh.domination_slope <= -margin)
+            out["msh_qualifying"] = msh.n_qualifying
+        del lpf
     if any(c in conditions for c in ("PH", "SingularHyp", "SH")):
         dom = domination_rate(seq)
         con = contraction_rate(seq)
@@ -93,27 +124,20 @@ def _ode_seed_eval(model, x0, conditions, s):
         out["sect_min"] = sec.min_rate
     if "ASH" in conditions:
         out["ash_max"] = ash_functional(seq)
-    for cond, rate in (("MNUSE", mnuse_functional),
-                       ("NUSE", lambda sq, t: nuse_functional(lpf, sq, t))):
-        if cond in conditions:
-            out[f"{cond.lower()}_rate"] = rate(seq, tau)
-            if sens:
-                out[f"{cond.lower()}_tau"] = {str(tv): rate(seq, tv) for tv in sens}
+    rates("MNUSE", lambda t: mnuse_functional(seq, t))
     if "NNE" in conditions:
         out["nne_min"] = nne_functional(seq).min_rate
-    if "MSH-estimate" in conditions:
-        msh = msh_estimate(lpf, seq, radius=s["msh.radius"],
-                           avoid_window=s["msh.avoid_window"] or 5.0)
-        out["msh_slopes"] = (msh.ns_slope, msh.nu_slope, msh.domination_slope)
-        out["msh_fit_pass"] = bool(msh.ns_slope <= -margin
-                                   and msh.nu_slope <= -margin
-                                   and msh.domination_slope <= -margin)
-        out["msh_qualifying"] = msh.n_qualifying
     return out
 
 
 def _ode_seed_eval_by_name(name, params, x0, conditions, s):
-    return _ode_seed_eval(load_model(name, params), x0, conditions, s)
+    model = load_model(name, params)
+    return _ode_seed_eval(integrate(model, x0, _orbit_span(s), step_control(s)),
+                          conditions, s)
+
+
+def _orbit_span(s):
+    return s["windows.T"] + 2 * s["splitting.warmup"]
 
 
 def _ode_ensemble(model, s, conditions):
@@ -129,6 +153,9 @@ def _ode_ensemble(model, s, conditions):
     if box.shape != (model.dim, 2):
         raise ConfigError("ensemble.box", f"must have {model.dim} rows, one "
                                           "[low, high] per dimension")
+    if s["splitting.d_s"] > model.dim - 2:
+        raise ConfigError("splitting.d_s", f"must be at most {model.dim - 2} for "
+                                           f"a {model.dim}-dimensional model")
     rng = np.random.default_rng(s["seed"])
     ics = box[:, 0] + (box[:, 1] - box[:, 0]) * rng.random((size, model.dim))
     if transient > 0:
@@ -143,8 +170,23 @@ def _ode_ensemble(model, s, conditions):
                 for i in range(size)
             ]
             return [f.result() for f in futures], ics
-    return [_ode_seed_eval(model, ics[i], conditions, s)
-            for i in range(size)], ics
+    return [_ode_seed_eval(orbit, conditions, s)
+            for orbit in _ensemble_orbits(model, ics, s)], ics
+
+
+def _ensemble_orbits(model, ics, s):
+    """The members' orbits in member order, integrated ENSEMBLE_BATCH at a
+    time; each is released once the caller moves on to the next.  A
+    member whose integration failed raises its exception when its turn
+    comes, as in a loop of `integrate` calls."""
+    span, ctrl = _orbit_span(s), step_control(s)
+    for lo in range(0, len(ics), ENSEMBLE_BATCH):
+        members = integrate_batch(model, ics[lo:lo + ENSEMBLE_BATCH], span, ctrl)
+        while members:
+            orbit = members.pop(0)
+            if isinstance(orbit, Exception):
+                raise orbit
+            yield orbit
 
 
 # ----------------------------------------------------------------------
@@ -373,6 +415,9 @@ def assemble_report(model, config: dict) -> dict:
             sing_analyses.append(classify_singularity(model, sigma, arc_budget=200.0))
         rows, _ = _ode_ensemble(model, s, conditions)
     elif isinstance(model, SuspensionModel):
+        reject_set(config, _SUSPENSION_UNREAD,
+                   "a suspension ensemble does not read it: its seeds come "
+                   "from the section square and its splittings have d_s = 1")
         rows, _, diagnostics = _suspension_ensemble(model, s, conditions)
         window = float(s["windows.n_returns"])
     else:

@@ -109,9 +109,12 @@ def _block_factors(orbit: OrbitSegment, stride: int):
     grid = np.arange(0, n_steps + 1, stride)
     if grid[-1] != n_steps:
         grid = np.append(grid, n_steps)
-    steps = orbit.step_cocycles * np.exp(orbit.renorm_log)[:, None, None]
+    steps = orbit.step_cocycles
+    if np.any(orbit.renorm_log):    # never on an integrated orbit
+        steps = steps * np.exp(orbit.renorm_log)[:, None, None]
     mats, log_scales = window_products(steps, grid[:-1], grid[1:])
-    return grid, mats * np.exp(log_scales)[:, None, None]
+    mats *= np.exp(log_scales)[:, None, None]
+    return grid, mats
 
 
 def _sweep(factors, n, seed, backward=False):

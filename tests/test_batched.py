@@ -1,7 +1,8 @@
-"""Property tests: each model's batched form against its scalar form,
-map_pushforward's handling of singular points, and stacked linear
-algebra (QR, principal angles, member-stacked splitting sweeps) against
-one call per matrix or member."""
+"""Property tests: each model's batched forms against its scalar forms,
+map_pushforward's handling of singular points, stacked linear algebra
+(QR, principal angles, member-stacked splitting sweeps) and the batched
+Dormand-Prince run against one call per matrix or member, and the
+ensemble report against its serial member loop."""
 
 from unittest import mock
 
@@ -11,9 +12,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from sechyp import splitting
-from sechyp.errors import SingularPoint, SpectralGapFailure
-from sechyp.flowcalc import StepControl, integrate
+from sechyp import config, flowcalc, report, splitting
+from sechyp.errors import (Blowup, SingularPoint, SpectralGapFailure,
+                           StiffnessFailure)
+from sechyp.flowcalc import StepControl, integrate, integrate_batch
 from sechyp.measures import map_pushforward
 from sechyp.models import (conjugate_model, make_expanding_lorenz_map,
                            make_geometric_lorenz_suspension,
@@ -298,3 +300,161 @@ def test_first_failing_member_raises(member_pool, order, raised):
         estimate_splittings(orbits, 1, MEMBER_WARMUP)
     assert type(got.value) is raised
     assert str(got.value) == str(first)
+
+
+# ----------------------------------------------------------------------
+# batched Dormand-Prince over an ensemble
+# ----------------------------------------------------------------------
+
+@st.composite
+def vector_fields(draw):
+    """One of the shipped vector-field kinds, with drawn parameters."""
+    kind = draw(st.sampled_from(["lorenz", "linear", "saddle", "conjugated",
+                                 "polynomial"]))
+    if kind == "lorenz":
+        return make_lorenz(draw(st.floats(5.0, 15.0)), draw(st.floats(0.5, 30.0)),
+                           draw(st.floats(1.0, 3.0)))
+    n = draw(st.integers(1, 4))
+    if kind == "saddle":
+        return make_linear_saddle(draw(st.lists(st.floats(-3.0, 3.0),
+                                                min_size=n, max_size=n)))
+    a = draw(hnp.arrays(np.float64, (n, n), elements=st.floats(-3.0, 3.0)))
+    if kind == "linear":
+        return make_linear_field(a)
+    if kind == "conjugated":
+        inner = draw(st.sampled_from([make_linear_field(a),
+                                      make_lorenz(10.0, 28.0, 8.0 / 3.0)]))
+        return conjugate_model(inner, draw(orthogonal(inner.dim)))
+    model, _ = draw(polynomial_cases())
+    return model
+
+
+def member_states(model, size):
+    """Initial states of magnitudes 1e-2 to 20, so that the members take
+    different numbers of steps."""
+    scale = st.sampled_from([1e-2, 0.3, 1.0, 5.0, 20.0])
+    row = st.builds(lambda v, s: v * s,
+                    hnp.arrays(np.float64, model.dim, elements=st.floats(-1.0, 1.0)),
+                    scale)
+    return st.lists(row, min_size=size, max_size=size).map(np.array)
+
+
+def integrate_or_error(model, x0, t_span, ctrl):
+    try:
+        return integrate(model, x0, t_span, ctrl)
+    except (Blowup, StiffnessFailure) as exc:
+        return exc
+
+
+def assert_same_outcome(got, ref):
+    """The same orbit bit for bit, or the same exception."""
+    if isinstance(ref, Exception):
+        assert type(got) is type(ref) and str(got) == str(ref)
+        return
+    for name in ("times", "states", "step_cocycles", "renorm_log"):
+        assert_bit_equal(getattr(got, name), getattr(ref, name))
+
+
+BATCH_CTRL = StepControl(rtol=1e-6, atol=1e-9, bound=1e3)
+
+
+@settings(max_examples=40)
+@given(data=st.data(), model=vector_fields(), size=st.integers(1, 8),
+       t_span=st.sampled_from([0.3, 1.0, 2.0]))
+def test_batched_orbits_equal_one_member_integrate(data, model, size, t_span):
+    x0s = data.draw(member_states(model, size))
+    # members that blow up overflow in their last stages, in both runs;
+    # every size goes through the batch loop, one and two members too
+    with np.errstate(over="ignore", invalid="ignore"), \
+            mock.patch.object(flowcalc, "_MIN_BATCH", 1):
+        refs = [integrate_or_error(model, x0, t_span, BATCH_CTRL) for x0 in x0s]
+        got = integrate_batch(model, x0s, t_span, BATCH_CTRL)
+    assert len(got) == size
+    for g, ref in zip(got, refs):
+        assert_same_outcome(g, ref)
+
+
+def test_batched_members_finish_at_different_iterations():
+    model = make_lorenz(10.0, 28.0, 8.0 / 3.0)
+    x0s = np.array([[1.0, 1.0, 20.0], [-8.0, 5.0, 30.0], [0.1, 0.2, 0.3],
+                    [15.0, 18.0, 35.0]])
+    got = integrate_batch(model, x0s, 5.0, BATCH_CTRL)
+    assert len({orbit.n_steps for orbit in got}) == len(got)
+    for g, x0 in zip(got, x0s):
+        assert_same_outcome(g, integrate(model, x0, 5.0, BATCH_CTRL))
+
+
+def test_failed_members_leave_the_batch_with_their_exception():
+    # x' = x blows up past the bound from the larger starts only; a
+    # non-finite start fails as integrate fails on it
+    model = make_linear_saddle([1.0, -1.0])
+    x0s = np.array([[0.5, 1.0], [50.0, 1.0], [np.nan, 0.0], [0.1, 0.0],
+                    [200.0, 0.0]])
+    ctrl = StepControl(bound=1e3)
+    got = integrate_batch(model, x0s, 4.0, ctrl)
+    assert isinstance(got[1], Blowup) and isinstance(got[4], Blowup)
+    assert isinstance(got[2], ValueError) and str(got[2]) == "x0 must be finite"
+    for g, x0 in zip(got, x0s):
+        if not isinstance(g, ValueError):
+            assert_same_outcome(g, integrate_or_error(model, x0, 4.0, ctrl))
+
+
+@st.composite
+def batch_states(draw):
+    model = draw(vector_fields())
+    return model, draw(member_states(model, draw(st.integers(1, 6))))
+
+
+@given(batch_states())
+def test_batched_forms_are_bit_equal(case):
+    model, x = case
+    assert_bit_equal(model.eval_batch(x), rows_of(model, x))
+    assert_bit_equal(model.jacobian_batch(x), [model.jacobian(row) for row in x])
+
+
+# a member that fails is raised when the member loop reaches it: members 2
+# and 3 blow up past the bound (3 earlier in time), 0 and 1 pass
+FAILING_ENSEMBLE = {
+    "conditions": ["MNUSE"], "seed": 48,
+    "ensemble": {"size": 4, "transient": 0.0},
+    "windows": {"T": 5.0}, "splitting": {"warmup": 2.0},
+    "tolerances": {"rtol": 1e-6, "atol": 1e-9, "bound": 48.0},
+}
+
+
+def serial_rows(model, cfg):
+    """The member loop one `integrate` call per member, in member order."""
+    s = config.settings(cfg, config.REPORT_TABLE)
+    box = model.trapping_region
+    rng = np.random.default_rng(s["seed"])
+    ics = box[:, 0] + (box[:, 1] - box[:, 0]) * rng.random((s["ensemble.size"], 3))
+    span = s["windows.T"] + 2 * s["splitting.warmup"]
+    return [report._ode_seed_eval(integrate(model, x0, span, config.step_control(s)),
+                                  s["conditions"], s) for x0 in ics]
+
+
+def test_first_failing_member_raises_what_the_serial_loop_raises():
+    model = make_lorenz(10.0, 28.0, 8.0 / 3.0)
+    with pytest.raises(Blowup) as serial:
+        serial_rows(model, FAILING_ENSEMBLE)
+    with mock.patch.object(report, "_ode_seed_eval",
+                           wraps=report._ode_seed_eval) as evaluated:
+        with pytest.raises(Blowup) as batched:
+            report.assemble_report(model, FAILING_ENSEMBLE)
+    assert str(batched.value) == str(serial.value)
+    # members 0 and 1 were evaluated before member 2 raised
+    assert evaluated.call_count == 2
+
+
+def test_ensemble_larger_than_one_batch_equals_the_serial_loop(monkeypatch):
+    model = make_lorenz(10.0, 28.0, 8.0 / 3.0)
+    cfg = {"conditions": ["MNUSE", "NUSE", "NNE"], "seed": 3,
+           "ensemble": {"size": 7, "transient": 2.0},
+           "windows": {"T": 8.0}, "splitting": {"warmup": 3.0},
+           "tolerances": {"rtol": 1e-6, "atol": 1e-9}}
+    monkeypatch.setattr(report, "ENSEMBLE_BATCH", 3)      # batches of 3, 3, 1
+    batched = report.assemble_report(model, cfg)
+    monkeypatch.setattr(report, "integrate_batch",
+                        lambda m, x0s, span, ctrl: [integrate(m, x0, span, ctrl)
+                                                    for x0 in x0s])
+    assert report.assemble_report(model, cfg) == batched

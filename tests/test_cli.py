@@ -338,6 +338,8 @@ def test_shipped_configs_validate():
      "must be at most the model dimension"),
     ("verify", {"verify": {"conditions": "SH"}}, "verify.conditions",
      "must be a list"),
+    ("verify", {"verify": {"splitting": {"d_s": 2}}}, "verify.splitting.d_s",
+     "must be at most 1 for a 3-dimensional model"),
 ])
 def test_config_fault_exit_2_without_output(tmp_path, capsys, command, section,
                                             field, message):
@@ -370,3 +372,46 @@ def test_negative_seed_override_exit_2(tmp_path, capsys, monkeypatch, env,
     assert main(["simulate", "-c", path, *flags]) == 2
     assert f"config field '{field}'" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("section, field", [
+    ({"splitting": {"stride": 2}}, "verify.splitting.stride"),
+    ({"splitting": {"d_s": 1, "warmup": 3.0}}, "verify.splitting.d_s"),
+    ({"ensemble": {"box": [[-1.0, 1.0], [-1.0, 1.0]]}}, "verify.ensemble.box"),
+])
+def test_suspension_verify_rejects_keys_it_does_not_read(tmp_path, capsys,
+                                                         section, field):
+    cfg = {"model": "geometric_lorenz", "output_dir": str(tmp_path / "out"),
+           "verify": {"conditions": ["ASH"], "windows": {"n_returns": 50},
+                      **section}}
+    cfg["verify"]["ensemble"] = {"size": 4, **section.get("ensemble", {})}
+    assert main(["verify", "-c", write_config(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"config field '{field}': a suspension ensemble does not read it" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("section", "suspension-canonical"),
+    ("t_span", 5.0),
+    ("n_returns", 10),
+    ("formats", ["csv"]),
+])
+def test_interval_map_simulate_rejects_keys_it_does_not_read(tmp_path, capsys,
+                                                             key, value):
+    path = write_config(tmp_path, {
+        "model": "intermittent_lorenz", "output_dir": str(tmp_path / "out"),
+        "simulate": {"n": 5, key: value}})
+    assert main(["simulate", "-c", path]) == 2
+    err = capsys.readouterr().err
+    assert (f"config field 'simulate.{key}': an interval map does not read it"
+            in err)
+    assert not (tmp_path / "out").exists()
+
+
+def test_interval_map_simulate_runs_without_flow_keys(tmp_path):
+    path = write_config(tmp_path, {
+        "model": "intermittent_lorenz", "output_dir": str(tmp_path / "out"),
+        "simulate": {"n": 5, "x0": 0.3, "section": None}})
+    assert main(["simulate", "-c", path]) == 0
+    assert (tmp_path / "out" / "intermittent_lorenz_orbit.csv").exists()

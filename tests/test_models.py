@@ -68,6 +68,12 @@ class TestLorenz:
         with pytest.raises(ValueError, match="eval_batch"):
             validate_model(off)
 
+    def test_validate_model_checks_batched_jacobian(self, lorenz):
+        off = dataclasses.replace(
+            lorenz, jacobian_batch=lambda s: lorenz.jacobian_batch(s) * (1.0 + 1e-9))
+        with pytest.raises(ValueError, match="jacobian_batch"):
+            validate_model(off)
+
     def test_every_shipped_field_validates(self):
         shipped = [
             make_lorenz(10.0, 28.0, 8.0 / 3.0),
