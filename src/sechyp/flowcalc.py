@@ -233,8 +233,10 @@ class _OrbitBuffer:
     """Accepted steps of one orbit, in arrays grown in place.
 
     Growth extrapolates the steps taken so far to the whole span (at
-    most doubling), so an orbit ends with little spare room, and no
-    per-step object is kept.
+    most 16x), so an orbit ends with little spare room, and no per-step
+    object is kept.  The arrays are resized in place with no check for
+    views: no view of times, states or cocycles may exist before
+    segment() hands them over.
     """
 
     def __init__(self, x0, t_span, capacity=16):
@@ -290,17 +292,6 @@ def integrate(model: VectorFieldModel, x0, t_span: float,
 _BATCH_STAGE_W = tuple(w if w is None else w[..., None] for w in _STAGE_W)
 _BATCH_SOL_W, _BATCH_ERR_W = _SOL_W[..., None], _ERR_W[..., None]
 
-# fewer members than this cost less one by one than in one batch run
-# (Lorenz at B = 2: 122 against 117 us per member and step)
-_MIN_BATCH = 3
-
-
-def _integrate_or_error(model, x0, t_span, ctrl):
-    try:
-        return integrate(model, x0, t_span, ctrl)
-    except (ValueError, Blowup, StiffnessFailure) as exc:
-        return exc
-
 
 def integrate_batch(model: VectorFieldModel, x0s, t_span: float,
                     step_ctrl: Optional[StepControl] = None) -> list:
@@ -317,14 +308,11 @@ def integrate_batch(model: VectorFieldModel, x0s, t_span: float,
     bit for bit, as for every shipped model: stage sums run in
     integrate's order, stage products are stacked (n, n) matmuls,
     norms are dot products as in integrate, and the step control runs
-    per member in Python floats.  Fewer than three members go through
-    integrate one by one, which is then faster.
+    per member in Python floats.
     """
     ctrl = step_ctrl or StepControl()
     max_step = _largest_step(t_span, ctrl)
     x0s = np.asarray(x0s, dtype=float)
-    if x0s.shape[0] < _MIN_BATCH:
-        return [_integrate_or_error(model, x0, t_span, ctrl) for x0 in x0s]
     out = [None] * x0s.shape[0]
     live = []
     for b, x0 in enumerate(x0s):

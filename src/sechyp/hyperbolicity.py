@@ -466,10 +466,8 @@ def _singular_distances(orbit, model):
     if not model.singularities:
         return np.full(orbit.states.shape[0], np.inf)
     d = np.full(orbit.states.shape[0], np.inf)
-    for lo in range(0, len(d), 2048):     # in blocks, to keep temporaries small
-        x, d_x = orbit.states[lo:lo + 2048], d[lo:lo + 2048]
-        for s in model.singularities:
-            np.minimum(d_x, np.linalg.norm(x - s, axis=1), out=d_x)
+    for s in model.singularities:
+        d = np.minimum(d, np.linalg.norm(orbit.states - s, axis=1))
     return d
 
 

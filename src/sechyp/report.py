@@ -73,7 +73,12 @@ def config_hash(config: dict) -> str:
 
 def _ode_seed_eval(orbit, conditions, s):
     """All requested per-seed statistics for one vector-field orbit;
-    `s` holds the report settings."""
+    `s` holds the report settings.
+
+    Consumes the orbit: once its splitting and LPF are formed, its
+    per-step factors are released (`orbit.step_cocycles` is set to
+    None), so neither the orbit nor the LPF cocycle built on it can
+    form a propagator afterwards."""
     warmup = s["splitting.warmup"]
     T, tau = s["windows.T"], s["windows.tau"]
     sect_window = s["windows.sect_window"] or max(tau, T / 4.0)
@@ -85,7 +90,8 @@ def _ode_seed_eval(orbit, conditions, s):
     lpf = (lpf_along(orbit) if any(c in conditions for c in ("NUSE", "MSH-estimate"))
            else None)
     # what follows reads the block and LPF factors only: release the
-    # orbit's per-step factors while the rest of its batch waits
+    # orbit's per-step factors while the rest of its batch waits (see
+    # the docstring)
     orbit.step_cocycles = None
     out = {}
 

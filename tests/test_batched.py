@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from sechyp import config, flowcalc, report, splitting
+from sechyp import config, report, splitting
 from sechyp.errors import (Blowup, SingularPoint, SpectralGapFailure,
                            StiffnessFailure)
 from sechyp.flowcalc import StepControl, integrate, integrate_batch
@@ -363,10 +363,8 @@ BATCH_CTRL = StepControl(rtol=1e-6, atol=1e-9, bound=1e3)
        t_span=st.sampled_from([0.3, 1.0, 2.0]))
 def test_batched_orbits_equal_one_member_integrate(data, model, size, t_span):
     x0s = data.draw(member_states(model, size))
-    # members that blow up overflow in their last stages, in both runs;
-    # every size goes through the batch loop, one and two members too
-    with np.errstate(over="ignore", invalid="ignore"), \
-            mock.patch.object(flowcalc, "_MIN_BATCH", 1):
+    # members that blow up overflow in their last stages, in both runs
+    with np.errstate(over="ignore", invalid="ignore"):
         refs = [integrate_or_error(model, x0, t_span, BATCH_CTRL) for x0 in x0s]
         got = integrate_batch(model, x0s, t_span, BATCH_CTRL)
     assert len(got) == size
