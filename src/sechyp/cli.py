@@ -125,6 +125,10 @@ def cmd_simulate(cfg, args):
     if isinstance(model, IntervalMap):
         reject_set(cfg, _MAP_UNREAD, "an interval map does not read it: "
                                      "simulate writes its first n iterates")
+    else:
+        reject_set(cfg, ("simulate.n",), "only an interval map reads it: a flow "
+                                         "runs for t_span, a return map or a "
+                                         "suspension for n_returns")
     section = _return_section(model, c)
     seed = _effective_seed(c, args.seed)
     x0 = _initial_state(model, c["simulate.x0"], "simulate.x0", seed)

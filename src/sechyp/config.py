@@ -131,7 +131,10 @@ TABLE = {
     "verify.ensemble.size": (_int(1, 100000), None),       # 100 flow, 200 suspension
     "verify.ensemble.transient": (NONNEGATIVE, 20.0),
     "verify.ensemble.transient_dt": (POSITIVE, 0.01),
-    "verify.ensemble.workers": (_int(1, 256), 1),
+    # accepted only as 1 until the bench configs stop setting it
+    "verify.ensemble.workers": (_check(lambda v: _is_int(v) and v == 1,
+                                       "must be 1: members run in one process "
+                                       "as one batched integration"), 1),
     "verify.ensemble.box": (BOX, None),                    # trapping region
     "verify.ensemble.tilt_warmup": (_int(0), 12),
     "verify.ensemble.ph_sample": (_int(1), 6),

@@ -47,10 +47,6 @@ class ConfigError(SechypError):
         self.message = message
         super().__init__(f"config field '{field}': {message}")
 
-    def __reduce__(self):
-        # rebuild from (field, message) so the error crosses process pools
-        return type(self), (self.field, self.message)
-
 
 class TangencyWarning(UserWarning):
     """Section crossing with transversality margin below 1e-3."""

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -23,7 +22,7 @@ from . import __version__
 from . import suspension as susp
 from .config import REPORT_TABLE, reject_set, settings, step_control
 from .errors import ConfigError, NotPeriodic
-from .flowcalc import batch_rk4, integrate, integrate_batch
+from .flowcalc import batch_rk4, integrate_batch
 from .hyperbolicity import (NushPeriodicResult, ash_functional,
                             classify_singularity, mnuse_functional,
                             msh_estimate, msh_windows, nne_functional,
@@ -31,8 +30,7 @@ from .hyperbolicity import (NushPeriodicResult, ash_functional,
                             sectional_expansion_functional,
                             volume_expansion_functional)
 from .lpf import lpf_along
-from .models import (SuspensionModel, VectorFieldModel, interval_fixed_points,
-                     load_model)
+from .models import SuspensionModel, VectorFieldModel, interval_fixed_points
 from .splitting import (contraction_rate, domination_rate, estimate_splitting,
                         estimate_splittings)
 from .util import fit_log_rate
@@ -58,7 +56,10 @@ ENSEMBLE_BATCH = 25
 
 # report keys that a suspension ensemble does not read
 _SUSPENSION_UNREAD = tuple(p for p in REPORT_TABLE if p.startswith("splitting.")
-                          ) + ("ensemble.box",)
+                          ) + ("ensemble.box", "ensemble.transient",
+                               "ensemble.transient_dt", "windows.T")
+# report keys that a flow ensemble does not read
+_FLOW_UNREAD = ("windows.n_returns", "ensemble.tilt_warmup", "ensemble.ph_sample")
 
 
 def config_hash(config: dict) -> str:
@@ -136,12 +137,6 @@ def _ode_seed_eval(orbit, conditions, s):
     return out
 
 
-def _ode_seed_eval_by_name(name, params, x0, conditions, s):
-    model = load_model(name, params)
-    return _ode_seed_eval(integrate(model, x0, _orbit_span(s), step_control(s)),
-                          conditions, s)
-
-
 def _orbit_span(s):
     return s["windows.T"] + 2 * s["splitting.warmup"]
 
@@ -149,7 +144,6 @@ def _orbit_span(s):
 def _ode_ensemble(model, s, conditions):
     size = s["ensemble.size"] or 100
     transient = s["ensemble.transient"]
-    workers = s["ensemble.workers"]
 
     box = s["ensemble.box"]
     box = np.asarray(box, dtype=float) if box is not None else model.trapping_region
@@ -167,17 +161,8 @@ def _ode_ensemble(model, s, conditions):
     if transient > 0:
         dt = s["ensemble.transient_dt"]
         ics = batch_rk4(model, ics, dt, int(round(transient / dt)))
-
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_ode_seed_eval_by_name, model.name, model.params,
-                            ics[i], conditions, s)
-                for i in range(size)
-            ]
-            return [f.result() for f in futures], ics
     return [_ode_seed_eval(orbit, conditions, s)
-            for orbit in _ensemble_orbits(model, ics, s)], ics
+            for orbit in _ensemble_orbits(model, ics, s)]
 
 
 def _ensemble_orbits(model, ics, s):
@@ -273,7 +258,7 @@ def _suspension_ensemble(model, s, conditions):
             rows[b]["con_slope"] = con.slope
             if "NNE" in conditions:
                 rows[b]["nne_min"] = nne_functional(seq).min_rate
-    return rows, all_seeds, {"clipped_roof_crossings": streams.clipped}
+    return rows, {"clipped_roof_crossings": streams.clipped}
 
 
 def _suspension_msh_row(streams, b, radius, avoid, margin):
@@ -385,7 +370,9 @@ def _aggregate(condition, rows, s, sing_analyses, window):
             {"interpretation": "wedge of the pushed direction with the pushed "
                                "flow direction, normalized by the flow growth"})
 
-    fit_ok = all(r["msh_fit_pass"] for r in have)      # MSH-estimate
+    # MSH-estimate: every member's fits, and the one check that each
+    # singularity is Lorenz-like with the configured stable dimension
+    fit_ok = all(r["msh_fit_pass"] for r in have)
     sing_ok = True
     sing_detail = {}
     for idx, sa in enumerate(sing_analyses):
@@ -417,14 +404,18 @@ def assemble_report(model, config: dict) -> dict:
     sing_analyses = []
     diagnostics = None
     if isinstance(model, VectorFieldModel):
+        reject_set(config, _FLOW_UNREAD,
+                   "a flow ensemble does not read it: its window is windows.T "
+                   "and every member gets its own splitting")
         for sigma in model.singularities:
             sing_analyses.append(classify_singularity(model, sigma, arc_budget=200.0))
-        rows, _ = _ode_ensemble(model, s, conditions)
+        rows = _ode_ensemble(model, s, conditions)
     elif isinstance(model, SuspensionModel):
         reject_set(config, _SUSPENSION_UNREAD,
                    "a suspension ensemble does not read it: its seeds come "
-                   "from the section square and its splittings have d_s = 1")
-        rows, _, diagnostics = _suspension_ensemble(model, s, conditions)
+                   "from the section square, its window is windows.n_returns "
+                   "and its splittings have d_s = 1")
+        rows, diagnostics = _suspension_ensemble(model, s, conditions)
         window = float(s["windows.n_returns"])
     else:
         raise ConfigError("model", "verify requires a flow or suspension model")

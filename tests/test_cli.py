@@ -1,5 +1,4 @@
 import json
-import pickle
 import runpy
 import sys
 
@@ -40,13 +39,6 @@ class TestConfig:
     def test_missing_file(self):
         with pytest.raises(ConfigError):
             load_config("/nonexistent/cfg.json")
-
-    def test_config_error_pickles(self):
-        # a worker's ConfigError must reach the parent process intact
-        err = pickle.loads(pickle.dumps(ConfigError("ensemble.box", "missing")))
-        assert isinstance(err, ConfigError)
-        assert err.field == "ensemble.box"
-        assert str(err) == "config field 'ensemble.box': missing"
 
     def test_bad_json_reports_line(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -340,6 +332,18 @@ def test_shipped_configs_validate():
      "must be a list"),
     ("verify", {"verify": {"splitting": {"d_s": 2}}}, "verify.splitting.d_s",
      "must be at most 1 for a 3-dimensional model"),
+    ("verify", {"verify": {"ensemble": {"workers": 2}}}, "verify.ensemble.workers",
+     "must be 1"),
+    ("verify", {"verify": {"ensemble": {"workers": True}}},
+     "verify.ensemble.workers", "must be 1"),
+    ("simulate", {"simulate": {"n": 5}}, "simulate.n",
+     "only an interval map reads it"),
+    ("verify", {"verify": {"windows": {"n_returns": 50}}},
+     "verify.windows.n_returns", "a flow ensemble does not read it"),
+    ("verify", {"verify": {"ensemble": {"tilt_warmup": 3}}},
+     "verify.ensemble.tilt_warmup", "a flow ensemble does not read it"),
+    ("verify", {"verify": {"ensemble": {"ph_sample": 2}}},
+     "verify.ensemble.ph_sample", "a flow ensemble does not read it"),
 ])
 def test_config_fault_exit_2_without_output(tmp_path, capsys, command, section,
                                             field, message):
@@ -378,6 +382,9 @@ def test_negative_seed_override_exit_2(tmp_path, capsys, monkeypatch, env,
     ({"splitting": {"stride": 2}}, "verify.splitting.stride"),
     ({"splitting": {"d_s": 1, "warmup": 3.0}}, "verify.splitting.d_s"),
     ({"ensemble": {"box": [[-1.0, 1.0], [-1.0, 1.0]]}}, "verify.ensemble.box"),
+    ({"ensemble": {"transient": 5.0}}, "verify.ensemble.transient"),
+    ({"ensemble": {"transient_dt": 0.02}}, "verify.ensemble.transient_dt"),
+    ({"windows": {"T": 50.0}}, "verify.windows.T"),
 ])
 def test_suspension_verify_rejects_keys_it_does_not_read(tmp_path, capsys,
                                                          section, field):

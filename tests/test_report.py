@@ -2,9 +2,12 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from sechyp.config import REPORT_TABLE, settings
 from sechyp.errors import ConfigError
+from sechyp.hyperbolicity import classify_singularity
 from sechyp.models import load_model
-from sechyp.report import (_suspension_msh_row, assemble_report, config_hash)
+from sechyp.report import (_aggregate, _suspension_msh_row, assemble_report,
+                           config_hash)
 from sechyp.suspension import SectionStreams
 
 
@@ -131,25 +134,22 @@ class TestSuspensionMshScan:
         npt.assert_allclose(row["msh_slopes"], (-1.0, -0.5, -1.5))
 
 
-class TestWorkers:
-    def test_parallel_matches_serial(self):
-        model = load_model("lorenz")
-        base = {
-            "conditions": ["MNUSE"],
-            "seed": 5,
-            "ensemble": {"size": 4, "transient": 10.0},
-            "windows": {"T": 30.0, "tau": 1.0},
-            "tolerances": {"rtol": 1e-7, "atol": 1e-10},
-            "splitting": {"warmup": 8.0, "stride": 4},
-        }
-        serial = assemble_report(model, dict(base))
-        par_cfg = dict(base)
-        par_cfg["ensemble"] = dict(base["ensemble"], workers=2)
-        parallel = assemble_report(model, par_cfg)
-        a = verdict_map(serial)["MNUSE"]
-        b = verdict_map(parallel)["MNUSE"]
-        assert a["rate"] == b["rate"]
-        assert a["fraction"] == b["fraction"]
+class TestMshVerdict:
+    def test_decaying_fits_fail_on_the_lorenz_wings(self):
+        # every member's restricted flows decay, but the wing equilibria
+        # are not Lorenz-like, so the structure fails the verdict
+        lorenz = load_model("lorenz")
+        sings = [classify_singularity(lorenz, s, arc_budget=5.0)
+                 for s in lorenz.singularities]
+        rows = [{"msh_fit_pass": True, "msh_slopes": (-1.0, -0.5, -1.5),
+                 "msh_qualifying": 6}] * 2
+        v = _aggregate("MSH-estimate", rows, settings({}, REPORT_TABLE), sings,
+                       50.0)
+        assert v.verdict == "fail"
+        assert v.details["lpf_fits_pass"] is True
+        assert v.details["singularities_ok"] is False
+        assert v.details["sing_0"] == {"lorenz_like": True, "dims_ok": True}
+        assert not v.details["sing_1"]["lorenz_like"]
 
 
 class TestValidation:
