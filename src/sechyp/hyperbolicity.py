@@ -375,7 +375,7 @@ def nuse_functional(lpf_cocycle, seq: SplittingSequence, tau: float) -> float:
 def _ncu_coords(lpf_cocycle, seq, ks, d_ncu):
     """Orthonormal coordinates of N^cu = E^cu ^ X^perp in the normal frame
     at each checkpoint of ks."""
-    frames = lpf_cocycle.frames[seq.grid[ks]]
+    frames = lpf_cocycle.frames_at(seq.grid[ks])
     c = frames.transpose(0, 2, 1) @ seq.Ecu[ks]
     u, _, _ = np.linalg.svd(c, full_matrices=False)
     return u[:, :, :d_ncu]
@@ -527,7 +527,7 @@ def msh_estimate(lpf_cocycle, seq: SplittingSequence, radius: float,
         return MshResult(np.nan, np.nan, np.nan, n_qual)
 
     # restricted LPF factor streams on the checkpoint grid
-    frames = lpf_cocycle.frames[seq.grid]
+    frames = lpf_cocycle.frames_at(seq.grid)
     u, _, _ = np.linalg.svd(frames.transpose(0, 2, 1) @ seq.Es,
                             full_matrices=False)
     ns_b = u[:, :, :d_ns]

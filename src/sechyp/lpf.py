@@ -26,17 +26,26 @@ class LPFCocycle:
     """Linear Poincare flow factors along a regular orbit.
 
     lpf_factors[k] expresses P^{dt_k} from frame k coordinates to frame
-    k+1 coordinates; factors compose over concatenated steps.
+    k+1 coordinates; factors compose over concatenated steps.  `frames`
+    holds the normal frames at the orbit grid indices `frame_grid`
+    (every index unless the transport kept fewer).
     """
 
     orbit: OrbitSegment
-    flow_dirs: np.ndarray      # (K+1, n)
-    frames: np.ndarray         # (K+1, n, n-1)
+    frame_grid: np.ndarray     # (F,) ascending orbit grid indices
+    frames: np.ndarray         # (F, n, n-1)
     lpf_factors: np.ndarray    # (K, n-1, n-1)
 
     @property
     def n_steps(self):
         return self.lpf_factors.shape[0]
+
+    def frames_at(self, idx):
+        """Normal frames at orbit grid indices idx, each of them kept."""
+        pos = np.searchsorted(self.frame_grid, idx)
+        if not np.array_equal(self.frame_grid.take(pos, mode="clip"), idx):
+            raise ValueError("no frame kept at some of the grid indices")
+        return self.frames[pos]
 
     def propagator(self, i, j):
         """Composed LPF factor over grid indices [i, j] as (matrix, log_scale)."""
@@ -62,48 +71,123 @@ def lpf_along(orbit: OrbitSegment, speed_floor: float = 1e-8,
     constant vertical coordinate and the normal space is the section
     plane itself.
     """
-    model = orbit.model
-    k_steps = orbit.n_steps
-    n = orbit.states.shape[1]
+    (lpf,) = lpf_alongs([orbit], speed_floor, frame_seed)
+    if isinstance(lpf, Exception):
+        raise lpf
+    return lpf
 
-    if isinstance(model, SuspensionModel):
-        dirs = np.tile(np.array([0.0, 0.0, 1.0]), (k_steps + 1, 1))
-        speeds = np.ones(k_steps + 1)
-    else:
-        dirs = model.eval_batch(orbit.states)
-        speeds = np.linalg.norm(dirs, axis=1)
-        if np.min(speeds) <= speed_floor:
-            bad = int(np.argmin(speeds))
-            raise NearSingularity(
-                f"flow speed {speeds[bad]:.3e} at t={orbit.times[bad]:.6g}"
-            )
-        dirs /= speeds[:, None]
 
-    frames = np.empty((k_steps + 1, n, n - 1))
-    frames[0] = orthonormal_complement(dirs[0])
+# transport steps whose inputs are gathered from the members at once
+_CHUNK = 64
+
+
+def lpf_alongs(orbits, speed_floor: float = 1e-8,
+               frame_seed: Optional[int] = None, frame_stride: int = 1) -> list:
+    """`lpf_along` of each orbit in a list (all of one dimension), as one
+    transport: per member its LPFCocycle, bit for bit, or the
+    NearSingularity `lpf_along` raises on it.
+
+    Members run longest first, so the ones still open at step k are a
+    prefix, and each step is one stacked matmul and one stacked QR over
+    them.  Frames are kept at every `frame_stride`-th grid index and the
+    last one.
+    """
+    out = [None] * len(orbits)
+    live = []
+    for b, orbit in enumerate(orbits):
+        try:
+            _check_speed(orbit, speed_floor)
+            live.append(b)
+        except NearSingularity as exc:
+            out[b] = exc
+    if not live:
+        return out
+    lengths = np.array([orbits[b].n_steps for b in live])
+    order = np.argsort(-lengths, kind="stable")
+    members = [orbits[live[i]] for i in order]
+    sizes = lengths[order].tolist()
+    n_open = (len(sizes) - np.searchsorted(np.sort(lengths), np.arange(sizes[0]),
+                                           side="right")).tolist()
+    n = members[0].states.shape[1]
     if frame_seed is not None:
         rot, _ = qr_pos(np.random.default_rng(frame_seed)
                         .standard_normal((n - 1, n - 1)))
-        frames[0] = frames[0] @ rot
-    factors = np.empty((k_steps, n - 1, n - 1))
-    w = np.empty((n, n - 1))
-    for k in range(k_steps):
-        # transport the previous basis, project off the new flow
-        # direction, re-orthonormalize; the sign-fixed QR maximizes
-        # overlap with the transported basis (no sign flips).
-        np.matmul(orbit.step_cocycles[k], frames[k], out=w)
-        d = dirs[k + 1]
-        q, _ = qr_pos(w - d[:, None] * (d @ w))
-        frames[k + 1] = q
-        np.matmul(q.T, w, out=factors[k])
-    return LPFCocycle(orbit=orbit, flow_dirs=dirs, frames=frames, lpf_factors=factors)
+    grids, frames, factors = [], [], []
+    q = np.empty((len(members), n, n - 1))
+    for i, (orbit, size) in enumerate(zip(members, sizes)):
+        grid = np.arange(0, size + 1, frame_stride)
+        if grid[-1] != size:
+            grid = np.append(grid, size)
+        grids.append(grid)
+        frames.append(np.empty((len(grid), n, n - 1)))
+        factors.append(np.empty((size, n - 1, n - 1)))
+        q[i] = orthonormal_complement(_unit_flow(orbit, 0, 1)[0])
+        if frame_seed is not None:
+            q[i] = q[i] @ rot
+        frames[i][0] = q[i]
+
+    # per chunk of steps: each open member's step factors and unit flow
+    # directions at the step ends in; its LPF factors and frames out
+    steps = np.empty((len(members), _CHUNK, n, n))
+    dirs = np.empty((len(members), _CHUNK, n))
+    made = np.empty((len(members), _CHUNK, n - 1, n - 1))
+    moved = np.empty((len(members), _CHUNK, n, n - 1))
+    for lo in range(0, sizes[0], _CHUNK):
+        hi = min(lo + _CHUNK, sizes[0])
+        spans = [min(hi, size) - lo for size in sizes[:n_open[lo]]]
+        for i, span in enumerate(spans):
+            steps[i, :span] = members[i].step_cocycles[lo:lo + span]
+            dirs[i, :span] = _unit_flow(members[i], lo + 1, lo + 1 + span)
+        for k in range(lo, hi):
+            # transport the previous basis, project off the new flow
+            # direction, re-orthonormalize; the sign-fixed QR maximizes
+            # overlap with the transported basis (no sign flips).
+            m, j = n_open[k], k - lo
+            w = steps[:m, j] @ q[:m]
+            d = dirs[:m, j]
+            q, _ = qr_pos(w - d[:, :, None] * (d[:, None, :] @ w))
+            moved[:m, j] = q
+            np.matmul(q.swapaxes(1, 2), w, out=made[:m, j])
+        for i, span in enumerate(spans):
+            factors[i][lo:lo + span] = made[i, :span]
+            grid = grids[i]
+            at = slice(*np.searchsorted(grid, [lo + 1, lo + span + 1]))
+            frames[i][at] = moved[i, grid[at] - lo - 1]
+    for i, b in enumerate(order):
+        out[live[b]] = LPFCocycle(orbit=members[i], frame_grid=grids[i],
+                                  frames=frames[i], lpf_factors=factors[i])
+    return out
+
+
+def _check_speed(orbit, speed_floor):
+    """Raise NearSingularity when the flow speed at some grid state of a
+    vector-field orbit is at most speed_floor."""
+    if isinstance(orbit.model, SuspensionModel):
+        return
+    speeds = np.linalg.norm(orbit.model.eval_batch(orbit.states), axis=1)
+    if np.min(speeds) <= speed_floor:
+        bad = int(np.argmin(speeds))
+        raise NearSingularity(
+            f"flow speed {speeds[bad]:.3e} at t={orbit.times[bad]:.6g}"
+        )
+
+
+def _unit_flow(orbit, lo, hi):
+    """Unit flow directions at the grid states lo..hi-1: the vertical
+    coordinate on a suspension, else the normalized vector field."""
+    if isinstance(orbit.model, SuspensionModel):
+        return np.tile(np.array([0.0, 0.0, 1.0]), (hi - lo, 1))
+    dirs = orbit.model.eval_batch(orbit.states[lo:hi])
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    return dirs
 
 
 def direct_lpf_factor(lpf: LPFCocycle, i, j):
     """P over [i, j] computed from the composed tangent cocycle and the
     endpoint frames only (independent of the per-step projections)."""
     m, log_scale = lpf.orbit.propagator(i, j)
-    return lpf.frames[j].T @ (m @ lpf.frames[i]), log_scale
+    fi, fj = lpf.frames_at([i, j])
+    return fj.T @ (m @ fi), log_scale
 
 
 # ----------------------------------------------------------------------

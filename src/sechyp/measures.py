@@ -20,6 +20,8 @@ from .util import haar_frame, qr_pos
 BOOT_BLOCKS = 50
 BOOT_RESAMPLES = 1000
 BOOT_SEED = 53117
+# states whose Jacobians the divergence average forms at once
+_TRACE_CHUNK = 4096
 
 
 # ----------------------------------------------------------------------
@@ -169,7 +171,12 @@ def benettin_spectrum(orbit: OrbitSegment, k: int, warmup: float = 0.0,
     # independent divergence route (trapezoid of the Jacobian trace)
     model = orbit.model
     if isinstance(model, VectorFieldModel):
-        tr = np.array([np.trace(model.jacobian(s)) for s in orbit.states[i0:]])
+        states = orbit.states[i0:]
+        # in chunks, so that the Jacobians held at once stay small
+        tr = np.concatenate([
+            np.trace(model.jacobian_batch(states[a:a + _TRACE_CHUNK]),
+                     axis1=1, axis2=2)
+            for a in range(0, len(states), _TRACE_CHUNK)])
         dt = np.diff(orbit.times[i0:])
         div_avg = float(np.sum(0.5 * (tr[1:] + tr[:-1]) * dt) / span)
     else:

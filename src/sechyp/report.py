@@ -29,10 +29,10 @@ from .hyperbolicity import (NushPeriodicResult, ash_functional,
                             nuse_functional, nush_periodic_check,
                             sectional_expansion_functional,
                             volume_expansion_functional)
-from .lpf import lpf_along
+from .lpf import lpf_alongs
 from .models import SuspensionModel, VectorFieldModel, interval_fixed_points
-from .splitting import (contraction_rate, domination_rate, estimate_splitting,
-                        estimate_splittings)
+from .splitting import (block_factors, contraction_rate, domination_rate,
+                        estimate_splittings, splittings_of_blocks)
 from .util import fit_log_rate
 
 
@@ -49,8 +49,9 @@ class ConditionVerdict:
     details: dict = field(default_factory=dict)
 
 
-# members a flow ensemble integrates together at most: one batch of
-# orbits is held at once, about 104 bytes per step and member in 3-d
+# members a flow ensemble integrates and evaluates together at most: one
+# batch of orbits is held at once, about 104 bytes per step and member in
+# 3-d, and with it the batch's LPF cocycles, about 44 more at stride 4
 ENSEMBLE_BATCH = 25
 
 
@@ -72,28 +73,23 @@ def config_hash(config: dict) -> str:
 # per-seed evaluation, vector fields
 # ----------------------------------------------------------------------
 
-def _ode_seed_eval(orbit, conditions, s):
-    """All requested per-seed statistics for one vector-field orbit;
-    `s` holds the report settings.
-
-    Consumes the orbit: once its splitting and LPF are formed, its
-    per-step factors are released (`orbit.step_cocycles` is set to
-    None), so neither the orbit nor the LPF cocycle built on it can
-    form a propagator afterwards."""
-    warmup = s["splitting.warmup"]
+def _ode_seed_eval(seq, lpf, conditions, s):
+    """All requested per-seed statistics for one vector-field member, from
+    its splitting sequence and, when NUSE or MSH-estimate is requested,
+    its LPF cocycle (else None); `s` holds the report settings.  Reads
+    block and LPF factors only, never the orbit's per-step factors."""
     T, tau = s["windows.T"], s["windows.tau"]
     sect_window = s["windows.sect_window"] or max(tau, T / 4.0)
     margin = s["thresholds.margin"]
     sens = s["tau_sensitivity"]
-
-    seq = estimate_splitting(orbit, d_s=s["splitting.d_s"], warmup=warmup,
-                             stride=s["splitting.stride"])
-    lpf = (lpf_along(orbit) if any(c in conditions for c in ("NUSE", "MSH-estimate"))
-           else None)
-    # what follows reads the block and LPF factors only: release the
-    # orbit's per-step factors while the rest of its batch waits (see
-    # the docstring)
-    orbit.step_cocycles = None
+    if any(c in conditions for c in ("NUSE", "MNUSE")):
+        valid = seq.times[-1] - seq.times[0]
+        longest = max([tau, *(sens or ())])
+        if valid <= longest:
+            raise ConfigError("windows.T", f"leaves a valid range of {valid:.6g} "
+                                           "after warmup trimming, no longer "
+                                           f"than the longest tau window {longest:g} "
+                                           "(windows.tau, tau_sensitivity)")
     out = {}
 
     def rates(cond, rate):
@@ -137,10 +133,6 @@ def _ode_seed_eval(orbit, conditions, s):
     return out
 
 
-def _orbit_span(s):
-    return s["windows.T"] + 2 * s["splitting.warmup"]
-
-
 def _ode_ensemble(model, s, conditions):
     size = s["ensemble.size"] or 100
     transient = s["ensemble.transient"]
@@ -161,23 +153,50 @@ def _ode_ensemble(model, s, conditions):
     if transient > 0:
         dt = s["ensemble.transient_dt"]
         ics = batch_rk4(model, ics, dt, int(round(transient / dt)))
-    return [_ode_seed_eval(orbit, conditions, s)
-            for orbit in _ensemble_orbits(model, ics, s)]
-
-
-def _ensemble_orbits(model, ics, s):
-    """The members' orbits in member order, integrated ENSEMBLE_BATCH at a
-    time; each is released once the caller moves on to the next.  A
-    member whose integration failed raises its exception when its turn
-    comes, as in a loop of `integrate` calls."""
-    span, ctrl = _orbit_span(s), step_control(s)
+    span, ctrl = s["windows.T"] + 2 * s["splitting.warmup"], step_control(s)
+    rows = []
     for lo in range(0, len(ics), ENSEMBLE_BATCH):
-        members = integrate_batch(model, ics[lo:lo + ENSEMBLE_BATCH], span, ctrl)
-        while members:
-            orbit = members.pop(0)
-            if isinstance(orbit, Exception):
-                raise orbit
-            yield orbit
+        rows.extend(_batch_rows(
+            integrate_batch(model, ics[lo:lo + ENSEMBLE_BATCH], span, ctrl),
+            conditions, s))
+    return rows
+
+
+def _batch_rows(members, conditions, s):
+    """The rows of one `integrate_batch` run's members, in member order.
+
+    Each row, and the exception raised first, is what a loop over the
+    members gives that runs `estimate_splitting`, `lpf_along` and the
+    functionals one member at a time.  The cocycle work runs stacked
+    over the members, in the order that holds the least at once: the
+    LPF transport of all members (frames kept at the block checkpoints
+    only, which is all the functionals read), then each member's block
+    factors, after which its per-step factors are released, then the
+    splitting sweeps.
+    """
+    failed = next((i for i, m in enumerate(members) if isinstance(m, Exception)),
+                  len(members))
+    orbits = members[:failed]
+    del members[:failed]
+    stride = s["splitting.stride"]
+    lpfs = (lpf_alongs(orbits, frame_stride=stride)
+            if any(c in conditions for c in ("NUSE", "MSH-estimate"))
+            else [None] * len(orbits))
+    blocks = []
+    for orbit in orbits:
+        blocks.append(block_factors(orbit, stride))
+        orbit.step_cocycles = None
+    seqs = splittings_of_blocks(orbits, blocks, s["splitting.d_s"],
+                                s["splitting.warmup"])
+    del orbits, blocks
+    while seqs:
+        # popped, so that each member is released once its row is made
+        for outcome in (seqs[0], lpfs[0]):
+            if isinstance(outcome, Exception):
+                raise outcome
+        yield _ode_seed_eval(seqs.pop(0), lpfs.pop(0), conditions, s)
+    if members:
+        raise members[0]
 
 
 # ----------------------------------------------------------------------

@@ -34,6 +34,9 @@ GAP_RATIO_FLOOR = 1.0 + 1e-3
 # Verdict margin per unit time separating genuine zero rates from noise.
 RATE_MARGIN = 1e-3
 
+# Blocks whose products are formed at once, which bounds the temporaries.
+_BLOCK_CHUNK = 256
+
 
 @dataclass(frozen=True)
 class Splitting:
@@ -103,8 +106,10 @@ class SplittingSequence:
         return coords, defects
 
 
-def _block_factors(orbit: OrbitSegment, stride: int):
-    """Products of `stride` consecutive step factors, with renorm folded in."""
+def block_factors(orbit: OrbitSegment, stride: int):
+    """The checkpoint grid of every `stride`-th step and the last one, and
+    the products of the step factors over each block between
+    checkpoints, with renorm folded in: (grid, (K_b, n, n) factors)."""
     n_steps = orbit.n_steps
     grid = np.arange(0, n_steps + 1, stride)
     if grid[-1] != n_steps:
@@ -112,44 +117,47 @@ def _block_factors(orbit: OrbitSegment, stride: int):
     steps = orbit.step_cocycles
     if np.any(orbit.renorm_log):    # never on an integrated orbit
         steps = steps * np.exp(orbit.renorm_log)[:, None, None]
-    mats, log_scales = window_products(steps, grid[:-1], grid[1:])
-    mats *= np.exp(log_scales)[:, None, None]
+    mats = np.empty((len(grid) - 1,) + steps.shape[1:])
+    for lo in range(0, len(mats), _BLOCK_CHUNK):
+        at = slice(lo, lo + _BLOCK_CHUNK)
+        part, log_scales = window_products(steps, grid[:-1][at], grid[1:][at])
+        mats[at] = part * np.exp(log_scales)[:, None, None]
     return grid, mats
 
 
-def _sweep(factors, n, seed, backward=False):
+def _sweep(factors, n, seed, cols, kept, backward=False):
     """QR sweeps of many members at once: forward through each member's
     (K_b, n, n) block factors, or backward through their inverses.
 
     Members run longest first, so the ones still open at step j are a
     prefix and each step is one stacked QR (and solve).  Returns per
-    member its K_b + 1 frames and cumulative log |diag R|, in checkpoint
-    order.
+    member the first `cols` columns of its frames at the checkpoints of
+    the slice `kept[i]`, as a compact copy, and the sum of its
+    log |diag R| over the sweep.
     """
     lengths = np.array([f.shape[0] for f in factors])
     order = np.argsort(-lengths, kind="stable")
     n_open = len(lengths) - np.searchsorted(
         np.sort(lengths), np.arange(lengths.max()), side="right")
-    # the block each sorted member starts from in the concatenated stack
-    start = np.cumsum(lengths)[order] - (1 if backward else lengths[order])
-    step = -1 if backward else 1
-    flat = np.concatenate(factors)
-    frames = np.empty((len(factors), len(n_open) + 1, n, n))
-    diag = np.ones((len(factors), len(n_open), n))
+    members = [factors[i] for i in order]
+    frames = np.empty((len(factors), len(n_open) + 1, n, cols))
+    logs = np.ones((len(factors), len(n_open), n))
     q = np.tile(haar_frame(n, n, seed + 1 if backward else seed), (len(factors), 1, 1))
-    frames[:, 0] = q
+    frames[:, 0] = q[:, :, :cols]
     for j, m in enumerate(n_open.tolist()):
-        f = flat.take(start[:m] + step * j, axis=0)
+        # each open member's block j, or its block j from the end
+        f = np.stack([f[-1 - j if backward else j] for f in members[:m]])
         q, r = qr_pos(np.linalg.solve(f, q[:m]) if backward else f @ q[:m])
-        frames[:m, j + 1] = q
-        diag[:m, j] = np.diagonal(r, axis1=1, axis2=2)
-    logs = np.zeros((len(factors), len(n_open) + 1, n))
-    logs[:, 1:] = np.cumsum(np.log(np.abs(diag)), axis=1)
-    rows = zip(np.argsort(order), lengths)
-    if backward:  # index j holds checkpoint K_b - j
-        return [(frames[i, size::-1].copy(), logs[i, size::-1].copy())
-                for i, size in rows]
-    return [(frames[i, :size + 1], logs[i, :size + 1]) for i, size in rows]
+        frames[:m, j + 1] = q[:, :, :cols]
+        logs[:m, j] = np.diagonal(r, axis1=1, axis2=2)
+    # summed block by block in sweep order, in place
+    np.cumsum(np.log(np.abs(logs, out=logs), out=logs), axis=1, out=logs)
+    out = []
+    for i, size, k in zip(np.argsort(order), lengths, kept):
+        # backward, frame j is the one at checkpoint K_b - j
+        mine = frames[i, size::-1] if backward else frames[i, :size + 1]
+        out.append((mine[k].copy(), logs[i, size - 1] if size else np.zeros(n)))
+    return out
 
 
 def estimate_splitting(orbit: OrbitSegment, d_s: int, warmup: float,
@@ -171,26 +179,45 @@ def estimate_splitting(orbit: OrbitSegment, d_s: int, warmup: float,
 def estimate_splittings(orbits, d_s: int, warmup: float,
                         init_seed: int = 12902, stride: int = 1):
     """`estimate_splitting` of each orbit in a list, one
-    SplittingSequence per member, bit for bit.
+    SplittingSequence per member, bit for bit; the first failing member
+    raises what `estimate_splitting` raises on it.
 
     The members' sweeps run together, one stacked QR (and solve) per
     block over the members still open, so short members of one
-    dimension share the per-call cost.  If any member fails, the
-    members are redone one by one, and the first failing member raises
-    what `estimate_splitting` raises on it.
+    dimension share the per-call cost (see `splittings_of_blocks`).
     """
+    seqs = splittings_of_blocks(orbits, [block_factors(orbit, stride)
+                                         for orbit in orbits],
+                                d_s, warmup, init_seed)
+    for seq in seqs:
+        if isinstance(seq, Exception):
+            raise seq
+    return seqs
+
+
+def splittings_of_blocks(orbits, blocks, d_s: int, warmup: float,
+                         init_seed: int = 12902) -> list:
+    """Per member its SplittingSequence from its `block_factors` output,
+    or the ValueError or SpectralGapFailure `estimate_splitting` raises
+    on it.
+
+    Reads no step factors, so the caller may release the orbits'
+    `step_cocycles` once the blocks are formed.  The sweeps run stacked
+    over the members; if any member fails, the members are redone one
+    by one.
+    """
+    try:
+        return _estimate_members(orbits, blocks, d_s, warmup, init_seed)
+    except (ValueError, SpectralGapFailure) as exc:
+        if len(orbits) == 1:
+            return [exc]
+    return [splittings_of_blocks([orbit], [block], d_s, warmup, init_seed)[0]
+            for orbit, block in zip(orbits, blocks)]
+
+
+def _estimate_members(orbits, blocks, d_s, warmup, init_seed):
     if not orbits:
         return []
-    try:
-        return _estimate_members(orbits, d_s, warmup, init_seed, stride)
-    except (ValueError, SpectralGapFailure):
-        if len(orbits) == 1:
-            raise
-        return [_estimate_members([orbit], d_s, warmup, init_seed, stride)[0]
-                for orbit in orbits]
-
-
-def _estimate_members(orbits, d_s, warmup, init_seed, stride):
     n = orbits[0].states.shape[1]
     d_cu = n - d_s
     if d_s < 1 or d_cu < 2:
@@ -199,28 +226,36 @@ def _estimate_members(orbits, d_s, warmup, init_seed, stride):
         if orbit.t_span <= 2 * warmup:
             raise ValueError("orbit shorter than twice the warmup")
 
-    blocks = [_block_factors(orbit, stride) for orbit in orbits]
     factors = [f for _, f in blocks]
-    forward = _sweep(factors, n, init_seed)
-    backward = _sweep(factors, n, init_seed, backward=True)
-    return [_sequence(orbit, grid, f, fwd, bwd, d_s, warmup)
-            for orbit, (grid, f), fwd, bwd in zip(orbits, blocks, forward, backward)]
+    kept = [_kept_checkpoints(orbit.times[grid], warmup) for orbit, (grid, _) in
+            zip(orbits, blocks)]
+    forward = _sweep(factors, n, init_seed, d_cu, kept)
+    backward = _sweep(factors, n, init_seed, d_s, kept, backward=True)
+    return [_sequence(orbit, grid[k], f[k.start:k.stop - 1], fwd, bwd, d_s, warmup)
+            for orbit, (grid, f), k, fwd, bwd in
+            zip(orbits, blocks, kept, forward, backward)]
 
 
-def _sequence(orbit, full_grid, factors, forward, backward, d_s, warmup):
-    """One member's SplittingSequence from its swept frames and logs."""
-    (f_frames, f_logs), (b_frames, b_logs) = forward, backward
+def _kept_checkpoints(t_grid, warmup):
+    """The slice of the checkpoints at times t_grid that lie at least
+    `warmup` from both ends."""
+    k0 = int(np.searchsorted(t_grid, t_grid[0] + warmup, side="left"))
+    k1 = int(np.searchsorted(t_grid, t_grid[-1] - warmup, side="right")) - 1
+    return slice(k0, k1 + 1)
+
+
+def _sequence(orbit, grid, factors, forward, backward, d_s, warmup):
+    """One member's SplittingSequence from its kept checkpoints, the block
+    factors between them, and its swept frames there and log sums."""
+    (ecu, f_logs), (es, b_logs) = forward, backward
     n = orbit.states.shape[1]
     d_cu = n - d_s
-    t_full = orbit.times[full_grid]
     span = orbit.t_span
-    k0 = int(np.searchsorted(t_full, t_full[0] + warmup, side="left"))
-    k1 = int(np.searchsorted(t_full, t_full[-1] - warmup, side="right")) - 1
-    if k1 <= k0:
+    if len(grid) < 2:
         raise ValueError("no checkpoints left after warmup trimming")
 
-    f_rates = (f_logs[-1] - f_logs[0]) / span
-    b_rates = (b_logs[0] - b_logs[-1]) / span
+    f_rates = f_logs / span
+    b_rates = b_logs / span
     gap_cu = float(f_rates[d_cu - 1] - f_rates[d_cu]) if d_cu < n else np.inf
     gap_s = float(b_rates[d_s - 1] - b_rates[d_s]) if d_s < n else np.inf
     for gap, name in ((gap_cu, "E^cu"), (gap_s, "E^s")):
@@ -230,13 +265,9 @@ def _sequence(orbit, full_grid, factors, forward, backward, d_s, warmup):
                 f"over warmup {warmup:g} is below {GAP_RATIO_FLOOR}"
             )
 
-    ecu = f_frames[k0:k1 + 1, :, :d_cu]
-    es = b_frames[k0:k1 + 1, :, :d_s]
-    k_count = k1 - k0
+    k_count = len(grid) - 1
     seq = SplittingSequence(
-        orbit=orbit, d_s=d_s, d_cu=d_cu,
-        grid=full_grid[k0:k1 + 1],
-        factors=factors[k0:k1],
+        orbit=orbit, d_s=d_s, d_cu=d_cu, grid=grid, factors=factors,
         Es=es, Ecu=ecu, angles=principal_angles(es, ecu)[:, 0],
         defect_s=np.zeros(k_count), defect_cu=np.zeros(k_count),
         gap_s=gap_s, gap_cu=gap_cu,

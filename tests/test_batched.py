@@ -1,8 +1,9 @@
 """Property tests: each model's batched forms against its scalar forms,
 map_pushforward's handling of singular points, stacked linear algebra
-(QR, principal angles, member-stacked splitting sweeps) and the batched
-Dormand-Prince run against one call per matrix or member, and the
-ensemble report against its serial member loop."""
+(QR, principal angles, member-stacked splitting sweeps and LPF
+transport) and the batched Dormand-Prince run against one call per
+matrix or member, and the ensemble report against its serial member
+loop."""
 
 from unittest import mock
 
@@ -13,9 +14,10 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from sechyp import config, report, splitting
-from sechyp.errors import (Blowup, SingularPoint, SpectralGapFailure,
-                           StiffnessFailure)
-from sechyp.flowcalc import StepControl, integrate, integrate_batch
+from sechyp.errors import (Blowup, NearSingularity, SingularPoint,
+                           SpectralGapFailure, StiffnessFailure)
+from sechyp.flowcalc import StepControl, batch_rk4, integrate, integrate_batch
+from sechyp.lpf import lpf_along, lpf_alongs
 from sechyp.measures import map_pushforward
 from sechyp.models import (conjugate_model, make_expanding_lorenz_map,
                            make_geometric_lorenz_suspension,
@@ -302,6 +304,50 @@ def test_first_failing_member_raises(member_pool, order, raised):
     assert str(got.value) == str(first)
 
 
+# members of one dimension, different lengths and different models for
+# the stacked LPF transport; the last pool entry sits at the origin
+@pytest.fixture(scope="module")
+def lpf_pool(member_pool):
+    rotation = make_linear_field([[-0.1, -1.0, 0.0], [1.0, -0.1, 0.0],
+                                  [0.0, 0.0, 0.5]])
+    q = np.linalg.qr(np.arange(1.0, 10.0).reshape(3, 3) + np.eye(3))[0]
+    return member_pool + [
+        integrate(rotation, [1.0, 0.0, 0.3], 9.0),
+        integrate(conjugate_model(rotation, q), [0.2, -1.0, 0.4], 4.0),
+        integrate(conjugate_model(make_lorenz(10.0, 28.0, 8.0 / 3.0), q),
+                  [2.0, 3.0, 25.0], 6.0),
+        integrate(make_lorenz(10.0, 28.0, 8.0 / 3.0), np.zeros(3), 1.0),
+    ]
+
+
+def lpf_or_error(orbit):
+    try:
+        return lpf_along(orbit)
+    except NearSingularity as exc:
+        return exc
+
+
+@settings(max_examples=25)
+@given(members=st.lists(st.integers(0, 8), min_size=1, max_size=6),
+       stride=st.sampled_from([1, 3, 4]))
+def test_stacked_lpf_equals_one_orbit_transport(lpf_pool, members, stride):
+    got = lpf_alongs([lpf_pool[i] for i in members], frame_stride=stride)
+    assert len(got) == len(members)
+    for i, lpf in zip(members, got):
+        ref = lpf_or_error(lpf_pool[i])
+        if isinstance(ref, Exception):
+            assert type(lpf) is type(ref) and str(lpf) == str(ref)
+            continue
+        assert lpf.orbit is lpf_pool[i]
+        assert_bit_equal(lpf.lpf_factors, ref.lpf_factors)
+        steps = ref.n_steps
+        assert_bit_equal(lpf.frame_grid,
+                         sorted(set(range(0, steps + 1, stride)) | {steps}))
+        assert_bit_equal(lpf.frames, ref.frames[lpf.frame_grid])
+        assert_bit_equal(lpf.frames_at(lpf.frame_grid[::-1]),
+                         ref.frames[lpf.frame_grid[::-1]])
+
+
 # ----------------------------------------------------------------------
 # batched Dormand-Prince over an ensemble
 # ----------------------------------------------------------------------
@@ -421,14 +467,27 @@ FAILING_ENSEMBLE = {
 
 
 def serial_rows(model, cfg):
-    """The member loop one `integrate` call per member, in member order."""
+    """The member loop, one member at a time in member order: `integrate`,
+    `estimate_splitting`, `lpf_along` (when NUSE or MSH-estimate is
+    requested), then the functionals."""
     s = config.settings(cfg, config.REPORT_TABLE)
-    box = model.trapping_region
+    box = (model.trapping_region if s["ensemble.box"] is None
+           else np.asarray(s["ensemble.box"], dtype=float))
     rng = np.random.default_rng(s["seed"])
     ics = box[:, 0] + (box[:, 1] - box[:, 0]) * rng.random((s["ensemble.size"], 3))
+    if s["ensemble.transient"] > 0:
+        dt = s["ensemble.transient_dt"]
+        ics = batch_rk4(model, ics, dt, int(round(s["ensemble.transient"] / dt)))
     span = s["windows.T"] + 2 * s["splitting.warmup"]
-    return [report._ode_seed_eval(integrate(model, x0, span, config.step_control(s)),
-                                  s["conditions"], s) for x0 in ics]
+    rows = []
+    for x0 in ics:
+        orbit = integrate(model, x0, span, config.step_control(s))
+        seq = estimate_splitting(orbit, s["splitting.d_s"], s["splitting.warmup"],
+                                 stride=s["splitting.stride"])
+        lpf = (lpf_along(orbit)
+               if {"NUSE", "MSH-estimate"} & set(s["conditions"]) else None)
+        rows.append(report._ode_seed_eval(seq, lpf, s["conditions"], s))
+    return rows
 
 
 def test_first_failing_member_raises_what_the_serial_loop_raises():
@@ -444,15 +503,34 @@ def test_first_failing_member_raises_what_the_serial_loop_raises():
     assert evaluated.call_count == 2
 
 
-def test_ensemble_larger_than_one_batch_equals_the_serial_loop(monkeypatch):
+def test_member_near_the_z_axis_raises_what_the_serial_loop_raises():
+    # x and y within 1e-51 of the z-axis, the stable manifold of the
+    # origin: member 2's orbit passes the origin at a flow speed below
+    # lpf_along's floor, members 0, 1 and 3 pass it above
     model = make_lorenz(10.0, 28.0, 8.0 / 3.0)
-    cfg = {"conditions": ["MNUSE", "NUSE", "NNE"], "seed": 3,
-           "ensemble": {"size": 7, "transient": 2.0},
+    cfg = {"conditions": ["NUSE"], "seed": 2,
+           "ensemble": {"size": 4, "transient": 0.0,
+                        "box": [[0.0, 1e-51], [0.0, 1e-51], [20.0, 30.0]]},
            "windows": {"T": 8.0}, "splitting": {"warmup": 3.0},
            "tolerances": {"rtol": 1e-6, "atol": 1e-9}}
+    with pytest.raises(NearSingularity) as serial:
+        serial_rows(model, cfg)
+    with mock.patch.object(report, "_ode_seed_eval",
+                           wraps=report._ode_seed_eval) as evaluated:
+        with pytest.raises(NearSingularity) as batched:
+            report.assemble_report(model, cfg)
+    assert str(batched.value) == str(serial.value)
+    assert evaluated.call_count == 2
+
+
+def test_ensemble_larger_than_one_batch_equals_the_serial_loop(monkeypatch):
+    model = make_lorenz(10.0, 28.0, 8.0 / 3.0)
+    cfg = {"conditions": ["MNUSE", "NUSE", "NNE", "MSH-estimate"], "seed": 3,
+           "ensemble": {"size": 7, "transient": 2.0},
+           "windows": {"T": 8.0}, "splitting": {"warmup": 3.0, "stride": 2},
+           "tolerances": {"rtol": 1e-6, "atol": 1e-9}}
     monkeypatch.setattr(report, "ENSEMBLE_BATCH", 3)      # batches of 3, 3, 1
-    batched = report.assemble_report(model, cfg)
-    monkeypatch.setattr(report, "integrate_batch",
-                        lambda m, x0s, span, ctrl: [integrate(m, x0, span, ctrl)
-                                                    for x0 in x0s])
-    assert report.assemble_report(model, cfg) == batched
+    s = config.settings(cfg, config.REPORT_TABLE)
+    rows = report._ode_ensemble(model, s, cfg["conditions"])
+    # repr: every float to the last bit, and a NaN equals a NaN
+    assert repr(rows) == repr(serial_rows(model, cfg))

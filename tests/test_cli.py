@@ -344,6 +344,9 @@ def test_shipped_configs_validate():
      "verify.ensemble.tilt_warmup", "a flow ensemble does not read it"),
     ("verify", {"verify": {"ensemble": {"ph_sample": 2}}},
      "verify.ensemble.ph_sample", "a flow ensemble does not read it"),
+    # no longer than the largest default tau_sensitivity value, 2
+    ("verify", {"verify": {"windows": {"T": 2.0}, "splitting": {"warmup": 1.0}}},
+     "verify.windows.T", "leaves a valid range of"),
 ])
 def test_config_fault_exit_2_without_output(tmp_path, capsys, command, section,
                                             field, message):

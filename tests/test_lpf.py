@@ -6,7 +6,7 @@ import sechyp.lpf as lpf_mod
 from sechyp.errors import NearSingularity, NoReturn, SingularPoint
 from sechyp.flowcalc import StepControl, integrate
 from sechyp.lpf import SectionSpec, direct_lpf_factor, lpf_along, return_map
-from sechyp.models import (make_geometric_lorenz_suspension,
+from sechyp.models import (SuspensionModel, make_geometric_lorenz_suspension,
                            make_linear_field)
 from sechyp.util import orthonormal_complement, qr_pos, unit
 
@@ -106,7 +106,7 @@ class TestLPFAlong:
     def test_factors_after_loop_equal_in_loop_products(self, which, request):
         orbit = request.getfixturevalue(which)
         lp = lpf_along(orbit)
-        frames, factors = _lpf_reference(orbit, lp.flow_dirs)
+        frames, factors = _lpf_reference(orbit)
         assert np.array_equal(lp.frames, frames)
         assert np.array_equal(lp.lpf_factors, factors)
 
@@ -116,10 +116,16 @@ class TestLPFAlong:
             lpf_along(orb)
 
 
-def _lpf_reference(orbit, dirs):
+def _lpf_reference(orbit):
     """lpf_along's transport with each factor q^T (C_k F_k) formed inside
-    the loop, recomputing C_k F_k."""
+    the loop, recomputing C_k F_k, from unit flow directions formed over
+    the whole orbit at once (the vertical one on a suspension)."""
     n = orbit.states.shape[1]
+    if isinstance(orbit.model, SuspensionModel):
+        dirs = np.tile([0.0, 0.0, 1.0], (orbit.n_steps + 1, 1))
+    else:
+        dirs = orbit.model.eval_batch(orbit.states)
+        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
     frames = np.empty((orbit.n_steps + 1, n, n - 1))
     frames[0] = orthonormal_complement(dirs[0])
     factors = np.empty((orbit.n_steps, n - 1, n - 1))

@@ -3,13 +3,15 @@ import numpy.testing as npt
 import pytest
 import scipy.stats
 
+from sechyp import measures
 from sechyp.flowcalc import integrate
 from sechyp.measures import (basin_sample, benettin_spectrum, birkhoff_map,
                              birkhoff_orbit, empirical_measure,
                              histogram_to_csv, ks_statistic, map_pushforward,
                              pesin_check_1d, series_to_csv, tv_distance,
                              uniform_cdf)
-from sechyp.models import (expanding_lorenz_orbit, make_expanding_lorenz_map,
+from sechyp.models import (conjugate_model, expanding_lorenz_orbit,
+                           make_expanding_lorenz_map, make_lorenz,
                            make_geometric_lorenz_suspension,
                            make_linear_saddle, polynomial_field_from_table)
 
@@ -31,6 +33,30 @@ class TestSpectrum:
         assert abs(est.divergence_average + 41.0 / 3.0) < 1e-9
         assert abs(np.sum(est.exponents) - est.divergence_average) \
             <= max(2 * est.sum_half_width, 1e-3)
+
+    @pytest.mark.parametrize("model", [
+        conjugate_model(make_lorenz(10.0, 28.0, 8.0 / 3.0),
+                        np.linalg.qr(np.arange(1.0, 10.0).reshape(3, 3)
+                                     + np.eye(3))[0]),
+        # van der Pol in (x, y), driven z: the trace -x^2 varies
+        polynomial_field_from_table({"dim": 3, "components": [
+            [{"exponents": [0, 1, 0], "coeff": 1.0}],
+            [{"exponents": [0, 1, 0], "coeff": 1.0},
+             {"exponents": [2, 1, 0], "coeff": -1.0},
+             {"exponents": [1, 0, 0], "coeff": -1.0}],
+            [{"exponents": [0, 0, 1], "coeff": -1.0},
+             {"exponents": [1, 1, 0], "coeff": 1.0}]]}),
+    ], ids=["conjugated-lorenz", "polynomial"])
+    def test_divergence_average_equals_the_per_state_loop(self, model,
+                                                           monkeypatch):
+        monkeypatch.setattr(measures, "_TRACE_CHUNK", 7)   # many chunks
+        orb = integrate(model, [1.0, 2.0, 20.0], 6.0)
+        est = benettin_spectrum(orb, 2, warmup=1.0)
+        i0 = int(np.searchsorted(orb.times, orb.times[0] + 1.0, side="left"))
+        tr = np.array([np.trace(model.jacobian(s)) for s in orb.states[i0:]])
+        want = (np.sum(0.5 * (tr[1:] + tr[:-1]) * np.diff(orb.times[i0:]))
+                / float(orb.times[-1] - orb.times[i0]))
+        assert est.divergence_average == float(want)
 
     def test_k_exceeds_dimension(self, lorenz_orbit):
         with pytest.raises(ValueError):

@@ -133,8 +133,8 @@ class TestRates:
         orb = integrate(m, np.array([1e-6, 2e-6, -1e-6]), 10.0)
         e = np.eye(3)
         grid, factors = np.arange(0, orb.n_steps + 1, 2), None
-        from sechyp.splitting import _block_factors
-        grid, factors = _block_factors(orb, 2)
+        from sechyp.splitting import block_factors
+        grid, factors = block_factors(orb, 2)
         k = grid.shape[0]
         seq = SplittingSequence(
             orbit=orb, d_s=1, d_cu=2, grid=grid, factors=factors,
