@@ -80,10 +80,10 @@ class StepControl:
 class OrbitSegment:
     """Time-gridded trajectory with per-step tangent cocycle factors.
 
-    step_cocycles[k] approximates DX_{t[k+1]-t[k]} at states[k]; the
-    true factor is exp(renorm_log[k]) * step_cocycles[k] (the log scale
-    is zero unless a factor had to be rescaled to stay representable;
-    an integrated orbit's is a read-only view of one zero).
+    step_cocycles[k] approximates DX_{t[k+1]-t[k]} at states[k].
+    `renorm_log` is all zero (an integrated orbit's is a read-only view
+    of one zero); it is kept for the CSV column and the cache block,
+    and `load_orbit_cache` rejects a nonzero one.
     """
 
     model: object
@@ -111,9 +111,7 @@ class OrbitSegment:
         dynamic range across its singular values; determinants over
         long spans should be summed per step instead.
         """
-        m, log_scale = scaled_product(self.step_cocycles, i, j)
-        log_scale += float(np.sum(self.renorm_log[i:j]))
-        return m, log_scale
+        return scaled_product(self.step_cocycles, i, j)
 
 
 def _norm(v):
@@ -494,6 +492,9 @@ def load_orbit_cache(path, model=None) -> OrbitSegment:
         states = np.frombuffer(fh.read(8 * (n_steps + 1) * n), dtype="<f8").copy()
         cocycles = np.frombuffer(fh.read(8 * n_steps * n * n), dtype="<f8").copy()
         renorm = np.frombuffer(fh.read(8 * n_steps), dtype="<f8").copy()
+    if np.any(renorm):
+        raise ValueError("orbit cache has a nonzero renorm_log block; "
+                         "step factors are stored unscaled")
     return OrbitSegment(
         model=model,
         times=times,

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import NearSingularity, NoReturn, SingularPoint, TangencyWarning
 from .flowcalc import TIME_RESOLUTION, OrbitSegment, dp5_steps, integrate
 from .models import SuspensionModel
-from .util import orthonormal_complement, qr_pos, scaled_product, unit
+from .util import longest_first, orthonormal_complement, qr_pos, scaled_product, unit
 
 
 @dataclass
@@ -49,9 +49,7 @@ class LPFCocycle:
 
     def propagator(self, i, j):
         """Composed LPF factor over grid indices [i, j] as (matrix, log_scale)."""
-        m, log_scale = scaled_product(self.lpf_factors, i, j)
-        log_scale += float(np.sum(self.orbit.renorm_log[i:j]))
-        return m, log_scale
+        return scaled_product(self.lpf_factors, i, j)
 
 
 def lpf_along(orbit: OrbitSegment, speed_floor: float = 1e-8,
@@ -102,12 +100,10 @@ def lpf_alongs(orbits, speed_floor: float = 1e-8,
             out[b] = exc
     if not live:
         return out
-    lengths = np.array([orbits[b].n_steps for b in live])
-    order = np.argsort(-lengths, kind="stable")
+    order, n_open = longest_first([orbits[b].n_steps for b in live])
     members = [orbits[live[i]] for i in order]
-    sizes = lengths[order].tolist()
-    n_open = (len(sizes) - np.searchsorted(np.sort(lengths), np.arange(sizes[0]),
-                                           side="right")).tolist()
+    sizes = [orbit.n_steps for orbit in members]
+    n_open = n_open.tolist()
     n = members[0].states.shape[1]
     if frame_seed is not None:
         rot, _ = qr_pos(np.random.default_rng(frame_seed)

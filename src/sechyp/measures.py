@@ -49,28 +49,6 @@ def _checkpoint_indices(n, n_checkpoints):
     return idx
 
 
-def birkhoff_orbit(orbit: OrbitSegment, observable: Callable, name="obs",
-                   n_checkpoints: int = 40) -> BirkhoffSeries:
-    """Time-weighted running average of observable(state) along an orbit."""
-    vals = np.array([observable(s) for s in orbit.states])
-    t = orbit.times
-    dt = np.diff(t)
-    seg = 0.5 * (vals[1:] + vals[:-1]) * dt
-    cum = np.cumsum(seg)
-    elapsed = t[1:] - t[0]
-    running = cum / elapsed
-    idx = _checkpoint_indices(len(running), n_checkpoints) - 1
-    final = float(running[-1])
-    tail = running[3 * len(running) // 4:]
-    return BirkhoffSeries(
-        observable=name,
-        checkpoints=elapsed[idx],
-        averages=running[idx],
-        final=final,
-        oscillation=float(np.max(np.abs(tail - final))),
-    )
-
-
 def birkhoff_map(m: IntervalMap, observable: Callable, x0: float, n: int,
                  name="obs", n_checkpoints: int = 40) -> BirkhoffSeries:
     """Running average of observable along a map orbit of length n."""
@@ -142,12 +120,11 @@ def benettin_spectrum(orbit: OrbitSegment, k: int, warmup: float = 0.0,
         raise ValueError("orbit too short after warmup discard")
     q = haar_frame(n, k, seed=4201)
     logs = np.empty((steps - i0, k))
-    scale = orbit.renorm_log
     for i in range(i0):
         q, _ = qr_pos(orbit.step_cocycles[i] @ q)
     for i in range(i0, steps):
         q, r = qr_pos(orbit.step_cocycles[i] @ q)
-        logs[i - i0] = np.log(np.abs(np.diag(r))) + scale[i]
+        logs[i - i0] = np.log(np.abs(np.diag(r)))
     span = float(orbit.times[-1] - orbit.times[i0])
     exponents = logs.sum(axis=0) / span
 

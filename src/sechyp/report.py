@@ -168,16 +168,13 @@ def _batch_rows(members, conditions, s):
     Each row, and the exception raised first, is what a loop over the
     members gives that runs `estimate_splitting`, `lpf_along` and the
     functionals one member at a time.  The cocycle work runs stacked
-    over the members, in the order that holds the least at once: the
-    LPF transport of all members (frames kept at the block checkpoints
-    only, which is all the functionals read), then each member's block
-    factors, after which its per-step factors are released, then the
-    splitting sweeps.
+    over the members that integrated, in the order that holds the least
+    at once: the LPF transport of all of them (frames kept at the block
+    checkpoints only, which is all the functionals read), then each
+    one's block factors, after which its per-step factors are released,
+    then the splitting sweeps.
     """
-    failed = next((i for i, m in enumerate(members) if isinstance(m, Exception)),
-                  len(members))
-    orbits = members[:failed]
-    del members[:failed]
+    orbits = [m for m in members if not isinstance(m, Exception)]
     stride = s["splitting.stride"]
     lpfs = (lpf_alongs(orbits, frame_stride=stride)
             if any(c in conditions for c in ("NUSE", "MSH-estimate"))
@@ -189,14 +186,17 @@ def _batch_rows(members, conditions, s):
     seqs = splittings_of_blocks(orbits, blocks, s["splitting.d_s"],
                                 s["splitting.warmup"])
     del orbits, blocks
-    while seqs:
-        # popped, so that each member is released once its row is made
+    while members:
+        # a member raises its integration error, else its splitting
+        # error, else its LPF error; popped, so that each member is
+        # released once its row is made
+        if isinstance(members[0], Exception):
+            raise members[0]
+        del members[0]
         for outcome in (seqs[0], lpfs[0]):
             if isinstance(outcome, Exception):
                 raise outcome
         yield _ode_seed_eval(seqs.pop(0), lpfs.pop(0), conditions, s)
-    if members:
-        raise members[0]
 
 
 # ----------------------------------------------------------------------

@@ -24,8 +24,8 @@ import numpy as np
 
 from .errors import SpectralGapFailure
 from .flowcalc import OrbitSegment
-from .util import (fit_log_rate, haar_frame, log_norms, principal_angles, qr_pos,
-                   window_products)
+from .util import (fit_log_rate, haar_frame, log_norms, longest_first,
+                   principal_angles, qr_pos, window_products)
 
 # Minimum acceptable singular-value ratio at the splitting cut over one
 # warmup window; below this there is no numerical domination to lock onto.
@@ -54,10 +54,10 @@ class SplittingSequence:
     """Splitting estimates along (a decimation of) an orbit grid.
 
     `grid` holds the absolute orbit indices of the K+1 checkpoints;
-    `factors[k]` is the cocycle block over [grid[k], grid[k+1]] with any
-    renormalization scale folded back in.  Es/Ecu hold the bases at the
-    checkpoints.  gap_s / gap_cu are per-unit-time singular-value gaps
-    at the two cuts, estimated from the sweep's QR log streams.
+    `factors[k]` is the cocycle block over [grid[k], grid[k+1]].  Es/Ecu
+    hold the bases at the checkpoints.  gap_s / gap_cu are per-unit-time
+    singular-value gaps at the two cuts, estimated from the sweep's QR
+    log streams.
     """
 
     orbit: OrbitSegment
@@ -109,14 +109,12 @@ class SplittingSequence:
 def block_factors(orbit: OrbitSegment, stride: int):
     """The checkpoint grid of every `stride`-th step and the last one, and
     the products of the step factors over each block between
-    checkpoints, with renorm folded in: (grid, (K_b, n, n) factors)."""
+    checkpoints: (grid, (K_b, n, n) factors)."""
     n_steps = orbit.n_steps
     grid = np.arange(0, n_steps + 1, stride)
     if grid[-1] != n_steps:
         grid = np.append(grid, n_steps)
     steps = orbit.step_cocycles
-    if np.any(orbit.renorm_log):    # never on an integrated orbit
-        steps = steps * np.exp(orbit.renorm_log)[:, None, None]
     mats = np.empty((len(grid) - 1,) + steps.shape[1:])
     for lo in range(0, len(mats), _BLOCK_CHUNK):
         at = slice(lo, lo + _BLOCK_CHUNK)
@@ -135,10 +133,8 @@ def _sweep(factors, n, seed, cols, kept, backward=False):
     the slice `kept[i]`, as a compact copy, and the sum of its
     log |diag R| over the sweep.
     """
-    lengths = np.array([f.shape[0] for f in factors])
-    order = np.argsort(-lengths, kind="stable")
-    n_open = len(lengths) - np.searchsorted(
-        np.sort(lengths), np.arange(lengths.max()), side="right")
+    lengths = [f.shape[0] for f in factors]
+    order, n_open = longest_first(lengths)
     members = [factors[i] for i in order]
     frames = np.empty((len(factors), len(n_open) + 1, n, cols))
     logs = np.ones((len(factors), len(n_open), n))
@@ -180,11 +176,8 @@ def estimate_splittings(orbits, d_s: int, warmup: float,
                         init_seed: int = 12902, stride: int = 1):
     """`estimate_splitting` of each orbit in a list, one
     SplittingSequence per member, bit for bit; the first failing member
-    raises what `estimate_splitting` raises on it.
-
-    The members' sweeps run together, one stacked QR (and solve) per
-    block over the members still open, so short members of one
-    dimension share the per-call cost (see `splittings_of_blocks`).
+    raises what `estimate_splitting` raises on it (see
+    `splittings_of_blocks`).
     """
     seqs = splittings_of_blocks(orbits, [block_factors(orbit, stride)
                                          for orbit in orbits],
@@ -202,38 +195,33 @@ def splittings_of_blocks(orbits, blocks, d_s: int, warmup: float,
     on it.
 
     Reads no step factors, so the caller may release the orbits'
-    `step_cocycles` once the blocks are formed.  The sweeps run stacked
-    over the members; if any member fails, the members are redone one
-    by one.
+    `step_cocycles` once the blocks are formed.  One sweep runs each way
+    over the members longer than twice the warmup, one stacked QR (and
+    solve) per block over the members still open, so short members of
+    one dimension share the per-call cost; a stacked sweep gives each
+    member's frames bit for bit, whichever members fail.
     """
-    try:
-        return _estimate_members(orbits, blocks, d_s, warmup, init_seed)
-    except (ValueError, SpectralGapFailure) as exc:
-        if len(orbits) == 1:
-            return [exc]
-    return [splittings_of_blocks([orbit], [block], d_s, warmup, init_seed)[0]
-            for orbit, block in zip(orbits, blocks)]
-
-
-def _estimate_members(orbits, blocks, d_s, warmup, init_seed):
     if not orbits:
         return []
     n = orbits[0].states.shape[1]
     d_cu = n - d_s
     if d_s < 1 or d_cu < 2:
-        raise ValueError("need d_s >= 1 and d_cu = n - d_s >= 2")
-    for orbit in orbits:
-        if orbit.t_span <= 2 * warmup:
-            raise ValueError("orbit shorter than twice the warmup")
-
-    factors = [f for _, f in blocks]
-    kept = [_kept_checkpoints(orbit.times[grid], warmup) for orbit, (grid, _) in
-            zip(orbits, blocks)]
+        return [ValueError("need d_s >= 1 and d_cu = n - d_s >= 2") for _ in orbits]
+    out = [ValueError("orbit shorter than twice the warmup")
+           if orbit.t_span <= 2 * warmup else None for orbit in orbits]
+    live = [i for i, failed in enumerate(out) if failed is None]
+    factors = [blocks[i][1] for i in live]
+    kept = [_kept_checkpoints(orbits[i].times[blocks[i][0]], warmup) for i in live]
     forward = _sweep(factors, n, init_seed, d_cu, kept)
     backward = _sweep(factors, n, init_seed, d_s, kept, backward=True)
-    return [_sequence(orbit, grid[k], f[k.start:k.stop - 1], fwd, bwd, d_s, warmup)
-            for orbit, (grid, f), k, fwd, bwd in
-            zip(orbits, blocks, kept, forward, backward)]
+    for i, k, fwd, bwd in zip(live, kept, forward, backward):
+        grid, f = blocks[i]
+        try:
+            out[i] = _sequence(orbits[i], grid[k], f[k.start:k.stop - 1], fwd, bwd,
+                               d_s, warmup)
+        except (ValueError, SpectralGapFailure) as exc:
+            out[i] = exc
+    return out
 
 
 def _kept_checkpoints(t_grid, warmup):
@@ -293,14 +281,13 @@ def window_splitting(orbit: OrbitSegment, grid_index: int, d_s: int,
     if ia < 0 or ib > orbit.n_steps:
         raise ValueError("window leaves the orbit")
 
-    scale = np.exp(orbit.renorm_log)
     q = haar_frame(n, d_cu, init_seed)
     for k in range(ia, grid_index):
-        q, _ = qr_pos((orbit.step_cocycles[k] * scale[k]) @ q)
+        q, _ = qr_pos(orbit.step_cocycles[k] @ q)
     ecu = q
     q = haar_frame(n, d_s, init_seed + 1)
     for k in range(ib - 1, grid_index - 1, -1):
-        q, _ = qr_pos(np.linalg.solve(orbit.step_cocycles[k] * scale[k], q))
+        q, _ = qr_pos(np.linalg.solve(orbit.step_cocycles[k], q))
     es = q
     return Splitting(
         point=orbit.states[grid_index],
@@ -426,13 +413,3 @@ def _checkpoint_flow_dirs(seq: SplittingSequence):
     v = model.eval_batch(seq.orbit.states[seq.grid])
     speed = np.sqrt(np.vecdot(v, v))[:, None]
     return np.divide(v, speed, out=np.zeros_like(v), where=speed > 0)
-
-
-def flow_containment(seq: SplittingSequence) -> float:
-    """Max angle (radians) between the flow direction and its projection
-    onto E^cu along the checkpoints; 0 means the flow direction is
-    contained in the estimated center-unstable bundle."""
-    v = _checkpoint_flow_dirs(seq)[:, :, None]
-    resid = (v - seq.Ecu @ (seq.Ecu.swapaxes(1, 2) @ v))[:, :, 0]
-    sines = np.minimum(1.0, np.sqrt(np.vecdot(resid, resid)))
-    return float(np.max(np.arcsin(sines), initial=0.0))

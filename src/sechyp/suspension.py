@@ -102,12 +102,6 @@ class SectionStreams:
     def n_seeds(self):
         return self.log_fp.shape[1]
 
-    def ecu_basis(self, k, b):
-        """Orthonormal center-unstable basis at crossing k of seed b."""
-        h = self.tilt[k, b]
-        c = 1.0 / np.sqrt(1.0 + h * h)
-        return np.array([[c, 0.0], [h * c, 0.0], [0.0, 1.0]])
-
 
 def run_section_streams(model: SuspensionModel, seeds, n_returns: int,
                         tilt_warmup: int = 12) -> SectionStreams:

@@ -93,6 +93,19 @@ def rescale_pow2(mats, log_scales):
         log_scales[out] += e * np.log(2.0)
 
 
+def longest_first(lengths):
+    """The schedule of a stacked loop over members of these lengths:
+    (order, n_open), a stable longest-first order of the members and,
+    at each step 0..max(lengths)-1, how many of them are still open.
+    In that order the members open at a step are a prefix.
+    """
+    lengths = np.asarray(lengths, dtype=np.intp).reshape(-1)
+    order = np.argsort(-lengths, kind="stable")
+    n_open = len(lengths) - np.searchsorted(
+        np.sort(lengths), np.arange(lengths.max(initial=0)), side="right")
+    return order, n_open
+
+
 def window_products(factors, starts, stops):
     """Products factors[stop-1] @ ... @ factors[start] over many windows.
 
@@ -105,11 +118,8 @@ def window_products(factors, starts, stops):
     """
     starts = np.asarray(starts, dtype=np.intp).reshape(-1)
     lengths = np.asarray(stops, dtype=np.intp).reshape(-1) - starts
-    # longest first, so the windows still open at each offset are a prefix
-    order = np.argsort(-lengths, kind="stable")
+    order, n_open = longest_first(lengths)
     first = starts[order]
-    n_open = len(lengths) - np.searchsorted(
-        np.sort(lengths), np.arange(lengths.max(initial=0)), side="right")
     mats = np.tile(np.eye(factors.shape[-1]), (len(lengths), 1, 1))
     log_scales = np.zeros(len(lengths))
     for offset, n in enumerate(n_open.tolist()):

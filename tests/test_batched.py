@@ -24,7 +24,8 @@ from sechyp.models import (conjugate_model, make_expanding_lorenz_map,
                            make_intermittent_lorenz_map, make_linear_field,
                            make_linear_saddle, make_lorenz,
                            polynomial_field_from_table)
-from sechyp.splitting import estimate_splitting, estimate_splittings
+from sechyp.splitting import (block_factors, estimate_splitting, estimate_splittings,
+                              splittings_of_blocks)
 from sechyp.suspension import suspension_orbit
 from sechyp.util import principal_angles, qr_pos
 
@@ -239,13 +240,27 @@ def member_pool():
 
 
 @pytest.fixture(scope="module")
-def member_reference(member_pool):
+def splitting_pool(member_pool):
+    """The member pool and two members whose splitting fails: one no
+    longer than twice the warmup, and one with no spectral gap."""
+    short = integrate(make_lorenz(10.0, 28.0, 8.0 / 3.0), [1.0, 1.0, 20.0], 8.0)
+    conformal = integrate(make_linear_saddle([1.0, 1.0, 1.0]),
+                          [1e-6, 2e-6, -1e-6], 12.0)
+    return member_pool + [short, conformal]
+
+
+@pytest.fixture(scope="module")
+def member_reference(splitting_pool):
+    """One-member `estimate_splitting` calls: a sequence or the exception."""
     cache = {}
 
     def reference(i, stride):
         if (i, stride) not in cache:
-            cache[i, stride] = estimate_splitting(member_pool[i], 1, MEMBER_WARMUP,
-                                                  stride=stride)
+            try:
+                cache[i, stride] = estimate_splitting(splitting_pool[i], 1,
+                                                      MEMBER_WARMUP, stride=stride)
+            except (ValueError, SpectralGapFailure) as exc:
+                cache[i, stride] = exc
         return cache[i, stride]
     return reference
 
@@ -254,20 +269,26 @@ SEQUENCE_ARRAYS = ("grid", "factors", "Es", "Ecu", "angles", "defect_s", "defect
 
 
 @settings(max_examples=25)
-@given(members=st.lists(st.integers(0, 4), min_size=1, max_size=5),
+@given(members=st.lists(st.integers(0, 6), min_size=1, max_size=5),
        stride=st.sampled_from([1, 3]))
-def test_member_splittings_equal_one_member_calls(member_pool, member_reference,
+def test_member_splittings_equal_one_member_calls(splitting_pool, member_reference,
                                                   members, stride):
-    # one stacked sweep each way: a failed stack would be redone member
-    # by member and hide the fault
+    # one stacked sweep each way over the members that pass their checks,
+    # whichever members fail: a failing member is an outcome of its own
+    # and never sends the others through a second sweep
+    orbits = [splitting_pool[i] for i in members]
     with mock.patch.object(splitting, "_sweep", wraps=splitting._sweep) as sweep:
-        seqs = estimate_splittings([member_pool[i] for i in members], 1,
-                                   MEMBER_WARMUP, stride=stride)
+        seqs = splittings_of_blocks(orbits, [block_factors(orbit, stride)
+                                             for orbit in orbits],
+                                    1, MEMBER_WARMUP)
     assert sweep.call_count == 2
     assert len(seqs) == len(members)
     for i, seq in zip(members, seqs):
         ref = member_reference(i, stride)
-        assert seq.orbit is member_pool[i]
+        if isinstance(ref, Exception):
+            assert type(seq) is type(ref) and str(seq) == str(ref)
+            continue
+        assert seq.orbit is splitting_pool[i]
         assert (seq.d_s, seq.d_cu) == (ref.d_s, ref.d_cu)
         for name in SEQUENCE_ARRAYS:
             assert_bit_equal(getattr(seq, name), getattr(ref, name))
@@ -290,11 +311,9 @@ def _failure_of(orbit):
 @pytest.mark.parametrize("order, raised", [((0, 1, 2, 3), ValueError),
                                            ((0, 2, 1, 3), SpectralGapFailure),
                                            ((3, 2, 0, 1), SpectralGapFailure)])
-def test_first_failing_member_raises(member_pool, order, raised):
-    short = integrate(make_lorenz(10.0, 28.0, 8.0 / 3.0), [1.0, 1.0, 20.0], 8.0)
-    conformal = integrate(make_linear_saddle([1.0, 1.0, 1.0]),
-                          [1e-6, 2e-6, -1e-6], 12.0)
-    pool = [member_pool[0], short, conformal, member_pool[3]]
+def test_first_failing_member_raises(splitting_pool, order, raised):
+    # the short member and the conformal one
+    pool = [splitting_pool[i] for i in (0, 5, 6, 3)]
     orbits = [pool[i] for i in order]
     first = next(exc for exc in map(_failure_of, orbits) if exc is not None)
     assert type(first) is raised

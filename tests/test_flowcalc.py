@@ -377,6 +377,16 @@ class TestOrbitIO:
         assert np.array_equal(back.states, lorenz_orbit.states)
         assert np.array_equal(back.step_cocycles, lorenz_orbit.step_cocycles)
 
+    def test_cache_rejects_nonzero_renorm(self, lorenz_orbit, tmp_path):
+        # the renorm block is written as zeros and read only to be checked
+        path = tmp_path / "orbit.sechyp"
+        save_orbit_cache(lorenz_orbit, path)
+        raw = bytearray(path.read_bytes())
+        raw[-8:] = np.array([0.5], dtype="<f8").tobytes()
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="nonzero renorm_log"):
+            load_orbit_cache(path)
+
     def test_cache_rejects_bad_magic(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"NOTSECH" + b"\x00" * 64)

@@ -6,7 +6,7 @@ import scipy.stats
 from sechyp import measures
 from sechyp.flowcalc import integrate
 from sechyp.measures import (basin_sample, benettin_spectrum, birkhoff_map,
-                             birkhoff_orbit, empirical_measure,
+                             empirical_measure,
                              histogram_to_csv, ks_statistic, map_pushforward,
                              pesin_check_1d, series_to_csv, tv_distance,
                              uniform_cdf)
@@ -64,11 +64,6 @@ class TestSpectrum:
 
 
 class TestBirkhoff:
-    def test_constant_observable(self, lorenz_orbit):
-        bs = birkhoff_orbit(lorenz_orbit, lambda s: 4.25, name="const")
-        npt.assert_allclose(bs.averages, 4.25, rtol=1e-13)
-        assert bs.oscillation < 1e-12
-
     def test_intermittent_log_derivative(self, intermittent_map):
         # integral of log|f'| over Lebesgue: -(1/2) int_0^1 log x dx = 1/2
         obs = lambda x: np.log(abs(intermittent_map.derivative(x)))

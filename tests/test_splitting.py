@@ -1,13 +1,15 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sechyp.errors import SpectralGapFailure
 from sechyp.flowcalc import integrate
-from sechyp.models import SuspensionModel, conjugate_model, make_linear_saddle
+from sechyp.models import conjugate_model, make_linear_saddle
 from sechyp.splitting import (contraction_rate, domination_rate,
                               estimate_splitting, estimator_consistency,
-                              flow_containment, window_splitting)
+                              window_splitting)
 from sechyp.util import qr_pos, subspace_gap
 
 
@@ -33,6 +35,29 @@ class TestEstimate:
         assert subspace_gap(q @ seq.Es[k], seqq.Es[k]) < 1e-8
         assert subspace_gap(q @ seq.Ecu[k], seqq.Ecu[k]) < 1e-8
 
+    @settings(max_examples=10)
+    @given(angles=st.tuples(*[st.floats(-np.pi, np.pi)] * 3), flip=st.booleans())
+    def test_conjugated_saddle_splitting_is_rotated(self, saddle, angles, flip):
+        # eigs (2, -3, -0.5), d_s = 1, conjugated by an orthogonal Q (Euler
+        # angles, times a reflection when flip): E^s = Q e2 and
+        # E^cu = Q span{e1, e3} at every kept checkpoint.  The sweeps start
+        # from a fixed frame, so the checkpoints near the ends of the kept
+        # range carry about e^{-2.5 warmup} times a Q-dependent overlap
+        # constant: at warmup 8 that reaches 4e-8 for some Q, at warmup 12
+        # about 4e-12
+        a, b, c = angles
+        rot_z = lambda t: np.array([[np.cos(t), -np.sin(t), 0.0],
+                                    [np.sin(t), np.cos(t), 0.0], [0.0, 0.0, 1.0]])
+        rot_x = np.array([[1.0, 0.0, 0.0], [0.0, np.cos(b), -np.sin(b)],
+                          [0.0, np.sin(b), np.cos(b)]])
+        q = rot_z(a) @ rot_x @ rot_z(c) @ np.diag([1.0, 1.0, -1.0 if flip else 1.0])
+        orb = integrate(conjugate_model(saddle, q), q @ np.full(3, 1e-24), 30.0)
+        seq = estimate_splitting(orb, 1, 12.0)
+        es, ecu = q[:, [1]], q[:, [0, 2]]
+        for k in range(len(seq)):
+            assert subspace_gap(seq.Es[k], es) < 1e-8
+            assert subspace_gap(seq.Ecu[k], ecu) < 1e-8
+
     def test_conformal_cocycle_gap_failure(self):
         m = make_linear_saddle([1.0, 1.0, 1.0])
         orb = integrate(m, np.array([1e-6, 2e-6, -1e-6]), 10.0)
@@ -44,20 +69,14 @@ class TestEstimate:
             estimate_splitting(saddle_orbit, 1, saddle_orbit.t_span)
 
     def test_lorenz_flow_direction_in_ecu(self, lorenz_seq_60):
-        assert flow_containment(lorenz_seq_60) < 1e-3
-
-    @pytest.mark.parametrize("which", ["lorenz_seq_60", "suspension_seq"])
-    def test_flow_containment_equals_per_checkpoint_loop(self, which, request):
-        seq = request.getfixturevalue(which)
-        vertical = isinstance(seq.orbit.model, SuspensionModel)
-        worst = 0.0
-        for k in range(len(seq)):
-            x = seq.orbit.states[seq.grid[k]]
-            v = np.array([0.0, 0.0, 1.0]) if vertical else seq.orbit.model.eval(x)
-            v = v / np.linalg.norm(v)
-            resid = v - seq.Ecu[k] @ (seq.Ecu[k].T @ v)
-            worst = max(worst, float(np.arcsin(min(1.0, np.linalg.norm(resid)))))
-        assert flow_containment(seq) == worst
+        # at every checkpoint the unit flow direction makes an angle below
+        # 1e-3 with its projection onto E^cu
+        seq = lorenz_seq_60
+        v = seq.orbit.model.eval_batch(seq.orbit.states[seq.grid])
+        v = (v / np.linalg.norm(v, axis=1)[:, None])[:, :, None]
+        resid = v - seq.Ecu @ (seq.Ecu.swapaxes(1, 2) @ v)
+        sines = np.minimum(1.0, np.linalg.norm(resid, axis=(1, 2)))
+        assert np.max(np.arcsin(sines)) < 1e-3
 
     def test_lorenz_angle_bounded_away_from_zero(self, lorenz_seq_60):
         assert np.min(lorenz_seq_60.angles) > 0.05
