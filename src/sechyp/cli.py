@@ -27,10 +27,10 @@ from .errors import ConfigError, SechypError
 from .flowcalc import integrate, orbit_to_csv, save_orbit_cache
 from .hyperbolicity import classify_singularity
 from .lpf import SectionSpec, return_map
-from .measures import (basin_sample, birkhoff_map, empirical_measure,
-                       histogram_to_csv, ks_statistic, map_pushforward,
-                       benettin_spectrum, pesin_check_1d, series_to_csv,
-                       tv_distance, uniform_cdf)
+from .measures import (BOOT_BLOCKS, basin_sample, birkhoff_map,
+                       empirical_measure, histogram_to_csv, ks_statistic,
+                       map_pushforward, benettin_spectrum, pesin_check_1d,
+                       series_to_csv, tv_distance, uniform_cdf, warmup_index)
 from .models import (IntervalMap, SuspensionModel, VectorFieldModel,
                      iterate_interval_map, load_model)
 from .report import assemble_report, config_hash
@@ -189,11 +189,17 @@ def cmd_spectrum(cfg, args):
              f"must be at most the model dimension {model.dim}")
     seed = _effective_seed(c, args.seed)
     x0 = _initial_state(model, c["spectrum.x0"], "spectrum.x0", seed)
-    out = _out_dir(c, args)
     t_span = float(c["spectrum.T"])
     warmup = c["spectrum.warmup"]
     warmup = float(min(20.0, t_span / 10.0) if warmup is None else warmup)
+    _require(warmup < t_span, "spectrum.warmup",
+             f"must be less than spectrum.T ({t_span:g})")
     orbit = integrate(model, x0, t_span, step_control(c))
+    n_acc = orbit.n_steps - warmup_index(orbit, warmup)
+    _require(n_acc >= BOOT_BLOCKS, "spectrum.warmup",
+             f"must leave at least {BOOT_BLOCKS} orbit steps for the "
+             f"bootstrap blocks (leaves {n_acc})")
+    out = _out_dir(c, args)
     est = benettin_spectrum(orbit, k, warmup=warmup)
     payload = {
         "stamp": _stamp(cfg),

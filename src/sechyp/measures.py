@@ -15,11 +15,15 @@ import numpy as np
 
 from .flowcalc import OrbitSegment, batch_rk4, rk4_step
 from .models import IntervalMap, SuspensionModel, VectorFieldModel
-from .util import haar_frame, qr_pos
+from .util import haar_frame, qr_pos, window_products
 
 BOOT_BLOCKS = 50
 BOOT_RESAMPLES = 1000
 BOOT_SEED = 53117
+# accepted steps per Benettin window on the orbit of a vector field:
+# error-controlled DP5 steps are close to the identity, so the product of
+# a few stays well conditioned between QR factorisations
+_FLOW_WINDOW = 8
 # states whose Jacobians the divergence average forms at once
 _TRACE_CHUNK = 4096
 
@@ -88,6 +92,12 @@ def series_to_csv(series: BirkhoffSeries, path, header_comment=None):
 class SpectrumEstimate:
     """Top-k Lyapunov exponents with block-bootstrap half-widths.
 
+    The frame is re-orthonormalized once per window of step factors:
+    up to `_FLOW_WINDOW` = 8 accepted steps on the orbit of a vector
+    field, a single factor (one return map) on a matrix orbit.  Windows
+    never cross the end of the warmup or a bootstrap block edge, and
+    `reorthonormalizations` counts the windows after the warmup.
+
     `divergence_average` is the trapezoid average of the Jacobian trace
     along the orbit, an independent route to the exponent sum (Liouville
     identity); `sum_half_width` is the bootstrap half-width of the sum.
@@ -110,44 +120,50 @@ def benettin_spectrum(orbit: OrbitSegment, k: int, warmup: float = 0.0,
     to the backward singular directions at the spectral-gap rate).  The
     accumulated factors are bootstrapped over contiguous time blocks
     (50 blocks, 1000 resamples, fixed seed) for confidence half-widths.
+    One QR factorisation per window product (see `SpectrumEstimate`).
     """
     n = orbit.states.shape[1]
     if k > n:
         raise ValueError("k exceeds the model dimension")
-    steps = orbit.n_steps
-    i0 = int(np.searchsorted(orbit.times, orbit.times[0] + warmup, side="left"))
-    if steps - i0 < BOOT_BLOCKS:
+    model = orbit.model
+    flow = isinstance(model, VectorFieldModel)
+    i0 = warmup_index(orbit, warmup)
+    n_acc = orbit.n_steps - i0
+    if n_acc < BOOT_BLOCKS:
         raise ValueError("orbit too short after warmup discard")
+    edges = np.linspace(0, n_acc, BOOT_BLOCKS + 1).astype(int)
+    width = _FLOW_WINDOW if flow else 1
+    # segments: the warmup, then each bootstrap block.  Segment j's
+    # windows start at cuts[j], width apart, and their logs are rows
+    # rows[j]:rows[j + 1]; one segment's window products are held at once
+    cuts = np.concatenate([[0], i0 + edges])
+    rows = np.concatenate([[0], np.cumsum(-(-np.diff(cuts) // width))])
+    logs = np.empty((rows[-1], k))
     q = haar_frame(n, k, seed=4201)
-    logs = np.empty((steps - i0, k))
-    for i in range(i0):
-        q, _ = qr_pos(orbit.step_cocycles[i] @ q)
-    for i in range(i0, steps):
-        q, r = qr_pos(orbit.step_cocycles[i] @ q)
-        logs[i - i0] = np.log(np.abs(np.diag(r)))
+    for j in range(BOOT_BLOCKS + 1):
+        starts = np.arange(cuts[j], cuts[j + 1], width)
+        mats, log_scales = window_products(
+            orbit.step_cocycles, starts,
+            np.minimum(starts + width, cuts[j + 1]))
+        for w in range(len(starts)):
+            q, r = qr_pos(mats[w] @ q)
+            logs[rows[j] + w] = np.log(np.abs(np.diag(r))) + log_scales[w]
+    logs = logs[rows[1]:]                    # the warmup's are discarded
     span = float(orbit.times[-1] - orbit.times[i0])
     exponents = logs.sum(axis=0) / span
 
     # block bootstrap over contiguous time blocks
-    n_acc = steps - i0
-    edges = np.linspace(0, n_acc, BOOT_BLOCKS + 1).astype(int)
-    block_sums = np.add.reduceat(logs, edges[:-1], axis=0)
+    block_sums = np.add.reduceat(logs, rows[1:-1] - rows[1], axis=0)
     block_spans = np.diff(orbit.times[i0 + edges])
     rng = np.random.default_rng(boot_seed)
     picks = rng.integers(0, BOOT_BLOCKS, size=(BOOT_RESAMPLES, BOOT_BLOCKS))
-    boot = np.empty((BOOT_RESAMPLES, k))
-    boot_sum = np.empty(BOOT_RESAMPLES)
-    for r_i in range(BOOT_RESAMPLES):
-        p = picks[r_i]
-        tspan = block_spans[p].sum()
-        boot[r_i] = block_sums[p].sum(axis=0) / tspan
-        boot_sum[r_i] = boot[r_i].sum()
+    boot = (block_sums[picks].sum(axis=1)
+            / block_spans[picks].sum(axis=1)[:, None])
     half = 1.96 * boot.std(axis=0)
-    sum_half = float(1.96 * boot_sum.std())
+    sum_half = float(1.96 * boot.sum(axis=1).std())
 
     # independent divergence route (trapezoid of the Jacobian trace)
-    model = orbit.model
-    if isinstance(model, VectorFieldModel):
+    if flow:
         states = orbit.states[i0:]
         # in chunks, so that the Jacobians held at once stay small
         tr = np.concatenate([
@@ -157,17 +173,24 @@ def benettin_spectrum(orbit: OrbitSegment, k: int, warmup: float = 0.0,
         dt = np.diff(orbit.times[i0:])
         div_avg = float(np.sum(0.5 * (tr[1:] + tr[:-1]) * dt) / span)
     else:
-        div_avg = float(np.sum([np.linalg.slogdet(a)[1]
-                                for a in orbit.step_cocycles[i0:]]) / span)
+        div_avg = float(np.sum(
+            np.linalg.slogdet(orbit.step_cocycles[i0:])[1]) / span)
 
     return SpectrumEstimate(
         exponents=exponents,
         half_widths=half,
         window=span,
-        reorthonormalizations=steps - i0,
+        reorthonormalizations=len(logs),
         divergence_average=div_avg,
         sum_half_width=sum_half,
     )
+
+
+def warmup_index(orbit: OrbitSegment, warmup: float) -> int:
+    """Index of the first step that starts at or after `warmup` time
+    units into the orbit; the spectrum accumulates from there."""
+    return int(np.searchsorted(orbit.times, orbit.times[0] + warmup,
+                               side="left"))
 
 
 # ----------------------------------------------------------------------

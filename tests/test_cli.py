@@ -98,8 +98,11 @@ class TestSubcommands:
             (tmp_path / "out" / "lorenz_spectrum.json").read_text())
         assert abs(payload["sum"] + 41.0 / 3.0) < 0.15
         assert abs(payload["divergence_average"] + 41.0 / 3.0) < 1e-6
-        assert "config_hash=" not in payload["stamp"] or True
         assert payload["stamp"].startswith("sechyp v")
+        assert main(["spectrum", "-c", lorenz_cfg,
+                     "-o", str(tmp_path / "rerun")]) == 0
+        assert ((tmp_path / "rerun" / "lorenz_spectrum.json").read_bytes()
+                == (tmp_path / "out" / "lorenz_spectrum.json").read_bytes())
 
     def test_classify_output(self, lorenz_cfg, tmp_path, capsys):
         assert main(["classify", "-c", lorenz_cfg]) == 0
@@ -347,6 +350,12 @@ def test_shipped_configs_validate():
     # no longer than the largest default tau_sensitivity value, 2
     ("verify", {"verify": {"windows": {"T": 2.0}, "splitting": {"warmup": 1.0}}},
      "verify.windows.T", "leaves a valid range of"),
+    # rejected before the orbit is integrated
+    ("spectrum", {"spectrum": {"T": 5.0, "warmup": 6.0}}, "spectrum.warmup",
+     "must be less than spectrum.T"),
+    # rejected once the orbit shows how few steps the warmup leaves
+    ("spectrum", {"spectrum": {"T": 5.0, "warmup": 4.999}}, "spectrum.warmup",
+     "must leave at least 50 orbit steps"),
 ])
 def test_config_fault_exit_2_without_output(tmp_path, capsys, command, section,
                                             field, message):

@@ -4,7 +4,7 @@ import pytest
 import scipy.stats
 
 from sechyp import measures
-from sechyp.flowcalc import integrate
+from sechyp.flowcalc import OrbitSegment, integrate
 from sechyp.measures import (basin_sample, benettin_spectrum, birkhoff_map,
                              empirical_measure,
                              histogram_to_csv, ks_statistic, map_pushforward,
@@ -14,6 +14,45 @@ from sechyp.models import (conjugate_model, expanding_lorenz_orbit,
                            make_expanding_lorenz_map, make_lorenz,
                            make_geometric_lorenz_suspension,
                            make_linear_saddle, polynomial_field_from_table)
+from sechyp.suspension import suspension_orbit
+from sechyp.util import haar_frame, qr_pos
+
+CONJUGATED_LORENZ = conjugate_model(
+    make_lorenz(10.0, 28.0, 8.0 / 3.0),
+    np.linalg.qr(np.arange(1.0, 10.0).reshape(3, 3) + np.eye(3))[0])
+
+
+def per_step_spectrum(orbit, k, warmup):
+    """Reference Benettin estimate: one QR per step factor, a Python
+    loop over the bootstrap resamples, and the divergence of a matrix
+    orbit by one slogdet per factor.  Returns (exponents, half_widths,
+    sum_half_width, matrix_divergence_average)."""
+    steps = orbit.n_steps
+    i0 = int(np.searchsorted(orbit.times, orbit.times[0] + warmup,
+                             side="left"))
+    q = haar_frame(orbit.states.shape[1], k, seed=4201)
+    logs = np.empty((steps - i0, k))
+    for i in range(i0):
+        q, _ = qr_pos(orbit.step_cocycles[i] @ q)
+    for i in range(i0, steps):
+        q, r = qr_pos(orbit.step_cocycles[i] @ q)
+        logs[i - i0] = np.log(np.abs(np.diag(r)))
+    span = float(orbit.times[-1] - orbit.times[i0])
+    edges = np.linspace(0, steps - i0, measures.BOOT_BLOCKS + 1).astype(int)
+    block_sums = np.add.reduceat(logs, edges[:-1], axis=0)
+    block_spans = np.diff(orbit.times[i0 + edges])
+    rng = np.random.default_rng(measures.BOOT_SEED)
+    picks = rng.integers(0, measures.BOOT_BLOCKS,
+                         size=(measures.BOOT_RESAMPLES, measures.BOOT_BLOCKS))
+    boot = np.empty((measures.BOOT_RESAMPLES, k))
+    boot_sum = np.empty(measures.BOOT_RESAMPLES)
+    for r_i, p in enumerate(picks):
+        boot[r_i] = block_sums[p].sum(axis=0) / block_spans[p].sum()
+        boot_sum[r_i] = boot[r_i].sum()
+    div = float(np.sum([np.linalg.slogdet(a)[1]
+                        for a in orbit.step_cocycles[i0:]]) / span)
+    return (logs.sum(axis=0) / span, 1.96 * boot.std(axis=0),
+            float(1.96 * boot_sum.std()), div)
 
 
 class TestSpectrum:
@@ -35,9 +74,7 @@ class TestSpectrum:
             <= max(2 * est.sum_half_width, 1e-3)
 
     @pytest.mark.parametrize("model", [
-        conjugate_model(make_lorenz(10.0, 28.0, 8.0 / 3.0),
-                        np.linalg.qr(np.arange(1.0, 10.0).reshape(3, 3)
-                                     + np.eye(3))[0]),
+        CONJUGATED_LORENZ,
         # van der Pol in (x, y), driven z: the trace -x^2 varies
         polynomial_field_from_table({"dim": 3, "components": [
             [{"exponents": [0, 1, 0], "coeff": 1.0}],
@@ -57,6 +94,64 @@ class TestSpectrum:
         want = (np.sum(0.5 * (tr[1:] + tr[:-1]) * np.diff(orb.times[i0:]))
                 / float(orb.times[-1] - orb.times[i0]))
         assert est.divergence_average == float(want)
+
+    @pytest.mark.parametrize("case", ["lorenz_orbit_60", "conjugated-lorenz"])
+    def test_windowed_estimate_matches_the_per_step_reference(self, case,
+                                                              request):
+        if case == "lorenz_orbit_60":
+            orb, k, warmup = request.getfixturevalue(case), 3, 5.0
+        else:
+            orb, k, warmup = (integrate(CONJUGATED_LORENZ, [1.0, 2.0, 20.0],
+                                        6.0), 2, 1.0)
+        est = benettin_spectrum(orb, k, warmup=warmup)
+        exponents, half_widths, sum_half, _ = per_step_spectrum(orb, k, warmup)
+        npt.assert_allclose(est.exponents, exponents, rtol=0, atol=1e-12)
+        npt.assert_allclose(est.half_widths, half_widths, rtol=1e-12, atol=0)
+        # the block sums of the exponent sum cancel to near rounding, so
+        # their spread is compared in absolute terms
+        npt.assert_allclose(est.sum_half_width, sum_half, rtol=0, atol=1e-12)
+
+    def test_reorthonormalizations_count_the_qr_calls_after_warmup(
+            self, lorenz_orbit_60, monkeypatch):
+        calls = []
+        monkeypatch.setattr(measures, "qr_pos",
+                            lambda a: calls.append(1) or qr_pos(a))
+        est = benettin_spectrum(lorenz_orbit_60, 3, warmup=5.0)
+        i0 = measures.warmup_index(lorenz_orbit_60, 5.0)
+        width = measures._FLOW_WINDOW
+        assert len(calls) - -(-i0 // width) == est.reorthonormalizations
+        # no window crosses a bootstrap block edge
+        edges = np.linspace(0, lorenz_orbit_60.n_steps - i0,
+                            measures.BOOT_BLOCKS + 1).astype(int)
+        assert est.reorthonormalizations == np.sum(-(-np.diff(edges) // width))
+
+    def test_matrix_orbit_equals_the_per_factor_reference(
+            self, intermittent_suspension):
+        # one return map per window: the reference's numbers bit for bit
+        orb = suspension_orbit(intermittent_suspension, (0.3, 0.1), 5000)
+        est = benettin_spectrum(orb, 3, warmup=10.0)
+        exponents, half_widths, sum_half, div = per_step_spectrum(orb, 3, 10.0)
+        assert np.array_equal(est.exponents, exponents)
+        assert est.divergence_average == div
+        assert np.array_equal(est.half_widths, half_widths)
+        assert est.sum_half_width == sum_half
+        assert est.reorthonormalizations == orb.n_steps - measures.warmup_index(
+            orb, 10.0)
+
+    def test_rescaled_window_products_keep_their_log_scale(self):
+        # a matrix orbit whose factors leave [2^-500, 2^500]: each window
+        # product is rescaled by an exact power of two, and the log of
+        # that factor must come back into the exponents
+        n = 200
+        rates = np.array([520.0, 0.0, -20.0])
+        orb = OrbitSegment(model=None, times=np.arange(n + 1.0),
+                           states=np.zeros((n + 1, 3)),
+                           step_cocycles=np.tile(np.diag(np.exp2(rates)),
+                                                 (n, 1, 1)),
+                           renorm_log=np.zeros(n))
+        est = benettin_spectrum(orb, 3, warmup=20.0)
+        npt.assert_allclose(est.exponents, rates * np.log(2.0), rtol=1e-12,
+                            atol=1e-12)
 
     def test_k_exceeds_dimension(self, lorenz_orbit):
         with pytest.raises(ValueError):
