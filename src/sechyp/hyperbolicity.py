@@ -22,6 +22,24 @@ from .splitting import (SplittingSequence, _checkpoint_flow_dirs,
                         estimate_splitting, span_windows)
 from .util import fit_log_rate, log_norms, qr_pos, window_products
 
+# Window starts of the windowed sectional and volume functionals.
+SECT_STARTS = 10
+
+# Generic 2-planes of the sampled plane grid when dim E^cu > 2.
+N_PLANES = 64
+
+# Horizons of the running-max (ASH) functionals, geometrically spaced.
+ASH_HORIZONS = 24
+
+# Directions of E^cu that the NNE functional pushes, the angle (rad) to
+# the flow direction below which a draw is rejected, and the draw seed.
+NNE_DIRS = 8
+NNE_FLOW_CONE = 1e-2
+NNE_SEED = 90117
+
+# Qualifying window starts of the MSH fits.
+MSH_STARTS = 6
+
 # ----------------------------------------------------------------------
 # singularity classification
 # ----------------------------------------------------------------------
@@ -270,49 +288,44 @@ def _window_summary(rates, window):
                             float(rates.max()), window, len(rates))
 
 
-def sectional_expansion_functional(seq: SplittingSequence, window: float,
-                                   n_starts: int = 10,
-                                   n_planes: int = 64) -> FunctionalResult:
+def sectional_expansion_functional(seq: SplittingSequence,
+                                   window: float) -> FunctionalResult:
     """Windowed min-over-2-planes determinant rate inside E^cu.
 
     For d_cu = 2 there is a single plane; otherwise the minimum runs
     over the exact bottom singular pair plus a deterministic plane grid
-    of >= n_planes.  Uniform sectional expansion holds on the sample
+    of >= N_PLANES.  Uniform sectional expansion holds on the sample
     iff min_rate >= +1e-3.
     """
-    rcu, _ = seq.restricted("cu")
     times = seq.times
-    planes = None if seq.d_cu == 2 else _plane_grid(seq.d_cu, n_planes)
-    i, j = span_windows(times, [min(window, times[-1] - times[0])], n_starts)
-    mats, ls = window_products(rcu, i, j)
+    planes = None if seq.d_cu == 2 else _plane_grid(seq.d_cu, N_PLANES)
+    i, j = span_windows(times, [min(window, times[-1] - times[0])], SECT_STARTS)
+    mats, ls = window_products(seq.Rcu, i, j)
     rates = _min_plane_log_det(mats, ls, planes) / (times[j] - times[i])
     return _window_summary(rates, window)
 
 
-def volume_expansion_functional(seq: SplittingSequence, window: float,
-                                n_starts: int = 10) -> FunctionalResult:
+def volume_expansion_functional(seq: SplittingSequence,
+                                window: float) -> FunctionalResult:
     """Windowed log |det| rate of the cocycle restricted to E^cu."""
-    rcu, _ = seq.restricted("cu")
     times = seq.times
-    i, j = span_windows(times, [min(window, times[-1] - times[0])], n_starts)
-    mats, ls = window_products(rcu, i, j)
+    i, j = span_windows(times, [min(window, times[-1] - times[0])], SECT_STARTS)
+    mats, ls = window_products(seq.Rcu, i, j)
     logdet = np.linalg.slogdet(mats)[1]
     return _window_summary((logdet + seq.d_cu * ls) / (times[j] - times[i]), window)
 
 
-def ash_functional(seq: SplittingSequence, n_checkpoints: int = 24,
-                   n_planes: int = 64) -> float:
+def ash_functional(seq: SplittingSequence) -> float:
     """Running max over increasing horizons of the min-plane determinant
     rate from the start of the valid range (pointwise asymptotic
     expansion proxy)."""
-    rcu, _ = seq.restricted("cu")
     times = seq.times
     total = times[-1] - times[0]
-    planes = None if seq.d_cu == 2 else _plane_grid(seq.d_cu, n_planes)
-    horizons = np.geomspace(total / 64.0, total, n_checkpoints)
+    planes = None if seq.d_cu == 2 else _plane_grid(seq.d_cu, N_PLANES)
+    horizons = np.geomspace(total / 64.0, total, ASH_HORIZONS)
     j = np.searchsorted(times, times[0] + horizons, side="right") - 1
     j = j[j > 0]
-    mats, ls = window_products(rcu, np.zeros_like(j), j)
+    mats, ls = window_products(seq.Rcu, np.zeros_like(j), j)
     rates = _min_plane_log_det(mats, ls, planes) / (times[j] - times[0])
     return float(np.max(rates, initial=-np.inf))
 
@@ -328,12 +341,11 @@ def mnuse_functional(seq: SplittingSequence, tau: float,
     second compound.  Negative values certify sectional expansion of
     the time-tau map on average.
     """
-    rcu, _ = seq.restricted("cu")
     times = seq.times
     if times[-1] - tau <= times[0]:
         raise ValueError("valid range shorter than one tau window")
     i, j = _tau_windows(times, tau, n_samples)
-    return float(np.mean(_inverse_wedge_rates(rcu, times, i, j)))
+    return float(np.mean(_inverse_wedge_rates(seq.Rcu, times, i, j)))
 
 
 def _inverse_wedge_rates(rcu, times, i, j):
@@ -381,8 +393,7 @@ def _ncu_coords(lpf_cocycle, seq, ks, d_ncu):
     return u[:, :, :d_ncu]
 
 
-def nne_functional(seq: SplittingSequence, n_dirs: int = 8,
-                   flow_cone: float = 1e-2, seed: int = 90117) -> FunctionalResult:
+def nne_functional(seq: SplittingSequence) -> FunctionalResult:
     """Minimal tail growth rate of 2-planes spanned by a sampled
     direction v in E^cu and the flow direction.
 
@@ -396,18 +407,18 @@ def nne_functional(seq: SplittingSequence, n_dirs: int = 8,
     and the pushed flow direction (the 2-plane they span); this is
     flagged in every report that carries the statistic.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(NNE_SEED)
     times = seq.times
     dirs = _checkpoint_flow_dirs(seq)
 
     # directions first: the flow-cone test reads checkpoint 0 only
     accepted = []
-    for _ in range(10 * n_dirs):
-        if len(accepted) == n_dirs:
+    for _ in range(10 * NNE_DIRS):
+        if len(accepted) == NNE_DIRS:
             break
         coords = rng.standard_normal(seq.d_cu)
         v = seq.Ecu[0] @ (coords / np.linalg.norm(coords))
-        if np.arccos(np.clip(abs(v @ dirs[0]), 0, 1)) > flow_cone:
+        if np.arccos(np.clip(abs(v @ dirs[0]), 0, 1)) > NNE_FLOW_CONE:
             accepted.append(v)
 
     # push them together, one stacked matvec per block
@@ -468,7 +479,7 @@ def _singular_distances(orbit, model):
     return d
 
 
-def msh_windows(t, dist, grid, radius, avoid, n_starts=6):
+def msh_windows(t, dist, grid, radius, avoid):
     """Fit windows for the MSH decay slopes, from starts clear of the
     singular set.
 
@@ -477,7 +488,7 @@ def msh_windows(t, dist, grid, radius, avoid, n_starts=6):
     window starts.  A start qualifies when every sample from it up to
     the last one at or before t + avoid lies farther than `radius` from
     the singular set, and that time is within the samples.  Up to
-    n_starts qualifying starts, evenly spread, are paired with five
+    MSH_STARTS qualifying starts, evenly spread, are paired with five
     spans from avoid / 10 to avoid; each window ends at the last start
     candidate within its span.
 
@@ -494,7 +505,7 @@ def msh_windows(t, dist, grid, radius, avoid, n_starts=6):
     n_qual = len(qual)
     if n_qual < 2:
         return n_qual, qual[:0], qual[:0]
-    k0 = qual[np.linspace(0, n_qual - 1, min(n_starts, n_qual)).astype(int)]
+    k0 = qual[np.linspace(0, n_qual - 1, min(MSH_STARTS, n_qual)).astype(int)]
     spans = np.linspace(avoid / 10.0, avoid, 5)
     k1 = np.searchsorted(tg, tg[k0, None] + spans, side="right") - 1
     k0 = np.repeat(k0, len(spans))
@@ -504,7 +515,7 @@ def msh_windows(t, dist, grid, radius, avoid, n_starts=6):
 
 
 def msh_estimate(lpf_cocycle, seq: SplittingSequence, radius: float,
-                 avoid_window: float, n_starts: int = 6) -> MshResult:
+                 avoid_window: float) -> MshResult:
     """Fit the uniform decay of the restricted linear Poincare flow away
     from the singular set.
 
@@ -522,7 +533,7 @@ def msh_estimate(lpf_cocycle, seq: SplittingSequence, radius: float,
 
     n_qual, k0, k1 = msh_windows(orbit.times,
                                  _singular_distances(orbit, orbit.model),
-                                 seq.grid, radius, avoid_window, n_starts)
+                                 seq.grid, radius, avoid_window)
     if n_qual < 2:
         return MshResult(np.nan, np.nan, np.nan, n_qual)
 
@@ -675,12 +686,10 @@ def nush_periodic_check(model, seed, period_guess, tau: float = 1.0,
     warmup = max(period, tau)
     seq = estimate_splitting(orbit, d_s=d_s, warmup=warmup, stride=2)
 
-    rs, _ = seq.restricted("s")
-    rcu, _ = seq.restricted("cu")
     times = seq.times
     i, j = _tau_windows(times, tau, 64)
-    evals = log_norms(*window_products(rs, i, j)) / (times[j] - times[i])
-    wvals = _inverse_wedge_rates(rcu, times, i, j)
+    evals = log_norms(*window_products(seq.Rs, i, j)) / (times[j] - times[i])
+    wvals = _inverse_wedge_rates(seq.Rcu, times, i, j)
     e_avg, w_avg = float(np.mean(evals)), float(np.mean(wvals))
     return NushPeriodicResult(x, period, res, e_avg, w_avg,
                               bool(e_avg <= eta and w_avg <= eta), eta)

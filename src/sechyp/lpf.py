@@ -20,6 +20,10 @@ from .flowcalc import TIME_RESOLUTION, OrbitSegment, dp5_steps, integrate
 from .models import SuspensionModel
 from .util import longest_first, orthonormal_complement, qr_pos, scaled_product, unit
 
+# Flow speed at or below which an orbit counts as at a singularity,
+# where the normal bundle and so the LPF are undefined.
+SPEED_FLOOR = 1e-8
+
 
 @dataclass
 class LPFCocycle:
@@ -52,11 +56,11 @@ class LPFCocycle:
         return scaled_product(self.lpf_factors, i, j)
 
 
-def lpf_along(orbit: OrbitSegment, speed_floor: float = 1e-8,
+def lpf_along(orbit: OrbitSegment,
               frame_seed: Optional[int] = None) -> LPFCocycle:
     """Per-step linear Poincare flow factors in transported normal frames.
 
-    Raises NearSingularity when the flow speed drops below speed_floor
+    Raises NearSingularity when the flow speed drops to SPEED_FLOOR
     anywhere on the grid; the cocycle is undefined at singularities and
     unreliable arbitrarily close to them.
 
@@ -69,7 +73,7 @@ def lpf_along(orbit: OrbitSegment, speed_floor: float = 1e-8,
     constant vertical coordinate and the normal space is the section
     plane itself.
     """
-    (lpf,) = lpf_alongs([orbit], speed_floor, frame_seed)
+    (lpf,) = lpf_alongs([orbit], frame_seed)
     if isinstance(lpf, Exception):
         raise lpf
     return lpf
@@ -79,8 +83,8 @@ def lpf_along(orbit: OrbitSegment, speed_floor: float = 1e-8,
 _CHUNK = 64
 
 
-def lpf_alongs(orbits, speed_floor: float = 1e-8,
-               frame_seed: Optional[int] = None, frame_stride: int = 1) -> list:
+def lpf_alongs(orbits, frame_seed: Optional[int] = None,
+               frame_stride: int = 1) -> list:
     """`lpf_along` of each orbit in a list (all of one dimension), as one
     transport: per member its LPFCocycle, bit for bit, or the
     NearSingularity `lpf_along` raises on it.
@@ -94,7 +98,7 @@ def lpf_alongs(orbits, speed_floor: float = 1e-8,
     live = []
     for b, orbit in enumerate(orbits):
         try:
-            _check_speed(orbit, speed_floor)
+            _check_speed(orbit)
             live.append(b)
         except NearSingularity as exc:
             out[b] = exc
@@ -155,13 +159,13 @@ def lpf_alongs(orbits, speed_floor: float = 1e-8,
     return out
 
 
-def _check_speed(orbit, speed_floor):
+def _check_speed(orbit):
     """Raise NearSingularity when the flow speed at some grid state of a
-    vector-field orbit is at most speed_floor."""
+    vector-field orbit is at most SPEED_FLOOR."""
     if isinstance(orbit.model, SuspensionModel):
         return
     speeds = np.linalg.norm(orbit.model.eval_batch(orbit.states), axis=1)
-    if np.min(speeds) <= speed_floor:
+    if np.min(speeds) <= SPEED_FLOOR:
         bad = int(np.argmin(speeds))
         raise NearSingularity(
             f"flow speed {speeds[bad]:.3e} at t={orbit.times[bad]:.6g}"

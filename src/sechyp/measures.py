@@ -111,8 +111,8 @@ class SpectrumEstimate:
     sum_half_width: float
 
 
-def benettin_spectrum(orbit: OrbitSegment, k: int, warmup: float = 0.0,
-                      boot_seed: int = BOOT_SEED) -> SpectrumEstimate:
+def benettin_spectrum(orbit: OrbitSegment, k: int,
+                      warmup: float = 0.0) -> SpectrumEstimate:
     """Top-k exponents by QR-reorthonormalized cocycle iteration.
 
     `warmup` discards the initial frame-alignment transient before the
@@ -155,7 +155,7 @@ def benettin_spectrum(orbit: OrbitSegment, k: int, warmup: float = 0.0,
     # block bootstrap over contiguous time blocks
     block_sums = np.add.reduceat(logs, rows[1:-1] - rows[1], axis=0)
     block_spans = np.diff(orbit.times[i0 + edges])
-    rng = np.random.default_rng(boot_seed)
+    rng = np.random.default_rng(BOOT_SEED)
     picks = rng.integers(0, BOOT_BLOCKS, size=(BOOT_RESAMPLES, BOOT_BLOCKS))
     boot = (block_sums[picks].sum(axis=1)
             / block_spans[picks].sum(axis=1)[:, None])
@@ -357,15 +357,15 @@ def pesin_check_1d(m: IntervalMap, suspension_model: SuspensionModel,
     y0 = float(rng.uniform(-1.0, 1.0))
 
     f, df, roof = m.eval, m.derivative, suspension_model.roof
-    log_fp = np.empty(n)
+    log_df = np.empty(n)
     roofs = np.empty(n)
     x = x0
     for i in range(n):
         xa = x if abs(x) >= clip else np.copysign(clip, x)
-        log_fp[i] = np.log(abs(df(xa)))
+        log_df[i] = np.log(abs(df(xa)))
         roofs[i] = roof(xa)
         x = f(xa)
-    h_base = float(np.mean(log_fp))
+    h_base = float(np.mean(log_df))
     mean_roof = float(np.mean(roofs))
     quotient = h_base / mean_roof
 

@@ -292,7 +292,7 @@ def _suspension_msh_row(streams, b, radius, avoid, margin):
                 "msh_slopes": (np.nan, np.nan, np.nan)}
 
     s_ns = np.concatenate([[0.0], np.cumsum(streams.log_gy[:, b])])
-    s_nu = np.concatenate([[0.0], np.cumsum(streams.log_a[:, b])])
+    s_nu = streams.cum_a[:, b]
     dt = t[k1] - t[k0]
     ys_s = s_ns[k1] - s_ns[k0]
     ys_u = -(s_nu[k1] - s_nu[k0])

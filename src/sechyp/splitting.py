@@ -18,7 +18,7 @@ in the ambient Euclidean metric, never an asymptotic claim.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,6 +36,9 @@ RATE_MARGIN = 1e-3
 
 # Blocks whose products are formed at once, which bounds the temporaries.
 _BLOCK_CHUNK = 256
+
+# Window starts per span of the domination and contraction fits.
+RATE_STARTS = 5
 
 
 @dataclass(frozen=True)
@@ -58,6 +61,11 @@ class SplittingSequence:
     hold the bases at the checkpoints.  gap_s / gap_cu are per-unit-time
     singular-value gaps at the two cuts, estimated from the sweep's QR
     log streams.
+
+    Formed once from those, not passed in: `Rs` / `Rcu`, the (K, d, d)
+    block factors restricted to E^s / E^cu in the stored bases, and
+    `defect_s` / `defect_cu`, each block's relative leakage off the
+    bundle (see `_restrict`).  Every functional reads these.
     """
 
     orbit: OrbitSegment
@@ -68,10 +76,16 @@ class SplittingSequence:
     Es: np.ndarray
     Ecu: np.ndarray
     angles: np.ndarray
-    defect_s: np.ndarray
-    defect_cu: np.ndarray
     gap_s: float
     gap_cu: float
+    Rs: np.ndarray = field(init=False)
+    Rcu: np.ndarray = field(init=False)
+    defect_s: np.ndarray = field(init=False)
+    defect_cu: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        self.Rs, self.defect_s = _restrict(self.factors, self.Es)
+        self.Rcu, self.defect_cu = _restrict(self.factors, self.Ecu)
 
     def __len__(self):
         return self.grid.shape[0]
@@ -92,18 +106,20 @@ class SplittingSequence:
             angle=float(self.angles[k]),
         )
 
-    def restricted(self, which):
-        """Per-block factors restricted to E^s ('s') or E^cu ('cu') in the
-        stored bases, plus per-block relative leakage defects."""
-        b = self.Es if which == "s" else self.Ecu
-        w = np.einsum("kij,kjl->kil", self.factors, b[:-1])
-        coords = np.einsum("kji,kjl->kil", b[1:], w)
-        leak = w - np.einsum("kij,kjl->kil", b[1:], coords)
-        wn = np.linalg.norm(w, axis=(1, 2))
-        defects = np.where(wn > 0,
-                           np.linalg.norm(leak, axis=(1, 2)) / np.maximum(wn, 1e-300),
-                           0.0)
-        return coords, defects
+
+def _restrict(factors, bases):
+    """Block factors (K, n, n) restricted to the bundle with orthonormal
+    bases (K+1, n, d) at the checkpoints: the (K, d, d) coordinates of
+    each pushed basis in the next one, and per block the relative norm
+    of the pushed basis that leaks off the next one."""
+    w = np.einsum("kij,kjl->kil", factors, bases[:-1])
+    coords = np.einsum("kji,kjl->kil", bases[1:], w)
+    leak = w - np.einsum("kij,kjl->kil", bases[1:], coords)
+    wn = np.linalg.norm(w, axis=(1, 2))
+    defects = np.where(wn > 0,
+                       np.linalg.norm(leak, axis=(1, 2)) / np.maximum(wn, 1e-300),
+                       0.0)
+    return coords, defects
 
 
 def block_factors(orbit: OrbitSegment, stride: int):
@@ -253,18 +269,11 @@ def _sequence(orbit, grid, factors, forward, backward, d_s, warmup):
                 f"over warmup {warmup:g} is below {GAP_RATIO_FLOOR}"
             )
 
-    k_count = len(grid) - 1
-    seq = SplittingSequence(
+    return SplittingSequence(
         orbit=orbit, d_s=d_s, d_cu=d_cu, grid=grid, factors=factors,
         Es=es, Ecu=ecu, angles=principal_angles(es, ecu)[:, 0],
-        defect_s=np.zeros(k_count), defect_cu=np.zeros(k_count),
         gap_s=gap_s, gap_cu=gap_cu,
     )
-    _, ds = seq.restricted("s")
-    _, dcu = seq.restricted("cu")
-    seq.defect_s = ds
-    seq.defect_cu = dcu
-    return seq
 
 
 def window_splitting(orbit: OrbitSegment, grid_index: int, d_s: int,
@@ -375,7 +384,7 @@ def _rate_fit(times, i, j, log_values):
                    window=float(times[-1] - times[0]), n_samples=len(i))
 
 
-def domination_rate(seq: SplittingSequence, spans=None, n_starts: int = 5) -> RateFit:
+def domination_rate(seq: SplittingSequence, spans=None) -> RateFit:
     """Fit the domination quantity D(t) = ||DX_t|E^s|| * ||DX_{-t}|E^cu||.
 
     Norms are taken from per-block factors restricted to the estimated
@@ -383,22 +392,19 @@ def domination_rate(seq: SplittingSequence, spans=None, n_starts: int = 5) -> Ra
     polluted by estimation leakage.  Verdict: dominated iff the fitted
     slope is <= -1e-3 per unit time.
     """
-    rs, _ = seq.restricted("s")
-    rcu, _ = seq.restricted("cu")
     times = seq.times
-    i, j = span_windows(times, spans, n_starts)
-    log_d = (log_norms(*window_products(rs, i, j))
-             + log_norms(*window_products(rcu, i, j), inverse=True))
+    i, j = span_windows(times, spans, RATE_STARTS)
+    log_d = (log_norms(*window_products(seq.Rs, i, j))
+             + log_norms(*window_products(seq.Rcu, i, j), inverse=True))
     return _rate_fit(times, i, j, log_d)
 
 
-def contraction_rate(seq: SplittingSequence, spans=None, n_starts: int = 5) -> RateFit:
+def contraction_rate(seq: SplittingSequence, spans=None) -> RateFit:
     """Fit ||DX_t|E^s|| decay; verdict: uniformly contracted iff the
     slope is <= -1e-3 per unit time."""
-    rs, _ = seq.restricted("s")
     times = seq.times
-    i, j = span_windows(times, spans, n_starts)
-    return _rate_fit(times, i, j, log_norms(*window_products(rs, i, j)))
+    i, j = span_windows(times, spans, RATE_STARTS)
+    return _rate_fit(times, i, j, log_norms(*window_products(seq.Rs, i, j)))
 
 
 def _checkpoint_flow_dirs(seq: SplittingSequence):

@@ -21,7 +21,7 @@ span{(1, h, 0), e_s} with tilt recursion h' = (g_x + g_y h) / f'.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,6 +33,12 @@ from .models import SuspensionModel
 # when evaluating the roof; the clipping error is bounded by
 # delta * (1 + |log delta|) per crossing.
 ROOF_CLIP = 1e-12
+
+# Window starts of the windowed sectional rate along a stream.
+STREAM_STARTS = 16
+
+# Horizons of the running max of the sectional rate (ASH).
+ASH_HORIZONS = 24
 
 
 def crossing_matrix(model: SuspensionModel, x, y):
@@ -81,26 +87,34 @@ class SectionStreams:
     Arrays are indexed (crossing, seed).  `log_a` is the log of the
     restricted center-unstable determinant factor per crossing, which
     is also the one-dimensional restricted linear-Poincare factor on
-    N^cu; `log_gy` is the stable (fiber) factor.
+    N^cu; `log_gy` is the stable (fiber) factor.  `cum_a` is formed once
+    from `log_a`, not passed in: its prefix sums per seed, so that the
+    log-det over crossings i+1..j is cum_a[j] - cum_a[i].  Every
+    windowed reader indexes it.
     """
 
     model: SuspensionModel
     x: np.ndarray          # (n+1, B) quotient coordinates
     y: np.ndarray          # (n+1, B) fiber coordinates
     times: np.ndarray      # (n+1, B) accumulated crossing times
-    log_fp: np.ndarray     # (n, B) log |f'|
     log_gy: np.ndarray     # (n, B) log |g_y|
     tilt: np.ndarray       # (n+1, B) center-unstable graph slope h
     log_a: np.ndarray      # (n, B)
     clipped: int           # crossings where the roof argument was clipped
+    cum_a: np.ndarray = field(init=False)   # (n+1, B), row 0 zero
+
+    def __post_init__(self):
+        # sequential down each column: bit-equal to a per-seed cumsum
+        self.cum_a = np.zeros((self.log_a.shape[0] + 1, self.log_a.shape[1]))
+        np.cumsum(self.log_a, axis=0, out=self.cum_a[1:])
 
     @property
     def n_returns(self):
-        return self.log_fp.shape[0]
+        return self.log_a.shape[0]
 
     @property
     def n_seeds(self):
-        return self.log_fp.shape[1]
+        return self.log_a.shape[1]
 
 
 def run_section_streams(model: SuspensionModel, seeds, n_returns: int,
@@ -134,7 +148,6 @@ def run_section_streams(model: SuspensionModel, seeds, n_returns: int,
     xs = np.empty((n_returns + 1, b))
     ys = np.empty((n_returns + 1, b))
     ts = np.empty((n_returns + 1, b))
-    log_fp = np.empty((n_returns, b))
     log_gy = np.empty((n_returns, b))
     tilts = np.empty((n_returns + 1, b))
     log_a = np.empty((n_returns, b))
@@ -153,9 +166,8 @@ def run_section_streams(model: SuspensionModel, seeds, n_returns: int,
             clipped += int(np.sum(small))
             xa = np.maximum(xa, ROOF_CLIP)
         hn = (skew.fiber_dx(x, y) + gy * h) / fp
-        log_fp[k] = np.log(np.abs(fp))
         log_gy[k] = np.log(np.abs(gy)) if np.all(gy > 0) else np.log(np.maximum(np.abs(gy), 1e-300))
-        log_a[k] = log_fp[k] + 0.5 * (np.log1p(hn * hn) - np.log1p(h * h))
+        log_a[k] = np.log(np.abs(fp)) + 0.5 * (np.log1p(hn * hn) - np.log1p(h * h))
         ts[k + 1] = ts[k] + model.roof(xa)
         x, y, h = base.eval_batch(x), skew.fiber(x, y), hn
         xs[k + 1], ys[k + 1] = x, y
@@ -163,7 +175,7 @@ def run_section_streams(model: SuspensionModel, seeds, n_returns: int,
 
     return SectionStreams(
         model=model, x=xs, y=ys, times=ts,
-        log_fp=log_fp, log_gy=log_gy, tilt=tilts, log_a=log_a,
+        log_gy=log_gy, tilt=tilts, log_a=log_a,
         clipped=clipped,
     )
 
@@ -176,7 +188,7 @@ def window_log_det_cu(streams: SectionStreams, seed: int, t0: float, t1: float):
     """log |det D(flow over [t0, t1])| restricted to the center-unstable
     plane, for one seed: the sum of log_a over crossings inside (t0, t1]."""
     t = streams.times[:, seed]
-    s = np.concatenate([[0.0], np.cumsum(streams.log_a[:, seed])])
+    s = streams.cum_a[:, seed]
     i = np.searchsorted(t[1:], t0, side="right")
     j = np.searchsorted(t[1:], t1, side="right")
     return float(s[j] - s[i])
@@ -208,19 +220,19 @@ def nuse_rate_stream(streams: SectionStreams, seed: int, tau: float):
     n = int(np.floor(t[-1] / tau))
     if n < 1:
         raise ValueError("orbit shorter than one tau window")
-    s = np.concatenate([[0.0], np.cumsum(streams.log_a[:, seed])])
+    s = streams.cum_a[:, seed]
     edges = np.searchsorted(t[1:], np.arange(n + 1) * tau, side="right")
     return float(-(s[edges[-1]] - s[edges[0]]) / (n * tau))
 
 
-def ash_running_max(streams: SectionStreams, seed: int, n_checkpoints: int = 24):
+def ash_running_max(streams: SectionStreams, seed: int):
     """Running max over geometrically spaced horizons of the windowed
     sectional (= 2-plane determinant) rate from time zero."""
     t = streams.times[:, seed]
-    s = np.concatenate([[0.0], np.cumsum(streams.log_a[:, seed])])
+    s = streams.cum_a[:, seed]
     total = t[-1]
     horizons = np.geomspace(max(4.0 * streams.model.roof_floor, total / 256.0),
-                            total, n_checkpoints)
+                            total, ASH_HORIZONS)
     best = -np.inf
     for horizon in horizons:
         j = np.searchsorted(t[1:], horizon, side="right")
@@ -230,16 +242,18 @@ def ash_running_max(streams: SectionStreams, seed: int, n_checkpoints: int = 24)
     return float(best)
 
 
-def sectional_rate_stream(streams: SectionStreams, seed: int, window: float,
-                          n_starts: int = 16):
+def sectional_rate_stream(streams: SectionStreams, seed: int, window: float):
     """Windowed center-unstable determinant rates: (mean, min, max) over
-    window starting points spread along the orbit."""
+    window starting points spread along the orbit.  An orbit no longer
+    than the window is one window of its whole time, as the flow
+    functional clamps its window to the valid range."""
     t = streams.times[:, seed]
     total = t[-1]
     if total <= window:
+        window = total
         starts = np.array([0.0])
     else:
-        starts = np.linspace(0.0, total - window, n_starts)
+        starts = np.linspace(0.0, total - window, STREAM_STARTS)
     rates = [window_log_det_cu(streams, seed, s0, s0 + window) / window
              for s0 in starts]
     rates = np.array(rates)

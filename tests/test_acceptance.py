@@ -122,12 +122,11 @@ def test_criterion_04_compound_determinant_identity(lorenz_seq_60, saddle_seq):
     # log norm is exactly minus the log determinant over the same window
     for seq, windows in ((lorenz_seq_60, (10, 50, 160)),
                          (saddle_seq, (5, 20, 60))):
-        rcu, _ = seq.restricted("cu")
         for i0 in (0, len(seq) // 3):
             for span in windows:
                 if i0 + span >= seq.n_blocks:
                     continue
-                m, ls = scaled_product(rcu, i0, i0 + span)
+                m, ls = scaled_product(seq.Rcu, i0, i0 + span)
                 w = wedge2_of(m) if m.shape[0] > 1 else m
                 inv_norm = -(np.log(np.linalg.svd(w, compute_uv=False)[-1])
                              + 2 * ls)

@@ -265,7 +265,8 @@ def member_reference(splitting_pool):
     return reference
 
 
-SEQUENCE_ARRAYS = ("grid", "factors", "Es", "Ecu", "angles", "defect_s", "defect_cu")
+SEQUENCE_ARRAYS = ("grid", "factors", "Es", "Ecu", "angles", "Rs", "Rcu",
+                   "defect_s", "defect_cu")
 
 
 @settings(max_examples=25)

@@ -1,8 +1,12 @@
 import json
 import runpy
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sechyp.cli import exit_code_for, load_config, main
 from sechyp.errors import ConfigError
@@ -434,3 +438,44 @@ def test_interval_map_simulate_runs_without_flow_keys(tmp_path):
         "simulate": {"n": 5, "x0": 0.3, "section": None}})
     assert main(["simulate", "-c", path]) == 0
     assert (tmp_path / "out" / "intermittent_lorenz_orbit.csv").exists()
+
+
+VERIFY_CONDITIONS = ["PH", "SingularHyp", "SH", "ASH", "MNUSE", "NUSE",
+                     "MSH-estimate", "NNE", "NUSH-periodic"]
+
+
+@st.composite
+def small_verify_configs(draw):
+    """A seconds-long verify config: a Lorenz ensemble of one or two
+    members or a geometric Lorenz suspension of a few hundred returns,
+    with a subset of the conditions."""
+    conditions = draw(st.lists(st.sampled_from(VERIFY_CONDITIONS),
+                               min_size=1, max_size=4, unique=True))
+    seed = draw(st.integers(0, 10 ** 6))
+    if draw(st.booleans()):
+        return {"model": "lorenz", "seed": seed,
+                "tolerances": {"rtol": 1e-6, "atol": 1e-9},
+                "verify": {"conditions": conditions,
+                           "ensemble": {"size": draw(st.integers(1, 2)),
+                                        "transient": 1.0},
+                           "windows": {"T": draw(st.sampled_from([5.0, 6.0]))},
+                           "splitting": {"warmup": 3.0,
+                                         "stride": draw(st.sampled_from([2, 4]))}}}
+    return {"model": "geometric_lorenz", "seed": seed,
+            "verify": {"conditions": conditions,
+                       "ensemble": {"size": draw(st.integers(2, 8)),
+                                    "ph_sample": 2},
+                       "windows": {"n_returns": draw(st.integers(100, 400))}}}
+
+
+@settings(max_examples=6)
+@given(cfg=small_verify_configs())
+def test_verify_rerun_is_byte_identical(cfg):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_config(Path(tmp), cfg)
+        runs = []
+        for out in (Path(tmp) / "r1", Path(tmp) / "r2"):
+            code = main(["verify", "-c", path, "-o", str(out)])
+            runs.append((code, (out / f"{cfg['model']}_report.json").read_bytes()))
+    assert runs[0] == runs[1]
+    assert runs[0][0] in (0, 1)

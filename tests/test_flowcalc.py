@@ -343,20 +343,19 @@ class TestWedgeCocycle:
 
 
 class TestRestrictCocycle:
-    """The cocycle restricted to an estimated bundle (`seq.restricted`)."""
+    """The cocycle restricted to an estimated bundle (`seq.Rs`, with its
+    leakage defects `seq.defect_s`)."""
 
     def test_invariant_axis(self, saddle_seq):
         # E^s = span{e2} is exactly invariant; each restricted block factor
         # is e^{-3 dt} over the block
-        rs, defects = saddle_seq.restricted("s")
-        npt.assert_allclose(np.abs(rs[:, 0, 0]),
+        npt.assert_allclose(np.abs(saddle_seq.Rs[:, 0, 0]),
                             np.exp(-3.0 * np.diff(saddle_seq.times)), rtol=1e-7)
-        assert defects.max() < 1e-7
+        assert saddle_seq.defect_s.max() < 1e-7
 
     def test_estimated_stable_bundle_defect(self, lorenz_seq_60):
         # pushing the estimated E^s forward must leak < 1e-3 relative
-        _, defects = lorenz_seq_60.restricted("s")
-        assert defects.max() < 1e-3
+        assert lorenz_seq_60.defect_s.max() < 1e-3
 
 
 class TestOrbitIO:

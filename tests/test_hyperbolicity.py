@@ -156,8 +156,7 @@ class TestSectionalVolume:
         # its minimum cannot undercut the singular-value bound
         from sechyp.hyperbolicity import _min_plane_log_det, _plane_grid
         from sechyp.util import scaled_product
-        rcu, _ = saddle4_seq.restricted("cu")
-        m, ls = scaled_product(rcu, 0, 40)
+        m, ls = scaled_product(saddle4_seq.Rcu, 0, 40)
         s = np.linalg.svd(m, compute_uv=False)
         exact = float(np.log(s[-1]) + np.log(s[-2]) + 2 * ls)
         planes = _plane_grid(3, 64)

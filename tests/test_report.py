@@ -2,12 +2,15 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from sechyp import splitting
 from sechyp.config import REPORT_TABLE, settings
 from sechyp.errors import ConfigError
+from sechyp.flowcalc import StepControl, integrate
 from sechyp.hyperbolicity import classify_singularity
+from sechyp.lpf import lpf_along
 from sechyp.models import load_model
-from sechyp.report import (_aggregate, _suspension_msh_row, assemble_report,
-                           config_hash)
+from sechyp.report import (_aggregate, _ode_seed_eval, _suspension_msh_row,
+                           assemble_report, config_hash)
 from sechyp.suspension import SectionStreams
 
 
@@ -111,6 +114,28 @@ class TestSuspensionReport:
         assert v["ASH"]["fraction"] == 1.0
 
 
+def test_member_restrictions_formed_once(monkeypatch, lorenz):
+    # every functional of a member reads the restrictions its sequence
+    # formed: one per bundle, none more through all eight conditions
+    calls = []
+    restrict = splitting._restrict
+    monkeypatch.setattr(splitting, "_restrict",
+                        lambda *args: calls.append(1) or restrict(*args))
+    orbit = integrate(lorenz, [1.0, 1.0, 20.0], 12.0,
+                      StepControl(rtol=1e-6, atol=1e-9))
+    seq = splitting.estimate_splitting(orbit, 1, 3.0, stride=2)
+    assert len(calls) == 2
+    conditions = ["PH", "SingularHyp", "SH", "ASH", "MNUSE", "NUSE",
+                  "MSH-estimate", "NNE"]
+    s = settings({"conditions": conditions, "windows": {"T": 6.0},
+                  "tau_sensitivity": [0.5, 1.0, 2.0],
+                  "splitting": {"warmup": 3.0, "stride": 2}}, REPORT_TABLE)
+    row = _ode_seed_eval(seq, lpf_along(orbit), conditions, s)
+    assert len(calls) == 2
+    assert {"ph_pass", "vol_rate", "sect_rate", "ash_max", "mnuse_rate",
+            "nuse_rate", "msh_slopes", "nne_min"} <= set(row)
+
+
 class TestSuspensionMshScan:
     def test_window_ends_at_last_crossing_inside(self):
         # unit-spaced crossings, one sample (index 4) on the singular
@@ -123,7 +148,7 @@ class TestSuspensionMshScan:
             model=load_model("geometric_lorenz"), x=x,
             y=np.zeros((n + 1, 1)),
             times=np.arange(n + 1, dtype=float)[:, None],
-            log_fp=np.full((n, 1), 0.5), log_gy=np.full((n, 1), -1.0),
+            log_gy=np.full((n, 1), -1.0),
             tilt=np.zeros((n + 1, 1)), log_a=np.full((n, 1), 0.5),
             clipped=0)
         row = _suspension_msh_row(streams, 0, radius=0.05, avoid=3.0,

@@ -7,10 +7,58 @@ from hypothesis import strategies as st
 from sechyp.errors import SpectralGapFailure
 from sechyp.flowcalc import integrate
 from sechyp.models import conjugate_model, make_linear_saddle
-from sechyp.splitting import (contraction_rate, domination_rate,
+from sechyp.splitting import (SplittingSequence, block_factors,
+                              contraction_rate, domination_rate,
                               estimate_splitting, estimator_consistency,
                               window_splitting)
 from sechyp.util import qr_pos, subspace_gap
+
+
+def reference_restriction(factors, bases):
+    """The restricted cocycle restated as three einsums over the blocks:
+    the (K, d, d) coordinates of each pushed basis in the next one, and
+    each block's relative leakage off the next basis."""
+    w = np.einsum("kij,kjl->kil", factors, bases[:-1])
+    coords = np.einsum("kji,kjl->kil", bases[1:], w)
+    leak = w - np.einsum("kij,kjl->kil", bases[1:], coords)
+    wn = np.linalg.norm(w, axis=(1, 2))
+    defects = np.where(wn > 0,
+                       np.linalg.norm(leak, axis=(1, 2)) / np.maximum(wn, 1e-300),
+                       0.0)
+    return coords, defects
+
+
+@pytest.fixture(scope="module")
+def hand_built_seq(saddle_orbit):
+    """A sequence over the saddle's blocks in coordinate bases that are
+    not its splitting: E^s = span{e3}, E^cu = span{e1, e2}."""
+    grid, factors = block_factors(saddle_orbit, 3)
+    e, k = np.eye(3), len(grid)
+    return SplittingSequence(
+        orbit=saddle_orbit, d_s=1, d_cu=2, grid=grid, factors=factors,
+        Es=np.tile(e[:, [2]], (k, 1, 1)), Ecu=np.tile(e[:, [0, 1]], (k, 1, 1)),
+        angles=np.full(k, np.pi / 2), gap_s=0.0, gap_cu=0.0)
+
+
+class TestFormedOnce:
+    @pytest.mark.parametrize("name", ["lorenz_seq_60", "saddle_seq",
+                                      "suspension_seq", "hand_built_seq"])
+    def test_restrictions_equal_the_reference(self, request, name):
+        seq = request.getfixturevalue(name)
+        for got, got_defects, bases in ((seq.Rs, seq.defect_s, seq.Es),
+                                        (seq.Rcu, seq.defect_cu, seq.Ecu)):
+            want, want_defects = reference_restriction(seq.factors, bases)
+            assert got.shape == want.shape == (seq.n_blocks,) + bases.shape[2:] * 2
+            assert got.tobytes() == want.tobytes()
+            assert got_defects.tobytes() == want_defects.tobytes()
+
+    def test_hand_built_defects_follow_its_bases(self, hand_built_seq):
+        # e3 is invariant under the diagonal saddle flow, so no leakage;
+        # the restricted factor is e^{-0.5 dt} per block
+        assert hand_built_seq.defect_s.max() < 1e-12
+        npt.assert_allclose(hand_built_seq.Rs[:, 0, 0],
+                            np.exp(-0.5 * np.diff(hand_built_seq.times)),
+                            rtol=1e-7)
 
 
 class TestEstimate:
@@ -139,8 +187,7 @@ class TestRates:
             factors=seq.factors,
             Es=np.tile(e[:, [2]], (k, 1, 1)),
             Ecu=np.tile(e[:, [0, 1]], (k, 1, 1)),
-            angles=seq.angles, defect_s=seq.defect_s,
-            defect_cu=seq.defect_cu, gap_s=seq.gap_s, gap_cu=seq.gap_cu)
+            angles=seq.angles, gap_s=seq.gap_s, gap_cu=seq.gap_cu)
         fit = contraction_rate(wrong)
         assert abs(fit.slope + 0.5) < 1e-6
 
@@ -159,8 +206,7 @@ class TestRates:
             orbit=orb, d_s=1, d_cu=2, grid=grid, factors=factors,
             Es=np.tile(e[:, [0]], (k, 1, 1)),
             Ecu=np.tile(e[:, [1, 2]], (k, 1, 1)),
-            angles=np.full(k, np.pi / 2), defect_s=np.zeros(k - 1),
-            defect_cu=np.zeros(k - 1), gap_s=0.0, gap_cu=0.0)
+            angles=np.full(k, np.pi / 2), gap_s=0.0, gap_cu=0.0)
         fit = domination_rate(seq)
         assert abs(fit.slope) < 1e-6
         assert not fit.passed

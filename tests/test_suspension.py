@@ -4,7 +4,7 @@ import pytest
 
 from sechyp.errors import SingularPoint
 from sechyp.splitting import estimate_splitting
-from sechyp.suspension import (ash_running_max, crossing_matrix,
+from sechyp.suspension import (SectionStreams, ash_running_max, crossing_matrix,
                                mnuse_rate_stream, nuse_rate_stream,
                                run_section_streams, sectional_rate_stream,
                                suspension_orbit, window_log_det_cu)
@@ -57,11 +57,10 @@ class TestStreams:
         t0 = seq.times[0] - orb.times[0]
         for span in (20.0, 60.0):
             got = window_log_det_cu(st, 0, t0, t0 + span)
-            rcu, _ = seq.restricted("cu")
             j = int(np.searchsorted(seq.times, seq.times[0] + span,
                                     side="right")) - 1
             from sechyp.util import scaled_product
-            m, ls = scaled_product(rcu, 0, j)
+            m, ls = scaled_product(seq.Rcu, 0, j)
             want = np.linalg.slogdet(m)[1] + 2 * ls
             # windows are quantized to crossing times on both routes
             assert abs(got - want) < 1e-6 * max(1.0, abs(want)) + 1e-9
@@ -105,6 +104,25 @@ class TestStreams:
 
 
 class TestStreamFunctionals:
+    def test_prefix_sums_equal_each_seeds_cumsum(self, streams):
+        assert streams.cum_a.shape == (streams.n_returns + 1, streams.n_seeds)
+        for b, log_a in enumerate(streams.log_a.T):
+            want = np.concatenate([[0.0], np.cumsum(log_a)])
+            assert streams.cum_a[:, b].tobytes() == want.tobytes()
+
+    def test_short_orbit_rate_is_its_whole_time(self, intermittent_suspension):
+        # 20 crossings one time unit apart, log-det 0.5 each; a window of
+        # 50 is one window, the whole orbit, at the orbit's own rate
+        n = 20
+        st = SectionStreams(
+            model=intermittent_suspension, x=np.full((n + 1, 1), 0.5),
+            y=np.zeros((n + 1, 1)), times=np.arange(n + 1, dtype=float)[:, None],
+            log_gy=np.full((n, 1), -1.0), tilt=np.zeros((n + 1, 1)),
+            log_a=np.full((n, 1), 0.5), clipped=0)
+        assert sectional_rate_stream(st, 0, 50.0) == (0.5, 0.5, 0.5)
+        assert sectional_rate_stream(st, 0, 20.0) == (0.5, 0.5, 0.5)
+        assert sectional_rate_stream(st, 0, 5.0) == (0.5, 0.5, 0.5)
+
     def test_lebesgue_rates(self, streams):
         # base exponent 1/2 over mean roof 2: center-unstable rate 1/4
         rates = [sectional_rate_stream(streams, b, 200.0)[0]
