@@ -11,7 +11,12 @@ transition matrix over any span of grid points.
 Error control uses a single scalar weight atol + rtol * ||Y|| over the
 augmented state, which makes the accepted step sequence invariant under
 orthogonal changes of coordinates (up to roundoff) and keeps runs
-bit-reproducible.
+bit-reproducible.  Callers that read only states (return-map walks and
+crossing refinements, singularity probes) run the same loop without the
+tangent block: the right-hand side is the field alone and the error norm
+is over the state alone, so their step sequences differ from the
+augmented ones at the tolerance level.  Everything that reads a cocycle
+keeps the augmented control.
 """
 
 from __future__ import annotations
@@ -159,7 +164,7 @@ def _step_factor(enorm, accepted):
 
 
 def dp5_steps(model: VectorFieldModel, x0, t_span: float,
-              step_ctrl: Optional[StepControl] = None):
+              step_ctrl: Optional[StepControl] = None, tangent: bool = True):
     """Accepted Dormand-Prince steps of an orbit over [0, t_span].
 
     Yields (t, y5) once per accepted step: the step-end time and the
@@ -167,6 +172,10 @@ def dp5_steps(model: VectorFieldModel, x0, t_span: float,
     cocycle factor.  Each y5 is a fresh array.  A caller that stops
     consuming early pays for no further step; the steps it saw are
     those integrate would store.  Raises as integrate does.
+
+    With tangent=False the block is the (n, 1) state alone: stages
+    evaluate the field only (no Jacobian) and the error norm is over the
+    state, so the steps are those of the state equation, not integrate's.
     """
     ctrl = step_ctrl or StepControl()
     max_step = _largest_step(t_span, ctrl)
@@ -179,22 +188,26 @@ def dp5_steps(model: VectorFieldModel, x0, t_span: float,
     h_prop = min(_initial_step(model, x0, ctrl), max_step)
     t_edge = TIME_RESOLUTION * max(1.0, t_span)
 
-    k = np.empty((7, n, n + 1))
+    width = n + 1 if tangent else 1
+    k = np.empty((7, n, width))
     k_state = [k[i, :, 0] for i in range(7)]
     k_tangent = [k[i, :, 1:] for i in range(7)]
 
     def slope(slot, ys):
         """Augmented right-hand side [f(x) | J(x) M] written into k[slot];
-        returns J(x)."""
+        returns J(x), or None without the tangent."""
         x = ys[:, 0]
         k_state[slot][:] = model.eval(x)
+        if not tangent:
+            return None
         jac = model.jacobian(x)
         np.matmul(jac, ys[:, 1:], out=k_tangent[slot])
         return jac
 
-    y = np.empty((n, n + 1))
+    y = np.empty((n, width))
     y[:, 0] = x0
-    y[:, 1:] = np.eye(n)
+    if tangent:
+        y[:, 1:] = np.eye(n)
     y_norm = _norm(y)
     slope(_K1, y)
 
@@ -206,7 +219,7 @@ def dp5_steps(model: VectorFieldModel, x0, t_span: float,
         y5 = y + h * np.add.reduce(_SOL_W * k[_K1:_K7], axis=0)
         jac5 = slope(_K7, y5)
         err = h * np.add.reduce(_ERR_W * k[_K1:], axis=0)
-        # scalar weight: rotation-invariant error norm over state + cocycle
+        # scalar weight: rotation-invariant error norm over the block
         weight = ctrl.atol + ctrl.rtol * max(y_norm, _norm(y5))
         enorm = _norm(err) / weight
         accepted = enorm <= 1.0
@@ -221,7 +234,8 @@ def dp5_steps(model: VectorFieldModel, x0, t_span: float,
             # J(x5) I == J(x5) up to the sign of zero entries, and every
             # stage adds those to y's identity block, where it cannot show
             k_state[_K1][:] = k_state[_K7]
-            k_tangent[_K1][:] = jac5
+            if tangent:
+                k_tangent[_K1][:] = jac5
         h_prop = min(h_prop * _step_factor(enorm, accepted), max_step)
         if h_prop < ctrl.min_step_floor * max(1.0, abs(t)):
             raise StiffnessFailure(f"step size underflow at t={t:.6g}")
@@ -482,7 +496,8 @@ def save_orbit_cache(orbit: OrbitSegment, path):
         fh.write(orbit.renorm_log.astype("<f8").tobytes())
 
 
-def load_orbit_cache(path, model=None) -> OrbitSegment:
+def load_orbit_cache(path) -> OrbitSegment:
+    """Orbit written by save_orbit_cache; its `model` is None."""
     with open(path, "rb") as fh:
         magic = fh.read(len(_CACHE_MAGIC))
         if magic != _CACHE_MAGIC:
@@ -496,7 +511,7 @@ def load_orbit_cache(path, model=None) -> OrbitSegment:
         raise ValueError("orbit cache has a nonzero renorm_log block; "
                          "step factors are stored unscaled")
     return OrbitSegment(
-        model=model,
+        model=None,
         times=times,
         states=states.reshape(n_steps + 1, n),
         step_cocycles=cocycles.reshape(n_steps, n, n),

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import Blowup, NotAnEquilibrium, NotPeriodic
-from .flowcalc import StepControl, integrate, wedge2_of
+from .flowcalc import StepControl, dp5_steps, integrate, wedge2_of
 from .models import (SuspensionModel, VectorFieldModel, refine_equilibrium)
 from .splitting import (SplittingSequence, _checkpoint_flow_dirs,
                         estimate_splitting, span_windows)
@@ -39,6 +39,12 @@ NNE_SEED = 90117
 
 # Qualifying window starts of the MSH fits.
 MSH_STARTS = 6
+
+# Seed of the generic frames of the sampled plane grid.
+PLANE_SEED = 40813
+
+# Shooting residual below which a periodic orbit counts as closed.
+PERIODIC_RESIDUAL = 1e-10
 
 # ----------------------------------------------------------------------
 # singularity classification
@@ -110,10 +116,12 @@ def _grow_manifold(model, sigma, direction, forward, trapping, ball_radius,
     equilibrium.  Returns 'yes' when it does while staying inside the
     region, 'undetermined' otherwise.
 
-    A state whose norm exceeds that of the farthest corner of the
-    (slackened) region lies outside it, so the probe is integrated with
-    that norm as its blowup bound: it stops where the verdict is fixed
-    instead of running on under a field that may blow up."""
+    The probe reads only states, so it runs in 1-unit segments of
+    state-only steps (`dp5_steps(..., tangent=False)`).  A state whose
+    norm exceeds that of the farthest corner of the (slackened) region
+    lies outside it, so the probe is integrated with that norm as its
+    blowup bound: it stops where the verdict is fixed instead of running
+    on under a field that may blow up."""
     work = model
     if not forward:
         work = VectorFieldModel(
@@ -132,21 +140,22 @@ def _grow_manifold(model, sigma, direction, forward, trapping, ball_radius,
     reached = False
     for _ in range(200):
         try:
-            orbit = integrate(work, x, 1.0, ctrl)
+            states = np.array([x] + [y5[:, 0] for _, y5 in
+                                     dp5_steps(work, x, 1.0, ctrl, tangent=False)])
         except Blowup:
             return "undetermined"
-        seg = np.linalg.norm(np.diff(orbit.states, axis=0), axis=1)
+        seg = np.linalg.norm(np.diff(states, axis=0), axis=1)
         arc += float(np.sum(seg))
-        inside = np.all((orbit.states >= lo) & (orbit.states <= hi))
+        inside = np.all((states >= lo) & (states <= hi))
         if not inside:
             return "undetermined"
-        if np.max(np.linalg.norm(orbit.states - sigma, axis=1)) > ball_radius:
+        if np.max(np.linalg.norm(states - sigma, axis=1)) > ball_radius:
             reached = True
         if reached and arc > 10 * ball_radius:
             return "yes"
         if arc > arc_budget:
             return "undetermined"
-        x = orbit.states[-1]
+        x = states[-1]
     return "undetermined"
 
 
@@ -249,7 +258,7 @@ def _tau_windows(times, tau, n_samples):
     return i[keep], j[keep]
 
 
-def _plane_grid(d, n_planes, seed=40813):
+def _plane_grid(d, n_planes):
     """Deterministic sample of 2-planes in R^d: all coordinate pairs plus
     seeded generic frames up to n_planes."""
     planes = []
@@ -259,7 +268,7 @@ def _plane_grid(d, n_planes, seed=40813):
             m[a, 0] = 1.0
             m[b, 1] = 1.0
             planes.append(m)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(PLANE_SEED)
     while len(planes) < n_planes:
         q, _ = qr_pos(rng.standard_normal((d, 2)))
         planes.append(q)
@@ -572,18 +581,17 @@ class NushPeriodicResult:
     eta: float
 
 
-def _refine_periodic(model, seed, period_guess, step_ctrl, residual=1e-10,
-                     max_iter=60):
+def _refine_periodic(model, seed, period_guess, max_iter):
     """Single shooting with a phase condition; returns (point, period)."""
     x = np.asarray(seed, dtype=float)
     period = float(period_guess)
     v0 = model.eval(x)
     n = x.shape[0]
     for _ in range(max_iter):
-        orbit = integrate(model, x, period, step_ctrl)
+        orbit = integrate(model, x, period)
         x_t = orbit.states[-1]
         r = x_t - x
-        if np.linalg.norm(r) < residual:
+        if np.linalg.norm(r) < PERIODIC_RESIDUAL:
             return x, period, float(np.linalg.norm(r))
         m, ls = orbit.propagator(0, orbit.n_steps)
         m = m * np.exp(ls)
@@ -610,7 +618,7 @@ def _refine_periodic(model, seed, period_guess, step_ctrl, residual=1e-10,
             if pn <= 0:
                 lam *= 0.5
                 continue
-            rn = integrate(model, xn, pn, step_ctrl).states[-1] - xn
+            rn = integrate(model, xn, pn).states[-1] - xn
             if np.linalg.norm(rn) < base:
                 x, period = xn, pn
                 improved = True
@@ -618,9 +626,9 @@ def _refine_periodic(model, seed, period_guess, step_ctrl, residual=1e-10,
             lam *= 0.5
         if not improved:
             break
-    orbit = integrate(model, x, period, step_ctrl)
+    orbit = integrate(model, x, period)
     res = float(np.linalg.norm(orbit.states[-1] - x))
-    if res >= residual:
+    if res >= PERIODIC_RESIDUAL:
         raise NotPeriodic(f"shooting stalled at residual {res:.3e}")
     return x, period, res
 
@@ -659,7 +667,7 @@ def _equilibrium_nush(model, sigma, tau, d_s):
 
 def nush_periodic_check(model, seed, period_guess, tau: float = 1.0,
                         d_s: int = 1, eta: float = -0.05,
-                        step_ctrl=None, max_iter: int = 60) -> NushPeriodicResult:
+                        max_iter: int = 60) -> NushPeriodicResult:
     """Period-averaged nonuniform hyperbolicity integrals on a closed orbit.
 
     Refines the orbit by shooting (residual < 1e-10), builds the
@@ -677,12 +685,10 @@ def nush_periodic_check(model, seed, period_guess, tau: float = 1.0,
         return NushPeriodicResult(seed, 0.0, 0.0, e_avg, w_avg,
                                   bool(e_avg <= eta and w_avg <= eta), eta)
 
-    ctrl = step_ctrl or StepControl()
-    x, period, res = _refine_periodic(model, seed, period_guess, ctrl,
-                                      max_iter=max_iter)
+    x, period, res = _refine_periodic(model, seed, period_guess, max_iter)
     # cover enough periods for the splitting sweeps to converge
     reps = max(4, int(np.ceil(3.0 * tau / period)) + 3)
-    orbit = integrate(model, x, reps * period, ctrl)
+    orbit = integrate(model, x, reps * period)
     warmup = max(period, tau)
     seq = estimate_splitting(orbit, d_s=d_s, warmup=warmup, stride=2)
 

@@ -16,13 +16,18 @@ from typing import Optional
 import numpy as np
 
 from .errors import NearSingularity, NoReturn, SingularPoint, TangencyWarning
-from .flowcalc import TIME_RESOLUTION, OrbitSegment, dp5_steps, integrate
+from .flowcalc import TIME_RESOLUTION, OrbitSegment, dp5_steps
 from .models import SuspensionModel
 from .util import longest_first, orthonormal_complement, qr_pos, scaled_product, unit
 
 # Flow speed at or below which an orbit counts as at a singularity,
 # where the normal bundle and so the LPF are undefined.
 SPEED_FLOOR = 1e-8
+
+# A section crossing is located once its Newton correction or bracket
+# falls to REFINE_TOL in time, within REFINE_ITERS iterations.
+REFINE_TOL = 1e-12
+REFINE_ITERS = 100
 
 
 @dataclass
@@ -222,7 +227,9 @@ def return_map(model, section, x0, n_returns: int,
     change of the section functional as it is taken; the crossing time
     inside a bracketing step is refined by a safeguarded Newton iteration
     to 1e-12 in time, and integration stops at the step that holds the
-    last requested crossing.
+    last requested crossing.  Both the walk and the refinement take
+    state-only steps (`dp5_steps(..., tangent=False)`): nothing here
+    reads a cocycle, so the error is controlled on the state alone.
 
     Raises NoReturn if the budget runs out before the requested number
     of crossings; records a TangencyWarning when the transversality
@@ -268,7 +275,7 @@ def _field_returns(model, section, x0, n_returns, t_budget, step_ctrl):
         if span <= TIME_RESOLUTION:  # the remaining budget holds no step
             break
         t_lo, x_lo, phi_lo = 0.0, x, phi(x)
-        for t_hi, y5 in dp5_steps(model, x, span, step_ctrl):
+        for t_hi, y5 in dp5_steps(model, x, span, step_ctrl, tangent=False):
             x_hi = y5[:, 0]
             phi_hi = phi(x_hi)
             if phi_lo < 0.0 <= phi_hi:
@@ -299,8 +306,7 @@ def _field_returns(model, section, x0, n_returns, t_budget, step_ctrl):
     return ReturnMapResult(points=pts, times=times, warnings=warns)
 
 
-def _refine_crossing(model, x_lo, phi_lo, phi_hi, h, phi, dphi_dx, step_ctrl,
-                     tol=1e-12, max_iter=100):
+def _refine_crossing(model, x_lo, phi_lo, phi_hi, h, phi, dphi_dx, step_ctrl):
     """Crossing time inside one accepted step of length h, by a Newton
     iteration on phi(x(s)) = 0 safeguarded by the bracket phi < 0 <= phi.
 
@@ -308,16 +314,19 @@ def _refine_crossing(model, x_lo, phi_lo, phi_hi, h, phi, dphi_dx, step_ctrl,
     d phi / ds = dphi_dx . f(x) costs nothing beyond f(x); the secant
     through the step's ends is the first guess, and any Newton step that
     leaves the bracket is replaced by bisection.  States are
-    re-integrated from the step-begin state, so the located point lies
-    on the true orbit to integrator accuracy.  Returns (s, x(s), f(x(s)))
-    once the Newton correction or the bracket falls below tol.
+    re-integrated with state-only steps from the step-begin state, so the
+    located point lies on the true orbit to integrator accuracy.  Returns
+    (s, x(s), f(x(s))) once the Newton correction or the bracket falls
+    below REFINE_TOL.
     """
     a, b = 0.0, h
     s = h * phi_lo / (phi_lo - phi_hi)
-    for _ in range(max_iter):
-        # integrate needs a span above its time resolution
-        s = max(s, tol)
-        x = integrate(model, x_lo, s, step_ctrl).states[-1]
+    for _ in range(REFINE_ITERS):
+        # dp5_steps needs a span above its time resolution
+        s = max(s, REFINE_TOL)
+        for _, y5 in dp5_steps(model, x_lo, s, step_ctrl, tangent=False):
+            pass
+        x = y5[:, 0]
         fx = model.eval(x)
         val = phi(x)
         if val < 0.0:
@@ -326,9 +335,9 @@ def _refine_crossing(model, x_lo, phi_lo, phi_hi, h, phi, dphi_dx, step_ctrl,
             b = s
         slope = float(dphi_dx @ fx)
         step = val / slope if slope > 0.0 else np.inf
-        if abs(step) <= tol or b - a <= tol:
+        if abs(step) <= REFINE_TOL or b - a <= REFINE_TOL:
             return s, x, fx
         s -= step
         if not a < s < b:
             s = 0.5 * (a + b)
-    raise NoReturn(f"crossing refinement did not converge in {max_iter} steps")
+    raise NoReturn(f"crossing refinement did not converge in {REFINE_ITERS} steps")

@@ -27,6 +27,14 @@ _FLOW_WINDOW = 8
 # states whose Jacobians the divergence average forms at once
 _TRACE_CHUNK = 4096
 
+# Geometrically spaced checkpoints of a Birkhoff running average.
+BIRKHOFF_CHECKPOINTS = 40
+
+# The entropy chain passes within PESIN_SLACK; base points closer than
+# PESIN_CLIP to the singular point x = 0 are moved out to it.
+PESIN_SLACK = 0.05
+PESIN_CLIP = 1e-12
+
 
 # ----------------------------------------------------------------------
 # Birkhoff series
@@ -48,13 +56,8 @@ class BirkhoffSeries:
     oscillation: float
 
 
-def _checkpoint_indices(n, n_checkpoints):
-    idx = np.unique(np.geomspace(1, n, n_checkpoints).astype(int))
-    return idx
-
-
 def birkhoff_map(m: IntervalMap, observable: Callable, x0: float, n: int,
-                 name="obs", n_checkpoints: int = 40) -> BirkhoffSeries:
+                 name="obs") -> BirkhoffSeries:
     """Running average of observable along a map orbit of length n."""
     f = m.eval
     vals = np.empty(n)
@@ -63,7 +66,7 @@ def birkhoff_map(m: IntervalMap, observable: Callable, x0: float, n: int,
         vals[i] = observable(x)
         x = f(x)
     running = np.cumsum(vals) / np.arange(1, n + 1)
-    idx = _checkpoint_indices(n, n_checkpoints) - 1
+    idx = np.unique(np.geomspace(1, n, BIRKHOFF_CHECKPOINTS).astype(int)) - 1
     final = float(running[-1])
     tail = running[3 * n // 4:]
     return BirkhoffSeries(
@@ -348,8 +351,7 @@ class PesinReport:
 
 
 def pesin_check_1d(m: IntervalMap, suspension_model: SuspensionModel,
-                   n: int = 10 ** 5, seed: int = 73301,
-                   slack: float = 0.05, clip: float = 1e-12) -> PesinReport:
+                   n: int = 10 ** 5, seed: int = 73301) -> PesinReport:
     from . import suspension as susp
 
     rng = np.random.default_rng(seed)
@@ -361,7 +363,7 @@ def pesin_check_1d(m: IntervalMap, suspension_model: SuspensionModel,
     roofs = np.empty(n)
     x = x0
     for i in range(n):
-        xa = x if abs(x) >= clip else np.copysign(clip, x)
+        xa = x if abs(x) >= PESIN_CLIP else np.copysign(PESIN_CLIP, x)
         log_df[i] = np.log(abs(df(xa)))
         roofs[i] = roof(xa)
         x = f(xa)
@@ -373,14 +375,14 @@ def pesin_check_1d(m: IntervalMap, suspension_model: SuspensionModel,
     streams = susp.run_section_streams(suspension_model,
                                        [[x0, y0]], n_flow)
     flow_side = -susp.mnuse_rate_stream(streams, 0, 1.0)
-    trunc = clip * (1.0 + abs(np.log(clip)))
+    trunc = PESIN_CLIP * (1.0 + abs(np.log(PESIN_CLIP)))
     return PesinReport(
         h_base=h_base,
         mean_roof=mean_roof,
         quotient=quotient,
         flow_side=float(flow_side),
         truncation_bound=float(trunc),
-        slack=slack,
-        chain_ok=bool(flow_side >= quotient - slack),
+        slack=PESIN_SLACK,
+        chain_ok=bool(flow_side >= quotient - PESIN_SLACK),
         details={"n_base": n, "n_flow_returns": n_flow, "seed": seed},
     )

@@ -621,7 +621,14 @@ def load_model(name: str, params: Optional[dict] = None):
     raise ConfigError("model", f"unknown model '{name}'")
 
 
-def validate_model(model: VectorFieldModel, n_states=100, seed=7, h=1e-6):
+# validate_model's sample: states drawn from the trapping region by the
+# seed, and the relative step of its central differences.
+VALIDATE_STATES = 100
+VALIDATE_SEED = 7
+FD_STEP = 1e-6
+
+
+def validate_model(model: VectorFieldModel):
     """Check declared equilibria, the batched forms and Jacobian consistency.
 
     Equilibria must have residual < 1e-10.  At random states in the
@@ -636,11 +643,11 @@ def validate_model(model: VectorFieldModel, n_states=100, seed=7, h=1e-6):
         r = np.linalg.norm(model.eval(np.asarray(s, dtype=float)))
         if r >= 1e-10:
             raise NotAnEquilibrium(f"declared singularity has residual {r:.3e}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(VALIDATE_SEED)
     box = model.trapping_region
     if box is None:
         box = np.tile([-1.0, 1.0], (model.dim, 1))
-    states = box[:, 0] + (box[:, 1] - box[:, 0]) * rng.random((n_states, model.dim))
+    states = box[:, 0] + (box[:, 1] - box[:, 0]) * rng.random((VALIDATE_STATES, model.dim))
     for name, scalar, batch in (("eval", model.eval, model.eval_batch),
                                 ("jacobian", model.jacobian, model.jacobian_batch)):
         rows = np.array([scalar(x) for x in states])
@@ -653,7 +660,7 @@ def validate_model(model: VectorFieldModel, n_states=100, seed=7, h=1e-6):
         fd = np.empty_like(j)
         for k in range(model.dim):
             dx = np.zeros(model.dim)
-            dx[k] = h * max(1.0, abs(x[k]))
+            dx[k] = FD_STEP * max(1.0, abs(x[k]))
             fd[:, k] = (model.eval(x + dx) - model.eval(x - dx)) / (2 * dx[k])
         err = np.max(np.abs(j - fd)) / max(1.0, np.max(np.abs(j)))
         worst = max(worst, err)

@@ -40,6 +40,9 @@ _BLOCK_CHUNK = 256
 # Window starts per span of the domination and contraction fits.
 RATE_STARTS = 5
 
+# Seed of window_splitting's fresh frames (E^cu; E^s uses the next one).
+WINDOW_SEED = 77001
+
 
 @dataclass(frozen=True)
 class Splitting:
@@ -277,7 +280,7 @@ def _sequence(orbit, grid, factors, forward, backward, d_s, warmup):
 
 
 def window_splitting(orbit: OrbitSegment, grid_index: int, d_s: int,
-                     warmup: float, init_seed: int = 77001) -> Splitting:
+                     warmup: float) -> Splitting:
     """Splitting at one orbit grid point from fresh frames over exact
     windows: E^cu from [t - warmup, t] forward, E^s from [t, t + warmup]
     backward.  Independent of the sweep estimator."""
@@ -290,11 +293,11 @@ def window_splitting(orbit: OrbitSegment, grid_index: int, d_s: int,
     if ia < 0 or ib > orbit.n_steps:
         raise ValueError("window leaves the orbit")
 
-    q = haar_frame(n, d_cu, init_seed)
+    q = haar_frame(n, d_cu, WINDOW_SEED)
     for k in range(ia, grid_index):
         q, _ = qr_pos(orbit.step_cocycles[k] @ q)
     ecu = q
-    q = haar_frame(n, d_s, init_seed + 1)
+    q = haar_frame(n, d_s, WINDOW_SEED + 1)
     for k in range(ib - 1, grid_index - 1, -1):
         q, _ = qr_pos(np.linalg.solve(orbit.step_cocycles[k], q))
     es = q

@@ -6,7 +6,7 @@ import pytest
 
 from sechyp import hyperbolicity
 from sechyp.errors import NotAnEquilibrium, NotPeriodic
-from sechyp.flowcalc import StepControl, integrate
+from sechyp.flowcalc import StepControl, dp5_steps, integrate
 from sechyp.hyperbolicity import (FunctionalResult, ash_functional,
                                   classify_singularity, mnuse_functional,
                                   msh_estimate, nne_functional,
@@ -97,14 +97,14 @@ class TestClassify:
         ctrl = StepControl(rtol=1e-7)
         steps = [0]
 
-        def counted(model, x0, t_span, step_ctrl=None):
-            orb = integrate(model, x0, t_span, step_ctrl)
-            steps[0] += orb.n_steps
-            return orb
+        def counted(model, x0, t_span, step_ctrl=None, tangent=True):
+            for step in dp5_steps(model, x0, t_span, step_ctrl, tangent):
+                steps[0] += 1
+                yield step
 
-        def unbounded(model, x0, t_span, step_ctrl=None):
+        def unbounded(model, x0, t_span, step_ctrl=None, tangent=True):
             return counted(model, x0, t_span,
-                           dataclasses.replace(step_ctrl, bound=1e6))
+                           dataclasses.replace(step_ctrl, bound=1e6), tangent)
 
         saddle = make_linear_saddle([2.0, -3.0, -0.5])
         cases = [(lorenz, s) for s in lorenz.singularities]
@@ -120,12 +120,13 @@ class TestClassify:
                 for direction in (v, -v):
                     got = []
                     for fn in (counted, unbounded):
-                        monkeypatch.setattr(hyperbolicity, "integrate", fn)
+                        monkeypatch.setattr(hyperbolicity, "dp5_steps", fn)
                         steps[0] = 0
                         got.append((hyperbolicity._grow_manifold(
                             model, sigma, direction, forward, box, ball,
                             200.0, ctrl), steps[0]))
                     assert got[0][0] == got[1][0]
+                    assert got[0][1] > 0 and got[1][1] > 0
                     if model is lorenz and not forward:
                         backward_lorenz.append((got[0][1], got[1][1]))
         # a wing equilibrium's backward probe stops after a few steps

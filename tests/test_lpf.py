@@ -4,7 +4,7 @@ import pytest
 
 import sechyp.lpf as lpf_mod
 from sechyp.errors import NearSingularity, NoReturn, SingularPoint
-from sechyp.flowcalc import StepControl, integrate
+from sechyp.flowcalc import StepControl, dp5_steps, integrate
 from sechyp.lpf import SectionSpec, direct_lpf_factor, lpf_along, return_map
 from sechyp.models import (SuspensionModel, make_geometric_lorenz_suspension,
                            make_linear_field)
@@ -180,16 +180,26 @@ class TestReturnMap:
             return_map(lorenz, sec, [1.0, 1.0, 1.0], 1, t_budget=20.0)
 
 
+def _state_walk(model, x0, t_span, step_ctrl):
+    """Grid times and states of the state-only Dormand-Prince walk that
+    return_map takes over one chunk."""
+    steps = list(dp5_steps(model, x0, t_span, step_ctrl, tangent=False))
+    times = np.array([0.0] + [t for t, _ in steps])
+    states = np.array([x0] + [y5[:, 0] for _, y5 in steps], dtype=float)
+    return times, states
+
+
 def _bisect_crossing_ref(model, x_lo, t_lo, t_hi, g, sgn, step_ctrl, tol=1e-12):
     """Reference crossing: plain bisection of the crossing time inside one
-    accepted step, re-integrating from the step-begin state at every
-    midpoint (the refinement return_map used before its Newton step)."""
+    accepted step, re-integrating from the step-begin state with
+    state-only steps at every midpoint (the refinement return_map used
+    before its Newton step)."""
     a, b = 0.0, t_hi - t_lo
     x_at = {0.0: x_lo}
 
     def state(dt):
         if dt not in x_at:
-            x_at[dt] = integrate(model, x_lo, dt, step_ctrl).states[-1]
+            x_at[dt] = _state_walk(model, x_lo, dt, step_ctrl)[1][-1]
         return x_at[dt]
 
     if g(state(b)) * sgn < 0.0:
@@ -218,21 +228,21 @@ class TestFieldCrossings:
     @pytest.mark.parametrize("orientation", [1, -1])
     def test_crossings_match_bisection_reference(self, lorenz, orientation):
         # t_budget 20 makes the whole run one 20-unit chunk, so the main
-        # orbit is integrate(..., 20.0) step for step
+        # orbit is the state-only walk over 20.0 step for step
         n = 12
         res = return_map(lorenz, self.section(orientation), self.X0, n,
                          t_budget=20.0, step_ctrl=self.CTRL)
-        orb = integrate(lorenz, self.X0, 20.0, self.CTRL)
+        times, states = _state_walk(lorenz, self.X0, 20.0, self.CTRL)
 
         def g(x):
             return float(x[2] - 27.0)
 
-        gv = orientation * (orb.states[:, 2] - 27.0)
+        gv = orientation * (states[:, 2] - 27.0)
         ks = np.flatnonzero((gv[:-1] < 0.0) & (gv[1:] >= 0.0))[:n]
         assert len(ks) == n
         for k, t, p in zip(ks, res.times, res.points):
             t_ref, p_ref = _bisect_crossing_ref(
-                lorenz, orb.states[k], orb.times[k], orb.times[k + 1], g,
+                lorenz, states[k], times[k], times[k + 1], g,
                 orientation, self.CTRL)
             assert abs(t - t_ref) <= 1e-10
             assert abs(p[2] - 27.0) <= 1e-9
@@ -243,45 +253,66 @@ class TestFieldCrossings:
         # the orbit is integrated in 100-unit chunks, each restarted from
         # the last state of the one before; crossings in the second chunk
         # are timed from the end of the first
-        first = integrate(lorenz, self.X0, 100.0, self.CTRL)
-        gv = first.states[:, 2] - 27.0
+        t1, first = _state_walk(lorenz, self.X0, 100.0, self.CTRL)
+        gv = first[:, 2] - 27.0
         n_first = int(np.count_nonzero((gv[:-1] < 0.0) & (gv[1:] >= 0.0)))
         res = return_map(lorenz, self.section(1), self.X0, n_first + 2,
                          t_budget=200.0, step_ctrl=self.CTRL)
-        second = integrate(lorenz, first.states[-1], 100.0, self.CTRL)
-        gv = second.states[:, 2] - 27.0
+        t2, second = _state_walk(lorenz, first[-1], 100.0, self.CTRL)
+        gv = second[:, 2] - 27.0
         ks = np.flatnonzero((gv[:-1] < 0.0) & (gv[1:] >= 0.0))[:2]
+        assert len(ks) == 2
         for k, t in zip(ks, res.times[n_first:]):
             t_ref, _ = _bisect_crossing_ref(
-                lorenz, second.states[k], second.times[k],
-                second.times[k + 1], lambda x: float(x[2] - 27.0), 1.0,
-                self.CTRL)
-            assert abs(t - (first.times[-1] + t_ref)) <= 1e-10
+                lorenz, second[k], t2[k], t2[k + 1],
+                lambda x: float(x[2] - 27.0), 1.0, self.CTRL)
+            assert abs(t - (t1[-1] + t_ref)) <= 1e-10
+
+    def test_rotation_crossings_closed_form(self):
+        # x' = -y, y' = x from (0, -1) is (sin t, -cos t): it crosses
+        # y = 0 upward at (1, 0) at the times pi/2 + 2 pi k
+        rot = make_linear_field([[0.0, -1.0], [1.0, 0.0]])
+        sec = SectionSpec(point=np.zeros(2), normal=np.array([0.0, 1.0]))
+        res = return_map(rot, sec, [0.0, -1.0], 5, step_ctrl=self.CTRL)
+        npt.assert_allclose(res.times, np.pi / 2 + 2 * np.pi * np.arange(5),
+                            rtol=0, atol=1e-9)
+        # the points sit on the section; the radius drifts by the
+        # integrator's amplitude error, about 1.3e-9 per turn at rtol 1e-9
+        pts = np.array(res.points)
+        npt.assert_allclose(pts[:, 1], 0.0, rtol=0, atol=1e-12)
+        npt.assert_allclose(pts[:, 0], 1.0, rtol=0, atol=1e-8)
 
     def test_integrate_calls_per_crossing(self, lorenz, monkeypatch):
-        calls = [0]
+        # every integration return_map runs (the walk's chunks and the
+        # crossing refinements) is a state-only dp5_steps call
+        calls = []
 
         def counted(*args, **kwargs):
-            calls[0] += 1
-            return integrate(*args, **kwargs)
+            calls.append(kwargs.get("tangent", True))
+            return dp5_steps(*args, **kwargs)
 
-        monkeypatch.setattr(lpf_mod, "integrate", counted)
+        monkeypatch.setattr(lpf_mod, "dp5_steps", counted)
         n = 20
         return_map(lorenz, self.section(-1), self.X0, n, step_ctrl=self.CTRL)
-        assert calls[0] <= 8 * n
+        assert n < len(calls) <= 8 * n
+        assert not any(calls)
 
     def test_no_step_past_last_crossing(self, lorenz, monkeypatch):
-        seen = []
-        steps = lpf_mod.dp5_steps
+        walks = []
 
-        def recorded(*args, **kwargs):
-            for t, y5 in steps(*args, **kwargs):
+        def recorded(model, x0, t_span, step_ctrl=None, tangent=True):
+            seen = []
+            walks.append((t_span, seen))
+            for t, y5 in dp5_steps(model, x0, t_span, step_ctrl, tangent):
                 seen.append(t)
                 yield t, y5
 
         monkeypatch.setattr(lpf_mod, "dp5_steps", recorded)
         res = return_map(lorenz, self.section(1), self.X0, 6,
                          step_ctrl=self.CTRL)
-        # all six crossings lie in the first 100-unit chunk, so the
-        # recorded step times are the crossing times' own clock
+        # the first call is the walk over the first 100-unit chunk, which
+        # holds all six crossings, so its step times are the crossing
+        # times' own clock; the later calls refine crossings inside it
+        (span, seen), refinements = walks[0], walks[1:]
+        assert span == 100.0 and len(refinements) >= 6
         assert seen[-2] < res.times[-1] <= seen[-1]
