@@ -14,10 +14,9 @@ import sys
 
 from .errors import ConfigError
 from .flowcalc import StepControl
+from .models import PARAM_KEYS
 from .splitting import RATE_MARGIN
 
-MODELS = ("lorenz", "linear_saddle", "linear", "polynomial",
-          "intermittent_lorenz", "expanding_lorenz", "geometric_lorenz")
 KNOWN_CONDITIONS = ("PH", "SingularHyp", "SH", "ASH", "NUSE", "MNUSE", "NNE",
                     "MSH-estimate", "NUSH-periodic")
 
@@ -82,8 +81,9 @@ BOX = _list_of(lambda r: _is_vector(r) and len(r) == 2 and r[0] <= r[1],
 
 # dotted path -> (check, default); a comment gives a None default's value
 TABLE = {
-    "model": (_one_of(*MODELS), None),                     # required
-    # params go whole to load_model, which checks them per model
+    "model": (_one_of(*PARAM_KEYS), None),                 # required
+    # params go whole to load_model, which rejects a key the model does
+    # not read and a value its builder rejects
     "params": (_check(lambda v: isinstance(v, dict), "must be an object"), None),
     "seed": (_int(0), 20250808),
     "output_dir": (_check(lambda v: isinstance(v, str), "must be a string"), "out"),

@@ -20,13 +20,10 @@ from .flowcalc import StepControl, dp5_steps, integrate, wedge2_of
 from .models import (SuspensionModel, VectorFieldModel, refine_equilibrium)
 from .splitting import (SplittingSequence, _checkpoint_flow_dirs,
                         estimate_splitting, span_windows)
-from .util import fit_log_rate, log_norms, qr_pos, window_products
+from .util import fit_log_rate, log_norms, window_products
 
 # Window starts of the windowed sectional and volume functionals.
 SECT_STARTS = 10
-
-# Generic 2-planes of the sampled plane grid when dim E^cu > 2.
-N_PLANES = 64
 
 # Horizons of the running-max (ASH) functionals, geometrically spaced.
 ASH_HORIZONS = 24
@@ -39,9 +36,6 @@ NNE_SEED = 90117
 
 # Qualifying window starts of the MSH fits.
 MSH_STARTS = 6
-
-# Seed of the generic frames of the sampled plane grid.
-PLANE_SEED = 40813
 
 # Shooting residual below which a periodic orbit counts as closed.
 PERIODIC_RESIDUAL = 1e-10
@@ -258,38 +252,12 @@ def _tau_windows(times, tau, n_samples):
     return i[keep], j[keep]
 
 
-def _plane_grid(d, n_planes):
-    """Deterministic sample of 2-planes in R^d: all coordinate pairs plus
-    seeded generic frames up to n_planes."""
-    planes = []
-    for a in range(d):
-        for b in range(a + 1, d):
-            m = np.zeros((d, 2))
-            m[a, 0] = 1.0
-            m[b, 1] = 1.0
-            planes.append(m)
-    rng = np.random.default_rng(PLANE_SEED)
-    while len(planes) < n_planes:
-        q, _ = qr_pos(rng.standard_normal((d, 2)))
-        planes.append(q)
-    return planes
-
-
-def _min_plane_log_det(mats, log_scales, planes):
-    """Smallest log |det| of the restriction of each matrix to a 2-plane.
-
-    The exact minimizer is the plane of the two smallest right singular
-    vectors (the bottom singular 2-vector of the second compound is
-    decomposable); the sampled plane grid is kept as an independent
-    cross-check and can only agree or exceed it.
-    """
+def _min_plane_log_det(mats, log_scales):
+    """Smallest log |det| of the restriction of each matrix to a 2-plane:
+    the plane of the two smallest right singular vectors (the bottom
+    singular 2-vector of the second compound is decomposable)."""
     s = np.linalg.svd(mats, compute_uv=False)
-    best = np.log(s[:, -1]) + np.log(s[:, -2]) + 2 * log_scales
-    if planes is not None:
-        sv = np.linalg.svd(mats[:, None] @ np.stack(planes), compute_uv=False)
-        grid = np.log(sv[..., 0]) + np.log(sv[..., 1]) + 2 * log_scales[:, None]
-        best = np.minimum(best, grid.min(axis=1))
-    return best
+    return np.log(s[:, -1]) + np.log(s[:, -2]) + 2 * log_scales
 
 
 def _window_summary(rates, window):
@@ -301,16 +269,14 @@ def sectional_expansion_functional(seq: SplittingSequence,
                                    window: float) -> FunctionalResult:
     """Windowed min-over-2-planes determinant rate inside E^cu.
 
-    For d_cu = 2 there is a single plane; otherwise the minimum runs
-    over the exact bottom singular pair plus a deterministic plane grid
-    of >= N_PLANES.  Uniform sectional expansion holds on the sample
-    iff min_rate >= +1e-3.
+    For d_cu = 2 there is a single plane; otherwise the minimum is the
+    exact one of the bottom singular pair.  Uniform sectional expansion
+    holds on the sample iff min_rate >= +1e-3.
     """
     times = seq.times
-    planes = None if seq.d_cu == 2 else _plane_grid(seq.d_cu, N_PLANES)
     i, j = span_windows(times, [min(window, times[-1] - times[0])], SECT_STARTS)
     mats, ls = window_products(seq.Rcu, i, j)
-    rates = _min_plane_log_det(mats, ls, planes) / (times[j] - times[i])
+    rates = _min_plane_log_det(mats, ls) / (times[j] - times[i])
     return _window_summary(rates, window)
 
 
@@ -330,12 +296,11 @@ def ash_functional(seq: SplittingSequence) -> float:
     expansion proxy)."""
     times = seq.times
     total = times[-1] - times[0]
-    planes = None if seq.d_cu == 2 else _plane_grid(seq.d_cu, N_PLANES)
     horizons = np.geomspace(total / 64.0, total, ASH_HORIZONS)
     j = np.searchsorted(times, times[0] + horizons, side="right") - 1
     j = j[j > 0]
     mats, ls = window_products(seq.Rcu, np.zeros_like(j), j)
-    rates = _min_plane_log_det(mats, ls, planes) / (times[j] - times[0])
+    rates = _min_plane_log_det(mats, ls) / (times[j] - times[0])
     return float(np.max(rates, initial=-np.inf))
 
 

@@ -40,9 +40,6 @@ class VectorFieldModel:
     singularities: tuple = ()
     trapping_region: Optional[np.ndarray] = None
 
-    def divergence(self, x):
-        return float(np.trace(self.jacobian(x)))
-
 
 @dataclass(frozen=True)
 class IntervalMap:
@@ -266,9 +263,9 @@ def polynomial_field_from_table(table: dict) -> VectorFieldModel:
         n = int(table["dim"])
         comps = table["components"]
     except (KeyError, TypeError) as exc:
-        raise ConfigError("model.table", f"missing polynomial entry: {exc}")
+        raise ConfigError("params.table", f"missing polynomial entry: {exc}")
     if len(comps) != n:
-        raise ConfigError("model.table", f"expected {n} components, got {len(comps)}")
+        raise ConfigError("params.table", f"expected {n} components, got {len(comps)}")
 
     terms = []
     for comp in comps:
@@ -276,7 +273,7 @@ def polynomial_field_from_table(table: dict) -> VectorFieldModel:
         for t in comp:
             e = np.array(t["exponents"], dtype=float)
             if e.shape != (n,):
-                raise ConfigError("model.table", "exponent tuple has wrong length")
+                raise ConfigError("params.table", "exponent tuple has wrong length")
             rows.append((e, float(t["coeff"])))
         terms.append(rows)
 
@@ -522,15 +519,18 @@ def make_geometric_lorenz_suspension(
 
     Fiber map g(x, y) = c1 * y * |x|^c2 + c3 * sign(x) and roof
     tau(x) = -roof_log_coeff * log|x| + tau0.  Requires c1 + c3 < 1 so
-    the fiber stays inside [-1, 1], and tau0 > 0 as the roof floor.
+    the fiber stays inside [-1, 1], c1 > 0 so the fiber derivative g_y
+    and with it every crossing factor is invertible, and tau0 > 0 as the
+    roof floor.
     """
     lo, hi = base.domain
     if (lo, hi) != (-1.0, 1.0):
         raise ValueError("base domain must be [-1, 1]")
     if c1 + c3 >= 1.0:
         raise ValueError("c1 + c3 >= 1: fiber would escape the square")
-    if c1 < 0 or c2 < 0 or c3 < 0:
-        raise ValueError("fiber coefficients must be nonnegative")
+    if c1 <= 0 or c2 < 0 or c3 < 0:
+        raise ValueError("c1 must be positive and c2, c3 nonnegative: "
+                         "c1 = 0 makes every crossing factor singular")
     if tau0 <= 0 or roof_log_coeff < 0:
         raise ValueError("roof requires tau0 > 0 and roof_log_coeff >= 0")
 
@@ -589,10 +589,37 @@ _MAP_BUILDERS = {
     "expanding_lorenz": make_expanding_lorenz_map,
 }
 
+# the params keys each model reads
+PARAM_KEYS = {
+    "lorenz": ("sigma", "rho", "beta"),
+    "linear_saddle": ("eigs",),
+    "linear": ("matrix",),
+    "polynomial": ("table",),
+    "intermittent_lorenz": (),
+    "expanding_lorenz": (),
+    "geometric_lorenz": ("base", "c1", "c2", "c3", "tau0", "roof_log_coeff"),
+}
+
 
 def load_model(name: str, params: Optional[dict] = None):
-    """Model zoo: build a model from its config name and parameters."""
+    """Model zoo: build a model from its config name and parameters.
+
+    A key the model does not read raises ConfigError naming it; a value
+    its builder rejects raises ConfigError on `params`."""
+    if name not in PARAM_KEYS:
+        raise ConfigError("model", f"unknown model '{name}'")
     params = dict(params or {})
+    for key in params:
+        if key not in PARAM_KEYS[name]:
+            known = ", ".join(PARAM_KEYS[name]) or "none"
+            raise ConfigError(f"params.{key}", f"unknown key; known here: {known}")
+    try:
+        return _build(name, params)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError("params", str(exc)) from None
+
+
+def _build(name, params):
     if name == "lorenz":
         return make_lorenz(
             params.get("sigma", 10.0),
@@ -613,12 +640,11 @@ def load_model(name: str, params: Optional[dict] = None):
         return polynomial_field_from_table(params["table"])
     if name in _MAP_BUILDERS:
         return _MAP_BUILDERS[name]()
-    if name == "geometric_lorenz":
-        base_name = params.pop("base", "intermittent_lorenz")
-        if base_name not in _MAP_BUILDERS:
-            raise ConfigError("params.base", f"unknown base map '{base_name}'")
-        return make_geometric_lorenz_suspension(_MAP_BUILDERS[base_name](), **params)
-    raise ConfigError("model", f"unknown model '{name}'")
+    # geometric_lorenz
+    base_name = params.pop("base", "intermittent_lorenz")
+    if base_name not in _MAP_BUILDERS:
+        raise ConfigError("params.base", f"unknown base map '{base_name}'")
+    return make_geometric_lorenz_suspension(_MAP_BUILDERS[base_name](), **params)
 
 
 # validate_model's sample: states drawn from the trapping region by the

@@ -291,7 +291,7 @@ def _suspension_msh_row(streams, b, radius, avoid, margin):
         return {"msh_fit_pass": False, "msh_qualifying": 0,
                 "msh_slopes": (np.nan, np.nan, np.nan)}
 
-    s_ns = np.concatenate([[0.0], np.cumsum(streams.log_gy[:, b])])
+    s_ns = streams.cum_gy[:, b]
     s_nu = streams.cum_a[:, b]
     dt = t[k1] - t[k0]
     ys_s = s_ns[k1] - s_ns[k0]

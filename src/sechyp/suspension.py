@@ -16,7 +16,10 @@ unchanged.
 For ensemble statistics the per-crossing scalars are also exposed as
 vectorized streams across seeds; the fiber direction e_y is exactly
 invariant, and the center-unstable plane is the graph
-span{(1, h, 0), e_s} with tilt recursion h' = (g_x + g_y h) / f'.
+span{(1, h, 0), e_s} with tilt recursion h' = (g_x + g_y h) / f'.  The
+streams keep the base coordinate, the crossing times and the log-factors
+on both directions; the fiber coordinate and the slope h are only
+carried from one return to the next.
 """
 
 from __future__ import annotations
@@ -87,19 +90,17 @@ class SectionStreams:
     Arrays are indexed (crossing, seed).  `log_a` is the log of the
     restricted center-unstable determinant factor per crossing, which
     is also the one-dimensional restricted linear-Poincare factor on
-    N^cu; `log_gy` is the stable (fiber) factor.  `cum_a` is formed once
-    from `log_a`, not passed in: its prefix sums per seed, so that the
-    log-det over crossings i+1..j is cum_a[j] - cum_a[i].  Every
-    windowed reader indexes it.
+    N^cu.  `cum_a` is formed once from `log_a`, not passed in: its
+    prefix sums per seed, so that the log-det over crossings i+1..j is
+    cum_a[j] - cum_a[i].  Every windowed reader indexes it.  `cum_gy`
+    holds the same prefix sums of the stable (fiber) factor log |g_y|.
     """
 
     model: SuspensionModel
     x: np.ndarray          # (n+1, B) quotient coordinates
-    y: np.ndarray          # (n+1, B) fiber coordinates
     times: np.ndarray      # (n+1, B) accumulated crossing times
-    log_gy: np.ndarray     # (n, B) log |g_y|
-    tilt: np.ndarray       # (n+1, B) center-unstable graph slope h
     log_a: np.ndarray      # (n, B)
+    cum_gy: np.ndarray     # (n+1, B) prefix sums of log |g_y|, row 0 zero
     clipped: int           # crossings where the roof argument was clipped
     cum_a: np.ndarray = field(init=False)   # (n+1, B), row 0 zero
 
@@ -146,14 +147,11 @@ def run_section_streams(model: SuspensionModel, seeds, n_returns: int,
         x, y = base.eval_batch(x), skew.fiber(x, y)
 
     xs = np.empty((n_returns + 1, b))
-    ys = np.empty((n_returns + 1, b))
     ts = np.empty((n_returns + 1, b))
-    log_gy = np.empty((n_returns, b))
-    tilts = np.empty((n_returns + 1, b))
     log_a = np.empty((n_returns, b))
+    cum_gy = np.empty((n_returns + 1, b))
 
-    xs[0], ys[0], ts[0] = x, y, 0.0
-    tilts[0] = h
+    xs[0], ts[0], cum_gy[0] = x, 0.0, 0.0
     clipped = 0
     for k in range(n_returns):
         if np.count_nonzero(x) < b:
@@ -166,18 +164,15 @@ def run_section_streams(model: SuspensionModel, seeds, n_returns: int,
             clipped += int(np.sum(small))
             xa = np.maximum(xa, ROOF_CLIP)
         hn = (skew.fiber_dx(x, y) + gy * h) / fp
-        log_gy[k] = np.log(np.abs(gy)) if np.all(gy > 0) else np.log(np.maximum(np.abs(gy), 1e-300))
+        # one add per row: bit-equal to a per-seed cumsum, as cum_a is
+        cum_gy[k + 1] = cum_gy[k] + np.log(np.maximum(np.abs(gy), 1e-300))
         log_a[k] = np.log(np.abs(fp)) + 0.5 * (np.log1p(hn * hn) - np.log1p(h * h))
         ts[k + 1] = ts[k] + model.roof(xa)
         x, y, h = base.eval_batch(x), skew.fiber(x, y), hn
-        xs[k + 1], ys[k + 1] = x, y
-        tilts[k + 1] = h
+        xs[k + 1] = x
 
-    return SectionStreams(
-        model=model, x=xs, y=ys, times=ts,
-        log_gy=log_gy, tilt=tilts, log_a=log_a,
-        clipped=clipped,
-    )
+    return SectionStreams(model=model, x=xs, times=ts, log_a=log_a,
+                          cum_gy=cum_gy, clipped=clipped)
 
 
 # ----------------------------------------------------------------------

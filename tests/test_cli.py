@@ -360,6 +360,10 @@ def test_shipped_configs_validate():
     # rejected once the orbit shows how few steps the warmup leaves
     ("spectrum", {"spectrum": {"T": 5.0, "warmup": 4.999}}, "spectrum.warmup",
      "must leave at least 50 orbit steps"),
+    ("simulate", {"params": {"sigmaa": 5}}, "params.sigmaa",
+     "unknown key; known here: sigma, rho, beta"),
+    ("simulate", {"params": {"sigma": -1}}, "params",
+     "sigma and beta must be positive"),
 ])
 def test_config_fault_exit_2_without_output(tmp_path, capsys, command, section,
                                             field, message):
@@ -371,6 +375,24 @@ def test_config_fault_exit_2_without_output(tmp_path, capsys, command, section,
     for key, value in section.items():
         cfg[key] = {**cfg.get(key, {}), **value}
     assert main([command, "-c", write_config(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"config field '{field}': {message}" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("params, field, message", [
+    ({"c9": 1}, "params.c9", "unknown key; known here: base, c1, c2, c3"),
+    ({"c1": 0.6, "c3": 0.5}, "params", "c1 + c3 >= 1"),
+    # g_y = 0 would make every crossing factor singular
+    ({"c1": 0}, "params", "c1 must be positive"),
+])
+def test_suspension_params_fault_exit_2_without_output(tmp_path, capsys, params,
+                                                       field, message):
+    cfg = {"model": "geometric_lorenz", "params": params,
+           "output_dir": str(tmp_path / "out"),
+           "verify": {"conditions": ["MSH-estimate"], "ensemble": {"size": 2},
+                      "windows": {"n_returns": 50}}}
+    assert main(["verify", "-c", write_config(tmp_path, cfg)]) == 2
     err = capsys.readouterr().err
     assert f"config field '{field}': {message}" in err
     assert not (tmp_path / "out").exists()

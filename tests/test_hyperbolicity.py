@@ -153,20 +153,22 @@ class TestSectionalVolume:
         assert sec.min_rate < 1e-3
 
     def test_grid_min_never_below_exact(self, saddle4_seq):
-        # the sampled plane grid cross-checks the exact bottom pair:
-        # its minimum cannot undercut the singular-value bound
-        from sechyp.hyperbolicity import _min_plane_log_det, _plane_grid
-        from sechyp.util import scaled_product
+        # a sampled grid of 2-planes, every coordinate pair plus seeded
+        # generic frames, cannot undercut the exact bottom singular pair
+        from sechyp.hyperbolicity import _min_plane_log_det
+        from sechyp.util import qr_pos, scaled_product
         m, ls = scaled_product(saddle4_seq.Rcu, 0, 40)
-        s = np.linalg.svd(m, compute_uv=False)
-        exact = float(np.log(s[-1]) + np.log(s[-2]) + 2 * ls)
-        planes = _plane_grid(3, 64)
+        planes = [np.eye(3)[:, [a, b]] for a in range(3) for b in range(a + 1, 3)]
+        rng = np.random.default_rng(40813)
+        planes += [qr_pos(rng.standard_normal((3, 2)))[0] for _ in range(61)]
         grid_only = min(
             float(np.sum(np.log(np.linalg.svd(m @ p, compute_uv=False)[:2]))
                   + 2 * ls)
             for p in planes)
+        exact = _min_plane_log_det(m[None], np.array([ls]))[0]
+        s = np.linalg.svd(m, compute_uv=False)
+        assert exact == np.log(s[-1]) + np.log(s[-2]) + 2 * ls
         assert grid_only >= exact - 1e-9
-        assert _min_plane_log_det(m[None], np.array([ls]), planes)[0] <= grid_only + 1e-12
 
     def test_lorenz_sectional_band(self, lorenz_seq_60):
         sec = sectional_expansion_functional(lorenz_seq_60, 20.0)

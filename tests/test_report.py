@@ -146,11 +146,9 @@ class TestSuspensionMshScan:
         x[4] = 0.01
         streams = SectionStreams(
             model=load_model("geometric_lorenz"), x=x,
-            y=np.zeros((n + 1, 1)),
             times=np.arange(n + 1, dtype=float)[:, None],
-            log_gy=np.full((n, 1), -1.0),
-            tilt=np.zeros((n + 1, 1)), log_a=np.full((n, 1), 0.5),
-            clipped=0)
+            log_a=np.full((n, 1), 0.5),
+            cum_gy=-np.arange(n + 1, dtype=float)[:, None], clipped=0)
         row = _suspension_msh_row(streams, 0, radius=0.05, avoid=3.0,
                                   margin=1e-3)
         # starts 0..17 end inside the orbit; 1..4 see crossing 4

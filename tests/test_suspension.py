@@ -11,10 +11,28 @@ from sechyp.suspension import (SectionStreams, ash_running_max, crossing_matrix,
 
 
 @pytest.fixture(scope="module")
-def streams(intermittent_suspension):
+def seeds():
     rng = np.random.default_rng(5)
-    seeds = np.column_stack([rng.uniform(-1, 1, 64), rng.uniform(-1, 1, 64)])
+    return np.column_stack([rng.uniform(-1, 1, 64), rng.uniform(-1, 1, 64)])
+
+
+@pytest.fixture(scope="module")
+def streams(intermittent_suspension, seeds):
     return run_section_streams(intermittent_suspension, seeds, 4000)
+
+
+def section_orbit(model, seed, n, tilt_warmup=12):
+    """(x, y, h) at crossings 0..n of the stream from `seed`: the scalar
+    section map and the slope recursion h' = (g_x + g_y h) / f' from
+    h = 0, started `tilt_warmup` returns before crossing 0."""
+    skew = model.section_map
+    (x, y), h = seed, 0.0
+    out = []
+    for _ in range(tilt_warmup + n + 1):
+        out.append((x, y, h))
+        h = (skew.fiber_dx(x, y) + skew.fiber_dy(x, y) * h) / skew.base.derivative(x)
+        x, y = skew.eval(x, y)
+    return np.array(out[tilt_warmup:]).T
 
 
 class TestCrossingFactors:
@@ -47,11 +65,12 @@ class TestStreams:
     def test_matches_matrix_route(self, intermittent_suspension):
         # the vectorized scalar streams and the generic matrix cocycle
         # must agree on the restricted center-unstable determinant
-        seeds = np.array([[0.371, -0.24]])
-        st = run_section_streams(intermittent_suspension, seeds, 400,
+        seed = [0.371, -0.24]
+        st = run_section_streams(intermittent_suspension, [seed], 400,
                                  tilt_warmup=30)
-        orb = suspension_orbit(intermittent_suspension,
-                               [st.x[0, 0], st.y[0, 0]], 430)
+        x, y, _ = section_orbit(intermittent_suspension, seed, 0, tilt_warmup=30)
+        assert x[0] == st.x[0, 0]
+        orb = suspension_orbit(intermittent_suspension, [x[0], y[0]], 430)
         seq = estimate_splitting(orb, d_s=1, warmup=25.0, stride=1)
         # compare window log-dets on the overlapping range
         t0 = seq.times[0] - orb.times[0]
@@ -65,50 +84,71 @@ class TestStreams:
             # windows are quantized to crossing times on both routes
             assert abs(got - want) < 1e-6 * max(1.0, abs(want)) + 1e-9
 
-    def test_stable_factor_is_fiber_derivative(self, streams,
+    def test_stable_factor_is_fiber_derivative(self, streams, seeds,
                                                intermittent_suspension):
         skew = intermittent_suspension.section_map
         b = 3
+        x, y, _ = section_orbit(intermittent_suspension, seeds[b], 200)
+        log_gy = np.diff(streams.cum_gy[:, b])
         for k in range(0, 200, 17):
-            gy = skew.fiber_dy(streams.x[k, b], streams.y[k, b])
-            assert abs(streams.log_gy[k, b] - np.log(abs(gy))) < 1e-12
+            assert x[k] == streams.x[k, b]
+            gy = skew.fiber_dy(x[k], y[k])
+            assert abs(log_gy[k] - np.log(abs(gy))) < 1e-12
 
     def test_tilt_recursion_fixed_point(self, intermittent_suspension):
         # over the boundary fixed orbit the tilt settles to
         # h = g_x / (f' - g_y) with f' = 1
-        st = run_section_streams(intermittent_suspension,
-                                 [[1.0, 2.0 / 3.0]], 50, tilt_warmup=40)
+        seed = [1.0, 2.0 / 3.0]
+        _, _, h = section_orbit(intermittent_suspension, seed, 50, tilt_warmup=40)
         skew = intermittent_suspension.section_map
-        gx = skew.fiber_dx(1.0, 2.0 / 3.0)
-        gy = skew.fiber_dy(1.0, 2.0 / 3.0)
+        gx = skew.fiber_dx(*seed)
+        gy = skew.fiber_dy(*seed)
         h_star = gx / (1.0 - gy)
-        npt.assert_allclose(st.tilt[:, 0], h_star, rtol=1e-10)
+        npt.assert_allclose(h, h_star, rtol=1e-10)
+        # a fixed slope over f' = 1 leaves the plane's area unchanged
+        st = run_section_streams(intermittent_suspension, [seed], 50,
+                                 tilt_warmup=40)
+        npt.assert_allclose(st.log_a, 0.0, atol=1e-10)
 
-    def test_ecu_graph_invariance(self, streams, intermittent_suspension):
-        # span{(1, h, 0), e_s} with the streamed tilt h must be exactly
-        # invariant under the crossing factors along the orbit
+    def test_ecu_graph_invariance(self, streams, seeds, intermittent_suspension):
+        # span{(1, h, 0), e_s} with the slope h of the recursion must be
+        # exactly invariant under the crossing factors along the orbit,
+        # with the streamed log_a as the log of its area factor
         b = 7
+        x, y, h = section_orbit(intermittent_suspension, seeds[b], 300)
 
         def ecu(k):
-            h = streams.tilt[k, b]
-            c = 1.0 / np.sqrt(1.0 + h * h)
-            return np.array([[c, 0.0], [h * c, 0.0], [0.0, 1.0]])
+            c = 1.0 / np.sqrt(1.0 + h[k] * h[k])
+            return np.array([[c, 0.0], [h[k] * c, 0.0], [0.0, 1.0]])
 
         for k in range(0, 300, 23):
-            m = crossing_matrix(intermittent_suspension,
-                                streams.x[k, b], streams.y[k, b])
+            m = crossing_matrix(intermittent_suspension, x[k], y[k])
             basis, nxt = ecu(k), ecu(k + 1)
             img = m @ basis
             leak = img - nxt @ (nxt.T @ img)
             assert np.linalg.norm(leak) / np.linalg.norm(img) < 1e-12
+            area = np.linalg.slogdet(nxt.T @ img)[1]
+            assert abs(area - streams.log_a[k, b]) < 1e-12 * max(1.0, abs(area))
 
 
 class TestStreamFunctionals:
-    def test_prefix_sums_equal_each_seeds_cumsum(self, streams):
-        assert streams.cum_a.shape == (streams.n_returns + 1, streams.n_seeds)
-        for b, log_a in enumerate(streams.log_a.T):
-            want = np.concatenate([[0.0], np.cumsum(log_a)])
-            assert streams.cum_a[:, b].tobytes() == want.tobytes()
+    @pytest.mark.parametrize("sums", ["cum_a", "cum_gy"])
+    def test_prefix_sums_equal_each_seeds_cumsum(self, streams, seeds,
+                                                 intermittent_suspension, sums):
+        # cum_a sums the streamed log_a; cum_gy sums log |g_y|, recomputed
+        # here from the fiber map along each seed's scalar orbit
+        n = streams.n_returns
+        got = getattr(streams, sums)
+        assert got.shape == (n + 1, streams.n_seeds)
+        skew = intermittent_suspension.section_map
+        for b in range(streams.n_seeds):
+            if sums == "cum_a":
+                terms = streams.log_a[:, b]
+            else:
+                x, y, _ = section_orbit(intermittent_suspension, seeds[b], n - 1)
+                terms = np.log(np.abs(skew.fiber_dy(x, y)))
+            want = np.concatenate([[0.0], np.cumsum(terms)])
+            assert got[:, b].tobytes() == want.tobytes()
 
     def test_short_orbit_rate_is_its_whole_time(self, intermittent_suspension):
         # 20 crossings one time unit apart, log-det 0.5 each; a window of
@@ -116,9 +156,9 @@ class TestStreamFunctionals:
         n = 20
         st = SectionStreams(
             model=intermittent_suspension, x=np.full((n + 1, 1), 0.5),
-            y=np.zeros((n + 1, 1)), times=np.arange(n + 1, dtype=float)[:, None],
-            log_gy=np.full((n, 1), -1.0), tilt=np.zeros((n + 1, 1)),
-            log_a=np.full((n, 1), 0.5), clipped=0)
+            times=np.arange(n + 1, dtype=float)[:, None],
+            log_a=np.full((n, 1), 0.5),
+            cum_gy=-np.arange(n + 1, dtype=float)[:, None], clipped=0)
         assert sectional_rate_stream(st, 0, 50.0) == (0.5, 0.5, 0.5)
         assert sectional_rate_stream(st, 0, 20.0) == (0.5, 0.5, 0.5)
         assert sectional_rate_stream(st, 0, 5.0) == (0.5, 0.5, 0.5)
