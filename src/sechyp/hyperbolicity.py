@@ -18,12 +18,16 @@ import numpy as np
 from .errors import Blowup, NotAnEquilibrium, NotPeriodic
 from .flowcalc import StepControl, dp5_steps, integrate, wedge2_of
 from .models import (SuspensionModel, VectorFieldModel, refine_equilibrium)
-from .splitting import (SplittingSequence, _checkpoint_flow_dirs,
+from .splitting import (SplittingSequence, _checkpoint_flow_dirs, ask_rate_fits,
                         estimate_splitting, span_windows)
-from .util import fit_log_rate, log_norms, window_products
+from .util import (MemberWindows, fit_log_rate, log_norms, longest_first,
+                   member_split, window_products)
 
 # Window starts of the windowed sectional and volume functionals.
 SECT_STARTS = 10
+
+# Window starts of the MNUSE functional.
+MNUSE_SAMPLES = 200
 
 # Horizons of the running-max (ASH) functionals, geometrically spaced.
 ASH_HORIZONS = 24
@@ -240,7 +244,7 @@ class FunctionalResult:
     n_samples: int
 
 
-def _tau_windows(times, tau, n_samples):
+def tau_windows(times, tau, n_samples=MNUSE_SAMPLES):
     """Index pairs (i, j) of time-tau windows from n_samples starts spread
     over the grid; each window ends at the last grid time within tau of
     its (grid-snapped) start, and windows shorter than one block are
@@ -252,6 +256,30 @@ def _tau_windows(times, tau, n_samples):
     return i[keep], j[keep]
 
 
+def sect_windows(seq: SplittingSequence, window: float):
+    """Index pairs (i, j) of the sectional and volume windows: SECT_STARTS
+    starts of windows of the given span, or of the whole valid range
+    when that is shorter (see `span_windows`)."""
+    times = seq.times
+    return span_windows(times, [min(window, times[-1] - times[0])], SECT_STARTS)
+
+
+def _nuse_windows(seq: SplittingSequence, tau: float):
+    """Index pairs (ka, kb) of the consecutive time-tau windows of NUSE:
+    the checkpoints closest to the tau grid from the start of the valid
+    range, without the windows shorter than one block."""
+    times = seq.times
+    n_windows = int(np.floor((times[-1] - times[0]) / tau))
+    if n_windows < 1:
+        raise ValueError("valid range shorter than one tau window")
+    edges = np.searchsorted(times, times[0] + np.arange(n_windows + 1) * tau,
+                            side="left")
+    edges = np.minimum(edges, len(times) - 1)
+    ka, kb = edges[:-1], edges[1:]
+    keep = kb > ka
+    return ka[keep], kb[keep]
+
+
 def _min_plane_log_det(mats, log_scales):
     """Smallest log |det| of the restriction of each matrix to a 2-plane:
     the plane of the two smallest right singular vectors (the bottom
@@ -260,173 +288,26 @@ def _min_plane_log_det(mats, log_scales):
     return np.log(s[:, -1]) + np.log(s[:, -2]) + 2 * log_scales
 
 
+def _inverse_wedge_rates(mats, log_scales, spans):
+    """log ||[wedge^2 (exp(log_scales) * mats)]^{-1}|| per unit time of
+    each window's span."""
+    sv = np.linalg.svd(wedge2_of(mats), compute_uv=False)
+    return -(np.log(sv[:, -1]) + 2 * log_scales) / spans
+
+
 def _window_summary(rates, window):
     return FunctionalResult(float(rates.mean()), float(rates.min()),
                             float(rates.max()), window, len(rates))
 
 
-def sectional_expansion_functional(seq: SplittingSequence,
-                                   window: float) -> FunctionalResult:
-    """Windowed min-over-2-planes determinant rate inside E^cu.
-
-    For d_cu = 2 there is a single plane; otherwise the minimum is the
-    exact one of the bottom singular pair.  Uniform sectional expansion
-    holds on the sample iff min_rate >= +1e-3.
-    """
-    times = seq.times
-    i, j = span_windows(times, [min(window, times[-1] - times[0])], SECT_STARTS)
-    mats, ls = window_products(seq.Rcu, i, j)
-    rates = _min_plane_log_det(mats, ls) / (times[j] - times[i])
-    return _window_summary(rates, window)
-
-
-def volume_expansion_functional(seq: SplittingSequence,
-                                window: float) -> FunctionalResult:
-    """Windowed log |det| rate of the cocycle restricted to E^cu."""
-    times = seq.times
-    i, j = span_windows(times, [min(window, times[-1] - times[0])], SECT_STARTS)
-    mats, ls = window_products(seq.Rcu, i, j)
-    logdet = np.linalg.slogdet(mats)[1]
-    return _window_summary((logdet + seq.d_cu * ls) / (times[j] - times[i]), window)
-
-
-def ash_functional(seq: SplittingSequence) -> float:
-    """Running max over increasing horizons of the min-plane determinant
-    rate from the start of the valid range (pointwise asymptotic
-    expansion proxy)."""
-    times = seq.times
-    total = times[-1] - times[0]
-    horizons = np.geomspace(total / 64.0, total, ASH_HORIZONS)
-    j = np.searchsorted(times, times[0] + horizons, side="right") - 1
-    j = j[j > 0]
-    mats, ls = window_products(seq.Rcu, np.zeros_like(j), j)
-    rates = _min_plane_log_det(mats, ls) / (times[j] - times[0])
-    return float(np.max(rates, initial=-np.inf))
-
-
-def mnuse_functional(seq: SplittingSequence, tau: float,
-                     n_samples: int = 200) -> float:
-    """Per-unit-time average of log ||[wedge^2 (time-tau cocycle | E^cu)]^{-1}||
-    along the orbit, the mostly-nonuniform sectional expansion statistic.
-
-    The integral over window starts is approximated by uniform sampling
-    on the checkpoint grid; each sample restricts the cocycle to E^cu
-    over [s, s + tau] and takes the smallest singular value of its
-    second compound.  Negative values certify sectional expansion of
-    the time-tau map on average.
-    """
-    times = seq.times
-    if times[-1] - tau <= times[0]:
-        raise ValueError("valid range shorter than one tau window")
-    i, j = _tau_windows(times, tau, n_samples)
-    return float(np.mean(_inverse_wedge_rates(seq.Rcu, times, i, j)))
-
-
-def _inverse_wedge_rates(rcu, times, i, j):
-    """log ||[wedge^2 (product over [i, j))]^{-1}|| per unit time."""
-    mats, ls = window_products(rcu, i, j)
-    sv = np.linalg.svd(wedge2_of(mats), compute_uv=False)
-    return -(np.log(sv[:, -1]) + 2 * ls) / (times[j] - times[i])
-
-
-def nuse_functional(lpf_cocycle, seq: SplittingSequence, tau: float) -> float:
-    """Per-unit-time average of log ||(P^tau | N^cu)^{-1}|| over the orbit
-    of the time-tau map, where N^cu = E^cu intersected with the normal
-    space of the flow direction."""
-    times = seq.times
-    n_windows = int(np.floor((times[-1] - times[0]) / tau))
-    if n_windows < 1:
-        raise ValueError("valid range shorter than one tau window")
-
-    # checkpoint indices closest to the tau grid
-    edges = np.searchsorted(times, times[0] + np.arange(n_windows + 1) * tau,
-                            side="left")
-    edges = np.minimum(edges, len(times) - 1)
-    ka, kb = edges[:-1], edges[1:]
-    keep = kb > ka
-    ka, kb = ka[keep], kb[keep]
-
-    d_ncu = seq.d_cu - 1
-    ua = _ncu_coords(lpf_cocycle, seq, ka, d_ncu)
-    ub = _ncu_coords(lpf_cocycle, seq, kb, d_ncu)
-    p, ls = window_products(lpf_cocycle.lpf_factors, seq.grid[ka], seq.grid[kb])
-    sv = np.linalg.svd(ub.transpose(0, 2, 1) @ (p @ ua), compute_uv=False)
-    # summed window by window in time order: np.sum's pairwise order
-    # would move the last digits of the reported rate
-    total = np.cumsum(-(np.log(sv[:, -1]) + ls))[-1]
-    total_time = np.cumsum(times[kb] - times[ka])[-1]
-    return float(total / total_time)
-
-
-def _ncu_coords(lpf_cocycle, seq, ks, d_ncu):
-    """Orthonormal coordinates of N^cu = E^cu ^ X^perp in the normal frame
-    at each checkpoint of ks."""
-    frames = lpf_cocycle.frames_at(seq.grid[ks])
-    c = frames.transpose(0, 2, 1) @ seq.Ecu[ks]
-    u, _, _ = np.linalg.svd(c, full_matrices=False)
-    return u[:, :, :d_ncu]
-
-
-def nne_functional(seq: SplittingSequence) -> FunctionalResult:
-    """Minimal tail growth rate of 2-planes spanned by a sampled
-    direction v in E^cu and the flow direction.
-
-    The reported quantity per direction is
-    (log ||Phi_T v ^ Phi_T X|| - log ||Phi_T X||) / T, a proxy for the
-    Lyapunov exponent of v relative to the neutral flow direction; the
-    liminf is proxied by the running inf over the last half of the
-    checkpoints.  No-negative-exponents passes iff min >= -1e-3.
-
-    Interpretation note: the wedge is taken between the pushed vector
-    and the pushed flow direction (the 2-plane they span); this is
-    flagged in every report that carries the statistic.
-    """
-    rng = np.random.default_rng(NNE_SEED)
-    times = seq.times
-    dirs = _checkpoint_flow_dirs(seq)
-
-    # directions first: the flow-cone test reads checkpoint 0 only
-    accepted = []
-    for _ in range(10 * NNE_DIRS):
-        if len(accepted) == NNE_DIRS:
-            break
-        coords = rng.standard_normal(seq.d_cu)
-        v = seq.Ecu[0] @ (coords / np.linalg.norm(coords))
-        if np.arccos(np.clip(abs(v @ dirs[0]), 0, 1)) > NNE_FLOW_CONE:
-            accepted.append(v)
-
-    # push them together, one stacked matvec per block
-    w = np.reshape(accepted, (len(accepted), seq.Ecu.shape[1], 1))
-    norms = np.empty((seq.n_blocks, len(accepted)))
-    cos = np.empty_like(norms)
-    for k in range(seq.n_blocks):
-        w = seq.factors[k] @ w
-        norms[k] = np.sqrt(np.vecdot(w[:, :, 0], w[:, :, 0]))
-        w /= norms[k][:, None, None]
-        cos[k] = np.vecdot(w[:, :, 0], dirs[k + 1])
-    log_norm = np.cumsum(np.log(norms, out=norms), axis=0, out=norms)
-    # Python's float ** per entry: numpy's square differs from it in the
-    # last bit.  The sines, their logs and the rates share one array.
-    sin_t = np.fromiter((float(c) ** 2 for c in cos.flat), float,
-                        cos.size).reshape(cos.shape)
-    del cos
-    np.sqrt(np.maximum(0.0, np.subtract(1.0, sin_t, out=sin_t), out=sin_t),
-            out=sin_t)
-    t_el = (times[1:] - times[0])[:, None]
-    valid = ~((sin_t <= 0) | (t_el <= 0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rates = np.log(sin_t, out=sin_t)
-        rates += log_norm
-        rates /= t_el
-    tails = [r[ok][ok.sum() // 2:] for r, ok in zip(rates.T, valid.T)]
-    arr = np.array([float(np.min(tail)) for tail in tails])
-    return FunctionalResult(float(arr.mean()), float(arr.min()),
-                            float(arr.max()), float(times[-1] - times[0]),
-                            len(arr))
+def _spans(seqs, windows):
+    """The time spans of each member's windows, member by member."""
+    return np.concatenate([seq.times[j] - seq.times[i]
+                           for seq, (i, j) in zip(seqs, windows)])
 
 
 # ----------------------------------------------------------------------
-# multisingular estimate
+# multisingular estimate: window starts
 # ----------------------------------------------------------------------
 
 @dataclass
@@ -488,6 +369,377 @@ def msh_windows(t, dist, grid, radius, avoid):
     return n_qual, k0[keep], k1[keep]
 
 
+# ----------------------------------------------------------------------
+# the functionals of a batch of members
+# ----------------------------------------------------------------------
+
+class Functionals:
+    """The flow functionals of a batch of members, evaluated together.
+
+    `seqs` are the members' splitting sequences (of one dimension and
+    one d_s) and `lpfs` their LPF cocycles, which only `nuse` and `msh`
+    read.  Each method asks for one functional over every member and
+    returns a callable that gives its per-member results.  The windows
+    a functional reads are asked of the factor stream they come from
+    (`Rs`, `Rcu` or the LPF factors, a `util.MemberWindows` each) and
+    are formed, with every window asked of that stream before, when the
+    first result that reads the stream is taken: ask first, then take
+    the results.  Each linear-algebra step on the products is one
+    stacked call over all members, and every result is bit for bit the
+    member's alone.
+    """
+
+    def __init__(self, seqs, lpfs=None):
+        self.seqs = list(seqs)
+        self.lpfs = lpfs
+        self.rs = MemberWindows([seq.Rs for seq in self.seqs])
+        self.rcu = MemberWindows([seq.Rcu for seq in self.seqs])
+        self.lpf = (None if lpfs is None
+                    else MemberWindows([lpf.lpf_factors for lpf in lpfs]))
+        self._ncu_of = [None] * len(self.seqs)
+
+    def rates(self, spans=None):
+        """Per member (domination fit, contraction fit), as
+        `splitting.domination_rate` and `contraction_rate` give them."""
+        return ask_rate_fits(self.seqs, spans, self.rs, self.rcu)
+
+    def sectional(self, window):
+        """Per member its `sectional_expansion_functional`."""
+        windows = [sect_windows(seq, window) for seq in self.seqs]
+        key = self.rcu.ask(windows)
+
+        def results():
+            rates = (_min_plane_log_det(*self.rcu.products(key))
+                     / _spans(self.seqs, windows))
+            return [_window_summary(r, window) for r in member_split(rates, windows)]
+        return results
+
+    def volume(self, window):
+        """Per member its `volume_expansion_functional`."""
+        windows = [sect_windows(seq, window) for seq in self.seqs]
+        key = self.rcu.ask(windows)
+
+        def results():
+            mats, ls = self.rcu.products(key)
+            rates = ((np.linalg.slogdet(mats)[1] + self.seqs[0].d_cu * ls)
+                     / _spans(self.seqs, windows))
+            return [_window_summary(r, window) for r in member_split(rates, windows)]
+        return results
+
+    def ash(self):
+        """Per member its `ash_functional`."""
+        windows = []
+        for seq in self.seqs:
+            times = seq.times
+            total = times[-1] - times[0]
+            horizons = np.geomspace(total / 64.0, total, ASH_HORIZONS)
+            j = np.searchsorted(times, times[0] + horizons, side="right") - 1
+            j = j[j > 0]
+            windows.append((np.zeros_like(j), j))
+        key = self.rcu.ask(windows)
+
+        def results():
+            rates = (_min_plane_log_det(*self.rcu.products(key))
+                     / _spans(self.seqs, windows))
+            return [float(np.max(r, initial=-np.inf))
+                    for r in member_split(rates, windows)]
+        return results
+
+    def mnuse(self, tau, n_samples=MNUSE_SAMPLES):
+        """Per member its `mnuse_functional`."""
+        windows = []
+        for seq in self.seqs:
+            times = seq.times
+            if times[-1] - tau <= times[0]:
+                raise ValueError("valid range shorter than one tau window")
+            windows.append(tau_windows(times, tau, n_samples))
+        key = self.rcu.ask(windows)
+
+        def results():
+            mats, ls = self.rcu.products(key)
+            rates = _inverse_wedge_rates(mats, ls, _spans(self.seqs, windows))
+            return [float(np.mean(r)) for r in member_split(rates, windows)]
+        return results
+
+    def nuse(self, tau):
+        """Per member its `nuse_functional`."""
+        windows = [_nuse_windows(seq, tau) for seq in self.seqs]
+        key = self.lpf.ask([(seq.grid[ka], seq.grid[kb])
+                            for seq, (ka, kb) in zip(self.seqs, windows)])
+
+        def results():
+            p, ls = self.lpf.products(key)
+            d_ncu = self.seqs[0].d_cu - 1
+            ua = np.concatenate([self._ncu(m)[ka] for m, (ka, _)
+                                 in enumerate(windows)])[:, :, :d_ncu]
+            ub = np.concatenate([self._ncu(m)[kb] for m, (_, kb)
+                                 in enumerate(windows)])[:, :, :d_ncu]
+            sv = np.linalg.svd(ub.transpose(0, 2, 1) @ (p @ ua), compute_uv=False)
+            logs = -(np.log(sv[:, -1]) + ls)
+            out = []
+            for seq, (ka, kb), lg in zip(self.seqs, windows,
+                                         member_split(logs, windows)):
+                # summed window by window in time order: np.sum's pairwise
+                # order would move the last digits of the reported rate
+                total_time = np.cumsum(seq.times[kb] - seq.times[ka])[-1]
+                out.append(float(np.cumsum(lg)[-1] / total_time))
+            return out
+        return results
+
+    def msh(self, radius, avoid_window):
+        """Per member its `msh_estimate`.  The restricted factors are formed
+        on the blocks the fit windows cover only."""
+        fits = [msh_windows(seq.orbit.times,
+                            _singular_distances(seq.orbit, seq.orbit.model),
+                            seq.grid, radius, avoid_window) for seq in self.seqs]
+        fitted = [m for m, (n_qual, _, _) in enumerate(fits) if n_qual >= 2]
+        covered = {}
+        for m in fitted:
+            hit = np.zeros(self.seqs[m].n_blocks, dtype=bool)
+            for a, b in zip(*fits[m][1:]):
+                hit[a:b] = True
+            covered[m] = np.flatnonzero(hit)
+        none = np.zeros(0, dtype=np.intp)
+        key = self.lpf.ask([(seq.grid[covered[m]], seq.grid[covered[m] + 1])
+                            if m in covered else (none, none)
+                            for m, seq in enumerate(self.seqs)])
+
+        def results():
+            out = [MshResult(np.nan, np.nan, np.nan, n_qual) for n_qual, _, _ in fits]
+            if not fitted:
+                return out
+            seqs = [self.seqs[m] for m in fitted]
+            p, ls = self.lpf.products(key)
+            ends = np.cumsum([len(covered[m]) for m in fitted])[:-1]
+            # each member's restricted LPF factors over its covered blocks,
+            # and its fit windows in their positions there
+            ns_f, nu_f, windows = [], [], []
+            for m, seq, pm, lsm in zip(fitted, seqs, np.split(p, ends),
+                                       np.split(ls, ends)):
+                blocks = covered[m]
+                frames = self.lpfs[m].frames_at(seq.grid)
+                ns_b, _, _ = np.linalg.svd(frames.transpose(0, 2, 1) @ seq.Es,
+                                           full_matrices=False)
+                nu_b = self._ncu(m)
+                pm = pm * np.exp(lsm)[:, None, None]
+                for f, b, d in ((ns_f, ns_b, seq.d_s), (nu_f, nu_b, seq.d_cu - 1)):
+                    f.append(b[blocks + 1][:, :, :d].transpose(0, 2, 1)
+                             @ (pm @ b[blocks][:, :, :d]))
+                k0, k1 = fits[m][1:]
+                at = np.searchsorted(blocks, k0)
+                windows.append((at, at + (k1 - k0)))
+            del p, ls
+
+            ns, nu = MemberWindows(ns_f), MemberWindows(nu_f)
+            ln_s = log_norms(*ns.products(ns.ask(windows)))
+            ln_u = log_norms(*nu.products(nu.ask(windows)), inverse=True)
+            for m, seq, s, u in zip(fitted, seqs, member_split(ln_s, windows),
+                                    member_split(ln_u, windows)):
+                k0, k1 = fits[m][1:]
+                dt = seq.times[k1] - seq.times[k0]
+                slope_s, _, _ = fit_log_rate(dt, s)
+                slope_u, _, _ = fit_log_rate(dt, u)
+                slope_d, _, _ = fit_log_rate(dt, s + u)
+                out[m] = MshResult(float(slope_s), float(slope_u), float(slope_d),
+                                   fits[m][0])
+            return out
+        return results
+
+    def nne(self):
+        """Per member its `nne_functional`: the members' directions are
+        pushed together, one stacked matvec per block over the members
+        still open (`util.longest_first`), and each direction's rate at
+        each checkpoint is formed as it is reached."""
+        seqs = self.seqs
+
+        def results():
+            flow = [_checkpoint_flow_dirs(seq) for seq in seqs]
+            accepted = [_nne_directions(seq, dirs[0]) for seq, dirs in zip(seqs, flow)]
+            order, n_open = longest_first([seq.n_blocks for seq in seqs])
+            members = [seqs[m] for m in order]
+            counts = [len(accepted[m]) for m in order]
+            firsts = np.cumsum([0] + counts)
+            # per direction, member-major in that order: the flow direction
+            # and the time elapsed at each checkpoint after the first
+            at = np.repeat(np.cumsum([0] + [seq.n_blocks for seq in members])[:-1],
+                           counts)
+            dirs = np.concatenate([flow[m][1:] for m in order])
+            elapsed = np.concatenate([seq.times[1:] - seq.times[0] for seq in members])
+            del flow
+            n = dirs.shape[1]
+            w = np.reshape([v for m in order for v in accepted[m]], (firsts[-1], n, 1))
+            rates = np.empty((len(n_open), firsts[-1]))
+            valid = np.empty(rates.shape, dtype=bool)
+            log_norm = np.zeros(firsts[-1])
+            for k, m in enumerate(n_open.tolist()):
+                d = firsts[m]
+                blocks = np.stack([seq.factors[k] for seq in members[:m]])
+                w[:d] = np.repeat(blocks, counts[:m], axis=0) @ w[:d]
+                norms = np.sqrt(np.vecdot(w[:d, :, 0], w[:d, :, 0]))
+                w[:d] /= norms[:, None, None]
+                cos = np.vecdot(w[:d, :, 0], dirs[at[:d] + k])
+                # summed block by block, as a cumsum down the blocks would
+                log_norm[:d] += np.log(norms)
+                rates[k, :d], valid[k, :d] = _nne_rates(cos, log_norm[:d],
+                                                        elapsed[at[:d] + k])
+            out = [None] * len(seqs)
+            for m, seq, a, b in zip(order, members, firsts[:-1], firsts[1:]):
+                tails = [r[ok][ok.sum() // 2:] for r, ok in
+                         zip(rates[:seq.n_blocks, a:b].T, valid[:seq.n_blocks, a:b].T)]
+                arr = np.array([float(np.min(tail)) for tail in tails])
+                out[m] = FunctionalResult(float(arr.mean()), float(arr.min()),
+                                          float(arr.max()),
+                                          float(seq.times[-1] - seq.times[0]), len(arr))
+            return out
+        return results
+
+    def _ncu(self, m):
+        """Member m's left singular vectors of E^cu in the normal frame at
+        each of its checkpoints, formed once: the first d_cu - 1 are
+        orthonormal coordinates of N^cu = E^cu ^ X^perp."""
+        if self._ncu_of[m] is None:
+            seq = self.seqs[m]
+            frames = self.lpfs[m].frames_at(seq.grid)
+            self._ncu_of[m], _, _ = np.linalg.svd(frames.transpose(0, 2, 1) @ seq.Ecu,
+                                                  full_matrices=False)
+        return self._ncu_of[m]
+
+
+def _nne_directions(seq, flow_dir):
+    """The NNE_DIRS seeded unit directions of E^cu at checkpoint 0 that
+    lie outside the flow cone, from at most 10 * NNE_DIRS draws."""
+    rng = np.random.default_rng(NNE_SEED)
+    accepted = []
+    for _ in range(10 * NNE_DIRS):
+        if len(accepted) == NNE_DIRS:
+            break
+        coords = rng.standard_normal(seq.d_cu)
+        v = seq.Ecu[0] @ (coords / np.linalg.norm(coords))
+        if np.arccos(np.clip(abs(v @ flow_dir), 0, 1)) > NNE_FLOW_CONE:
+            accepted.append(v)
+    return accepted
+
+
+def _nne_rates(cos, log_norm, elapsed):
+    """NNE's rates of pushed directions at one checkpoint, from their
+    cosines to the flow direction there, their summed log norms and the
+    time elapsed, and whether each rate is valid (a positive sine and
+    elapsed time)."""
+    # Python's float ** per entry: numpy's square differs from it in the
+    # last bit.  The sines, their logs and the rates share one array.
+    sin_t = np.fromiter((float(c) ** 2 for c in cos), float, len(cos))
+    np.sqrt(np.maximum(0.0, np.subtract(1.0, sin_t, out=sin_t), out=sin_t),
+            out=sin_t)
+    valid = ~((sin_t <= 0) | (elapsed <= 0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rates = np.log(sin_t, out=sin_t)
+        rates += log_norm
+        rates /= elapsed
+    return rates, valid
+
+
+# ----------------------------------------------------------------------
+# the functionals of one member, and of a list of members
+# ----------------------------------------------------------------------
+
+def sectional_expansion_functionals(seqs, window: float) -> list:
+    """`sectional_expansion_functional` of each sequence in a list."""
+    return Functionals(seqs).sectional(window)()
+
+
+def sectional_expansion_functional(seq: SplittingSequence,
+                                   window: float) -> FunctionalResult:
+    """Windowed min-over-2-planes determinant rate inside E^cu.
+
+    For d_cu = 2 there is a single plane; otherwise the minimum is the
+    exact one of the bottom singular pair.  Uniform sectional expansion
+    holds on the sample iff min_rate >= +1e-3.
+    """
+    return sectional_expansion_functionals([seq], window)[0]
+
+
+def volume_expansion_functionals(seqs, window: float) -> list:
+    """`volume_expansion_functional` of each sequence in a list."""
+    return Functionals(seqs).volume(window)()
+
+
+def volume_expansion_functional(seq: SplittingSequence,
+                                window: float) -> FunctionalResult:
+    """Windowed log |det| rate of the cocycle restricted to E^cu."""
+    return volume_expansion_functionals([seq], window)[0]
+
+
+def ash_functionals(seqs) -> list:
+    """`ash_functional` of each sequence in a list."""
+    return Functionals(seqs).ash()()
+
+
+def ash_functional(seq: SplittingSequence) -> float:
+    """Running max over increasing horizons of the min-plane determinant
+    rate from the start of the valid range (pointwise asymptotic
+    expansion proxy)."""
+    return ash_functionals([seq])[0]
+
+
+def mnuse_functionals(seqs, tau: float, n_samples: int = MNUSE_SAMPLES) -> list:
+    """`mnuse_functional` of each sequence in a list."""
+    return Functionals(seqs).mnuse(tau, n_samples)()
+
+
+def mnuse_functional(seq: SplittingSequence, tau: float,
+                     n_samples: int = MNUSE_SAMPLES) -> float:
+    """Per-unit-time average of log ||[wedge^2 (time-tau cocycle | E^cu)]^{-1}||
+    along the orbit, the mostly-nonuniform sectional expansion statistic.
+
+    The integral over window starts is approximated by uniform sampling
+    on the checkpoint grid; each sample restricts the cocycle to E^cu
+    over [s, s + tau] and takes the smallest singular value of its
+    second compound.  Negative values certify sectional expansion of
+    the time-tau map on average.
+    """
+    return mnuse_functionals([seq], tau, n_samples)[0]
+
+
+def nuse_functionals(lpf_cocycles, seqs, tau: float) -> list:
+    """`nuse_functional` of each (LPF cocycle, sequence) pair of two lists."""
+    return Functionals(seqs, lpf_cocycles).nuse(tau)()
+
+
+def nuse_functional(lpf_cocycle, seq: SplittingSequence, tau: float) -> float:
+    """Per-unit-time average of log ||(P^tau | N^cu)^{-1}|| over the orbit
+    of the time-tau map, where N^cu = E^cu intersected with the normal
+    space of the flow direction."""
+    return nuse_functionals([lpf_cocycle], [seq], tau)[0]
+
+
+def nne_functionals(seqs) -> list:
+    """`nne_functional` of each sequence in a list."""
+    return Functionals(seqs).nne()()
+
+
+def nne_functional(seq: SplittingSequence) -> FunctionalResult:
+    """Minimal tail growth rate of 2-planes spanned by a sampled
+    direction v in E^cu and the flow direction.
+
+    The reported quantity per direction is
+    (log ||Phi_T v ^ Phi_T X|| - log ||Phi_T X||) / T, a proxy for the
+    Lyapunov exponent of v relative to the neutral flow direction; the
+    liminf is proxied by the running inf over the last half of the
+    checkpoints.  No-negative-exponents passes iff min >= -1e-3.
+
+    Interpretation note: the wedge is taken between the pushed vector
+    and the pushed flow direction (the 2-plane they span); this is
+    flagged in every report that carries the statistic.
+    """
+    return nne_functionals([seq])[0]
+
+
+def msh_estimates(lpf_cocycles, seqs, radius: float,
+                  avoid_window: float) -> list:
+    """`msh_estimate` of each (LPF cocycle, sequence) pair of two lists."""
+    return Functionals(seqs, lpf_cocycles).msh(radius, avoid_window)()
+
+
 def msh_estimate(lpf_cocycle, seq: SplittingSequence, radius: float,
                  avoid_window: float) -> MshResult:
     """Fit the uniform decay of the restricted linear Poincare flow away
@@ -500,35 +752,7 @@ def msh_estimate(lpf_cocycle, seq: SplittingSequence, radius: float,
     on log ||P^t|N^s|| and log ||P^-t|N^u||.  The singular-domination
     component reuses the same restricted factors.
     """
-    orbit = seq.orbit
-    times = seq.times
-    d_ns = seq.d_s
-    d_nu = seq.d_cu - 1
-
-    n_qual, k0, k1 = msh_windows(orbit.times,
-                                 _singular_distances(orbit, orbit.model),
-                                 seq.grid, radius, avoid_window)
-    if n_qual < 2:
-        return MshResult(np.nan, np.nan, np.nan, n_qual)
-
-    # restricted LPF factor streams on the checkpoint grid
-    frames = lpf_cocycle.frames_at(seq.grid)
-    u, _, _ = np.linalg.svd(frames.transpose(0, 2, 1) @ seq.Es,
-                            full_matrices=False)
-    ns_b = u[:, :, :d_ns]
-    nu_b = _ncu_coords(lpf_cocycle, seq, np.arange(len(seq)), d_nu)
-    p, ls = window_products(lpf_cocycle.lpf_factors, seq.grid[:-1], seq.grid[1:])
-    p = p * np.exp(ls)[:, None, None]
-    ns_f = ns_b[1:].transpose(0, 2, 1) @ (p @ ns_b[:-1])
-    nu_f = nu_b[1:].transpose(0, 2, 1) @ (p @ nu_b[:-1])
-
-    dt = times[k1] - times[k0]
-    ln_s = log_norms(*window_products(ns_f, k0, k1))
-    ln_u = log_norms(*window_products(nu_f, k0, k1), inverse=True)
-    slope_s, _, _ = fit_log_rate(dt, ln_s)
-    slope_u, _, _ = fit_log_rate(dt, ln_u)
-    slope_d, _, _ = fit_log_rate(dt, ln_s + ln_u)
-    return MshResult(float(slope_s), float(slope_u), float(slope_d), n_qual)
+    return msh_estimates([lpf_cocycle], [seq], radius, avoid_window)[0]
 
 
 # ----------------------------------------------------------------------
@@ -658,9 +882,9 @@ def nush_periodic_check(model, seed, period_guess, tau: float = 1.0,
     seq = estimate_splitting(orbit, d_s=d_s, warmup=warmup, stride=2)
 
     times = seq.times
-    i, j = _tau_windows(times, tau, 64)
+    i, j = tau_windows(times, tau, 64)
     evals = log_norms(*window_products(seq.Rs, i, j)) / (times[j] - times[i])
-    wvals = _inverse_wedge_rates(seq.Rcu, times, i, j)
+    wvals = _inverse_wedge_rates(*window_products(seq.Rcu, i, j), times[j] - times[i])
     e_avg, w_avg = float(np.mean(evals)), float(np.mean(wvals))
     return NushPeriodicResult(x, period, res, e_avg, w_avg,
                               bool(e_avg <= eta and w_avg <= eta), eta)

@@ -117,6 +117,10 @@ def lpf_alongs(orbits, frame_seed: Optional[int] = None,
     if frame_seed is not None:
         rot, _ = qr_pos(np.random.default_rng(frame_seed)
                         .standard_normal((n - 1, n - 1)))
+    # the members' factors lie back to back in one array, in member order,
+    # so that util.MemberWindows joins them without a copy
+    store = np.empty((sum(sizes), n - 1, n - 1))
+    ends = np.cumsum([orbits[b].n_steps for b in live])
     grids, frames, factors = [], [], []
     q = np.empty((len(members), n, n - 1))
     for i, (orbit, size) in enumerate(zip(members, sizes)):
@@ -125,7 +129,7 @@ def lpf_alongs(orbits, frame_seed: Optional[int] = None,
             grid = np.append(grid, size)
         grids.append(grid)
         frames.append(np.empty((len(grid), n, n - 1)))
-        factors.append(np.empty((size, n - 1, n - 1)))
+        factors.append(store[ends[order[i]] - size:ends[order[i]]])
         q[i] = orthonormal_complement(_unit_flow(orbit, 0, 1)[0])
         if frame_seed is not None:
             q[i] = q[i] @ rot

@@ -23,16 +23,12 @@ from . import suspension as susp
 from .config import REPORT_TABLE, reject_set, settings, step_control
 from .errors import ConfigError, NotPeriodic
 from .flowcalc import batch_rk4, integrate_batch
-from .hyperbolicity import (NushPeriodicResult, ash_functional,
-                            classify_singularity, mnuse_functional,
-                            msh_estimate, msh_windows, nne_functional,
-                            nuse_functional, nush_periodic_check,
-                            sectional_expansion_functional,
-                            volume_expansion_functional)
+from .hyperbolicity import (Functionals, NushPeriodicResult, classify_singularity,
+                            msh_windows, nush_periodic_check, sect_windows,
+                            tau_windows)
 from .lpf import lpf_alongs
 from .models import SuspensionModel, VectorFieldModel, interval_fixed_points
-from .splitting import (block_factors, contraction_rate, domination_rate,
-                        estimate_splittings, splittings_of_blocks)
+from .splitting import block_factors, estimate_splittings, splittings_of_blocks
 from .util import fit_log_rate
 
 
@@ -78,59 +74,178 @@ def _ode_seed_eval(seq, lpf, conditions, s):
     its splitting sequence and, when NUSE or MSH-estimate is requested,
     its LPF cocycle (else None); `s` holds the report settings.  Reads
     block and LPF factors only, never the orbit's per-step factors."""
-    T, tau = s["windows.T"], s["windows.tau"]
-    sect_window = s["windows.sect_window"] or max(tau, T / 4.0)
-    margin = s["thresholds.margin"]
-    sens = s["tau_sensitivity"]
+    return _ode_rows([seq], [lpf], conditions, s)[0]
+
+
+def _taus(s):
+    """The distinct tau windows: windows.tau, then tau_sensitivity's."""
+    return list(dict.fromkeys([s["windows.tau"], *(s["tau_sensitivity"] or ())]))
+
+
+def _sect_window(s):
+    return s["windows.sect_window"] or max(s["windows.tau"], s["windows.T"] / 4.0)
+
+
+def _check_windows(seq, conditions, s):
+    """Raise ConfigError when a window setting leaves this member no
+    window of a requested condition."""
     if any(c in conditions for c in ("NUSE", "MNUSE")):
+        sens = s["tau_sensitivity"]
         valid = seq.times[-1] - seq.times[0]
-        longest = max([tau, *(sens or ())])
+        longest = max([s["windows.tau"], *(sens or ())])
         if valid <= longest:
             raise ConfigError("windows.T", f"leaves a valid range of {valid:.6g} "
                                            "after warmup trimming, no longer "
                                            f"than the longest tau window {longest:g} "
                                            "(windows.tau, tau_sensitivity)")
-    out = {}
+    if any(c in conditions for c in ("SingularHyp", "SH")):
+        window = _sect_window(s)
+        if not len(sect_windows(seq, window)[0]):
+            raise ConfigError("windows.sect_window",
+                              f"{window:g} is shorter than one checkpoint block: "
+                              "it leaves no sectional or volume window")
+    # (NUSE's consecutive windows always keep one longer than a block)
+    for tau in _taus(s) if "MNUSE" in conditions else ():
+        if not len(tau_windows(seq.times, tau)[0]):
+            field = "windows.tau" if tau == s["windows.tau"] else "tau_sensitivity"
+            raise ConfigError(field, f"{tau:g} is shorter than one checkpoint "
+                                     "block: it leaves no MNUSE window")
 
-    def rates(cond, rate):
-        if cond in conditions:
-            out[f"{cond.lower()}_rate"] = rate(tau)
-            if sens:
-                out[f"{cond.lower()}_tau"] = {str(tv): rate(tv) for tv in sens}
 
-    # the LPF functionals first, so that the LPF cocycle is freed before
-    # the others run
-    if lpf is not None:
-        rates("NUSE", lambda t: nuse_functional(lpf, seq, t))
-        if "MSH-estimate" in conditions:
-            msh = msh_estimate(lpf, seq, radius=s["msh.radius"],
-                               avoid_window=s["msh.avoid_window"] or 5.0)
-            out["msh_slopes"] = (msh.ns_slope, msh.nu_slope, msh.domination_slope)
-            out["msh_fit_pass"] = bool(msh.ns_slope <= -margin
-                                       and msh.nu_slope <= -margin
-                                       and msh.domination_slope <= -margin)
-            out["msh_qualifying"] = msh.n_qualifying
-        del lpf
+def _rate_entries(out, cond, by_tau, s):
+    """A row's rate of a tau-windowed condition at windows.tau, and its
+    rates at the tau_sensitivity windows when those are set."""
+    out[f"{cond.lower()}_rate"] = by_tau[s["windows.tau"]]
+    if s["tau_sensitivity"]:
+        out[f"{cond.lower()}_tau"] = {str(tv): by_tau[tv]
+                                      for tv in s["tau_sensitivity"]}
+
+
+def _lpf_entries(members, conditions, s):
+    """Per (sequence, LPF cocycle) member its NUSE and MSH-estimate row
+    entries, all members' functionals stacked."""
+    fns = Functionals([seq for seq, _ in members], [lpf for _, lpf in members])
+    nuse = ({tau: fns.nuse(tau) for tau in _taus(s)}
+            if "NUSE" in conditions else None)
+    msh = (fns.msh(s["msh.radius"], s["msh.avoid_window"] or 5.0)
+           if "MSH-estimate" in conditions else None)
+    rows = [{} for _ in members]
+    if nuse is not None:
+        rates = {tau: rate() for tau, rate in nuse.items()}
+        for m, out in enumerate(rows):
+            _rate_entries(out, "NUSE", {tau: r[m] for tau, r in rates.items()}, s)
+    if msh is not None:
+        margin = s["thresholds.margin"]
+        for out, res in zip(rows, msh()):
+            out["msh_slopes"] = (res.ns_slope, res.nu_slope, res.domination_slope)
+            out["msh_fit_pass"] = bool(res.ns_slope <= -margin
+                                       and res.nu_slope <= -margin
+                                       and res.domination_slope <= -margin)
+            out["msh_qualifying"] = res.n_qualifying
+    return rows
+
+
+def _cocycle_entries(seqs, conditions, s, spans=None):
+    """Per member its row entries from its splitting sequence alone, all
+    members' functionals stacked; `spans` are those of the domination
+    and contraction fits (see `splitting.span_windows`)."""
+    fns = Functionals(seqs)
+    # ask for every functional before taking any result, so that each
+    # factor stream forms all its windows in one call
+    asked = {}
     if any(c in conditions for c in ("PH", "SingularHyp", "SH")):
-        dom = domination_rate(seq)
-        con = contraction_rate(seq)
-        out["ph_pass"] = bool(dom.passed and con.passed)
-        out["dom_slope"] = dom.slope
-        out["con_slope"] = con.slope
+        asked["PH"] = fns.rates(spans)
     if "SingularHyp" in conditions:
-        vol = volume_expansion_functional(seq, sect_window)
-        out["vol_rate"] = vol.rate
-        out["vol_min"] = vol.min_rate
+        asked["SingularHyp"] = fns.volume(_sect_window(s))
     if "SH" in conditions:
-        sec = sectional_expansion_functional(seq, sect_window)
-        out["sect_rate"] = sec.rate
-        out["sect_min"] = sec.min_rate
+        asked["SH"] = fns.sectional(_sect_window(s))
     if "ASH" in conditions:
-        out["ash_max"] = ash_functional(seq)
-    rates("MNUSE", lambda t: mnuse_functional(seq, t))
+        asked["ASH"] = fns.ash()
+    if "MNUSE" in conditions:
+        mnuse = {tau: fns.mnuse(tau) for tau in _taus(s)}
+        asked["MNUSE"] = lambda: {tau: rate() for tau, rate in mnuse.items()}
     if "NNE" in conditions:
-        out["nne_min"] = nne_functional(seq).min_rate
-    return out
+        asked["NNE"] = fns.nne()
+    got = {cond: results() for cond, results in asked.items()}
+    rows = [{} for _ in seqs]
+    for m, out in enumerate(rows):
+        if "PH" in got:
+            dom, con = got["PH"][m]
+            out["ph_pass"] = bool(dom.passed and con.passed)
+            out["dom_slope"] = dom.slope
+            out["con_slope"] = con.slope
+        if "SingularHyp" in got:
+            out["vol_rate"] = got["SingularHyp"][m].rate
+            out["vol_min"] = got["SingularHyp"][m].min_rate
+        if "SH" in got:
+            out["sect_rate"] = got["SH"][m].rate
+            out["sect_min"] = got["SH"][m].min_rate
+        if "ASH" in got:
+            out["ash_max"] = got["ASH"][m]
+        if "MNUSE" in got:
+            _rate_entries(out, "MNUSE",
+                          {tau: r[m] for tau, r in got["MNUSE"].items()}, s)
+        if "NNE" in got:
+            out["nne_min"] = got["NNE"][m].min_rate
+    return rows
+
+
+def _first_fault(evaluate, members):
+    """`evaluate(members)`, a list with one entry per member, as a loop
+    that evaluates one member at a time would end: (entries, None), or
+    when the stacked call raises, the entries of the members before the
+    first one that raises on its own, and that member's exception."""
+    try:
+        return evaluate(members), None
+    except Exception:  # each one is raised again, by the member it belongs to
+        for m in range(len(members)):
+            try:
+                evaluate(members[m:m + 1])
+            except Exception as exc:
+                return (evaluate(members[:m]) if m else []), exc
+        raise
+
+
+def _ode_rows(seqs, lpfs, conditions, s):
+    """The rows of these members in member order, each what the member
+    alone gives, or the exception that a loop evaluating one member at a
+    time raises first: a member's `_check_windows` fault, else its first
+    fault in the functionals.
+
+    Every functional runs once over all members before the first window
+    fault (see `hyperbolicity.Functionals`), in the order that holds the
+    least at once: the LPF functionals (NUSE, MSH-estimate), after which
+    `lpfs` is emptied, which frees the LPF cocycles when the caller holds
+    no other reference to them, then the rest.
+    """
+    fault = None
+    for n, seq in enumerate(seqs):
+        try:
+            _check_windows(seq, conditions, s)
+        except ConfigError as exc:
+            seqs, fault = seqs[:n], exc
+            break
+    members = list(zip(seqs, lpfs))
+    lpfs.clear()
+    rows = [{} for _ in seqs]
+    # a fault in a pass belongs to a member before any earlier fault's
+    if members and members[0][1] is not None:
+        entries, exc = _first_fault(lambda ms: _lpf_entries(ms, conditions, s),
+                                    members)
+        fault = fault if exc is None else exc
+        for out, got in zip(rows, entries):
+            out.update(got)
+        seqs = seqs[:len(entries)]
+    del members
+    if seqs:
+        entries, exc = _first_fault(lambda ms: _cocycle_entries(ms, conditions, s),
+                                    seqs)
+        fault = fault if exc is None else exc
+        for out, got in zip(rows, entries):
+            out.update(got)
+    if fault is not None:
+        raise fault
+    return rows
 
 
 def _ode_ensemble(model, s, conditions):
@@ -165,14 +280,17 @@ def _ode_ensemble(model, s, conditions):
 def _batch_rows(members, conditions, s):
     """The rows of one `integrate_batch` run's members, in member order.
 
-    Each row, and the exception raised first, is what a loop over the
-    members gives that runs `estimate_splitting`, `lpf_along` and the
-    functionals one member at a time.  The cocycle work runs stacked
-    over the members that integrated, in the order that holds the least
-    at once: the LPF transport of all of them (frames kept at the block
+    The rows, and the exception raised first, are what a loop over the
+    members gives that runs `estimate_splitting`, `lpf_along` and
+    `_ode_seed_eval` one member at a time.  Each stage runs stacked over
+    the members, in the order that holds the least at once: the LPF
+    transport of the members that integrated (frames kept at the block
     checkpoints only, which is all the functionals read), then each
     one's block factors, after which its per-step factors are released,
-    then the splitting sweeps.
+    then the splitting sweeps.  The functionals then run stacked too
+    (`_ode_rows`), over the members before the first one whose
+    integration, splitting or LPF transport failed; that failure is
+    raised after them.
     """
     orbits = [m for m in members if not isinstance(m, Exception)]
     stride = s["splitting.stride"]
@@ -186,17 +304,29 @@ def _batch_rows(members, conditions, s):
     seqs = splittings_of_blocks(orbits, blocks, s["splitting.d_s"],
                                 s["splitting.warmup"])
     del orbits, blocks
-    while members:
-        # a member raises its integration error, else its splitting
-        # error, else its LPF error; popped, so that each member is
-        # released once its row is made
-        if isinstance(members[0], Exception):
-            raise members[0]
-        del members[0]
-        for outcome in (seqs[0], lpfs[0]):
+    seqs, lpfs, fault = _before_failure(members, seqs, lpfs)
+    rows = _ode_rows(seqs, lpfs, conditions, s)
+    if fault is not None:
+        raise fault
+    return rows
+
+
+def _before_failure(members, seqs, lpfs):
+    """The sequences and LPF cocycles of the members before the first one
+    that failed, and that failure (None when none did): a member fails
+    with its integration error, else its splitting error, else its LPF
+    error.  `seqs` and `lpfs` hold the outcomes of the members that
+    integrated."""
+    kept = ([], [])
+    outcomes = iter(zip(seqs, lpfs))
+    for member in members:
+        pair = (member,) if isinstance(member, Exception) else next(outcomes)
+        for outcome in pair:
             if isinstance(outcome, Exception):
-                raise outcome
-        yield _ode_seed_eval(seqs.pop(0), lpfs.pop(0), conditions, s)
+                return kept + (outcome,)
+        for out, outcome in zip(kept, pair):
+            out.append(outcome)
+    return kept + (None,)
 
 
 # ----------------------------------------------------------------------
@@ -269,14 +399,15 @@ def _suspension_ensemble(model, s, conditions):
                   for b in sample]
         seqs = estimate_splittings(orbits, d_s=1, warmup=10.0 * model.roof_floor,
                                    stride=1)
-        for b, seq in zip(sample, seqs):
-            dom = domination_rate(seq, spans=dom_spans)
-            con = contraction_rate(seq, spans=dom_spans)
-            rows[b]["ph_pass"] = bool(dom.passed and con.passed)
-            rows[b]["dom_slope"] = dom.slope
-            rows[b]["con_slope"] = con.slope
-            if "NNE" in conditions:
-                rows[b]["nne_min"] = nne_functional(seq).min_rate
+        # every sampled member's fits, and its NNE when that is requested
+        sample_conditions = ["PH"] + [c for c in conditions if c == "NNE"]
+        entries, fault = _first_fault(
+            lambda ms: _cocycle_entries(ms, sample_conditions, s, spans=dom_spans),
+            seqs)
+        for b, got in zip(sample, entries):
+            rows[b].update(got)
+        if fault is not None:
+            raise fault
     return rows, {"clipped_roof_crossings": streams.clipped}
 
 

@@ -24,8 +24,9 @@ import numpy as np
 
 from .errors import SpectralGapFailure
 from .flowcalc import OrbitSegment
-from .util import (fit_log_rate, haar_frame, log_norms, longest_first,
-                   principal_angles, qr_pos, window_products)
+from .util import (MemberWindows, fit_log_rate, haar_frame, log_norms,
+                   longest_first, member_split, principal_angles, qr_pos,
+                   window_products)
 
 # Minimum acceptable singular-value ratio at the splitting cut over one
 # warmup window; below this there is no numerical domination to lock onto.
@@ -211,7 +212,8 @@ def splittings_of_blocks(orbits, blocks, d_s: int, warmup: float,
                          init_seed: int = 12902) -> list:
     """Per member its SplittingSequence from its `block_factors` output,
     or the ValueError or SpectralGapFailure `estimate_splitting` raises
-    on it.
+    on it: a member with an exactly singular block fails with a
+    ValueError of its own, and the others are swept without it.
 
     Reads no step factors, so the caller may release the orbits'
     `step_cocycles` once the blocks are formed.  One sweep runs each way
@@ -228,6 +230,16 @@ def splittings_of_blocks(orbits, blocks, d_s: int, warmup: float,
         return [ValueError("need d_s >= 1 and d_cu = n - d_s >= 2") for _ in orbits]
     out = [ValueError("orbit shorter than twice the warmup")
            if orbit.t_span <= 2 * warmup else None for orbit in orbits]
+    for i, failed in enumerate(out):
+        # an exactly singular block would make the stacked backward solve
+        # fail every member; slogdet finds the zero pivot that solve would
+        # (a NaN block has a NaN sign, and its member no exception here)
+        with np.errstate(invalid="ignore"):
+            singular = (np.flatnonzero(np.linalg.slogdet(blocks[i][1]).sign == 0)
+                        if failed is None else ())
+        if len(singular):
+            out[i] = ValueError(f"block factor {singular[-1]} is singular: the "
+                                "backward sweep cannot pull E^s back through it")
     live = [i for i, failed in enumerate(out) if failed is None]
     factors = [blocks[i][1] for i in live]
     kept = [_kept_checkpoints(orbits[i].times[blocks[i][0]], warmup) for i in live]
@@ -387,6 +399,35 @@ def _rate_fit(times, i, j, log_values):
                    window=float(times[-1] - times[0]), n_samples=len(i))
 
 
+def ask_rate_fits(seqs, spans, rs, rcu):
+    """Ask `rs` and `rcu`, `util.MemberWindows` over the sequences' Rs and
+    Rcu, for the windows of the domination and contraction fits; returns
+    a callable that gives per sequence its (domination fit, contraction
+    fit).  The two fits share each Rs window and its norm."""
+    windows = [span_windows(seq.times, spans, RATE_STARTS) for seq in seqs]
+    key_s, key_cu = rs.ask(windows), rcu.ask(windows)
+
+    def fits():
+        log_s = log_norms(*rs.products(key_s))
+        log_d = log_s + log_norms(*rcu.products(key_cu), inverse=True)
+        return [(_rate_fit(seq.times, i, j, d), _rate_fit(seq.times, i, j, c))
+                for seq, (i, j), d, c in zip(seqs, windows,
+                                             member_split(log_d, windows),
+                                             member_split(log_s, windows))]
+    return fits
+
+
+def _rate_fits(seqs, spans):
+    """Per sequence of a list its (`domination_rate`, `contraction_rate`)."""
+    return ask_rate_fits(seqs, spans, MemberWindows([seq.Rs for seq in seqs]),
+                         MemberWindows([seq.Rcu for seq in seqs]))()
+
+
+def domination_rates(seqs, spans=None) -> list:
+    """`domination_rate` of each sequence in a list."""
+    return [dom for dom, _ in _rate_fits(seqs, spans)]
+
+
 def domination_rate(seq: SplittingSequence, spans=None) -> RateFit:
     """Fit the domination quantity D(t) = ||DX_t|E^s|| * ||DX_{-t}|E^cu||.
 
@@ -395,19 +436,18 @@ def domination_rate(seq: SplittingSequence, spans=None) -> RateFit:
     polluted by estimation leakage.  Verdict: dominated iff the fitted
     slope is <= -1e-3 per unit time.
     """
-    times = seq.times
-    i, j = span_windows(times, spans, RATE_STARTS)
-    log_d = (log_norms(*window_products(seq.Rs, i, j))
-             + log_norms(*window_products(seq.Rcu, i, j), inverse=True))
-    return _rate_fit(times, i, j, log_d)
+    return domination_rates([seq], spans)[0]
+
+
+def contraction_rates(seqs, spans=None) -> list:
+    """`contraction_rate` of each sequence in a list."""
+    return [con for _, con in _rate_fits(seqs, spans)]
 
 
 def contraction_rate(seq: SplittingSequence, spans=None) -> RateFit:
     """Fit ||DX_t|E^s|| decay; verdict: uniformly contracted iff the
     slope is <= -1e-3 per unit time."""
-    times = seq.times
-    i, j = span_windows(times, spans, RATE_STARTS)
-    return _rate_fit(times, i, j, log_norms(*window_products(seq.Rs, i, j)))
+    return contraction_rates([seq], spans)[0]
 
 
 def _checkpoint_flow_dirs(seq: SplittingSequence):

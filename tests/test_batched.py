@@ -5,6 +5,7 @@ transport) and the batched Dormand-Prince run against one call per
 matrix or member, and the ensemble report against its serial member
 loop."""
 
+import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from sechyp import config, report, splitting
+from sechyp import config, hyperbolicity, report, splitting, util
 from sechyp.errors import (Blowup, NearSingularity, SingularPoint,
                            SpectralGapFailure, StiffnessFailure)
 from sechyp.flowcalc import StepControl, batch_rk4, integrate, integrate_batch
@@ -297,6 +298,28 @@ def test_member_splittings_equal_one_member_calls(splitting_pool, member_referen
         assert_bit_equal(seq.gap_cu, ref.gap_cu)
 
 
+def test_singular_block_fails_only_its_member(splitting_pool, member_reference):
+    # an exactly singular block in member 1: its own outcome, from the one
+    # stacked sweep each way the other members share
+    members = (0, 1, 3)
+    orbits = [splitting_pool[i] for i in members]
+    blocks = [block_factors(orbit, 1) for orbit in orbits]
+    grid, factors = blocks[1]
+    factors = factors.copy()
+    factors[len(factors) // 2] = 0.0
+    blocks[1] = (grid, factors)
+    with mock.patch.object(splitting, "_sweep", wraps=splitting._sweep) as sweep:
+        seqs = splittings_of_blocks(orbits, blocks, 1, MEMBER_WARMUP)
+    assert sweep.call_count == 2
+    (alone,) = splittings_of_blocks(orbits[1:2], blocks[1:2], 1, MEMBER_WARMUP)
+    assert type(seqs[1]) is type(alone) is ValueError
+    assert str(seqs[1]) == str(alone)
+    for i, seq in ((0, seqs[0]), (3, seqs[2])):
+        ref = member_reference(i, 1)
+        for name in SEQUENCE_ARRAYS:
+            assert_bit_equal(getattr(seq, name), getattr(ref, name))
+
+
 def test_no_members_no_sequences():
     assert estimate_splittings([], 1, MEMBER_WARMUP) == []
 
@@ -514,13 +537,14 @@ def test_first_failing_member_raises_what_the_serial_loop_raises():
     model = make_lorenz(10.0, 28.0, 8.0 / 3.0)
     with pytest.raises(Blowup) as serial:
         serial_rows(model, FAILING_ENSEMBLE)
-    with mock.patch.object(report, "_ode_seed_eval",
-                           wraps=report._ode_seed_eval) as evaluated:
+    with mock.patch.object(report, "_ode_rows", wraps=report._ode_rows) as evaluated:
         with pytest.raises(Blowup) as batched:
             report.assemble_report(model, FAILING_ENSEMBLE)
     assert str(batched.value) == str(serial.value)
-    # members 0 and 1 were evaluated before member 2 raised
-    assert evaluated.call_count == 2
+    # members 0 and 1 were evaluated, in one stacked pass, before member 2
+    # raised
+    assert evaluated.call_count == 1
+    assert len(evaluated.call_args.args[0]) == 2
 
 
 def test_member_near_the_z_axis_raises_what_the_serial_loop_raises():
@@ -535,12 +559,12 @@ def test_member_near_the_z_axis_raises_what_the_serial_loop_raises():
            "tolerances": {"rtol": 1e-6, "atol": 1e-9}}
     with pytest.raises(NearSingularity) as serial:
         serial_rows(model, cfg)
-    with mock.patch.object(report, "_ode_seed_eval",
-                           wraps=report._ode_seed_eval) as evaluated:
+    with mock.patch.object(report, "_ode_rows", wraps=report._ode_rows) as evaluated:
         with pytest.raises(NearSingularity) as batched:
             report.assemble_report(model, cfg)
     assert str(batched.value) == str(serial.value)
-    assert evaluated.call_count == 2
+    assert evaluated.call_count == 1
+    assert len(evaluated.call_args.args[0]) == 2
 
 
 def test_ensemble_larger_than_one_batch_equals_the_serial_loop(monkeypatch):
@@ -554,3 +578,102 @@ def test_ensemble_larger_than_one_batch_equals_the_serial_loop(monkeypatch):
     rows = report._ode_ensemble(model, s, cfg["conditions"])
     # repr: every float to the last bit, and a NaN equals a NaN
     assert repr(rows) == repr(serial_rows(model, cfg))
+
+
+# ----------------------------------------------------------------------
+# the stacked functional pass over a batch's members
+# ----------------------------------------------------------------------
+
+FLOW_CONDITIONS = ["PH", "SingularHyp", "SH", "ASH", "MNUSE", "NUSE",
+                   "MSH-estimate", "NNE"]
+
+
+def pass_settings(sens, stride):
+    return config.settings({"conditions": FLOW_CONDITIONS,
+                            "windows": {"T": 12.0, "sect_window": 20.0},
+                            "tau_sensitivity": sens,
+                            "splitting": {"warmup": MEMBER_WARMUP, "stride": stride}},
+                           config.REPORT_TABLE)
+
+
+def batch_rows_or_error(members, sens, stride):
+    """`report._batch_rows` of integration outcomes, or what it raises;
+    the orbits are copied, since it releases their per-step factors."""
+    members = [m if isinstance(m, Exception) else dataclasses.replace(m)
+               for m in members]
+    try:
+        return report._batch_rows(members, FLOW_CONDITIONS, pass_settings(sens, stride))
+    except Exception as exc:
+        return exc
+
+
+@pytest.fixture(scope="module")
+def flow_pool(splitting_pool):
+    """The splitting pool as integration outcomes, and two more members: a
+    copy of member 0 with one NaN step factor, whose functionals raise,
+    and a failed integration."""
+    poisoned = dataclasses.replace(splitting_pool[0], step_cocycles=splitting_pool[0]
+                                   .step_cocycles.copy())
+    poisoned.step_cocycles[poisoned.n_steps // 2, 0, 0] = np.nan
+    return splitting_pool + [poisoned, Blowup("member left the bound")]
+
+
+@pytest.fixture(scope="module")
+def flow_reference(flow_pool):
+    """One member's rows from a batch of one, or its exception."""
+    cache = {}
+
+    def reference(i, sens, stride):
+        key = (i, tuple(sens), stride)
+        if key not in cache:
+            with np.errstate(invalid="ignore"):
+                cache[key] = batch_rows_or_error([flow_pool[i]], sens, stride)
+        return cache[key]
+    return reference
+
+
+# the second tau_sensitivity leaves member 0 (valid range 12) no window
+@settings(max_examples=25)
+@given(members=st.lists(st.integers(0, 8), min_size=1, max_size=5),
+       sens=st.sampled_from([(0.5, 1.0, 2.0), (1.0, 12.5)]),
+       stride=st.sampled_from([1, 4]))
+def test_stacked_rows_equal_one_member_at_a_time(flow_pool, flow_reference, members,
+                                                 sens, stride):
+    rows, first = [], None
+    for i in members:
+        ref = flow_reference(i, sens, stride)
+        if isinstance(ref, Exception):
+            first = ref
+            break
+        rows.extend(ref)
+    with np.errstate(invalid="ignore"):
+        got = batch_rows_or_error([flow_pool[i] for i in members], list(sens), stride)
+    if first is None:
+        # repr: every float to the last bit, and a NaN equals a NaN
+        assert repr(got) == repr(rows)
+    else:
+        assert type(got) is type(first) and str(got) == str(first)
+
+
+@pytest.mark.parametrize("n_members", [1, 3])
+def test_each_factor_stream_formed_once_per_batch(flow_pool, n_members):
+    # one window_products call per factor stream (the LPF factors, MSH's
+    # restricted N^s and N^u factors, Rs and Rcu) whatever the member
+    # count, and tau = 1.0, in windows.tau and tau_sensitivity, once
+    taus = {"mnuse": [], "nuse": []}
+
+    def recording(name):
+        method = getattr(hyperbolicity.Functionals, name)
+
+        def record(self, tau, *args):
+            taus[name].append(tau)
+            return method(self, tau, *args)
+        return record
+
+    with mock.patch.object(util, "window_products", wraps=util.window_products) as wp, \
+            mock.patch.object(hyperbolicity.Functionals, "mnuse", recording("mnuse")), \
+            mock.patch.object(hyperbolicity.Functionals, "nuse", recording("nuse")):
+        rows = batch_rows_or_error(flow_pool[:n_members], [0.5, 1.0, 2.0], 4)
+    assert len(rows) == n_members
+    assert wp.call_count == 5
+    assert sorted(taus["mnuse"]) == sorted(taus["nuse"]) == [0.5, 1.0, 2.0]

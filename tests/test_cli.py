@@ -354,6 +354,19 @@ def test_shipped_configs_validate():
     # no longer than the largest default tau_sensitivity value, 2
     ("verify", {"verify": {"windows": {"T": 2.0}, "splitting": {"warmup": 1.0}}},
      "verify.windows.T", "leaves a valid range of"),
+    # windows shorter than one checkpoint block leave a functional none
+    ("verify", {"verify": {"conditions": ["SH"], "windows": {"T": 5.0,
+                                                              "sect_window": 0.001},
+                           "ensemble": {"size": 1, "transient": 0.0}}},
+     "verify.windows.sect_window", "0.001 is shorter than one checkpoint block"),
+    ("verify", {"verify": {"conditions": ["MNUSE"], "windows": {"T": 5.0, "tau": 0.001},
+                           "ensemble": {"size": 1, "transient": 0.0}}},
+     "verify.windows.tau", "0.001 is shorter than one checkpoint block"),
+    ("verify", {"verify": {"conditions": ["MNUSE"], "windows": {"T": 5.0},
+                           "tau_sensitivity": [1.0, 0.001],
+                           "ensemble": {"size": 1, "transient": 0.0}}},
+     "verify.tau_sensitivity", "0.001 is shorter than one checkpoint block: it "
+                               "leaves no MNUSE window"),
     # rejected before the orbit is integrated
     ("spectrum", {"spectrum": {"T": 5.0, "warmup": 6.0}}, "spectrum.warmup",
      "must be less than spectrum.T"),

@@ -1,0 +1,127 @@
+#!/usr/bin/env python3
+"""Check that two sechyp source trees write byte-identical outputs.
+
+    python3 tools/compare_outputs.py PARENT_TREE CHANGE_TREE
+
+Both trees run the same CLI invocations, each one a fresh
+``python3 -m sechyp.cli`` process with the tree's ``src/`` on PYTHONPATH
+and one BLAS/OpenMP thread:
+
+- every benchmark workload at seeds 1, 2 and 3, on the config that
+  CHANGE_TREE's ``bench/workloads.py`` makes for it;
+- ``verify`` on ``configs/lorenz_verify.json`` and
+  ``configs/intermittent_verify.json``;
+- ``simulate`` and ``spectrum`` on ``configs/lorenz_simulate.json``.
+
+Configs are read from CHANGE_TREE and handed to both trees unchanged.
+Each invocation's output files are compared byte for byte, like
+``cmp``, and so are its standard output and its exit code.  One line is
+printed per invocation, with both wall times; the exit status is 1 when
+anything differs.  Only the standard library is used.
+"""
+
+from __future__ import annotations
+
+import argparse
+import filecmp
+import importlib.util
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+SEEDS = (1, 2, 3)
+SHIPPED = (("verify", "lorenz_verify.json"), ("verify", "intermittent_verify.json"),
+           ("simulate", "lorenz_simulate.json"), ("spectrum", "lorenz_simulate.json"))
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+               "NUMEXPR_NUM_THREADS")
+
+
+def bench_workloads(tree):
+    """The WORKLOADS table of a tree's bench/workloads.py."""
+    path = tree / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_compared_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module     # dataclasses resolve the module by name
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+def invocations(tree):
+    """(label, subcommand, config dict) of every compared invocation."""
+    cases = []
+    for name, wl in bench_workloads(tree).items():
+        for seed in SEEDS:
+            cases.append((f"{name} seed {seed}", wl.command,
+                          wl.make_config(seed, False)))
+    for command, fname in SHIPPED:
+        cfg = json.loads((tree / "configs" / fname).read_text())
+        cases.append((f"{command} configs/{fname}", command, cfg))
+    return cases
+
+
+def run(tree, command, config_path, out):
+    """Run one invocation in `tree`: (exit code, stdout bytes, wall s)."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    env.update({var: "1" for var in THREAD_VARS})
+    out.mkdir(parents=True)
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "sechyp.cli", command, "-c",
+                           str(config_path), "-o", str(out)],
+                          cwd=out, env=env, stdout=subprocess.PIPE,
+                          stderr=subprocess.DEVNULL)
+    return proc.returncode, proc.stdout, time.perf_counter() - t0
+
+
+def differences(a, b):
+    """Paths under two output directories that are missing on one side or
+    differ byte for byte."""
+    files_a = {p.relative_to(a) for p in a.rglob("*") if p.is_file()}
+    files_b = {p.relative_to(b) for p in b.rglob("*") if p.is_file()}
+    out = sorted(str(p) + " (only one side)" for p in files_a ^ files_b)
+    out += sorted(str(p) for p in files_a & files_b
+                  if not filecmp.cmp(a / p, b / p, shallow=False))
+    return out
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    args = parser.parse_args(argv)
+    trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    for tree in trees.values():
+        if not (tree / "src" / "sechyp" / "cli.py").is_file():
+            parser.error(f"{tree} holds no sechyp source tree (src/sechyp)")
+    work = Path(tempfile.mkdtemp(prefix="sechyp-compare-"))
+    failed = 0
+    try:
+        for n, (label, command, cfg) in enumerate(invocations(trees["change"])):
+            case = work / f"case{n:02d}"
+            case.mkdir(parents=True)
+            config_path = case / "config.json"
+            config_path.write_text(json.dumps(cfg, indent=2))
+            got = {side: run(tree, command, config_path, case / side)
+                   for side, tree in trees.items()}
+            (code_a, out_a, wall_a), (code_b, out_b, wall_b) = got.values()
+            diffs = differences(case / "parent", case / "change")
+            if code_a != code_b:
+                diffs.append(f"exit code {code_a} != {code_b}")
+            if out_a != out_b:
+                diffs.append("stdout")
+            failed += bool(diffs)
+            status = "identical" if not diffs else "DIFFERS: " + ", ".join(diffs)
+            print(f"{label:<40s} exit {code_b}  {wall_a:7.2f} s -> {wall_b:7.2f} s  "
+                  f"{status}", flush=True)
+    finally:
+        shutil.rmtree(work, ignore_errors=True)
+    print("all identical" if not failed else f"{failed} invocation(s) differ")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
