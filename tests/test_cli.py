@@ -354,6 +354,16 @@ def test_shipped_configs_validate():
     # no longer than the largest default tau_sensitivity value, 2
     ("verify", {"verify": {"windows": {"T": 2.0}, "splitting": {"warmup": 1.0}}},
      "verify.windows.T", "leaves a valid range of"),
+    # rejected before the orbit is integrated
+    ("spectrum", {"spectrum": {"T": 5.0, "warmup": 6.0}}, "spectrum.warmup",
+     "must be less than spectrum.T"),
+    # rejected once the orbit shows how few steps the warmup leaves
+    ("spectrum", {"spectrum": {"T": 5.0, "warmup": 4.999}}, "spectrum.warmup",
+     "must leave at least 50 orbit steps"),
+    ("simulate", {"params": {"sigmaa": 5}}, "params.sigmaa",
+     "unknown key; known here: sigma, rho, beta"),
+    ("simulate", {"params": {"sigma": -1}}, "params",
+     "sigma and beta must be positive"),
     # windows shorter than one checkpoint block leave a functional none
     ("verify", {"verify": {"conditions": ["SH"], "windows": {"T": 5.0,
                                                               "sect_window": 0.001},
@@ -367,16 +377,6 @@ def test_shipped_configs_validate():
                            "ensemble": {"size": 1, "transient": 0.0}}},
      "verify.tau_sensitivity", "0.001 is shorter than one checkpoint block: it "
                                "leaves no MNUSE window"),
-    # rejected before the orbit is integrated
-    ("spectrum", {"spectrum": {"T": 5.0, "warmup": 6.0}}, "spectrum.warmup",
-     "must be less than spectrum.T"),
-    # rejected once the orbit shows how few steps the warmup leaves
-    ("spectrum", {"spectrum": {"T": 5.0, "warmup": 4.999}}, "spectrum.warmup",
-     "must leave at least 50 orbit steps"),
-    ("simulate", {"params": {"sigmaa": 5}}, "params.sigmaa",
-     "unknown key; known here: sigma, rho, beta"),
-    ("simulate", {"params": {"sigma": -1}}, "params",
-     "sigma and beta must be positive"),
 ])
 def test_config_fault_exit_2_without_output(tmp_path, capsys, command, section,
                                             field, message):
