@@ -386,7 +386,13 @@ class Functionals:
     first result that reads the stream is taken: ask first, then take
     the results.  Each linear-algebra step on the products is one
     stacked call over all members, and every result is bit for bit the
-    member's alone.
+    member's alone.  The one-member forms below (`mnuse_functional` and
+    the rest) are a Functionals of that member.
+
+    A member cannot fail here once its windows pass the report's check
+    (`report._check_windows`): its factors are finite, since
+    `splitting.splittings_of_blocks` rejects a member with a non-finite
+    block.
     """
 
     def __init__(self, seqs, lpfs=None):
@@ -639,13 +645,8 @@ def _nne_rates(cos, log_norm, elapsed):
 
 
 # ----------------------------------------------------------------------
-# the functionals of one member, and of a list of members
+# the functionals of one member
 # ----------------------------------------------------------------------
-
-def sectional_expansion_functionals(seqs, window: float) -> list:
-    """`sectional_expansion_functional` of each sequence in a list."""
-    return Functionals(seqs).sectional(window)()
-
 
 def sectional_expansion_functional(seq: SplittingSequence,
                                    window: float) -> FunctionalResult:
@@ -655,35 +656,20 @@ def sectional_expansion_functional(seq: SplittingSequence,
     exact one of the bottom singular pair.  Uniform sectional expansion
     holds on the sample iff min_rate >= +1e-3.
     """
-    return sectional_expansion_functionals([seq], window)[0]
-
-
-def volume_expansion_functionals(seqs, window: float) -> list:
-    """`volume_expansion_functional` of each sequence in a list."""
-    return Functionals(seqs).volume(window)()
+    return Functionals([seq]).sectional(window)()[0]
 
 
 def volume_expansion_functional(seq: SplittingSequence,
                                 window: float) -> FunctionalResult:
     """Windowed log |det| rate of the cocycle restricted to E^cu."""
-    return volume_expansion_functionals([seq], window)[0]
-
-
-def ash_functionals(seqs) -> list:
-    """`ash_functional` of each sequence in a list."""
-    return Functionals(seqs).ash()()
+    return Functionals([seq]).volume(window)()[0]
 
 
 def ash_functional(seq: SplittingSequence) -> float:
     """Running max over increasing horizons of the min-plane determinant
     rate from the start of the valid range (pointwise asymptotic
     expansion proxy)."""
-    return ash_functionals([seq])[0]
-
-
-def mnuse_functionals(seqs, tau: float, n_samples: int = MNUSE_SAMPLES) -> list:
-    """`mnuse_functional` of each sequence in a list."""
-    return Functionals(seqs).mnuse(tau, n_samples)()
+    return Functionals([seq]).ash()()[0]
 
 
 def mnuse_functional(seq: SplittingSequence, tau: float,
@@ -697,24 +683,14 @@ def mnuse_functional(seq: SplittingSequence, tau: float,
     second compound.  Negative values certify sectional expansion of
     the time-tau map on average.
     """
-    return mnuse_functionals([seq], tau, n_samples)[0]
-
-
-def nuse_functionals(lpf_cocycles, seqs, tau: float) -> list:
-    """`nuse_functional` of each (LPF cocycle, sequence) pair of two lists."""
-    return Functionals(seqs, lpf_cocycles).nuse(tau)()
+    return Functionals([seq]).mnuse(tau, n_samples)()[0]
 
 
 def nuse_functional(lpf_cocycle, seq: SplittingSequence, tau: float) -> float:
     """Per-unit-time average of log ||(P^tau | N^cu)^{-1}|| over the orbit
     of the time-tau map, where N^cu = E^cu intersected with the normal
     space of the flow direction."""
-    return nuse_functionals([lpf_cocycle], [seq], tau)[0]
-
-
-def nne_functionals(seqs) -> list:
-    """`nne_functional` of each sequence in a list."""
-    return Functionals(seqs).nne()()
+    return Functionals([seq], [lpf_cocycle]).nuse(tau)()[0]
 
 
 def nne_functional(seq: SplittingSequence) -> FunctionalResult:
@@ -731,13 +707,7 @@ def nne_functional(seq: SplittingSequence) -> FunctionalResult:
     and the pushed flow direction (the 2-plane they span); this is
     flagged in every report that carries the statistic.
     """
-    return nne_functionals([seq])[0]
-
-
-def msh_estimates(lpf_cocycles, seqs, radius: float,
-                  avoid_window: float) -> list:
-    """`msh_estimate` of each (LPF cocycle, sequence) pair of two lists."""
-    return Functionals(seqs, lpf_cocycles).msh(radius, avoid_window)()
+    return Functionals([seq]).nne()()[0]
 
 
 def msh_estimate(lpf_cocycle, seq: SplittingSequence, radius: float,
@@ -752,7 +722,7 @@ def msh_estimate(lpf_cocycle, seq: SplittingSequence, radius: float,
     on log ||P^t|N^s|| and log ||P^-t|N^u||.  The singular-domination
     component reuses the same restricted factors.
     """
-    return msh_estimates([lpf_cocycle], [seq], radius, avoid_window)[0]
+    return Functionals([seq], [lpf_cocycle]).msh(radius, avoid_window)()[0]
 
 
 # ----------------------------------------------------------------------
@@ -884,7 +854,6 @@ def nush_periodic_check(model, seed, period_guess, tau: float = 1.0,
     times = seq.times
     i, j = tau_windows(times, tau, 64)
     evals = log_norms(*window_products(seq.Rs, i, j)) / (times[j] - times[i])
-    wvals = _inverse_wedge_rates(*window_products(seq.Rcu, i, j), times[j] - times[i])
-    e_avg, w_avg = float(np.mean(evals)), float(np.mean(wvals))
+    e_avg, w_avg = float(np.mean(evals)), mnuse_functional(seq, tau, 64)
     return NushPeriodicResult(x, period, res, e_avg, w_avg,
                               bool(e_avg <= eta and w_avg <= eta), eta)

@@ -69,14 +69,6 @@ def config_hash(config: dict) -> str:
 # per-seed evaluation, vector fields
 # ----------------------------------------------------------------------
 
-def _ode_seed_eval(seq, lpf, conditions, s):
-    """All requested per-seed statistics for one vector-field member, from
-    its splitting sequence and, when NUSE or MSH-estimate is requested,
-    its LPF cocycle (else None); `s` holds the report settings.  Reads
-    block and LPF factors only, never the orbit's per-step factors."""
-    return _ode_rows([seq], [lpf], conditions, s)[0]
-
-
 def _taus(s):
     """The distinct tau windows: windows.tau, then tau_sensitivity's."""
     return list(dict.fromkeys([s["windows.tau"], *(s["tau_sensitivity"] or ())]))
@@ -89,7 +81,8 @@ def _sect_window(s):
 def _check_windows(seq, conditions, s):
     """Raise ConfigError when a window setting leaves this member no
     window of a requested condition."""
-    if any(c in conditions for c in ("NUSE", "MNUSE")):
+    tau_rated = [c for c in ("MNUSE", "NUSE") if c in conditions]
+    if tau_rated:
         sens = s["tau_sensitivity"]
         valid = seq.times[-1] - seq.times[0]
         longest = max([s["windows.tau"], *(sens or ())])
@@ -104,12 +97,11 @@ def _check_windows(seq, conditions, s):
             raise ConfigError("windows.sect_window",
                               f"{window:g} is shorter than one checkpoint block: "
                               "it leaves no sectional or volume window")
-    # (NUSE's consecutive windows always keep one longer than a block)
-    for tau in _taus(s) if "MNUSE" in conditions else ():
+    for tau in _taus(s) if tau_rated else ():
         if not len(tau_windows(seq.times, tau)[0]):
             field = "windows.tau" if tau == s["windows.tau"] else "tau_sensitivity"
             raise ConfigError(field, f"{tau:g} is shorter than one checkpoint "
-                                     "block: it leaves no MNUSE window")
+                                     f"block: it leaves no {tau_rated[0]} window")
 
 
 def _rate_entries(out, cond, by_tau, s):
@@ -121,15 +113,15 @@ def _rate_entries(out, cond, by_tau, s):
                                       for tv in s["tau_sensitivity"]}
 
 
-def _lpf_entries(members, conditions, s):
-    """Per (sequence, LPF cocycle) member its NUSE and MSH-estimate row
-    entries, all members' functionals stacked."""
-    fns = Functionals([seq for seq, _ in members], [lpf for _, lpf in members])
+def _lpf_entries(seqs, lpfs, conditions, s):
+    """Per member its NUSE and MSH-estimate row entries from its splitting
+    sequence and LPF cocycle, all members' functionals stacked."""
+    fns = Functionals(seqs, lpfs)
     nuse = ({tau: fns.nuse(tau) for tau in _taus(s)}
             if "NUSE" in conditions else None)
     msh = (fns.msh(s["msh.radius"], s["msh.avoid_window"] or 5.0)
            if "MSH-estimate" in conditions else None)
-    rows = [{} for _ in members]
+    rows = [{} for _ in seqs]
     if nuse is not None:
         rates = {tau: rate() for tau, rate in nuse.items()}
         for m, out in enumerate(rows):
@@ -190,61 +182,28 @@ def _cocycle_entries(seqs, conditions, s, spans=None):
     return rows
 
 
-def _first_fault(evaluate, members):
-    """`evaluate(members)`, a list with one entry per member, as a loop
-    that evaluates one member at a time would end: (entries, None), or
-    when the stacked call raises, the entries of the members before the
-    first one that raises on its own, and that member's exception."""
-    try:
-        return evaluate(members), None
-    except Exception:  # each one is raised again, by the member it belongs to
-        for m in range(len(members)):
-            try:
-                evaluate(members[m:m + 1])
-            except Exception as exc:
-                return (evaluate(members[:m]) if m else []), exc
-        raise
-
-
 def _ode_rows(seqs, lpfs, conditions, s):
     """The rows of these members in member order, each what the member
-    alone gives, or the exception that a loop evaluating one member at a
-    time raises first: a member's `_check_windows` fault, else its first
-    fault in the functionals.
+    alone gives; raises the first member's `_check_windows` fault before
+    any functional runs.
 
-    Every functional runs once over all members before the first window
-    fault (see `hyperbolicity.Functionals`), in the order that holds the
-    least at once: the LPF functionals (NUSE, MSH-estimate), after which
-    `lpfs` is emptied, which frees the LPF cocycles when the caller holds
-    no other reference to them, then the rest.
+    Each functional then runs once over all members (see
+    `hyperbolicity.Functionals`), in the order that holds the least at
+    once: the LPF functionals (NUSE, MSH-estimate), after which `lpfs` is
+    emptied, which frees the LPF cocycles when the caller holds no other
+    reference to them, then the rest.
     """
-    fault = None
-    for n, seq in enumerate(seqs):
-        try:
-            _check_windows(seq, conditions, s)
-        except ConfigError as exc:
-            seqs, fault = seqs[:n], exc
-            break
-    members = list(zip(seqs, lpfs))
-    lpfs.clear()
+    for seq in seqs:
+        _check_windows(seq, conditions, s)
+    if not seqs:
+        return []
     rows = [{} for _ in seqs]
-    # a fault in a pass belongs to a member before any earlier fault's
-    if members and members[0][1] is not None:
-        entries, exc = _first_fault(lambda ms: _lpf_entries(ms, conditions, s),
-                                    members)
-        fault = fault if exc is None else exc
-        for out, got in zip(rows, entries):
+    if lpfs[0] is not None:
+        for out, got in zip(rows, _lpf_entries(seqs, lpfs, conditions, s)):
             out.update(got)
-        seqs = seqs[:len(entries)]
-    del members
-    if seqs:
-        entries, exc = _first_fault(lambda ms: _cocycle_entries(ms, conditions, s),
-                                    seqs)
-        fault = fault if exc is None else exc
-        for out, got in zip(rows, entries):
-            out.update(got)
-    if fault is not None:
-        raise fault
+    lpfs.clear()
+    for out, got in zip(rows, _cocycle_entries(seqs, conditions, s)):
+        out.update(got)
     return rows
 
 
@@ -282,15 +241,17 @@ def _batch_rows(members, conditions, s):
 
     The rows, and the exception raised first, are what a loop over the
     members gives that runs `estimate_splitting`, `lpf_along` and
-    `_ode_seed_eval` one member at a time.  Each stage runs stacked over
-    the members, in the order that holds the least at once: the LPF
+    `_ode_rows` one member at a time.  Each stage runs stacked over the
+    members, in the order that holds the least at once: the LPF
     transport of the members that integrated (frames kept at the block
     checkpoints only, which is all the functionals read), then each
     one's block factors, after which its per-step factors are released,
-    then the splitting sweeps.  The functionals then run stacked too
-    (`_ode_rows`), over the members before the first one whose
-    integration, splitting or LPF transport failed; that failure is
-    raised after them.
+    then the splitting sweeps.  A member fails only in one of these
+    stages or in its window check, never in the functionals.  When one
+    fails, the members before it have their windows checked, so that an
+    earlier member's ConfigError comes first, and then its failure is
+    raised: no functional runs.  Else the functionals run stacked over
+    all members (`_ode_rows`).
     """
     orbits = [m for m in members if not isinstance(m, Exception)]
     stride = s["splitting.stride"]
@@ -305,10 +266,11 @@ def _batch_rows(members, conditions, s):
                                 s["splitting.warmup"])
     del orbits, blocks
     seqs, lpfs, fault = _before_failure(members, seqs, lpfs)
-    rows = _ode_rows(seqs, lpfs, conditions, s)
     if fault is not None:
+        for seq in seqs:
+            _check_windows(seq, conditions, s)
         raise fault
-    return rows
+    return _ode_rows(seqs, lpfs, conditions, s)
 
 
 def _before_failure(members, seqs, lpfs):
@@ -401,13 +363,9 @@ def _suspension_ensemble(model, s, conditions):
                                    stride=1)
         # every sampled member's fits, and its NNE when that is requested
         sample_conditions = ["PH"] + [c for c in conditions if c == "NNE"]
-        entries, fault = _first_fault(
-            lambda ms: _cocycle_entries(ms, sample_conditions, s, spans=dom_spans),
-            seqs)
-        for b, got in zip(sample, entries):
+        for b, got in zip(sample, _cocycle_entries(seqs, sample_conditions, s,
+                                                   spans=dom_spans)):
             rows[b].update(got)
-        if fault is not None:
-            raise fault
     return rows, {"clipped_roof_crossings": streams.clipped}
 
 

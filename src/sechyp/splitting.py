@@ -212,8 +212,8 @@ def splittings_of_blocks(orbits, blocks, d_s: int, warmup: float,
                          init_seed: int = 12902) -> list:
     """Per member its SplittingSequence from its `block_factors` output,
     or the ValueError or SpectralGapFailure `estimate_splitting` raises
-    on it: a member with an exactly singular block fails with a
-    ValueError of its own, and the others are swept without it.
+    on it: a member with a non-finite or an exactly singular block fails
+    with a ValueError of its own, and the others are swept without it.
 
     Reads no step factors, so the caller may release the orbits'
     `step_cocycles` once the blocks are formed.  One sweep runs each way
@@ -231,12 +231,18 @@ def splittings_of_blocks(orbits, blocks, d_s: int, warmup: float,
     out = [ValueError("orbit shorter than twice the warmup")
            if orbit.t_span <= 2 * warmup else None for orbit in orbits]
     for i, failed in enumerate(out):
-        # an exactly singular block would make the stacked backward solve
-        # fail every member; slogdet finds the zero pivot that solve would
-        # (a NaN block has a NaN sign, and its member no exception here)
-        with np.errstate(invalid="ignore"):
-            singular = (np.flatnonzero(np.linalg.slogdet(blocks[i][1]).sign == 0)
-                        if failed is None else ())
+        if failed is not None:
+            continue
+        # a non-finite block would make its member's functionals fail or
+        # read NaN, and an exactly singular one would make the stacked
+        # backward solve fail every member; slogdet finds the zero pivot
+        # that solve would
+        f = blocks[i][1]
+        nonfinite = np.flatnonzero(~np.isfinite(f).all(axis=(1, 2)))
+        if len(nonfinite):
+            out[i] = ValueError(f"block factor {nonfinite[0]} is not finite")
+            continue
+        singular = np.flatnonzero(np.linalg.slogdet(f).sign == 0)
         if len(singular):
             out[i] = ValueError(f"block factor {singular[-1]} is singular: the "
                                 "backward sweep cannot pull E^s back through it")
@@ -417,17 +423,6 @@ def ask_rate_fits(seqs, spans, rs, rcu):
     return fits
 
 
-def _rate_fits(seqs, spans):
-    """Per sequence of a list its (`domination_rate`, `contraction_rate`)."""
-    return ask_rate_fits(seqs, spans, MemberWindows([seq.Rs for seq in seqs]),
-                         MemberWindows([seq.Rcu for seq in seqs]))()
-
-
-def domination_rates(seqs, spans=None) -> list:
-    """`domination_rate` of each sequence in a list."""
-    return [dom for dom, _ in _rate_fits(seqs, spans)]
-
-
 def domination_rate(seq: SplittingSequence, spans=None) -> RateFit:
     """Fit the domination quantity D(t) = ||DX_t|E^s|| * ||DX_{-t}|E^cu||.
 
@@ -436,18 +431,17 @@ def domination_rate(seq: SplittingSequence, spans=None) -> RateFit:
     polluted by estimation leakage.  Verdict: dominated iff the fitted
     slope is <= -1e-3 per unit time.
     """
-    return domination_rates([seq], spans)[0]
-
-
-def contraction_rates(seqs, spans=None) -> list:
-    """`contraction_rate` of each sequence in a list."""
-    return [con for _, con in _rate_fits(seqs, spans)]
+    ((dom, _),) = ask_rate_fits([seq], spans, MemberWindows([seq.Rs]),
+                                MemberWindows([seq.Rcu]))()
+    return dom
 
 
 def contraction_rate(seq: SplittingSequence, spans=None) -> RateFit:
     """Fit ||DX_t|E^s|| decay; verdict: uniformly contracted iff the
     slope is <= -1e-3 per unit time."""
-    return contraction_rates([seq], spans)[0]
+    ((_, con),) = ask_rate_fits([seq], spans, MemberWindows([seq.Rs]),
+                                MemberWindows([seq.Rcu]))()
+    return con
 
 
 def _checkpoint_flow_dirs(seq: SplittingSequence):

@@ -377,6 +377,11 @@ def test_shipped_configs_validate():
                            "ensemble": {"size": 1, "transient": 0.0}}},
      "verify.tau_sensitivity", "0.001 is shorter than one checkpoint block: it "
                                "leaves no MNUSE window"),
+    ("verify", {"verify": {"conditions": ["NUSE"], "windows": {"T": 5.0},
+                           "tau_sensitivity": [1.0, 0.001],
+                           "ensemble": {"size": 1, "transient": 0.0}}},
+     "verify.tau_sensitivity", "0.001 is shorter than one checkpoint block: it "
+                               "leaves no NUSE window"),
 ])
 def test_config_fault_exit_2_without_output(tmp_path, capsys, command, section,
                                             field, message):

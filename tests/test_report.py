@@ -9,7 +9,7 @@ from sechyp.flowcalc import StepControl, integrate
 from sechyp.hyperbolicity import classify_singularity
 from sechyp.lpf import lpf_along
 from sechyp.models import load_model
-from sechyp.report import (_aggregate, _ode_seed_eval, _suspension_msh_row,
+from sechyp.report import (_aggregate, _ode_rows, _suspension_msh_row,
                            assemble_report, config_hash)
 from sechyp.suspension import SectionStreams
 
@@ -130,7 +130,7 @@ def test_member_restrictions_formed_once(monkeypatch, lorenz):
     s = settings({"conditions": conditions, "windows": {"T": 6.0},
                   "tau_sensitivity": [0.5, 1.0, 2.0],
                   "splitting": {"warmup": 3.0, "stride": 2}}, REPORT_TABLE)
-    row = _ode_seed_eval(seq, lpf_along(orbit), conditions, s)
+    row = _ode_rows([seq], [lpf_along(orbit)], conditions, s)[0]
     assert len(calls) == 2
     assert {"ph_pass", "vol_rate", "sect_rate", "ash_max", "mnuse_rate",
             "nuse_rate", "msh_slopes", "nne_min"} <= set(row)

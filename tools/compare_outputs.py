@@ -11,11 +11,16 @@ and one BLAS/OpenMP thread:
   CHANGE_TREE's ``bench/workloads.py`` makes for it;
 - ``verify`` on ``configs/lorenz_verify.json`` and
   ``configs/intermittent_verify.json``;
-- ``simulate`` and ``spectrum`` on ``configs/lorenz_simulate.json``.
+- ``simulate`` and ``spectrum`` on ``configs/lorenz_simulate.json``;
+- two ``verify`` runs whose ensemble fails (see ``FAILING``): a member
+  that blows up past the bound, and one that passes the Lorenz origin
+  too slowly for the linear Poincare flow.
 
 Configs are read from CHANGE_TREE and handed to both trees unchanged.
 Each invocation's output files are compared byte for byte, like
-``cmp``, and so are its standard output and its exit code.  One line is
+``cmp``, and so are its standard output, its exit code and the
+``error:`` lines of its standard error (the other lines of standard
+error, such as warnings, carry tree paths).  One line is
 printed per invocation, with both wall times; the exit status is 1 when
 anything differs.  Only the standard library is used.
 """
@@ -37,6 +42,22 @@ from pathlib import Path
 SEEDS = (1, 2, 3)
 SHIPPED = (("verify", "lorenz_verify.json"), ("verify", "intermittent_verify.json"),
            ("simulate", "lorenz_simulate.json"), ("spectrum", "lorenz_simulate.json"))
+# verify configs whose ensemble fails: member 2 blows up past the bound,
+# and member 2 passes the origin below the LPF speed floor
+FAILING = (
+    ("verify Blowup member", {
+        "model": "lorenz", "seed": 48,
+        "verify": {"conditions": ["MNUSE"], "ensemble": {"size": 4, "transient": 0.0},
+                   "windows": {"T": 5.0}, "splitting": {"warmup": 2.0},
+                   "tolerances": {"rtol": 1e-6, "atol": 1e-9, "bound": 48.0}}}),
+    ("verify NearSingularity member", {
+        "model": "lorenz", "seed": 2,
+        "verify": {"conditions": ["NUSE"],
+                   "ensemble": {"size": 4, "transient": 0.0,
+                                "box": [[0.0, 1e-51], [0.0, 1e-51], [20.0, 30.0]]},
+                   "windows": {"T": 8.0}, "splitting": {"warmup": 3.0},
+                   "tolerances": {"rtol": 1e-6, "atol": 1e-9}}}),
+)
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "NUMEXPR_NUM_THREADS")
 
@@ -61,11 +82,13 @@ def invocations(tree):
     for command, fname in SHIPPED:
         cfg = json.loads((tree / "configs" / fname).read_text())
         cases.append((f"{command} configs/{fname}", command, cfg))
+    cases += [(label, "verify", cfg) for label, cfg in FAILING]
     return cases
 
 
 def run(tree, command, config_path, out):
-    """Run one invocation in `tree`: (exit code, stdout bytes, wall s)."""
+    """Run one invocation in `tree`: (exit code, stdout bytes, the
+    ``error:`` lines of stderr, wall s)."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     env.update({var: "1" for var in THREAD_VARS})
     out.mkdir(parents=True)
@@ -73,8 +96,9 @@ def run(tree, command, config_path, out):
     proc = subprocess.run([sys.executable, "-m", "sechyp.cli", command, "-c",
                            str(config_path), "-o", str(out)],
                           cwd=out, env=env, stdout=subprocess.PIPE,
-                          stderr=subprocess.DEVNULL)
-    return proc.returncode, proc.stdout, time.perf_counter() - t0
+                          stderr=subprocess.PIPE)
+    errors = [line for line in proc.stderr.splitlines() if line.startswith(b"error:")]
+    return proc.returncode, proc.stdout, errors, time.perf_counter() - t0
 
 
 def differences(a, b):
@@ -107,12 +131,15 @@ def main(argv=None):
             config_path.write_text(json.dumps(cfg, indent=2))
             got = {side: run(tree, command, config_path, case / side)
                    for side, tree in trees.items()}
-            (code_a, out_a, wall_a), (code_b, out_b, wall_b) = got.values()
+            ((code_a, out_a, err_a, wall_a),
+             (code_b, out_b, err_b, wall_b)) = got.values()
             diffs = differences(case / "parent", case / "change")
             if code_a != code_b:
                 diffs.append(f"exit code {code_a} != {code_b}")
             if out_a != out_b:
                 diffs.append("stdout")
+            if err_a != err_b:
+                diffs.append("stderr error lines")
             failed += bool(diffs)
             status = "identical" if not diffs else "DIFFERS: " + ", ".join(diffs)
             print(f"{label:<40s} exit {code_b}  {wall_a:7.2f} s -> {wall_b:7.2f} s  "
