@@ -35,6 +35,11 @@ class NotPeriodic(SechypError):
     """Shooting failed to close a periodic orbit."""
 
 
+class ShortOrbit(SechypError, ValueError):
+    """Splitting left with fewer than two checkpoints after its warmup
+    trimming; a ValueError like the splitting's other member faults."""
+
+
 class SingularPoint(SechypError):
     """Map evaluated at a point where it is undefined."""
 

@@ -348,6 +348,9 @@ def msh_windows(t, dist, grid, radius, avoid):
     candidate within its span.
 
     Returns (n_qualifying, k0, k1): k0/k1 index `grid`, start-major.
+    They are empty when fewer than 2 starts qualify, and when no span
+    ends past its start; a member with no fit window is not fitted, and
+    its slopes read NaN.
     """
     tg = t[grid]
     t_end = tg + avoid
@@ -498,7 +501,7 @@ class Functionals:
         fits = [msh_windows(seq.orbit.times,
                             _singular_distances(seq.orbit, seq.orbit.model),
                             seq.grid, radius, avoid_window) for seq in self.seqs]
-        fitted = [m for m, (n_qual, _, _) in enumerate(fits) if n_qual >= 2]
+        fitted = [m for m, (_, k0, _) in enumerate(fits) if len(k0)]
         covered = {}
         for m in fitted:
             hit = np.zeros(self.seqs[m].n_blocks, dtype=bool)

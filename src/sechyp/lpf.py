@@ -2,9 +2,10 @@
 
 Along a regular orbit the normal space N_x = X(x)^perp carries the
 cocycle P^t = O_{X_t x} . DX_t(x), the tangent flow followed by
-orthogonal projection off the flow direction.  Frames of N_x are
-propagated by projecting the previous basis and re-orthonormalizing,
-which avoids spurious rotations in the per-step factors.
+orthogonal projection off the flow direction.  Frame Q_k of N at grid
+point k is the orthonormal complement of the flow direction there, and
+the step factor is Q_{k+1}^T Phi_k Q_k: Q_{k+1}^T itself projects off
+X(x_{k+1}).  Other frames change composed factors only orthogonally.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 from .errors import NearSingularity, NoReturn, SingularPoint, TangencyWarning
 from .flowcalc import TIME_RESOLUTION, OrbitSegment, dp5_steps
 from .models import SuspensionModel
-from .util import longest_first, orthonormal_complement, qr_pos, scaled_product, unit
+from .util import orthonormal_complement, qr_pos, scaled_product, unit
 
 # Flow speed at or below which an orbit counts as at a singularity,
 # where the normal bundle and so the LPF are undefined.
@@ -36,8 +37,8 @@ class LPFCocycle:
 
     lpf_factors[k] expresses P^{dt_k} from frame k coordinates to frame
     k+1 coordinates; factors compose over concatenated steps.  `frames`
-    holds the normal frames at the orbit grid indices `frame_grid`
-    (every index unless the transport kept fewer).
+    holds the normal frames (see `lpf_along`) at the orbit grid indices
+    `frame_grid` (every index unless a frame stride kept fewer).
     """
 
     orbit: OrbitSegment
@@ -63,16 +64,17 @@ class LPFCocycle:
 
 def lpf_along(orbit: OrbitSegment,
               frame_seed: Optional[int] = None) -> LPFCocycle:
-    """Per-step linear Poincare flow factors in transported normal frames.
+    """Per-step linear Poincare flow factors between normal frames: frame
+    k is the orthonormal complement of the flow direction at grid index k.
 
     Raises NearSingularity when the flow speed drops to SPEED_FLOOR
     anywhere on the grid; the cocycle is undefined at singularities and
     unreliable arbitrarily close to them.
 
-    `frame_seed` rotates the initial normal frame by a seeded
-    orthogonal matrix; any admissible frame family leaves the composed
-    factors orthogonally equivalent, so singular values over any span
-    are frame-independent.
+    `frame_seed` rotates every normal frame by one seeded orthogonal
+    matrix; any admissible frame family leaves the composed factors
+    orthogonally equivalent, so singular values over any span are
+    frame-independent.
 
     Works for suspension orbits too: there the flow direction is the
     constant vertical coordinate and the normal space is the section
@@ -84,20 +86,16 @@ def lpf_along(orbit: OrbitSegment,
     return lpf
 
 
-# transport steps whose inputs are gathered from the members at once
-_CHUNK = 64
-
-
 def lpf_alongs(orbits, frame_seed: Optional[int] = None,
                frame_stride: int = 1) -> list:
-    """`lpf_along` of each orbit in a list (all of one dimension), as one
-    transport: per member its LPFCocycle, bit for bit, or the
-    NearSingularity `lpf_along` raises on it.
+    """`lpf_along` of each orbit in a list (all of one dimension): per
+    member its LPFCocycle, bit for bit, or the NearSingularity
+    `lpf_along` raises on it.
 
-    Members run longest first, so the ones still open at step k are a
-    prefix, and each step is one stacked matmul and one stacked QR over
-    them.  Frames are kept at every `frame_stride`-th grid index and the
-    last one.
+    A member's frames Q at all its grid points come from one stacked
+    `orthonormal_complement` call, and its factors from one stacked
+    product Q[1:]^T (Phi Q[:-1]); there is no loop over steps.  Frames
+    are kept at every `frame_stride`-th grid index and the last one.
     """
     out = [None] * len(orbits)
     live = []
@@ -109,62 +107,28 @@ def lpf_alongs(orbits, frame_seed: Optional[int] = None,
             out[b] = exc
     if not live:
         return out
-    order, n_open = longest_first([orbits[b].n_steps for b in live])
-    members = [orbits[live[i]] for i in order]
-    sizes = [orbit.n_steps for orbit in members]
-    n_open = n_open.tolist()
-    n = members[0].states.shape[1]
+    n = orbits[live[0]].states.shape[1]
     if frame_seed is not None:
         rot, _ = qr_pos(np.random.default_rng(frame_seed)
                         .standard_normal((n - 1, n - 1)))
     # the members' factors lie back to back in one array, in member order,
     # so that util.MemberWindows joins them without a copy
-    store = np.empty((sum(sizes), n - 1, n - 1))
-    ends = np.cumsum([orbits[b].n_steps for b in live])
-    grids, frames, factors = [], [], []
-    q = np.empty((len(members), n, n - 1))
-    for i, (orbit, size) in enumerate(zip(members, sizes)):
+    store = np.empty((sum(orbits[b].n_steps for b in live), n - 1, n - 1))
+    at = 0
+    for b in live:
+        orbit = orbits[b]
+        size = orbit.n_steps
+        q = orthonormal_complement(_unit_flow(orbit))
+        if frame_seed is not None:
+            q = q @ rot
+        factors = store[at:at + size]
+        at += size
+        np.matmul(q[1:].swapaxes(1, 2), orbit.step_cocycles @ q[:-1], out=factors)
         grid = np.arange(0, size + 1, frame_stride)
         if grid[-1] != size:
             grid = np.append(grid, size)
-        grids.append(grid)
-        frames.append(np.empty((len(grid), n, n - 1)))
-        factors.append(store[ends[order[i]] - size:ends[order[i]]])
-        q[i] = orthonormal_complement(_unit_flow(orbit, 0, 1)[0])
-        if frame_seed is not None:
-            q[i] = q[i] @ rot
-        frames[i][0] = q[i]
-
-    # per chunk of steps: each open member's step factors and unit flow
-    # directions at the step ends in; its LPF factors and frames out
-    steps = np.empty((len(members), _CHUNK, n, n))
-    dirs = np.empty((len(members), _CHUNK, n))
-    made = np.empty((len(members), _CHUNK, n - 1, n - 1))
-    moved = np.empty((len(members), _CHUNK, n, n - 1))
-    for lo in range(0, sizes[0], _CHUNK):
-        hi = min(lo + _CHUNK, sizes[0])
-        spans = [min(hi, size) - lo for size in sizes[:n_open[lo]]]
-        for i, span in enumerate(spans):
-            steps[i, :span] = members[i].step_cocycles[lo:lo + span]
-            dirs[i, :span] = _unit_flow(members[i], lo + 1, lo + 1 + span)
-        for k in range(lo, hi):
-            # transport the previous basis, project off the new flow
-            # direction, re-orthonormalize; the sign-fixed QR maximizes
-            # overlap with the transported basis (no sign flips).
-            m, j = n_open[k], k - lo
-            w = steps[:m, j] @ q[:m]
-            d = dirs[:m, j]
-            q, _ = qr_pos(w - d[:, :, None] * (d[:, None, :] @ w))
-            moved[:m, j] = q
-            np.matmul(q.swapaxes(1, 2), w, out=made[:m, j])
-        for i, span in enumerate(spans):
-            factors[i][lo:lo + span] = made[i, :span]
-            grid = grids[i]
-            at = slice(*np.searchsorted(grid, [lo + 1, lo + span + 1]))
-            frames[i][at] = moved[i, grid[at] - lo - 1]
-    for i, b in enumerate(order):
-        out[live[b]] = LPFCocycle(orbit=members[i], frame_grid=grids[i],
-                                  frames=frames[i], lpf_factors=factors[i])
+        out[b] = LPFCocycle(orbit=orbit, frame_grid=grid, frames=q[grid],
+                            lpf_factors=factors)
     return out
 
 
@@ -181,12 +145,12 @@ def _check_speed(orbit):
         )
 
 
-def _unit_flow(orbit, lo, hi):
-    """Unit flow directions at the grid states lo..hi-1: the vertical
-    coordinate on a suspension, else the normalized vector field."""
+def _unit_flow(orbit):
+    """Unit flow directions at the grid states: the vertical coordinate
+    on a suspension, else the normalized vector field."""
     if isinstance(orbit.model, SuspensionModel):
-        return np.tile(np.array([0.0, 0.0, 1.0]), (hi - lo, 1))
-    dirs = orbit.model.eval_batch(orbit.states[lo:hi])
+        return np.tile(np.array([0.0, 0.0, 1.0]), (orbit.n_steps + 1, 1))
+    dirs = orbit.model.eval_batch(orbit.states)
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
     return dirs
 

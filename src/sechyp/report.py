@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from . import suspension as susp
 from .config import REPORT_TABLE, reject_set, settings, step_control
-from .errors import ConfigError, NotPeriodic
+from .errors import ConfigError, NotPeriodic, ShortOrbit
 from .flowcalc import batch_rk4, integrate_batch
 from .hyperbolicity import (Functionals, NushPeriodicResult, classify_singularity,
                             msh_windows, nush_periodic_check, sect_windows,
@@ -243,15 +243,16 @@ def _batch_rows(members, conditions, s):
     members gives that runs `estimate_splitting`, `lpf_along` and
     `_ode_rows` one member at a time.  Each stage runs stacked over the
     members, in the order that holds the least at once: the LPF
-    transport of the members that integrated (frames kept at the block
+    factors of the members that integrated (frames kept at the block
     checkpoints only, which is all the functionals read), then each
     one's block factors, after which its per-step factors are released,
     then the splitting sweeps.  A member fails only in one of these
     stages or in its window check, never in the functionals.  When one
     fails, the members before it have their windows checked, so that an
     earlier member's ConfigError comes first, and then its failure is
-    raised: no functional runs.  Else the functionals run stacked over
-    all members (`_ode_rows`).
+    raised: no functional runs (a ShortOrbit splitting as the ConfigError
+    of `splitting.stride`).  Else the functionals run stacked over all
+    members (`_ode_rows`).
     """
     orbits = [m for m in members if not isinstance(m, Exception)]
     stride = s["splitting.stride"]
@@ -269,6 +270,11 @@ def _batch_rows(members, conditions, s):
     if fault is not None:
         for seq in seqs:
             _check_windows(seq, conditions, s)
+        if isinstance(fault, ShortOrbit):
+            raise ConfigError("splitting.stride",
+                              f"{stride} leaves a member fewer than two checkpoints "
+                              f"in windows.T {s['windows.T']:g} after warmup "
+                              "trimming") from fault
         raise fault
     return _ode_rows(seqs, lpfs, conditions, s)
 
@@ -327,6 +333,15 @@ def _suspension_ensemble(model, s, conditions):
 
     streams = susp.run_section_streams(model, all_seeds, n_returns,
                                        tilt_warmup=s["ensemble.tilt_warmup"])
+    if any(c in conditions for c in ("MNUSE", "NUSE")):
+        spans = streams.times[-1]
+        longest = max([tau, *(sens or ())])
+        if spans.min() <= longest:
+            b = int(np.argmax(spans <= longest))
+            raise ConfigError("windows.n_returns",
+                              f"{n_returns} returns leave seed {b} an orbit of span "
+                              f"{spans[b]:.6g}, no longer than the longest tau "
+                              f"window {longest:g} (windows.tau, tau_sensitivity)")
 
     rows = []
     for b in range(all_seeds.shape[0]):
@@ -359,8 +374,14 @@ def _suspension_ensemble(model, s, conditions):
         dom_spans = np.linspace(2.0, 20.0, 5) * model.roof_floor
         orbits = [susp.suspension_orbit(model, all_seeds[b], ph_returns)
                   for b in sample]
-        seqs = estimate_splittings(orbits, d_s=1, warmup=10.0 * model.roof_floor,
-                                   stride=1)
+        warmup = 10.0 * model.roof_floor
+        for b, orbit in zip(sample, orbits):
+            if orbit.t_span <= 2 * warmup:
+                raise ConfigError("windows.n_returns",
+                                  f"{ph_returns} returns give seed {b} a PH sample "
+                                  f"orbit of span {orbit.t_span:.6g}, no longer "
+                                  "than twice its warmup of 10 roof floors")
+        seqs = estimate_splittings(orbits, d_s=1, warmup=warmup, stride=1)
         # every sampled member's fits, and its NNE when that is requested
         sample_conditions = ["PH"] + [c for c in conditions if c == "NNE"]
         for b, got in zip(sample, _cocycle_entries(seqs, sample_conditions, s,
@@ -376,7 +397,7 @@ def _suspension_msh_row(streams, b, radius, avoid, margin):
     t = streams.times[:, b]
     n_qual, k0, k1 = msh_windows(t, np.abs(streams.x[:, b]), np.arange(len(t)),
                                  radius, avoid)
-    if n_qual < 2:
+    if not len(k0):
         return {"msh_fit_pass": False, "msh_qualifying": 0,
                 "msh_slopes": (np.nan, np.nan, np.nan)}
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SpectralGapFailure
+from .errors import ShortOrbit, SpectralGapFailure
 from .flowcalc import OrbitSegment
 from .util import (MemberWindows, fit_log_rate, haar_frame, log_norms,
                    longest_first, member_split, principal_angles, qr_pos,
@@ -277,7 +277,7 @@ def _sequence(orbit, grid, factors, forward, backward, d_s, warmup):
     d_cu = n - d_s
     span = orbit.t_span
     if len(grid) < 2:
-        raise ValueError("no checkpoints left after warmup trimming")
+        raise ShortOrbit("no checkpoints left after warmup trimming")
 
     f_rates = f_logs / span
     b_rates = b_logs / span

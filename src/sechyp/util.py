@@ -21,9 +21,10 @@ def qr_pos(a):
     of each matrix in a (..., m, k) stack.
 
     numpy's Householder QR leaves the diagonal sign arbitrary; flipping
-    columns makes the factorisation unique, which keeps transported
-    frames continuous along an orbit.  A stack goes to LAPACK in one
-    call and gives each matrix's factors bit for bit.
+    columns makes the factorisation unique, so the frames a QR sweep
+    carries (the splitting sweeps, Benettin's) are deterministic and
+    continuous along an orbit.  A stack goes to LAPACK in one call and
+    gives each matrix's factors bit for bit.
     """
     q, r = np.linalg.qr(a)
     d = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
@@ -39,20 +40,22 @@ def unit(v):
 
 
 def orthonormal_complement(v):
-    """Columns spanning the orthogonal complement of a unit vector.
+    """Columns spanning the orthogonal complement of a unit vector, (n, n-1),
+    or of each unit vector in an (N, n) stack, (N, n, n-1).
 
-    Built from the Householder reflection exchanging e_1 and v, so the
-    result is deterministic and varies continuously except at v = -e_1.
+    Only columns 1..n-1 of the Householder reflection I - 2 w w^T / (w.w),
+    w = v + sign(v_0) e_1, are formed, times sign(v_0): deterministic, and
+    continuous except where v_0 changes sign.
     """
     v = np.asarray(v, dtype=float)
-    n = v.shape[0]
+    n = v.shape[-1]
+    sign = np.where(v[..., 0] >= 0, 1.0, -1.0)[..., None, None]
     w = v.copy()
-    w[0] += 1.0 if v[0] >= 0 else -1.0
-    h = np.eye(n) - 2.0 * np.outer(w, w) / (w @ w)
-    # column 0 of h is +-v; the rest span its complement
-    comp = h[:, 1:]
-    if v[0] < 0:
-        comp = -comp
+    w[..., 0] += sign[..., 0, 0]
+    comp = w[..., :, None] * w[..., None, 1:]
+    comp *= -2.0 / np.einsum("...i,...i->...", w, w)[..., None, None]
+    comp[..., 1:, :] += np.eye(n - 1)
+    comp *= sign
     return comp
 
 

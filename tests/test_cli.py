@@ -4,6 +4,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -382,6 +383,20 @@ def test_shipped_configs_validate():
                            "ensemble": {"size": 1, "transient": 0.0}}},
      "verify.tau_sensitivity", "0.001 is shorter than one checkpoint block: it "
                                "leaves no NUSE window"),
+    # a splitting stride that leaves fewer than two checkpoints in T
+    ("verify", {"verify": {"windows": {"T": 0.5},
+                           "splitting": {"warmup": 0.5, "stride": 50}}},
+     "verify.splitting.stride", "50 leaves a member fewer than two checkpoints"),
+    # a suspension's PH sample no longer than its two warmups
+    ("verify", {"model": "geometric_lorenz",
+                "verify": {"conditions": ["PH"], "windows": {"n_returns": 10},
+                           "ensemble": {"size": 1}}},
+     "verify.windows.n_returns", "10 returns give seed 0 a PH sample orbit"),
+    # a suspension orbit no longer than a tau window
+    ("verify", {"model": "geometric_lorenz",
+                "verify": {"conditions": ["MNUSE"], "windows": {"n_returns": 10},
+                           "tau_sensitivity": [500], "ensemble": {"size": 1}}},
+     "verify.windows.n_returns", "10 returns leave seed 0 an orbit of span"),
 ])
 def test_config_fault_exit_2_without_output(tmp_path, capsys, command, section,
                                             field, message):
@@ -391,11 +406,27 @@ def test_config_fault_exit_2_without_output(tmp_path, capsys, command, section,
            "verify": {"conditions": ["MNUSE"], "windows": {"T": 5.0},
                       "ensemble": {"size": 1, "transient": 0.0}}}
     for key, value in section.items():
-        cfg[key] = {**cfg.get(key, {}), **value}
+        cfg[key] = {**cfg.get(key, {}), **value} if isinstance(value, dict) else value
     assert main([command, "-c", write_config(tmp_path, cfg)]) == 2
     err = capsys.readouterr().err
     assert f"config field '{field}': {message}" in err
     assert not (tmp_path / "out").exists()
+
+
+def test_msh_with_no_fit_window_is_not_fitted(tmp_path):
+    # 186 starts qualify, but every fit span (at most avoid_window, 0.01)
+    # is shorter than one checkpoint block and ends at its own start: the
+    # member reads as not fitted, and MSH fails on NaN slopes
+    out = tmp_path / "out"
+    cfg = {"model": "lorenz", "seed": 1, "output_dir": str(out),
+           "verify": {"conditions": ["MSH-estimate"],
+                      "ensemble": {"size": 1, "transient": 5.0},
+                      "windows": {"T": 12.0, "tau": 1.0, "sect_window": 2.0},
+                      "splitting": {"warmup": 2.0, "stride": 4},
+                      "msh": {"avoid_window": 0.01}}}
+    assert main(["verify", "-c", write_config(tmp_path, cfg)]) == 1
+    (verdict,) = json.loads((out / "lorenz_report.json").read_text())["conditions"]
+    assert verdict["verdict"] == "fail" and np.isnan(verdict["rate"])
 
 
 @pytest.mark.parametrize("params, field, message", [

@@ -20,9 +20,14 @@ Configs are read from CHANGE_TREE and handed to both trees unchanged.
 Each invocation's output files are compared byte for byte, like
 ``cmp``, and so are its standard output, its exit code and the
 ``error:`` lines of its standard error (the other lines of standard
-error, such as warnings, carry tree paths).  One line is
-printed per invocation, with both wall times; the exit status is 1 when
-anything differs.  Only the standard library is used.
+error, such as warnings, carry tree paths).  One line is printed per
+invocation, with both wall times.  Under it, each JSON output that
+differs gets a line with the largest absolute and relative change over
+its floats, and whether every other field (keys, list lengths, strings
+such as verdicts, booleans, integer counts) is equal; the last line
+gives the largest changes over all invocations.  The exit status is 1
+when anything differs, however small.  Only the standard library is
+used.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ import argparse
 import filecmp
 import importlib.util
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -112,6 +118,37 @@ def differences(a, b):
     return out
 
 
+def json_changes(a, b):
+    """Compare two parsed JSON values: (largest absolute change, largest
+    relative change, whether every non-numeric field is equal).  The
+    changes are taken over the floats at the same place on both sides.
+    Everything else must be equal: keys, list lengths, strings such as
+    verdicts, booleans, and integers, which are counts; a float against
+    NaN or against a non-float counts as a non-numeric difference."""
+    changes = [(0.0, 0.0)]
+
+    def same(x, y):
+        if isinstance(x, float) and isinstance(y, float):
+            if x == y or (math.isnan(x) and math.isnan(y)):
+                return True
+            d = abs(x - y)
+            if math.isnan(d):
+                return False
+            changes.append((d, d / max(abs(x), abs(y)) if math.isfinite(d) else d))
+            return True
+        if isinstance(x, dict) and isinstance(y, dict):
+            # every common entry is walked, so that its numbers count too
+            common = [same(x[k], y[k]) for k in x.keys() & y.keys()]
+            return all(common) and x.keys() == y.keys()
+        if isinstance(x, list) and isinstance(y, list):
+            common = [same(p, q) for p, q in zip(x, y)]
+            return all(common) and len(x) == len(y)
+        return type(x) is type(y) and x == y
+
+    equal = same(a, b)
+    return (max(d for d, _ in changes), max(r for _, r in changes), equal)
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path)
@@ -123,6 +160,7 @@ def main(argv=None):
             parser.error(f"{tree} holds no sechyp source tree (src/sechyp)")
     work = Path(tempfile.mkdtemp(prefix="sechyp-compare-"))
     failed = 0
+    largest = (0.0, 0.0)
     try:
         for n, (label, command, cfg) in enumerate(invocations(trees["change"])):
             case = work / f"case{n:02d}"
@@ -144,9 +182,21 @@ def main(argv=None):
             status = "identical" if not diffs else "DIFFERS: " + ", ".join(diffs)
             print(f"{label:<40s} exit {code_b}  {wall_a:7.2f} s -> {wall_b:7.2f} s  "
                   f"{status}", flush=True)
+            for name in diffs:
+                if not name.endswith(".json"):
+                    continue
+                d_abs, d_rel, equal = json_changes(
+                    *(json.loads((case / side / name).read_text()) for side in trees))
+                largest = max(largest[0], d_abs), max(largest[1], d_rel)
+                rest = ("every non-numeric field equal" if equal
+                        else "NON-NUMERIC FIELDS DIFFER")
+                print(f"    {name}: largest change {d_abs:.3g} absolute, "
+                      f"{d_rel:.3g} relative; {rest}", flush=True)
     finally:
         shutil.rmtree(work, ignore_errors=True)
-    print("all identical" if not failed else f"{failed} invocation(s) differ")
+    print("all identical" if not failed else
+          f"{failed} invocation(s) differ; largest JSON change {largest[0]:.3g} "
+          f"absolute, {largest[1]:.3g} relative")
     return 1 if failed else 0
 
 
