@@ -18,9 +18,9 @@ import numpy as np
 from .errors import Blowup, NotAnEquilibrium, NotPeriodic
 from .flowcalc import StepControl, dp5_steps, integrate, wedge2_of
 from .models import (SuspensionModel, VectorFieldModel, refine_equilibrium)
-from .splitting import (SplittingSequence, _checkpoint_flow_dirs, ask_rate_fits,
-                        estimate_splitting, span_windows)
-from .util import (MemberWindows, fit_log_rate, log_norms, longest_first,
+from .splitting import (SplittingSequence, _checkpoint_flow_dirs, estimate_splitting,
+                        rate_fits, span_windows)
+from .util import (fit_log_rate, log_norms, longest_first, member_products,
                    member_split, window_products)
 
 # Window starts of the windowed sectional and volume functionals.
@@ -381,14 +381,11 @@ class Functionals:
 
     `seqs` are the members' splitting sequences (of one dimension and
     one d_s) and `lpfs` their LPF cocycles, which only `nuse` and `msh`
-    read.  Each method asks for one functional over every member and
-    returns a callable that gives its per-member results.  The windows
-    a functional reads are asked of the factor stream they come from
-    (`Rs`, `Rcu` or the LPF factors, a `util.MemberWindows` each) and
-    are formed, with every window asked of that stream before, when the
-    first result that reads the stream is taken: ask first, then take
-    the results.  Each linear-algebra step on the products is one
-    stacked call over all members, and every result is bit for bit the
+    read.  Each method evaluates one functional over every member and
+    returns its per-member results.  The windows it reads are formed in
+    one `util.member_products` call per factor stream (`Rs`, `Rcu` or
+    the LPF factors), and each linear-algebra step on the products is
+    one stacked call over all members; every result is bit for bit the
     member's alone.  The one-member forms below (`mnuse_functional` and
     the rest) are a Functionals of that member.
 
@@ -401,39 +398,32 @@ class Functionals:
     def __init__(self, seqs, lpfs=None):
         self.seqs = list(seqs)
         self.lpfs = lpfs
-        self.rs = MemberWindows([seq.Rs for seq in self.seqs])
-        self.rcu = MemberWindows([seq.Rcu for seq in self.seqs])
-        self.lpf = (None if lpfs is None
-                    else MemberWindows([lpf.lpf_factors for lpf in lpfs]))
         self._ncu_of = [None] * len(self.seqs)
 
     def rates(self, spans=None):
         """Per member (domination fit, contraction fit), as
         `splitting.domination_rate` and `contraction_rate` give them."""
-        return ask_rate_fits(self.seqs, spans, self.rs, self.rcu)
+        return rate_fits(self.seqs, spans)
+
+    def _rcu(self, windows):
+        return member_products([seq.Rcu for seq in self.seqs], windows)
+
+    def _lpf(self, windows):
+        return member_products([lpf.lpf_factors for lpf in self.lpfs], windows)
 
     def sectional(self, window):
         """Per member its `sectional_expansion_functional`."""
         windows = [sect_windows(seq, window) for seq in self.seqs]
-        key = self.rcu.ask(windows)
-
-        def results():
-            rates = (_min_plane_log_det(*self.rcu.products(key))
-                     / _spans(self.seqs, windows))
-            return [_window_summary(r, window) for r in member_split(rates, windows)]
-        return results
+        rates = _min_plane_log_det(*self._rcu(windows)) / _spans(self.seqs, windows)
+        return [_window_summary(r, window) for r in member_split(rates, windows)]
 
     def volume(self, window):
         """Per member its `volume_expansion_functional`."""
         windows = [sect_windows(seq, window) for seq in self.seqs]
-        key = self.rcu.ask(windows)
-
-        def results():
-            mats, ls = self.rcu.products(key)
-            rates = ((np.linalg.slogdet(mats)[1] + self.seqs[0].d_cu * ls)
-                     / _spans(self.seqs, windows))
-            return [_window_summary(r, window) for r in member_split(rates, windows)]
-        return results
+        mats, ls = self._rcu(windows)
+        rates = ((np.linalg.slogdet(mats)[1] + self.seqs[0].d_cu * ls)
+                 / _spans(self.seqs, windows))
+        return [_window_summary(r, window) for r in member_split(rates, windows)]
 
     def ash(self):
         """Per member its `ash_functional`."""
@@ -445,14 +435,8 @@ class Functionals:
             j = np.searchsorted(times, times[0] + horizons, side="right") - 1
             j = j[j > 0]
             windows.append((np.zeros_like(j), j))
-        key = self.rcu.ask(windows)
-
-        def results():
-            rates = (_min_plane_log_det(*self.rcu.products(key))
-                     / _spans(self.seqs, windows))
-            return [float(np.max(r, initial=-np.inf))
-                    for r in member_split(rates, windows)]
-        return results
+        rates = _min_plane_log_det(*self._rcu(windows)) / _spans(self.seqs, windows)
+        return [float(np.max(r, initial=-np.inf)) for r in member_split(rates, windows)]
 
     def mnuse(self, tau, n_samples=MNUSE_SAMPLES):
         """Per member its `mnuse_functional`."""
@@ -462,38 +446,28 @@ class Functionals:
             if times[-1] - tau <= times[0]:
                 raise ValueError("valid range shorter than one tau window")
             windows.append(tau_windows(times, tau, n_samples))
-        key = self.rcu.ask(windows)
-
-        def results():
-            mats, ls = self.rcu.products(key)
-            rates = _inverse_wedge_rates(mats, ls, _spans(self.seqs, windows))
-            return [float(np.mean(r)) for r in member_split(rates, windows)]
-        return results
+        rates = _inverse_wedge_rates(*self._rcu(windows), _spans(self.seqs, windows))
+        return [float(np.mean(r)) for r in member_split(rates, windows)]
 
     def nuse(self, tau):
         """Per member its `nuse_functional`."""
         windows = [_nuse_windows(seq, tau) for seq in self.seqs]
-        key = self.lpf.ask([(seq.grid[ka], seq.grid[kb])
-                            for seq, (ka, kb) in zip(self.seqs, windows)])
-
-        def results():
-            p, ls = self.lpf.products(key)
-            d_ncu = self.seqs[0].d_cu - 1
-            ua = np.concatenate([self._ncu(m)[ka] for m, (ka, _)
-                                 in enumerate(windows)])[:, :, :d_ncu]
-            ub = np.concatenate([self._ncu(m)[kb] for m, (_, kb)
-                                 in enumerate(windows)])[:, :, :d_ncu]
-            sv = np.linalg.svd(ub.transpose(0, 2, 1) @ (p @ ua), compute_uv=False)
-            logs = -(np.log(sv[:, -1]) + ls)
-            out = []
-            for seq, (ka, kb), lg in zip(self.seqs, windows,
-                                         member_split(logs, windows)):
-                # summed window by window in time order: np.sum's pairwise
-                # order would move the last digits of the reported rate
-                total_time = np.cumsum(seq.times[kb] - seq.times[ka])[-1]
-                out.append(float(np.cumsum(lg)[-1] / total_time))
-            return out
-        return results
+        p, ls = self._lpf([(seq.grid[ka], seq.grid[kb])
+                           for seq, (ka, kb) in zip(self.seqs, windows)])
+        d_ncu = self.seqs[0].d_cu - 1
+        ua = np.concatenate([self._ncu(m)[ka] for m, (ka, _)
+                             in enumerate(windows)])[:, :, :d_ncu]
+        ub = np.concatenate([self._ncu(m)[kb] for m, (_, kb)
+                             in enumerate(windows)])[:, :, :d_ncu]
+        sv = np.linalg.svd(ub.transpose(0, 2, 1) @ (p @ ua), compute_uv=False)
+        logs = -(np.log(sv[:, -1]) + ls)
+        out = []
+        for seq, (ka, kb), lg in zip(self.seqs, windows, member_split(logs, windows)):
+            # summed window by window in time order: np.sum's pairwise
+            # order would move the last digits of the reported rate
+            total_time = np.cumsum(seq.times[kb] - seq.times[ka])[-1]
+            out.append(float(np.cumsum(lg)[-1] / total_time))
+        return out
 
     def msh(self, radius, avoid_window):
         """Per member its `msh_estimate`.  The restricted factors are formed
@@ -501,7 +475,10 @@ class Functionals:
         fits = [msh_windows(seq.orbit.times,
                             _singular_distances(seq.orbit, seq.orbit.model),
                             seq.grid, radius, avoid_window) for seq in self.seqs]
+        out = [MshResult(np.nan, np.nan, np.nan, n_qual) for n_qual, _, _ in fits]
         fitted = [m for m, (_, k0, _) in enumerate(fits) if len(k0)]
+        if not fitted:
+            return out
         covered = {}
         for m in fitted:
             hit = np.zeros(self.seqs[m].n_blocks, dtype=bool)
@@ -509,50 +486,42 @@ class Functionals:
                 hit[a:b] = True
             covered[m] = np.flatnonzero(hit)
         none = np.zeros(0, dtype=np.intp)
-        key = self.lpf.ask([(seq.grid[covered[m]], seq.grid[covered[m] + 1])
-                            if m in covered else (none, none)
-                            for m, seq in enumerate(self.seqs)])
+        p, ls = self._lpf([(seq.grid[covered[m]], seq.grid[covered[m] + 1])
+                           if m in covered else (none, none)
+                           for m, seq in enumerate(self.seqs)])
+        seqs = [self.seqs[m] for m in fitted]
+        ends = np.cumsum([len(covered[m]) for m in fitted])[:-1]
+        # each member's restricted LPF factors over its covered blocks,
+        # and its fit windows in their positions there
+        ns_f, nu_f, windows = [], [], []
+        for m, seq, pm, lsm in zip(fitted, seqs, np.split(p, ends),
+                                   np.split(ls, ends)):
+            blocks = covered[m]
+            frames = self.lpfs[m].frames_at(seq.grid)
+            ns_b, _, _ = np.linalg.svd(frames.transpose(0, 2, 1) @ seq.Es,
+                                       full_matrices=False)
+            nu_b = self._ncu(m)
+            pm = pm * np.exp(lsm)[:, None, None]
+            for f, b, d in ((ns_f, ns_b, seq.d_s), (nu_f, nu_b, seq.d_cu - 1)):
+                f.append(b[blocks + 1][:, :, :d].transpose(0, 2, 1)
+                         @ (pm @ b[blocks][:, :, :d]))
+            k0, k1 = fits[m][1:]
+            at = np.searchsorted(blocks, k0)
+            windows.append((at, at + (k1 - k0)))
+        del p, ls
 
-        def results():
-            out = [MshResult(np.nan, np.nan, np.nan, n_qual) for n_qual, _, _ in fits]
-            if not fitted:
-                return out
-            seqs = [self.seqs[m] for m in fitted]
-            p, ls = self.lpf.products(key)
-            ends = np.cumsum([len(covered[m]) for m in fitted])[:-1]
-            # each member's restricted LPF factors over its covered blocks,
-            # and its fit windows in their positions there
-            ns_f, nu_f, windows = [], [], []
-            for m, seq, pm, lsm in zip(fitted, seqs, np.split(p, ends),
-                                       np.split(ls, ends)):
-                blocks = covered[m]
-                frames = self.lpfs[m].frames_at(seq.grid)
-                ns_b, _, _ = np.linalg.svd(frames.transpose(0, 2, 1) @ seq.Es,
-                                           full_matrices=False)
-                nu_b = self._ncu(m)
-                pm = pm * np.exp(lsm)[:, None, None]
-                for f, b, d in ((ns_f, ns_b, seq.d_s), (nu_f, nu_b, seq.d_cu - 1)):
-                    f.append(b[blocks + 1][:, :, :d].transpose(0, 2, 1)
-                             @ (pm @ b[blocks][:, :, :d]))
-                k0, k1 = fits[m][1:]
-                at = np.searchsorted(blocks, k0)
-                windows.append((at, at + (k1 - k0)))
-            del p, ls
-
-            ns, nu = MemberWindows(ns_f), MemberWindows(nu_f)
-            ln_s = log_norms(*ns.products(ns.ask(windows)))
-            ln_u = log_norms(*nu.products(nu.ask(windows)), inverse=True)
-            for m, seq, s, u in zip(fitted, seqs, member_split(ln_s, windows),
-                                    member_split(ln_u, windows)):
-                k0, k1 = fits[m][1:]
-                dt = seq.times[k1] - seq.times[k0]
-                slope_s, _, _ = fit_log_rate(dt, s)
-                slope_u, _, _ = fit_log_rate(dt, u)
-                slope_d, _, _ = fit_log_rate(dt, s + u)
-                out[m] = MshResult(float(slope_s), float(slope_u), float(slope_d),
-                                   fits[m][0])
-            return out
-        return results
+        ln_s = log_norms(*member_products(ns_f, windows))
+        ln_u = log_norms(*member_products(nu_f, windows), inverse=True)
+        for m, seq, s, u in zip(fitted, seqs, member_split(ln_s, windows),
+                                member_split(ln_u, windows)):
+            k0, k1 = fits[m][1:]
+            dt = seq.times[k1] - seq.times[k0]
+            slope_s, _, _ = fit_log_rate(dt, s)
+            slope_u, _, _ = fit_log_rate(dt, u)
+            slope_d, _, _ = fit_log_rate(dt, s + u)
+            out[m] = MshResult(float(slope_s), float(slope_u), float(slope_d),
+                               fits[m][0])
+        return out
 
     def nne(self):
         """Per member its `nne_functional`: the members' directions are
@@ -560,47 +529,44 @@ class Functionals:
         still open (`util.longest_first`), and each direction's rate at
         each checkpoint is formed as it is reached."""
         seqs = self.seqs
-
-        def results():
-            flow = [_checkpoint_flow_dirs(seq) for seq in seqs]
-            accepted = [_nne_directions(seq, dirs[0]) for seq, dirs in zip(seqs, flow)]
-            order, n_open = longest_first([seq.n_blocks for seq in seqs])
-            members = [seqs[m] for m in order]
-            counts = [len(accepted[m]) for m in order]
-            firsts = np.cumsum([0] + counts)
-            # per direction, member-major in that order: the flow direction
-            # and the time elapsed at each checkpoint after the first
-            at = np.repeat(np.cumsum([0] + [seq.n_blocks for seq in members])[:-1],
-                           counts)
-            dirs = np.concatenate([flow[m][1:] for m in order])
-            elapsed = np.concatenate([seq.times[1:] - seq.times[0] for seq in members])
-            del flow
-            n = dirs.shape[1]
-            w = np.reshape([v for m in order for v in accepted[m]], (firsts[-1], n, 1))
-            rates = np.empty((len(n_open), firsts[-1]))
-            valid = np.empty(rates.shape, dtype=bool)
-            log_norm = np.zeros(firsts[-1])
-            for k, m in enumerate(n_open.tolist()):
-                d = firsts[m]
-                blocks = np.stack([seq.factors[k] for seq in members[:m]])
-                w[:d] = np.repeat(blocks, counts[:m], axis=0) @ w[:d]
-                norms = np.sqrt(np.vecdot(w[:d, :, 0], w[:d, :, 0]))
-                w[:d] /= norms[:, None, None]
-                cos = np.vecdot(w[:d, :, 0], dirs[at[:d] + k])
-                # summed block by block, as a cumsum down the blocks would
-                log_norm[:d] += np.log(norms)
-                rates[k, :d], valid[k, :d] = _nne_rates(cos, log_norm[:d],
-                                                        elapsed[at[:d] + k])
-            out = [None] * len(seqs)
-            for m, seq, a, b in zip(order, members, firsts[:-1], firsts[1:]):
-                tails = [r[ok][ok.sum() // 2:] for r, ok in
-                         zip(rates[:seq.n_blocks, a:b].T, valid[:seq.n_blocks, a:b].T)]
-                arr = np.array([float(np.min(tail)) for tail in tails])
-                out[m] = FunctionalResult(float(arr.mean()), float(arr.min()),
-                                          float(arr.max()),
-                                          float(seq.times[-1] - seq.times[0]), len(arr))
-            return out
-        return results
+        flow = [_checkpoint_flow_dirs(seq) for seq in seqs]
+        accepted = [_nne_directions(seq, dirs[0]) for seq, dirs in zip(seqs, flow)]
+        order, n_open = longest_first([seq.n_blocks for seq in seqs])
+        members = [seqs[m] for m in order]
+        counts = [len(accepted[m]) for m in order]
+        firsts = np.cumsum([0] + counts)
+        # per direction, member-major in that order: the flow direction
+        # and the time elapsed at each checkpoint after the first
+        at = np.repeat(np.cumsum([0] + [seq.n_blocks for seq in members])[:-1],
+                       counts)
+        dirs = np.concatenate([flow[m][1:] for m in order])
+        elapsed = np.concatenate([seq.times[1:] - seq.times[0] for seq in members])
+        del flow
+        n = dirs.shape[1]
+        w = np.reshape([v for m in order for v in accepted[m]], (firsts[-1], n, 1))
+        rates = np.empty((len(n_open), firsts[-1]))
+        valid = np.empty(rates.shape, dtype=bool)
+        log_norm = np.zeros(firsts[-1])
+        for k, m in enumerate(n_open.tolist()):
+            d = firsts[m]
+            blocks = np.stack([seq.factors[k] for seq in members[:m]])
+            w[:d] = np.repeat(blocks, counts[:m], axis=0) @ w[:d]
+            norms = np.sqrt(np.vecdot(w[:d, :, 0], w[:d, :, 0]))
+            w[:d] /= norms[:, None, None]
+            cos = np.vecdot(w[:d, :, 0], dirs[at[:d] + k])
+            # summed block by block, as a cumsum down the blocks would
+            log_norm[:d] += np.log(norms)
+            rates[k, :d], valid[k, :d] = _nne_rates(cos, log_norm[:d],
+                                                    elapsed[at[:d] + k])
+        out = [None] * len(seqs)
+        for m, seq, a, b in zip(order, members, firsts[:-1], firsts[1:]):
+            tails = [r[ok][ok.sum() // 2:] for r, ok in
+                     zip(rates[:seq.n_blocks, a:b].T, valid[:seq.n_blocks, a:b].T)]
+            arr = np.array([float(np.min(tail)) for tail in tails])
+            out[m] = FunctionalResult(float(arr.mean()), float(arr.min()),
+                                      float(arr.max()),
+                                      float(seq.times[-1] - seq.times[0]), len(arr))
+        return out
 
     def _ncu(self, m):
         """Member m's left singular vectors of E^cu in the normal frame at
@@ -659,20 +625,20 @@ def sectional_expansion_functional(seq: SplittingSequence,
     exact one of the bottom singular pair.  Uniform sectional expansion
     holds on the sample iff min_rate >= +1e-3.
     """
-    return Functionals([seq]).sectional(window)()[0]
+    return Functionals([seq]).sectional(window)[0]
 
 
 def volume_expansion_functional(seq: SplittingSequence,
                                 window: float) -> FunctionalResult:
     """Windowed log |det| rate of the cocycle restricted to E^cu."""
-    return Functionals([seq]).volume(window)()[0]
+    return Functionals([seq]).volume(window)[0]
 
 
 def ash_functional(seq: SplittingSequence) -> float:
     """Running max over increasing horizons of the min-plane determinant
     rate from the start of the valid range (pointwise asymptotic
     expansion proxy)."""
-    return Functionals([seq]).ash()()[0]
+    return Functionals([seq]).ash()[0]
 
 
 def mnuse_functional(seq: SplittingSequence, tau: float,
@@ -686,14 +652,14 @@ def mnuse_functional(seq: SplittingSequence, tau: float,
     second compound.  Negative values certify sectional expansion of
     the time-tau map on average.
     """
-    return Functionals([seq]).mnuse(tau, n_samples)()[0]
+    return Functionals([seq]).mnuse(tau, n_samples)[0]
 
 
 def nuse_functional(lpf_cocycle, seq: SplittingSequence, tau: float) -> float:
     """Per-unit-time average of log ||(P^tau | N^cu)^{-1}|| over the orbit
     of the time-tau map, where N^cu = E^cu intersected with the normal
     space of the flow direction."""
-    return Functionals([seq], [lpf_cocycle]).nuse(tau)()[0]
+    return Functionals([seq], [lpf_cocycle]).nuse(tau)[0]
 
 
 def nne_functional(seq: SplittingSequence) -> FunctionalResult:
@@ -710,7 +676,7 @@ def nne_functional(seq: SplittingSequence) -> FunctionalResult:
     and the pushed flow direction (the 2-plane they span); this is
     flagged in every report that carries the statistic.
     """
-    return Functionals([seq]).nne()()[0]
+    return Functionals([seq]).nne()[0]
 
 
 def msh_estimate(lpf_cocycle, seq: SplittingSequence, radius: float,
@@ -725,7 +691,7 @@ def msh_estimate(lpf_cocycle, seq: SplittingSequence, radius: float,
     on log ||P^t|N^s|| and log ||P^-t|N^u||.  The singular-domination
     component reuses the same restricted factors.
     """
-    return Functionals([seq], [lpf_cocycle]).msh(radius, avoid_window)()[0]
+    return Functionals([seq], [lpf_cocycle]).msh(radius, avoid_window)[0]
 
 
 # ----------------------------------------------------------------------

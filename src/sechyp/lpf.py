@@ -112,7 +112,7 @@ def lpf_alongs(orbits, frame_seed: Optional[int] = None,
         rot, _ = qr_pos(np.random.default_rng(frame_seed)
                         .standard_normal((n - 1, n - 1)))
     # the members' factors lie back to back in one array, in member order,
-    # so that util.MemberWindows joins them without a copy
+    # so that util.member_products joins them without a copy
     store = np.empty((sum(orbits[b].n_steps for b in live), n - 1, n - 1))
     at = 0
     for b in live:

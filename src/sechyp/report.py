@@ -104,31 +104,28 @@ def _check_windows(seq, conditions, s):
                                      f"block: it leaves no {tau_rated[0]} window")
 
 
-def _rate_entries(out, cond, by_tau, s):
-    """A row's rate of a tau-windowed condition at windows.tau, and its
-    rates at the tau_sensitivity windows when those are set."""
-    out[f"{cond.lower()}_rate"] = by_tau[s["windows.tau"]]
-    if s["tau_sensitivity"]:
-        out[f"{cond.lower()}_tau"] = {str(tv): by_tau[tv]
-                                      for tv in s["tau_sensitivity"]}
+def _rate_entries(rows, cond, by_tau, s):
+    """Each row's rate of a tau-windowed condition at windows.tau, and its
+    rates at the tau_sensitivity windows when those are set; `by_tau`
+    holds per tau the rates of the rows' members."""
+    for m, out in enumerate(rows):
+        out[f"{cond.lower()}_rate"] = by_tau[s["windows.tau"]][m]
+        if s["tau_sensitivity"]:
+            out[f"{cond.lower()}_tau"] = {str(tv): by_tau[tv][m]
+                                          for tv in s["tau_sensitivity"]}
 
 
 def _lpf_entries(seqs, lpfs, conditions, s):
     """Per member its NUSE and MSH-estimate row entries from its splitting
     sequence and LPF cocycle, all members' functionals stacked."""
     fns = Functionals(seqs, lpfs)
-    nuse = ({tau: fns.nuse(tau) for tau in _taus(s)}
-            if "NUSE" in conditions else None)
-    msh = (fns.msh(s["msh.radius"], s["msh.avoid_window"] or 5.0)
-           if "MSH-estimate" in conditions else None)
     rows = [{} for _ in seqs]
-    if nuse is not None:
-        rates = {tau: rate() for tau, rate in nuse.items()}
-        for m, out in enumerate(rows):
-            _rate_entries(out, "NUSE", {tau: r[m] for tau, r in rates.items()}, s)
-    if msh is not None:
+    if "NUSE" in conditions:
+        _rate_entries(rows, "NUSE", {tau: fns.nuse(tau) for tau in _taus(s)}, s)
+    if "MSH-estimate" in conditions:
         margin = s["thresholds.margin"]
-        for out, res in zip(rows, msh()):
+        fits = fns.msh(s["msh.radius"], s["msh.avoid_window"] or 5.0)
+        for out, res in zip(rows, fits):
             out["msh_slopes"] = (res.ns_slope, res.nu_slope, res.domination_slope)
             out["msh_fit_pass"] = bool(res.ns_slope <= -margin
                                        and res.nu_slope <= -margin
@@ -142,43 +139,28 @@ def _cocycle_entries(seqs, conditions, s, spans=None):
     members' functionals stacked; `spans` are those of the domination
     and contraction fits (see `splitting.span_windows`)."""
     fns = Functionals(seqs)
-    # ask for every functional before taking any result, so that each
-    # factor stream forms all its windows in one call
-    asked = {}
-    if any(c in conditions for c in ("PH", "SingularHyp", "SH")):
-        asked["PH"] = fns.rates(spans)
-    if "SingularHyp" in conditions:
-        asked["SingularHyp"] = fns.volume(_sect_window(s))
-    if "SH" in conditions:
-        asked["SH"] = fns.sectional(_sect_window(s))
-    if "ASH" in conditions:
-        asked["ASH"] = fns.ash()
-    if "MNUSE" in conditions:
-        mnuse = {tau: fns.mnuse(tau) for tau in _taus(s)}
-        asked["MNUSE"] = lambda: {tau: rate() for tau, rate in mnuse.items()}
-    if "NNE" in conditions:
-        asked["NNE"] = fns.nne()
-    got = {cond: results() for cond, results in asked.items()}
     rows = [{} for _ in seqs]
-    for m, out in enumerate(rows):
-        if "PH" in got:
-            dom, con = got["PH"][m]
+    if any(c in conditions for c in ("PH", "SingularHyp", "SH")):
+        for out, (dom, con) in zip(rows, fns.rates(spans)):
             out["ph_pass"] = bool(dom.passed and con.passed)
             out["dom_slope"] = dom.slope
             out["con_slope"] = con.slope
-        if "SingularHyp" in got:
-            out["vol_rate"] = got["SingularHyp"][m].rate
-            out["vol_min"] = got["SingularHyp"][m].min_rate
-        if "SH" in got:
-            out["sect_rate"] = got["SH"][m].rate
-            out["sect_min"] = got["SH"][m].min_rate
-        if "ASH" in got:
-            out["ash_max"] = got["ASH"][m]
-        if "MNUSE" in got:
-            _rate_entries(out, "MNUSE",
-                          {tau: r[m] for tau, r in got["MNUSE"].items()}, s)
-        if "NNE" in got:
-            out["nne_min"] = got["NNE"][m].min_rate
+    if "SingularHyp" in conditions:
+        for out, res in zip(rows, fns.volume(_sect_window(s))):
+            out["vol_rate"] = res.rate
+            out["vol_min"] = res.min_rate
+    if "SH" in conditions:
+        for out, res in zip(rows, fns.sectional(_sect_window(s))):
+            out["sect_rate"] = res.rate
+            out["sect_min"] = res.min_rate
+    if "ASH" in conditions:
+        for out, ash_max in zip(rows, fns.ash()):
+            out["ash_max"] = ash_max
+    if "MNUSE" in conditions:
+        _rate_entries(rows, "MNUSE", {tau: fns.mnuse(tau) for tau in _taus(s)}, s)
+    if "NNE" in conditions:
+        for out, res in zip(rows, fns.nne()):
+            out["nne_min"] = res.min_rate
     return rows
 
 
@@ -398,7 +380,7 @@ def _suspension_msh_row(streams, b, radius, avoid, margin):
     n_qual, k0, k1 = msh_windows(t, np.abs(streams.x[:, b]), np.arange(len(t)),
                                  radius, avoid)
     if not len(k0):
-        return {"msh_fit_pass": False, "msh_qualifying": 0,
+        return {"msh_fit_pass": False, "msh_qualifying": n_qual,
                 "msh_slopes": (np.nan, np.nan, np.nan)}
 
     s_ns = streams.cum_gy[:, b]

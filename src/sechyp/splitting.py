@@ -24,8 +24,8 @@ import numpy as np
 
 from .errors import ShortOrbit, SpectralGapFailure
 from .flowcalc import OrbitSegment
-from .util import (MemberWindows, fit_log_rate, haar_frame, log_norms,
-                   longest_first, member_split, principal_angles, qr_pos,
+from .util import (fit_log_rate, haar_frame, log_norms, longest_first,
+                   member_products, member_split, principal_angles, qr_pos,
                    window_products)
 
 # Minimum acceptable singular-value ratio at the splitting cut over one
@@ -405,22 +405,17 @@ def _rate_fit(times, i, j, log_values):
                    window=float(times[-1] - times[0]), n_samples=len(i))
 
 
-def ask_rate_fits(seqs, spans, rs, rcu):
-    """Ask `rs` and `rcu`, `util.MemberWindows` over the sequences' Rs and
-    Rcu, for the windows of the domination and contraction fits; returns
-    a callable that gives per sequence its (domination fit, contraction
-    fit).  The two fits share each Rs window and its norm."""
+def rate_fits(seqs, spans):
+    """Per sequence its (domination fit, contraction fit), all sequences'
+    windows formed together.  The two fits share each Rs window and its
+    norm."""
     windows = [span_windows(seq.times, spans, RATE_STARTS) for seq in seqs]
-    key_s, key_cu = rs.ask(windows), rcu.ask(windows)
-
-    def fits():
-        log_s = log_norms(*rs.products(key_s))
-        log_d = log_s + log_norms(*rcu.products(key_cu), inverse=True)
-        return [(_rate_fit(seq.times, i, j, d), _rate_fit(seq.times, i, j, c))
-                for seq, (i, j), d, c in zip(seqs, windows,
-                                             member_split(log_d, windows),
-                                             member_split(log_s, windows))]
-    return fits
+    log_s = log_norms(*member_products([seq.Rs for seq in seqs], windows))
+    log_d = log_s + log_norms(*member_products([seq.Rcu for seq in seqs], windows),
+                              inverse=True)
+    return [(_rate_fit(seq.times, i, j, d), _rate_fit(seq.times, i, j, c))
+            for seq, (i, j), d, c in zip(seqs, windows, member_split(log_d, windows),
+                                         member_split(log_s, windows))]
 
 
 def domination_rate(seq: SplittingSequence, spans=None) -> RateFit:
@@ -431,16 +426,14 @@ def domination_rate(seq: SplittingSequence, spans=None) -> RateFit:
     polluted by estimation leakage.  Verdict: dominated iff the fitted
     slope is <= -1e-3 per unit time.
     """
-    ((dom, _),) = ask_rate_fits([seq], spans, MemberWindows([seq.Rs]),
-                                MemberWindows([seq.Rcu]))()
+    ((dom, _),) = rate_fits([seq], spans)
     return dom
 
 
 def contraction_rate(seq: SplittingSequence, spans=None) -> RateFit:
     """Fit ||DX_t|E^s|| decay; verdict: uniformly contracted iff the
     slope is <= -1e-3 per unit time."""
-    ((_, con),) = ask_rate_fits([seq], spans, MemberWindows([seq.Rs]),
-                                MemberWindows([seq.Rcu]))()
+    ((_, con),) = rate_fits([seq], spans)
     return con
 
 

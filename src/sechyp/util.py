@@ -133,61 +133,19 @@ def window_products(factors, starts, stops):
     return mats[back], log_scales[back]
 
 
-class MemberWindows:
-    """The windows several members ask of their factor streams, formed in
-    one `window_products` call.
-
-    `parts` holds each member's (K_m, d, d) factors.  `ask` takes per
-    member one (starts, stops) pair of index arrays and returns a key.
-    The first `products` call forms every window asked until then over
-    the members' concatenated factors, with each member's windows
-    shifted by its offset and each distinct window formed once.  A
-    window's product is bit for bit the one `window_products` forms from
-    its member's factors alone.
-    """
-
-    def __init__(self, parts):
-        self._parts = list(parts)
-        self._asks = []
-        self._formed = None
-
-    def ask(self, windows) -> int:
-        if self._formed is not None:
-            raise ValueError("windows asked after the products were formed")
-        self._asks.append([(np.asarray(i, dtype=np.intp), np.asarray(j, dtype=np.intp))
-                           for i, j in windows])
-        return len(self._asks) - 1
-
-    def products(self, key):
-        """(mats, log_scales) of the windows of ask `key`, member by member
-        in the order asked."""
-        if self._formed is None:
-            self._formed = self._form()
-        return self._formed[key]
-
-    def _form(self):
-        sizes = [len(p) for p in self._parts]
-        offsets = np.cumsum([0] + sizes[:-1])
-        span = sum(sizes) + 1
-        # a window's code is start * span + stop in the concatenation; the
-        # distinct codes come from a sort (the first np.unique call of a
-        # process alone adds about 1.3 MB of resident memory)
-        codes = [np.concatenate([(i + off) * span + (j + off)
-                                 for (i, j), off in zip(ask, offsets)])
-                 for ask in self._asks]
-        every = np.concatenate(codes)
-        order = np.argsort(every, kind="stable")
-        ranked = every[order]
-        new = np.ones(len(ranked), dtype=bool)
-        np.not_equal(ranked[1:], ranked[:-1], out=new[1:])
-        distinct = ranked[new]
-        where = np.empty_like(order)
-        where[order] = np.cumsum(new) - 1
-        mats, log_scales = window_products(_joined(self._parts), distinct // span,
-                                           distinct % span)
-        self._parts = None
-        ends = np.cumsum([len(c) for c in codes])
-        return [(mats[at], log_scales[at]) for at in np.split(where, ends[:-1])]
+def member_products(parts, windows):
+    """`window_products` of several members in one call: `parts` holds each
+    member's (K_m, d, d) factors and `windows` per member its (starts,
+    stops).  Each member's windows are shifted by its offset into the
+    members' concatenated factors; the products come member by member,
+    each bit for bit the one `window_products` forms from its member's
+    factors alone."""
+    offsets = np.cumsum([0] + [len(p) for p in parts[:-1]])
+    starts = np.concatenate([np.asarray(i, dtype=np.intp) + off
+                             for (i, _), off in zip(windows, offsets)])
+    stops = np.concatenate([np.asarray(j, dtype=np.intp) + off
+                            for (_, j), off in zip(windows, offsets)])
+    return window_products(_joined(parts), starts, stops)
 
 
 def _joined(parts):

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import runpy
 import sys
@@ -550,3 +552,68 @@ def test_verify_rerun_is_byte_identical(cfg):
             runs.append((code, (out / f"{cfg['model']}_report.json").read_bytes()))
     assert runs[0] == runs[1]
     assert runs[0][0] in (0, 1)
+
+
+# keys at or near the table's bounds (tolerances.rtol's upper bound; its
+# lower one would make every orbit too slow for the budget)
+SMALL_TIMES = [1e-3, 0.5, 2.0, 12.0]
+SADDLE_EIGS = [[2.0, -3.0, -0.5], [3.0, 1.0, -1.0, -5.0]]
+
+
+@st.composite
+def small_configs(draw):
+    """(command, config) of a small run: `verify` on a flow or a
+    suspension, or `simulate`, `spectrum` or `classify` on a flow."""
+    command = draw(st.sampled_from(["verify", "verify", "verify", "simulate",
+                                    "spectrum", "classify"]))
+    model = draw(st.sampled_from(["lorenz", "linear_saddle", "geometric_lorenz"]
+                                 if command == "verify" else ["lorenz", "linear_saddle"]))
+    cfg = {"model": model, "seed": draw(st.integers(0, 1000)),
+           "tolerances": {"rtol": draw(st.sampled_from([1e-2, 1e-7]))}}
+    if model == "linear_saddle":
+        cfg["params"] = {"eigs": draw(st.sampled_from(SADDLE_EIGS))}
+    if command == "simulate":
+        cfg["simulate"] = {"t_span": draw(st.sampled_from(SMALL_TIMES)),
+                           "formats": draw(st.sampled_from([[], ["csv", "cache"]]))}
+    elif command == "spectrum":
+        cfg["spectrum"] = {"T": draw(st.sampled_from(SMALL_TIMES[1:])),
+                           "warmup": draw(st.sampled_from([0.0, 0.4])),
+                           "k": draw(st.integers(1, 3))}
+    elif command == "classify":
+        cfg["classify"] = {"arc_budget": draw(st.sampled_from([1e-3, 1.0, 20.0]))}
+    else:
+        windows = {"tau": draw(st.sampled_from([1e-3, 1.0, 5.0]))}
+        if model == "geometric_lorenz":
+            windows["n_returns"] = draw(st.sampled_from([10, 50, 200]))
+        else:
+            windows["T"] = draw(st.sampled_from(SMALL_TIMES))
+            windows["sect_window"] = draw(st.sampled_from([1e-3, 3.0, 100.0]))
+        ver = {"conditions": draw(st.lists(st.sampled_from(VERIFY_CONDITIONS),
+                                           min_size=1, max_size=4, unique=True)),
+               "ensemble": {"size": draw(st.integers(1, 3))},
+               "windows": windows,
+               "tau_sensitivity": draw(st.sampled_from([None, [0.5, 500.0]])),
+               "msh": {"radius": draw(st.sampled_from([1e-3, 0.5])),
+                       "avoid_window": draw(st.sampled_from([1e-2, 1.0, 5.0]))}}
+        if model != "geometric_lorenz":
+            ver["ensemble"]["transient"] = draw(st.sampled_from([0.0, 1.0]))
+            ver["splitting"] = {"warmup": draw(st.sampled_from([0.0, 0.5, 3.0])),
+                                "stride": draw(st.sampled_from([1, 4, 50]))}
+        cfg["verify"] = ver
+    return command, cfg
+
+
+@settings(max_examples=100)
+@given(case=small_configs())
+def test_small_configs_exit_with_a_code(case):
+    # a config never ends in a traceback: it runs (0, 1 or 3), a member's
+    # named error exits 1, and a config fault exits 2 naming its key
+    command, cfg = case
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        cfg["output_dir"] = str(Path(tmp) / "out")
+        code = main([command, "-c", write_config(Path(tmp), cfg)])
+    assert code in (0, 1, 2, 3)
+    if code == 2:
+        assert "error: config field '" in err.getvalue()

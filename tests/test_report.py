@@ -156,6 +156,23 @@ class TestSuspensionMshScan:
         assert row["msh_fit_pass"]
         npt.assert_allclose(row["msh_slopes"], (-1.0, -0.5, -1.5))
 
+    def test_one_qualifying_start_is_counted_and_not_fitted(self):
+        # only start 0 stays clear of the singular line over avoid = 3:
+        # the row counts it, as a flow member's does, and fits nothing
+        n = 20
+        x = np.full((n + 1, 1), 0.01)
+        x[:4] = 0.5
+        streams = SectionStreams(
+            model=load_model("geometric_lorenz"), x=x,
+            times=np.arange(n + 1, dtype=float)[:, None],
+            log_a=np.full((n, 1), 0.5),
+            cum_gy=-np.arange(n + 1, dtype=float)[:, None], clipped=0)
+        row = _suspension_msh_row(streams, 0, radius=0.05, avoid=3.0,
+                                  margin=1e-3)
+        assert row["msh_qualifying"] == 1
+        assert not row["msh_fit_pass"]
+        assert np.isnan(row["msh_slopes"]).all()
+
 
 class TestMshVerdict:
     def test_decaying_fits_fail_on_the_lorenz_wings(self):

@@ -11,14 +11,18 @@ and one BLAS/OpenMP thread:
   CHANGE_TREE's ``bench/workloads.py`` makes for it;
 - ``verify`` on ``configs/lorenz_verify.json`` and
   ``configs/intermittent_verify.json``;
-- ``simulate`` and ``spectrum`` on ``configs/lorenz_simulate.json``;
+- ``simulate`` and ``spectrum`` on ``configs/lorenz_simulate.json``,
+  and ``classify`` on ``configs/lorenz_verify.json``;
+- ``measure`` on one inline config (see ``INLINE``), since no shipped
+  config sets a ``measure`` section;
 - two ``verify`` runs whose ensemble fails (see ``FAILING``): a member
   that blows up past the bound, and one that passes the Lorenz origin
   too slowly for the linear Poincare flow.
 
-Configs are read from CHANGE_TREE and handed to both trees unchanged.
-Each invocation's output files are compared byte for byte, like
-``cmp``, and so are its standard output, its exit code and the
+The ``report`` subcommand only prints a saved report, so it has no
+invocation of its own.  Configs are read from CHANGE_TREE and handed
+to both trees unchanged.  Each invocation's output files are compared
+byte for byte, like ``cmp``, and so are its standard output, its exit code and the
 ``error:`` lines of its standard error (the other lines of standard
 error, such as warnings, carry tree paths).  One line is printed per
 invocation, with both wall times.  Under it, each JSON output that
@@ -47,7 +51,14 @@ from pathlib import Path
 
 SEEDS = (1, 2, 3)
 SHIPPED = (("verify", "lorenz_verify.json"), ("verify", "intermittent_verify.json"),
-           ("simulate", "lorenz_simulate.json"), ("spectrum", "lorenz_simulate.json"))
+           ("simulate", "lorenz_simulate.json"), ("spectrum", "lorenz_simulate.json"),
+           ("classify", "lorenz_verify.json"))
+# (label, subcommand, config) of the invocations that no shipped config makes
+INLINE = (
+    ("measure invariance", "measure", {
+        "model": "intermittent_lorenz", "seed": 7,
+        "measure": {"kind": "invariance", "n": 100000}}),
+)
 # verify configs whose ensemble fails: member 2 blows up past the bound,
 # and member 2 passes the origin below the LPF speed floor
 FAILING = (
@@ -88,6 +99,7 @@ def invocations(tree):
     for command, fname in SHIPPED:
         cfg = json.loads((tree / "configs" / fname).read_text())
         cases.append((f"{command} configs/{fname}", command, cfg))
+    cases += INLINE
     cases += [(label, "verify", cfg) for label, cfg in FAILING]
     return cases
 
