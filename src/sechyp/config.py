@@ -148,7 +148,7 @@ TABLE = {
     "verify.thresholds.min_fraction": (_number(0, 1), 0.5),
     "verify.thresholds.ash_fraction": (_number(0, 1), 0.9),
     "verify.splitting.d_s": (_int(1), 1),
-    "verify.splitting.warmup": (NONNEGATIVE, 10.0),
+    "verify.splitting.warmup": (POSITIVE, 10.0),
     "verify.splitting.stride": (_int(1), 4),
     "verify.msh.radius": (POSITIVE, 0.05),
     "verify.msh.avoid_window": (POSITIVE, None),           # 5 flow, 5 roof floors

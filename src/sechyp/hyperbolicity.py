@@ -16,12 +16,12 @@ from typing import Optional
 import numpy as np
 
 from .errors import Blowup, NotAnEquilibrium, NotPeriodic
-from .flowcalc import StepControl, dp5_steps, integrate, wedge2_of
+from .flowcalc import StepControl, dp5_steps, integrate
 from .models import (SuspensionModel, VectorFieldModel, refine_equilibrium)
 from .splitting import (SplittingSequence, _checkpoint_flow_dirs, estimate_splitting,
                         rate_fits, span_windows)
-from .util import (fit_log_rate, log_norms, longest_first, member_products,
-                   member_split, window_products)
+from .util import (expm_small, fit_log_rate, log_norms, log_svals, longest_first,
+                   member_products, member_split, window_products)
 
 # Window starts of the windowed sectional and volume functionals.
 SECT_STARTS = 10
@@ -280,30 +280,17 @@ def _nuse_windows(seq: SplittingSequence, tau: float):
     return ka[keep], kb[keep]
 
 
-def _min_plane_log_det(mats, log_scales):
-    """Smallest log |det| of the restriction of each matrix to a 2-plane:
+def _plane_log_dets(lsv, log_scales):
+    """Smallest log |det| of each window product's restriction to a
+    2-plane, from its log singular values `lsv` (see `util.log_svals`):
     the plane of the two smallest right singular vectors (the bottom
     singular 2-vector of the second compound is decomposable)."""
-    s = np.linalg.svd(mats, compute_uv=False)
-    return np.log(s[:, -1]) + np.log(s[:, -2]) + 2 * log_scales
-
-
-def _inverse_wedge_rates(mats, log_scales, spans):
-    """log ||[wedge^2 (exp(log_scales) * mats)]^{-1}|| per unit time of
-    each window's span."""
-    sv = np.linalg.svd(wedge2_of(mats), compute_uv=False)
-    return -(np.log(sv[:, -1]) + 2 * log_scales) / spans
+    return lsv[:, -1] + lsv[:, -2] + 2 * log_scales
 
 
 def _window_summary(rates, window):
     return FunctionalResult(float(rates.mean()), float(rates.min()),
                             float(rates.max()), window, len(rates))
-
-
-def _spans(seqs, windows):
-    """The time spans of each member's windows, member by member."""
-    return np.concatenate([seq.times[j] - seq.times[i]
-                           for seq, (i, j) in zip(seqs, windows)])
 
 
 # ----------------------------------------------------------------------
@@ -320,6 +307,19 @@ class MshResult:
     nu_slope: float
     domination_slope: float
     n_qualifying: int
+
+
+def msh_fit(dt, log_s, log_u, n_qualifying) -> MshResult:
+    """The MSH decay slopes fitted over windows of spans `dt`: of the log
+    norms `log_s` on N^s, of the log inverse norms `log_u` on N^u, and of
+    their sum (the singular domination).  NaN slopes when there is no
+    window."""
+    if not len(dt):
+        return MshResult(np.nan, np.nan, np.nan, n_qualifying)
+    slope_s, _, _ = fit_log_rate(dt, log_s)
+    slope_u, _, _ = fit_log_rate(dt, log_u)
+    slope_d, _, _ = fit_log_rate(dt, log_s + log_u)
+    return MshResult(slope_s, slope_u, slope_d, n_qualifying)
 
 
 def _singular_distances(orbit, model):
@@ -386,7 +386,10 @@ class Functionals:
     one `util.member_products` call per factor stream (`Rs`, `Rcu` or
     the LPF factors), and each linear-algebra step on the products is
     one stacked call over all members; every result is bit for bit the
-    member's alone.  The one-member forms below (`mnuse_functional` and
+    member's alone.  The E^cu functionals (SH with SingularHyp's volume,
+    ASH, MNUSE) are sums of the log singular values of `Rcu` window
+    products (`util.log_svals`): the bottom two for a 2-plane, all d_cu
+    for the volume.  The one-member forms below (`mnuse_functional` and
     the rest) are a Functionals of that member.
 
     A member cannot fail here once its windows pass the report's check
@@ -406,24 +409,26 @@ class Functionals:
         return rate_fits(self.seqs, spans)
 
     def _rcu(self, windows):
-        return member_products([seq.Rcu for seq in self.seqs], windows)
+        """The log singular values and log scales of the members' `Rcu`
+        window products (see `util.log_svals`), and the windows' spans."""
+        mats, ls = member_products([seq.Rcu for seq in self.seqs], windows)
+        spans = np.concatenate([seq.times[j] - seq.times[i]
+                                for seq, (i, j) in zip(self.seqs, windows)])
+        return log_svals(mats), ls, spans
 
     def _lpf(self, windows):
         return member_products([lpf.lpf_factors for lpf in self.lpfs], windows)
 
     def sectional(self, window):
-        """Per member its `sectional_expansion_functional`."""
+        """Per member its (`sectional_expansion_functional`,
+        `volume_expansion_functional`): the bottom-two and the full sums of
+        the log singular values of the same windows."""
         windows = [sect_windows(seq, window) for seq in self.seqs]
-        rates = _min_plane_log_det(*self._rcu(windows)) / _spans(self.seqs, windows)
-        return [_window_summary(r, window) for r in member_split(rates, windows)]
-
-    def volume(self, window):
-        """Per member its `volume_expansion_functional`."""
-        windows = [sect_windows(seq, window) for seq in self.seqs]
-        mats, ls = self._rcu(windows)
-        rates = ((np.linalg.slogdet(mats)[1] + self.seqs[0].d_cu * ls)
-                 / _spans(self.seqs, windows))
-        return [_window_summary(r, window) for r in member_split(rates, windows)]
+        lsv, ls, spans = self._rcu(windows)
+        sect = _plane_log_dets(lsv, ls) / spans
+        vol = (lsv.sum(axis=1) + self.seqs[0].d_cu * ls) / spans
+        return [(_window_summary(s, window), _window_summary(v, window)) for s, v
+                in zip(member_split(sect, windows), member_split(vol, windows))]
 
     def ash(self):
         """Per member its `ash_functional`."""
@@ -435,7 +440,8 @@ class Functionals:
             j = np.searchsorted(times, times[0] + horizons, side="right") - 1
             j = j[j > 0]
             windows.append((np.zeros_like(j), j))
-        rates = _min_plane_log_det(*self._rcu(windows)) / _spans(self.seqs, windows)
+        lsv, ls, spans = self._rcu(windows)
+        rates = _plane_log_dets(lsv, ls) / spans
         return [float(np.max(r, initial=-np.inf)) for r in member_split(rates, windows)]
 
     def mnuse(self, tau, n_samples=MNUSE_SAMPLES):
@@ -446,7 +452,8 @@ class Functionals:
             if times[-1] - tau <= times[0]:
                 raise ValueError("valid range shorter than one tau window")
             windows.append(tau_windows(times, tau, n_samples))
-        rates = _inverse_wedge_rates(*self._rcu(windows), _spans(self.seqs, windows))
+        lsv, ls, spans = self._rcu(windows)
+        rates = -_plane_log_dets(lsv, ls) / spans
         return [float(np.mean(r)) for r in member_split(rates, windows)]
 
     def nuse(self, tau):
@@ -459,8 +466,7 @@ class Functionals:
                              in enumerate(windows)])[:, :, :d_ncu]
         ub = np.concatenate([self._ncu(m)[kb] for m, (_, kb)
                              in enumerate(windows)])[:, :, :d_ncu]
-        sv = np.linalg.svd(ub.transpose(0, 2, 1) @ (p @ ua), compute_uv=False)
-        logs = -(np.log(sv[:, -1]) + ls)
+        logs = log_norms(ub.transpose(0, 2, 1) @ (p @ ua), ls, inverse=True)
         out = []
         for seq, (ka, kb), lg in zip(self.seqs, windows, member_split(logs, windows)):
             # summed window by window in time order: np.sum's pairwise
@@ -514,13 +520,8 @@ class Functionals:
         ln_u = log_norms(*member_products(nu_f, windows), inverse=True)
         for m, seq, s, u in zip(fitted, seqs, member_split(ln_s, windows),
                                 member_split(ln_u, windows)):
-            k0, k1 = fits[m][1:]
-            dt = seq.times[k1] - seq.times[k0]
-            slope_s, _, _ = fit_log_rate(dt, s)
-            slope_u, _, _ = fit_log_rate(dt, u)
-            slope_d, _, _ = fit_log_rate(dt, s + u)
-            out[m] = MshResult(float(slope_s), float(slope_u), float(slope_d),
-                               fits[m][0])
+            n_qual, k0, k1 = fits[m]
+            out[m] = msh_fit(seq.times[k1] - seq.times[k0], s, u, n_qual)
         return out
 
     def nne(self):
@@ -625,13 +626,13 @@ def sectional_expansion_functional(seq: SplittingSequence,
     exact one of the bottom singular pair.  Uniform sectional expansion
     holds on the sample iff min_rate >= +1e-3.
     """
-    return Functionals([seq]).sectional(window)[0]
+    return Functionals([seq]).sectional(window)[0][0]
 
 
 def volume_expansion_functional(seq: SplittingSequence,
                                 window: float) -> FunctionalResult:
     """Windowed log |det| rate of the cocycle restricted to E^cu."""
-    return Functionals([seq]).volume(window)[0]
+    return Functionals([seq]).sectional(window)[0][1]
 
 
 def ash_functional(seq: SplittingSequence) -> float:
@@ -649,8 +650,9 @@ def mnuse_functional(seq: SplittingSequence, tau: float,
     The integral over window starts is approximated by uniform sampling
     on the checkpoint grid; each sample restricts the cocycle to E^cu
     over [s, s + tau] and takes the smallest singular value of its
-    second compound.  Negative values certify sectional expansion of
-    the time-tau map on average.
+    second compound, which is the product of its own two smallest.
+    Negative values certify sectional expansion of the time-tau map on
+    average.
     """
     return Functionals([seq]).mnuse(tau, n_samples)[0]
 
@@ -769,8 +771,6 @@ def _equilibrium_nush(model, sigma, tau, d_s):
     expanding directions cannot contaminate the stable-side norm
     through roundoff.
     """
-    from .util import expm_small
-
     j = model.jacobian(sigma)
     eigs, vecs = np.linalg.eig(j)
     order = np.argsort(eigs.real)
@@ -784,13 +784,10 @@ def _equilibrium_nush(model, sigma, tau, d_s):
 
     es = real_basis(list(range(d_s)))
     f = real_basis(list(range(d_s, len(eigs))))
-    exp_e = expm_small(tau * (es.T @ j @ es))
-    e_avg = float(np.log(np.linalg.norm(exp_e, 2)) / tau)
-    exp_f = expm_small(tau * (f.T @ j @ f))
-    w = wedge2_of(exp_f) if exp_f.shape[0] > 1 else exp_f
-    sv = np.linalg.svd(w, compute_uv=False)
-    wedge_avg = float(-np.log(sv[-1]) / tau)
-    return e_avg, wedge_avg
+    (lsv_e,) = log_svals(expm_small(tau * (es.T @ j @ es))[None])
+    (lsv_f,) = log_svals(expm_small(tau * (f.T @ j @ f))[None])
+    # the inverse norm of the second compound (of the map itself in 1-d)
+    return float(lsv_e[0] / tau), float(-lsv_f[-2:].sum() / tau)
 
 
 def nush_periodic_check(model, seed, period_guess, tau: float = 1.0,

@@ -98,29 +98,26 @@ def lpf_alongs(orbits, frame_seed: Optional[int] = None,
     are kept at every `frame_stride`-th grid index and the last one.
     """
     out = [None] * len(orbits)
-    live = []
-    for b, orbit in enumerate(orbits):
-        try:
-            _check_speed(orbit)
-            live.append(b)
-        except NearSingularity as exc:
-            out[b] = exc
-    if not live:
+    if not orbits:
         return out
-    n = orbits[live[0]].states.shape[1]
+    n = orbits[0].states.shape[1]
     if frame_seed is not None:
         rot, _ = qr_pos(np.random.default_rng(frame_seed)
                         .standard_normal((n - 1, n - 1)))
-    # the members' factors lie back to back in one array, in member order,
-    # so that util.member_products joins them without a copy
-    store = np.empty((sum(orbits[b].n_steps for b in live), n - 1, n - 1))
+    # the factors of the members that pass the speed check lie back to
+    # back in one array, in member order, so that util.member_products
+    # joins them without a copy (a failed member's share is never written)
+    store = np.empty((sum(orbit.n_steps for orbit in orbits), n - 1, n - 1))
     at = 0
-    for b in live:
-        orbit = orbits[b]
-        size = orbit.n_steps
-        q = orthonormal_complement(_unit_flow(orbit))
+    for b, orbit in enumerate(orbits):
+        try:
+            q = orthonormal_complement(_unit_flow(orbit))
+        except NearSingularity as exc:
+            out[b] = exc
+            continue
         if frame_seed is not None:
             q = q @ rot
+        size = orbit.n_steps
         factors = store[at:at + size]
         at += size
         np.matmul(q[1:].swapaxes(1, 2), orbit.step_cocycles @ q[:-1], out=factors)
@@ -132,26 +129,21 @@ def lpf_alongs(orbits, frame_seed: Optional[int] = None,
     return out
 
 
-def _check_speed(orbit):
-    """Raise NearSingularity when the flow speed at some grid state of a
+def _unit_flow(orbit):
+    """Unit flow directions at the grid states: the vertical coordinate
+    on a suspension, else the normalized vector field.  Raises
+    NearSingularity when the flow speed at some grid state of a
     vector-field orbit is at most SPEED_FLOOR."""
     if isinstance(orbit.model, SuspensionModel):
-        return
-    speeds = np.linalg.norm(orbit.model.eval_batch(orbit.states), axis=1)
+        return np.tile(np.array([0.0, 0.0, 1.0]), (orbit.n_steps + 1, 1))
+    dirs = orbit.model.eval_batch(orbit.states)
+    speeds = np.linalg.norm(dirs, axis=1)
     if np.min(speeds) <= SPEED_FLOOR:
         bad = int(np.argmin(speeds))
         raise NearSingularity(
             f"flow speed {speeds[bad]:.3e} at t={orbit.times[bad]:.6g}"
         )
-
-
-def _unit_flow(orbit):
-    """Unit flow directions at the grid states: the vertical coordinate
-    on a suspension, else the normalized vector field."""
-    if isinstance(orbit.model, SuspensionModel):
-        return np.tile(np.array([0.0, 0.0, 1.0]), (orbit.n_steps + 1, 1))
-    dirs = orbit.model.eval_batch(orbit.states)
-    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    dirs /= speeds[:, None]
     return dirs
 
 

@@ -24,12 +24,11 @@ from .config import REPORT_TABLE, reject_set, settings, step_control
 from .errors import ConfigError, NotPeriodic, ShortOrbit
 from .flowcalc import batch_rk4, integrate_batch
 from .hyperbolicity import (Functionals, NushPeriodicResult, classify_singularity,
-                            msh_windows, nush_periodic_check, sect_windows,
+                            msh_fit, msh_windows, nush_periodic_check, sect_windows,
                             tau_windows)
 from .lpf import lpf_alongs
 from .models import SuspensionModel, VectorFieldModel, interval_fixed_points
 from .splitting import block_factors, estimate_splittings, splittings_of_blocks
-from .util import fit_log_rate
 
 
 @dataclass
@@ -123,15 +122,19 @@ def _lpf_entries(seqs, lpfs, conditions, s):
     if "NUSE" in conditions:
         _rate_entries(rows, "NUSE", {tau: fns.nuse(tau) for tau in _taus(s)}, s)
     if "MSH-estimate" in conditions:
-        margin = s["thresholds.margin"]
         fits = fns.msh(s["msh.radius"], s["msh.avoid_window"] or 5.0)
         for out, res in zip(rows, fits):
-            out["msh_slopes"] = (res.ns_slope, res.nu_slope, res.domination_slope)
-            out["msh_fit_pass"] = bool(res.ns_slope <= -margin
-                                       and res.nu_slope <= -margin
-                                       and res.domination_slope <= -margin)
-            out["msh_qualifying"] = res.n_qualifying
+            out.update(_msh_entries(res, s["thresholds.margin"]))
     return rows
+
+
+def _msh_entries(res, margin):
+    """The row entries of an MSH fit (`hyperbolicity.MshResult`): NaN
+    slopes fail."""
+    slopes = (res.ns_slope, res.nu_slope, res.domination_slope)
+    return {"msh_slopes": slopes,
+            "msh_fit_pass": all(slope <= -margin for slope in slopes),
+            "msh_qualifying": res.n_qualifying}
 
 
 def _cocycle_entries(seqs, conditions, s, spans=None):
@@ -145,14 +148,12 @@ def _cocycle_entries(seqs, conditions, s, spans=None):
             out["ph_pass"] = bool(dom.passed and con.passed)
             out["dom_slope"] = dom.slope
             out["con_slope"] = con.slope
-    if "SingularHyp" in conditions:
-        for out, res in zip(rows, fns.volume(_sect_window(s))):
-            out["vol_rate"] = res.rate
-            out["vol_min"] = res.min_rate
-    if "SH" in conditions:
-        for out, res in zip(rows, fns.sectional(_sect_window(s))):
-            out["sect_rate"] = res.rate
-            out["sect_min"] = res.min_rate
+    if any(c in conditions for c in ("SingularHyp", "SH")):
+        for out, (sect, vol) in zip(rows, fns.sectional(_sect_window(s))):
+            if "SingularHyp" in conditions:
+                out["vol_rate"], out["vol_min"] = vol.rate, vol.min_rate
+            if "SH" in conditions:
+                out["sect_rate"], out["sect_min"] = sect.rate, sect.min_rate
     if "ASH" in conditions:
         for out, ash_max in zip(rows, fns.ash()):
             out["ash_max"] = ash_max
@@ -297,11 +298,8 @@ def _suspension_probes(model):
 def _suspension_ensemble(model, s, conditions):
     size = s["ensemble.size"] or 200
     n_returns = s["windows.n_returns"]
-    tau = s["windows.tau"]
-    margin = s["thresholds.margin"]
     sect_window = s["windows.sect_window"] or 50.0 * model.roof_floor
     avoid = s["msh.avoid_window"] or 5.0 * model.roof_floor
-    sens = s["tau_sensitivity"]
 
     rng = np.random.default_rng(s["seed"])
     seeds = np.column_stack([
@@ -317,7 +315,7 @@ def _suspension_ensemble(model, s, conditions):
                                        tilt_warmup=s["ensemble.tilt_warmup"])
     if any(c in conditions for c in ("MNUSE", "NUSE")):
         spans = streams.times[-1]
-        longest = max([tau, *(sens or ())])
+        longest = max(_taus(s))
         if spans.min() <= longest:
             b = int(np.argmax(spans <= longest))
             raise ConfigError("windows.n_returns",
@@ -334,17 +332,16 @@ def _suspension_ensemble(model, s, conditions):
             out["vol_rate"], out["vol_min"] = mean_r, min_r
         if "ASH" in conditions:
             out["ash_max"] = susp.ash_running_max(streams, b)
-        for cond, rate in (("MNUSE", susp.mnuse_rate_stream),
-                           ("NUSE", susp.nuse_rate_stream)):
-            if cond in conditions:
-                out[f"{cond.lower()}_rate"] = rate(streams, b, tau)
-                if sens:
-                    out[f"{cond.lower()}_tau"] = {str(tv): rate(streams, b, tv)
-                                                  for tv in sens}
         if "MSH-estimate" in conditions:
             out.update(_suspension_msh_row(streams, b, s["msh.radius"], avoid,
-                                           margin))
+                                           s["thresholds.margin"]))
         rows.append(out)
+    for cond, rate in (("MNUSE", susp.mnuse_rate_stream),
+                       ("NUSE", susp.nuse_rate_stream)):
+        if cond in conditions:
+            by_tau = {tau: [rate(streams, b, tau) for b in range(len(rows))]
+                      for tau in _taus(s)}
+            _rate_entries(rows, cond, by_tau, s)
 
     # uniform structural conditions via the generic matrix machinery on a
     # subsample of seeds plus every probe
@@ -379,21 +376,9 @@ def _suspension_msh_row(streams, b, radius, avoid, margin):
     t = streams.times[:, b]
     n_qual, k0, k1 = msh_windows(t, np.abs(streams.x[:, b]), np.arange(len(t)),
                                  radius, avoid)
-    if not len(k0):
-        return {"msh_fit_pass": False, "msh_qualifying": n_qual,
-                "msh_slopes": (np.nan, np.nan, np.nan)}
-
-    s_ns = streams.cum_gy[:, b]
-    s_nu = streams.cum_a[:, b]
-    dt = t[k1] - t[k0]
-    ys_s = s_ns[k1] - s_ns[k0]
-    ys_u = -(s_nu[k1] - s_nu[k0])
-    slope_s, _, _ = fit_log_rate(dt, ys_s)
-    slope_u, _, _ = fit_log_rate(dt, ys_u)
-    slope_d, _, _ = fit_log_rate(dt, ys_s + ys_u)
-    ok = bool(slope_s <= -margin and slope_u <= -margin and slope_d <= -margin)
-    return {"msh_fit_pass": ok, "msh_qualifying": n_qual,
-            "msh_slopes": (float(slope_s), float(slope_u), float(slope_d))}
+    s_ns, s_nu = streams.cum_gy[:, b], streams.cum_a[:, b]
+    return _msh_entries(msh_fit(t[k1] - t[k0], s_ns[k1] - s_ns[k0],
+                                -(s_nu[k1] - s_nu[k0]), n_qual), margin)
 
 
 # ----------------------------------------------------------------------

@@ -178,25 +178,31 @@ def scaled_product(factors, start, stop):
     return mats[0], float(log_scales[0])
 
 
-def log_norms(mats, log_scales, inverse=False):
-    """log spectral norms of exp(log_scales[p]) * mats[p], or of their
-    inverses, for a (P, d, d) stack.
+def log_svals(mats):
+    """Log singular values, in descending order, of each matrix of a
+    (P, d, d) stack: (P, d).  Sums of them are the log volume growths of
+    the matrices on subspaces (the bottom k sum: the smallest over
+    k-planes; all d: log |det|).
 
     When a matrix's condition number exceeds the float range the
     smallest singular value is recovered through the determinant
     identity log s_min = log|det| - sum(log s_others).
     """
     s = np.linalg.svd(mats, compute_uv=False)
-    if not inverse:
-        return np.log(s[:, 0]) + log_scales
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         far = ~((s[:, -1] > 0) & (s[:, 0] / s[:, -1] < 1e250))
-        out = -np.log(s[:, -1]) - log_scales
+        out = np.log(s)
     if far.any():
         logdet = np.linalg.slogdet(mats[far])[1]
-        log_smin = logdet - np.sum(np.log(s[far, :-1]), axis=1)
-        out[far] = -log_smin - log_scales[far]
+        out[far, -1] = logdet - np.sum(out[far, :-1], axis=1)
     return out
+
+
+def log_norms(mats, log_scales, inverse=False):
+    """log spectral norms of exp(log_scales[p]) * mats[p], or of their
+    inverses, for a (P, d, d) stack (see `log_svals`)."""
+    lsv = log_svals(mats)
+    return -(lsv[:, -1] + log_scales) if inverse else lsv[:, 0] + log_scales
 
 
 def fit_log_rate(spans, log_values):

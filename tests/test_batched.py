@@ -657,10 +657,11 @@ def test_stacked_rows_equal_one_member_at_a_time(flow_pool, flow_reference, memb
 @pytest.mark.parametrize("n_members", [1, 3])
 def test_one_window_formation_per_functional_tau_and_stream(flow_pool, n_members):
     # one window_products call per functional, per tau and per factor
-    # stream, whatever the member count: PH's Rs and Rcu (2), SingularHyp,
-    # SH and ASH (1 each), MNUSE and NUSE at each of the three taus (3
-    # each), and MSH's LPF, restricted N^s and N^u factors (3); and
-    # tau = 1.0, in windows.tau and tau_sensitivity, evaluated once
+    # stream, whatever the member count: PH's Rs and Rcu (2), SingularHyp
+    # and SH together (1, the same Rcu windows), ASH (1), MNUSE and NUSE
+    # at each of the three taus (3 each), and MSH's LPF, restricted N^s
+    # and N^u factors (3); and tau = 1.0, in windows.tau and
+    # tau_sensitivity, evaluated once
     taus = {"mnuse": [], "nuse": []}
 
     def recording(name):
@@ -677,5 +678,5 @@ def test_one_window_formation_per_functional_tau_and_stream(flow_pool, n_members
         rows = batch_rows_or_error(flow_pool[:n_members], [0.5, 1.0, 2.0], 4)
     assert len(rows) == n_members
     assert all(np.isfinite(row["msh_slopes"]).all() for row in rows)
-    assert wp.call_count == 2 + 1 + 1 + 1 + 3 + 3 + 3
+    assert wp.call_count == 2 + 1 + 1 + 3 + 3 + 3
     assert sorted(taus["mnuse"]) == sorted(taus["nuse"]) == [0.5, 1.0, 2.0]

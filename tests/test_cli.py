@@ -399,6 +399,11 @@ def test_shipped_configs_validate():
                 "verify": {"conditions": ["MNUSE"], "windows": {"n_returns": 10},
                            "tau_sensitivity": [500], "ensemble": {"size": 1}}},
      "verify.windows.n_returns", "10 returns leave seed 0 an orbit of span"),
+    # a zero warmup fails every flow member's gap check: exp(0) = 1
+    ("verify", {"verify": {"conditions": ["PH"], "windows": {"T": 12.0},
+                           "ensemble": {"size": 1, "transient": 1.0},
+                           "splitting": {"warmup": 0.0}}},
+     "verify.splitting.warmup", "must be a positive number"),
 ])
 def test_config_fault_exit_2_without_output(tmp_path, capsys, command, section,
                                             field, message):

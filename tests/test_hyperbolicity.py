@@ -155,8 +155,7 @@ class TestSectionalVolume:
     def test_grid_min_never_below_exact(self, saddle4_seq):
         # a sampled grid of 2-planes, every coordinate pair plus seeded
         # generic frames, cannot undercut the exact bottom singular pair
-        from sechyp.hyperbolicity import _min_plane_log_det
-        from sechyp.util import qr_pos, scaled_product
+        from sechyp.util import log_svals, qr_pos, scaled_product
         m, ls = scaled_product(saddle4_seq.Rcu, 0, 40)
         planes = [np.eye(3)[:, [a, b]] for a in range(3) for b in range(a + 1, 3)]
         rng = np.random.default_rng(40813)
@@ -165,7 +164,8 @@ class TestSectionalVolume:
             float(np.sum(np.log(np.linalg.svd(m @ p, compute_uv=False)[:2]))
                   + 2 * ls)
             for p in planes)
-        exact = _min_plane_log_det(m[None], np.array([ls]))[0]
+        lsv = log_svals(m[None])[0]
+        exact = lsv[-1] + lsv[-2] + 2 * ls
         s = np.linalg.svd(m, compute_uv=False)
         assert exact == np.log(s[-1]) + np.log(s[-2]) + 2 * ls
         assert grid_only >= exact - 1e-9

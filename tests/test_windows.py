@@ -1,6 +1,7 @@
 """Property tests: the batched window kernel and the MSH window scan
-against plain per-window loops, and the members' windows formed in one
-call against one call per member."""
+against plain per-window loops, the members' windows formed in one
+call against one call per member, and the log singular value kernel
+against the compound and determinant forms."""
 
 import numpy as np
 import numpy.testing as npt
@@ -8,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from sechyp.flowcalc import wedge2_of
 from sechyp.hyperbolicity import msh_windows
-from sechyp.util import _joined, member_products, window_products
+from sechyp.util import _joined, log_svals, member_products, qr_pos, window_products
 
 PROPERTY = settings(max_examples=200)
 
@@ -154,3 +156,48 @@ def test_msh_windows_match_brute_force_minimum(case):
     ref_qual, ref_pairs = reference_msh_windows(t, dist, grid, radius, avoid)
     assert n_qual == ref_qual
     assert list(zip(k0.tolist(), k1.tolist())) == ref_pairs
+
+
+@st.composite
+def conditioned_matrices(draw):
+    """A d x d matrix, d = 2..4, U diag(s) V^T with seeded Haar U and V,
+    condition number s_1 / s_d up to 1e8 and the other singular values
+    spread between, all times a drawn scale."""
+    d = draw(st.integers(2, 4))
+    log_cond = draw(st.floats(0.0, 8.0 * np.log(10.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    inner = np.sort(rng.uniform(0.0, log_cond, d - 2))[::-1]
+    log_s = np.concatenate([[log_cond], inner, [0.0]]) + draw(st.floats(-20.0, 20.0))
+    u, _ = qr_pos(rng.standard_normal((d, d)))
+    v, _ = qr_pos(rng.standard_normal((d, d)))
+    return (u * np.exp(log_s)) @ v.T
+
+
+@PROPERTY
+@given(conditioned_matrices())
+def test_log_svals_sums_match_compound_and_determinant(m):
+    # rounding in the entries of m can move log |det| by about eps times
+    # the condition number, and log s_min of the second compound by eps
+    # times s_1^2 / (s_{d-1} s_d); the kernel's sums agree with both
+    # forms to 1e-13 relative of that (observed: under 14 eps of it)
+    lsv = log_svals(m[None])[0]
+    assert np.all(np.diff(lsv) <= 0)
+    bottom_two = np.log(np.linalg.svd(wedge2_of(m), compute_uv=False)[-1])
+    sensitivity = np.exp(2 * lsv[0] - lsv[-1] - lsv[-2])
+    assert (abs(lsv[-1] + lsv[-2] - bottom_two)
+            <= 1e-13 * sensitivity * max(1.0, abs(bottom_two)))
+    logdet = np.linalg.slogdet(m)[1]
+    assert (abs(lsv.sum() - logdet)
+            <= 1e-13 * np.exp(lsv[0] - lsv[-1]) * max(1.0, abs(logdet)))
+
+
+@PROPERTY
+@given(st.integers(-40, 40), st.integers(-40, 40), st.integers(500, 1000),
+       st.sampled_from([-1.0, 1.0]))
+def test_log_svals_smallest_from_determinant_beyond_1e250(ea, ec, eb, sign):
+    # [[2^ea, +-2^eb], [0, 2^ec]]: condition number above 2^900, s_1 is
+    # 2^eb to within 2^-1000 relative, and the determinant 2^(ea+ec) is
+    # exact, so s_2 = 2^(ea+ec-eb)
+    m = np.array([[2.0 ** ea, sign * 2.0 ** eb], [0.0, 2.0 ** ec]])
+    lsv = log_svals(m[None])[0]
+    npt.assert_allclose(lsv, np.array([eb, ea + ec - eb]) * np.log(2.0), rtol=1e-13)
