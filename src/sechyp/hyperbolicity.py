@@ -19,7 +19,7 @@ from .errors import Blowup, NotAnEquilibrium, NotPeriodic
 from .flowcalc import StepControl, dp5_steps, integrate
 from .models import (SuspensionModel, VectorFieldModel, refine_equilibrium)
 from .splitting import (SplittingSequence, _checkpoint_flow_dirs, estimate_splitting,
-                        rate_fits, span_windows)
+                        span_windows)
 from .util import (expm_small, fit_log_rate, log_norms, log_svals, longest_first,
                    member_products, member_split, window_products)
 
@@ -381,10 +381,13 @@ class Functionals:
 
     `seqs` are the members' splitting sequences (of one dimension and
     one d_s) and `lpfs` their LPF cocycles, which only `nuse` and `msh`
-    read.  Each method evaluates one functional over every member and
-    returns its per-member results.  The windows it reads are formed in
-    one `util.member_products` call per factor stream (`Rs`, `Rcu` or
-    the LPF factors), and each linear-algebra step on the products is
+    read, both through one set of LPF block factors per member (its
+    products over the splitting blocks) and one set of N^s and N^cu
+    coordinates at its checkpoints.  Each method evaluates one
+    functional over every member and returns its per-member results.
+    The windows it reads are formed in one `util.member_products` call
+    per factor stream (`Rs`, `Rcu`, the LPF block factors or their
+    restrictions), and each linear-algebra step on the products is
     one stacked call over all members; every result is bit for bit the
     member's alone.  The E^cu functionals (SH with SingularHyp's volume,
     ASH, MNUSE) are sums of the log singular values of `Rcu` window
@@ -401,12 +404,8 @@ class Functionals:
     def __init__(self, seqs, lpfs=None):
         self.seqs = list(seqs)
         self.lpfs = lpfs
-        self._ncu_of = [None] * len(self.seqs)
-
-    def rates(self, spans=None):
-        """Per member (domination fit, contraction fit), as
-        `splitting.domination_rate` and `contraction_rate` give them."""
-        return rate_fits(self.seqs, spans)
+        self._blocks = None
+        self._bases = [None] * len(self.seqs)
 
     def _rcu(self, windows):
         """The log singular values and log scales of the members' `Rcu`
@@ -416,8 +415,28 @@ class Functionals:
                                 for seq, (i, j) in zip(self.seqs, windows)])
         return log_svals(mats), ls, spans
 
-    def _lpf(self, windows):
-        return member_products([lpf.lpf_factors for lpf in self.lpfs], windows)
+    def _lpf_blocks(self):
+        """Per member its LPF products over its splitting blocks, from
+        checkpoint k to k + 1, each times its exp(log scale): formed once,
+        in one `window_products` call per member."""
+        if self._blocks is None:
+            self._blocks = []
+            for seq, lpf in zip(self.seqs, self.lpfs):
+                p, ls = window_products(lpf.lpf_factors, seq.grid[:-1], seq.grid[1:])
+                self._blocks.append(p * np.exp(ls)[:, None, None])
+        return self._blocks
+
+    def _normal_bases(self, m):
+        """Member m's orthonormal coordinates of N^s and N^cu = E^cu ^ X^perp
+        in the normal frame at each of its checkpoints, formed once: the
+        left singular vectors of E^s there, and the first d_cu - 1 of E^cu."""
+        if self._bases[m] is None:
+            seq = self.seqs[m]
+            frames_t = self.lpfs[m].frames_at(seq.grid).transpose(0, 2, 1)
+            ns, _, _ = np.linalg.svd(frames_t @ seq.Es, full_matrices=False)
+            ncu, _, _ = np.linalg.svd(frames_t @ seq.Ecu, full_matrices=False)
+            self._bases[m] = ns, ncu[:, :, :seq.d_cu - 1]
+        return self._bases[m]
 
     def sectional(self, window):
         """Per member its (`sectional_expansion_functional`,
@@ -459,13 +478,11 @@ class Functionals:
     def nuse(self, tau):
         """Per member its `nuse_functional`."""
         windows = [_nuse_windows(seq, tau) for seq in self.seqs]
-        p, ls = self._lpf([(seq.grid[ka], seq.grid[kb])
-                           for seq, (ka, kb) in zip(self.seqs, windows)])
-        d_ncu = self.seqs[0].d_cu - 1
-        ua = np.concatenate([self._ncu(m)[ka] for m, (ka, _)
-                             in enumerate(windows)])[:, :, :d_ncu]
-        ub = np.concatenate([self._ncu(m)[kb] for m, (_, kb)
-                             in enumerate(windows)])[:, :, :d_ncu]
+        p, ls = member_products(self._lpf_blocks(), windows)
+        ua = np.concatenate([self._normal_bases(m)[1][ka]
+                             for m, (ka, _) in enumerate(windows)])
+        ub = np.concatenate([self._normal_bases(m)[1][kb]
+                             for m, (_, kb) in enumerate(windows)])
         logs = log_norms(ub.transpose(0, 2, 1) @ (p @ ua), ls, inverse=True)
         out = []
         for seq, (ka, kb), lg in zip(self.seqs, windows, member_split(logs, windows)):
@@ -476,53 +493,22 @@ class Functionals:
         return out
 
     def msh(self, radius, avoid_window):
-        """Per member its `msh_estimate`.  The restricted factors are formed
-        on the blocks the fit windows cover only."""
+        """Per member its `msh_estimate`: every block's LPF factor is
+        restricted to N^s and N^cu, and the fit windows index the blocks."""
         fits = [msh_windows(seq.orbit.times,
                             _singular_distances(seq.orbit, seq.orbit.model),
                             seq.grid, radius, avoid_window) for seq in self.seqs]
-        out = [MshResult(np.nan, np.nan, np.nan, n_qual) for n_qual, _, _ in fits]
-        fitted = [m for m, (_, k0, _) in enumerate(fits) if len(k0)]
-        if not fitted:
-            return out
-        covered = {}
-        for m in fitted:
-            hit = np.zeros(self.seqs[m].n_blocks, dtype=bool)
-            for a, b in zip(*fits[m][1:]):
-                hit[a:b] = True
-            covered[m] = np.flatnonzero(hit)
-        none = np.zeros(0, dtype=np.intp)
-        p, ls = self._lpf([(seq.grid[covered[m]], seq.grid[covered[m] + 1])
-                           if m in covered else (none, none)
-                           for m, seq in enumerate(self.seqs)])
-        seqs = [self.seqs[m] for m in fitted]
-        ends = np.cumsum([len(covered[m]) for m in fitted])[:-1]
-        # each member's restricted LPF factors over its covered blocks,
-        # and its fit windows in their positions there
-        ns_f, nu_f, windows = [], [], []
-        for m, seq, pm, lsm in zip(fitted, seqs, np.split(p, ends),
-                                   np.split(ls, ends)):
-            blocks = covered[m]
-            frames = self.lpfs[m].frames_at(seq.grid)
-            ns_b, _, _ = np.linalg.svd(frames.transpose(0, 2, 1) @ seq.Es,
-                                       full_matrices=False)
-            nu_b = self._ncu(m)
-            pm = pm * np.exp(lsm)[:, None, None]
-            for f, b, d in ((ns_f, ns_b, seq.d_s), (nu_f, nu_b, seq.d_cu - 1)):
-                f.append(b[blocks + 1][:, :, :d].transpose(0, 2, 1)
-                         @ (pm @ b[blocks][:, :, :d]))
-            k0, k1 = fits[m][1:]
-            at = np.searchsorted(blocks, k0)
-            windows.append((at, at + (k1 - k0)))
-        del p, ls
-
+        ns_f, nu_f = [], []
+        for m, p in enumerate(self._lpf_blocks()):
+            for f, b in zip((ns_f, nu_f), self._normal_bases(m)):
+                f.append(b[1:].transpose(0, 2, 1) @ (p @ b[:-1]))
+        windows = [fit[1:] for fit in fits]
         ln_s = log_norms(*member_products(ns_f, windows))
         ln_u = log_norms(*member_products(nu_f, windows), inverse=True)
-        for m, seq, s, u in zip(fitted, seqs, member_split(ln_s, windows),
-                                member_split(ln_u, windows)):
-            n_qual, k0, k1 = fits[m]
-            out[m] = msh_fit(seq.times[k1] - seq.times[k0], s, u, n_qual)
-        return out
+        return [msh_fit(seq.times[k1] - seq.times[k0], s, u, n_qual)
+                for seq, (n_qual, k0, k1), s, u
+                in zip(self.seqs, fits, member_split(ln_s, windows),
+                       member_split(ln_u, windows))]
 
     def nne(self):
         """Per member its `nne_functional`: the members' directions are
@@ -568,17 +554,6 @@ class Functionals:
                                       float(arr.max()),
                                       float(seq.times[-1] - seq.times[0]), len(arr))
         return out
-
-    def _ncu(self, m):
-        """Member m's left singular vectors of E^cu in the normal frame at
-        each of its checkpoints, formed once: the first d_cu - 1 are
-        orthonormal coordinates of N^cu = E^cu ^ X^perp."""
-        if self._ncu_of[m] is None:
-            seq = self.seqs[m]
-            frames = self.lpfs[m].frames_at(seq.grid)
-            self._ncu_of[m], _, _ = np.linalg.svd(frames.transpose(0, 2, 1) @ seq.Ecu,
-                                                  full_matrices=False)
-        return self._ncu_of[m]
 
 
 def _nne_directions(seq, flow_dir):

@@ -28,7 +28,8 @@ from .hyperbolicity import (Functionals, NushPeriodicResult, classify_singularit
                             tau_windows)
 from .lpf import lpf_alongs
 from .models import SuspensionModel, VectorFieldModel, interval_fixed_points
-from .splitting import block_factors, estimate_splittings, splittings_of_blocks
+from .splitting import (block_factors, estimate_splittings, rate_fits,
+                        splittings_of_blocks)
 
 
 @dataclass
@@ -46,7 +47,7 @@ class ConditionVerdict:
 
 # members a flow ensemble integrates and evaluates together at most: one
 # batch of orbits is held at once, about 104 bytes per step and member in
-# 3-d, and with it the batch's LPF cocycles, about 44 more at stride 4
+# 3-d, and with it the batch's LPF factors, 32 more
 ENSEMBLE_BATCH = 25
 
 
@@ -77,6 +78,22 @@ def _sect_window(s):
     return s["windows.sect_window"] or max(s["windows.tau"], s["windows.T"] / 4.0)
 
 
+def _msh_avoid(s):
+    return s["msh.avoid_window"] or 5.0
+
+
+def _check_msh_window(t, grid, avoid):
+    """Raise ConfigError when `msh.avoid_window` leaves no MSH fit window
+    on samples at times t with window starts at `grid`, even where every
+    sample is clear of the singular set (see `hyperbolicity.msh_windows`)."""
+    if not len(msh_windows(t, np.full(len(t), np.inf), grid, 0.0, avoid)[1]):
+        raise ConfigError("msh.avoid_window",
+                          f"{avoid:g} leaves no MSH fit window: fewer than two "
+                          "window starts whose avoid window ends inside the "
+                          "orbit, or no fit span that reaches the next window "
+                          "start")
+
+
 def _check_windows(seq, conditions, s):
     """Raise ConfigError when a window setting leaves this member no
     window of a requested condition."""
@@ -101,6 +118,8 @@ def _check_windows(seq, conditions, s):
             field = "windows.tau" if tau == s["windows.tau"] else "tau_sensitivity"
             raise ConfigError(field, f"{tau:g} is shorter than one checkpoint "
                                      f"block: it leaves no {tau_rated[0]} window")
+    if "MSH-estimate" in conditions:
+        _check_msh_window(seq.orbit.times, seq.grid, _msh_avoid(s))
 
 
 def _rate_entries(rows, cond, by_tau, s):
@@ -122,7 +141,7 @@ def _lpf_entries(seqs, lpfs, conditions, s):
     if "NUSE" in conditions:
         _rate_entries(rows, "NUSE", {tau: fns.nuse(tau) for tau in _taus(s)}, s)
     if "MSH-estimate" in conditions:
-        fits = fns.msh(s["msh.radius"], s["msh.avoid_window"] or 5.0)
+        fits = fns.msh(s["msh.radius"], _msh_avoid(s))
         for out, res in zip(rows, fits):
             out.update(_msh_entries(res, s["thresholds.margin"]))
     return rows
@@ -144,7 +163,7 @@ def _cocycle_entries(seqs, conditions, s, spans=None):
     fns = Functionals(seqs)
     rows = [{} for _ in seqs]
     if any(c in conditions for c in ("PH", "SingularHyp", "SH")):
-        for out, (dom, con) in zip(rows, fns.rates(spans)):
+        for out, (dom, con) in zip(rows, rate_fits(seqs, spans)):
             out["ph_pass"] = bool(dom.passed and con.passed)
             out["dom_slope"] = dom.slope
             out["con_slope"] = con.slope
@@ -226,8 +245,8 @@ def _batch_rows(members, conditions, s):
     members gives that runs `estimate_splitting`, `lpf_along` and
     `_ode_rows` one member at a time.  Each stage runs stacked over the
     members, in the order that holds the least at once: the LPF
-    factors of the members that integrated (frames kept at the block
-    checkpoints only, which is all the functionals read), then each
+    factors of the members that integrated (no normal frame is kept:
+    the functionals compute the frames where they read them), then each
     one's block factors, after which its per-step factors are released,
     then the splitting sweeps.  A member fails only in one of these
     stages or in its window check, never in the functionals.  When one
@@ -239,7 +258,7 @@ def _batch_rows(members, conditions, s):
     """
     orbits = [m for m in members if not isinstance(m, Exception)]
     stride = s["splitting.stride"]
-    lpfs = (lpf_alongs(orbits, frame_stride=stride)
+    lpfs = (lpf_alongs(orbits)
             if any(c in conditions for c in ("NUSE", "MSH-estimate"))
             else [None] * len(orbits))
     blocks = []
@@ -322,6 +341,9 @@ def _suspension_ensemble(model, s, conditions):
                               f"{n_returns} returns leave seed {b} an orbit of span "
                               f"{spans[b]:.6g}, no longer than the longest tau "
                               f"window {longest:g} (windows.tau, tau_sensitivity)")
+    if "MSH-estimate" in conditions:
+        for t in streams.times.T:
+            _check_msh_window(t, np.arange(len(t)), avoid)
 
     rows = []
     for b in range(all_seeds.shape[0]):

@@ -145,22 +145,7 @@ def member_products(parts, windows):
                              for (i, _), off in zip(windows, offsets)])
     stops = np.concatenate([np.asarray(j, dtype=np.intp) + off
                             for (_, j), off in zip(windows, offsets)])
-    return window_products(_joined(parts), starts, stops)
-
-
-def _joined(parts):
-    """The arrays `parts` concatenated along axis 0.  When they lie back to
-    back in one array, as `lpf.lpf_alongs` stores its members' factors,
-    that is a view of the array, and no copy is made."""
-    base = parts[0].base
-    if isinstance(base, np.ndarray) and base.flags.c_contiguous and all(
-            p.base is base and p.flags.c_contiguous for p in parts):
-        k0 = (parts[0].ctypes.data - base.ctypes.data) // base.strides[0]
-        joined = base[k0:k0 + sum(len(p) for p in parts)]
-        starts = np.cumsum([0] + [len(p) for p in parts[:-1]])
-        if all(p.ctypes.data == joined[k:].ctypes.data for p, k in zip(parts, starts)):
-            return joined
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+    return window_products(np.concatenate(parts), starts, stops)
 
 
 def member_split(values, windows):
@@ -185,8 +170,8 @@ def log_svals(mats):
     k-planes; all d: log |det|).
 
     When a matrix's condition number exceeds the float range the
-    smallest singular value is recovered through the determinant
-    identity log s_min = log|det| - sum(log s_others).
+    smallest singular value comes from the determinant identity
+    log s_min = log|det| - sum(log s_others).
     """
     s = np.linalg.svd(mats, compute_uv=False)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):

@@ -374,9 +374,9 @@ def lpf_or_error(orbit):
 
 @settings(max_examples=25)
 @given(members=st.lists(st.integers(0, 8), min_size=1, max_size=6),
-       stride=st.sampled_from([1, 3, 4]))
-def test_stacked_lpf_equals_one_orbit_transport(lpf_pool, members, stride):
-    got = lpf_alongs([lpf_pool[i] for i in members], frame_stride=stride)
+       picks=st.lists(st.integers(0, 10**6), min_size=1, max_size=8))
+def test_stacked_lpf_equals_one_orbit_transport(lpf_pool, members, picks):
+    got = lpf_alongs([lpf_pool[i] for i in members])
     assert len(got) == len(members)
     for i, lpf in zip(members, got):
         ref = lpf_or_error(lpf_pool[i])
@@ -385,12 +385,8 @@ def test_stacked_lpf_equals_one_orbit_transport(lpf_pool, members, stride):
             continue
         assert lpf.orbit is lpf_pool[i]
         assert_bit_equal(lpf.lpf_factors, ref.lpf_factors)
-        steps = ref.n_steps
-        assert_bit_equal(lpf.frame_grid,
-                         sorted(set(range(0, steps + 1, stride)) | {steps}))
-        assert_bit_equal(lpf.frames, ref.frames[lpf.frame_grid])
-        assert_bit_equal(lpf.frames_at(lpf.frame_grid[::-1]),
-                         ref.frames[lpf.frame_grid[::-1]])
+        idx = np.array(picks) % (ref.n_steps + 1)
+        assert_bit_equal(lpf.frames_at(idx), ref.frames_at(idx))
 
 
 # ----------------------------------------------------------------------
@@ -656,12 +652,12 @@ def test_stacked_rows_equal_one_member_at_a_time(flow_pool, flow_reference, memb
 
 @pytest.mark.parametrize("n_members", [1, 3])
 def test_one_window_formation_per_functional_tau_and_stream(flow_pool, n_members):
-    # one window_products call per functional, per tau and per factor
-    # stream, whatever the member count: PH's Rs and Rcu (2), SingularHyp
-    # and SH together (1, the same Rcu windows), ASH (1), MNUSE and NUSE
-    # at each of the three taus (3 each), and MSH's LPF, restricted N^s
-    # and N^u factors (3); and tau = 1.0, in windows.tau and
-    # tau_sensitivity, evaluated once
+    # one LPF block formation per member, then one window_products call
+    # per functional, per tau and per factor stream, whatever the member
+    # count: PH's Rs and Rcu (2), SingularHyp and SH together (1, the same
+    # Rcu windows), ASH (1), MNUSE and NUSE at each of the three taus (3
+    # each), and MSH's restricted N^s and N^u block factors (2); and tau =
+    # 1.0, in windows.tau and tau_sensitivity, evaluated once
     taus = {"mnuse": [], "nuse": []}
 
     def recording(name):
@@ -673,10 +669,13 @@ def test_one_window_formation_per_functional_tau_and_stream(flow_pool, n_members
         return record
 
     with mock.patch.object(util, "window_products", wraps=util.window_products) as wp, \
+            mock.patch.object(hyperbolicity, "window_products",
+                              wraps=hyperbolicity.window_products) as blocks, \
             mock.patch.object(hyperbolicity.Functionals, "mnuse", recording("mnuse")), \
             mock.patch.object(hyperbolicity.Functionals, "nuse", recording("nuse")):
         rows = batch_rows_or_error(flow_pool[:n_members], [0.5, 1.0, 2.0], 4)
     assert len(rows) == n_members
     assert all(np.isfinite(row["msh_slopes"]).all() for row in rows)
-    assert wp.call_count == 2 + 1 + 1 + 3 + 3 + 3
+    assert blocks.call_count == n_members
+    assert wp.call_count == 2 + 1 + 1 + 3 + 3 + 2
     assert sorted(taus["mnuse"]) == sorted(taus["nuse"]) == [0.5, 1.0, 2.0]

@@ -404,6 +404,22 @@ def test_shipped_configs_validate():
                            "ensemble": {"size": 1, "transient": 1.0},
                            "splitting": {"warmup": 0.0}}},
      "verify.splitting.warmup", "must be a positive number"),
+    # every MSH fit span (at most avoid_window, 0.01) is shorter than one
+    # checkpoint block and ends at its own start
+    ("verify", {"seed": 1,
+                "verify": {"conditions": ["MSH-estimate"],
+                           "ensemble": {"size": 1, "transient": 5.0},
+                           "windows": {"T": 12.0, "tau": 1.0, "sect_window": 2.0},
+                           "splitting": {"warmup": 2.0, "stride": 4},
+                           "msh": {"avoid_window": 0.01}}},
+     "verify.msh.avoid_window", "0.01 leaves no MSH fit window"),
+    # no window start's avoid window ends inside the orbit (span 16)
+    ("verify", {"seed": 3,
+                "verify": {"conditions": ["MSH-estimate"],
+                           "ensemble": {"size": 2, "transient": 5.0},
+                           "windows": {"T": 12.0}, "splitting": {"warmup": 2.0},
+                           "msh": {"avoid_window": 20.0}}},
+     "verify.msh.avoid_window", "20 leaves no MSH fit window"),
 ])
 def test_config_fault_exit_2_without_output(tmp_path, capsys, command, section,
                                             field, message):
@@ -421,16 +437,16 @@ def test_config_fault_exit_2_without_output(tmp_path, capsys, command, section,
 
 
 def test_msh_with_no_fit_window_is_not_fitted(tmp_path):
-    # 186 starts qualify, but every fit span (at most avoid_window, 0.01)
-    # is shorter than one checkpoint block and ends at its own start: the
-    # member reads as not fitted, and MSH fails on NaN slopes
+    # no sample of the orbit lies farther than radius 60 from the
+    # equilibria, so no window start qualifies: the member reads as not
+    # fitted, and MSH fails on NaN slopes
     out = tmp_path / "out"
     cfg = {"model": "lorenz", "seed": 1, "output_dir": str(out),
            "verify": {"conditions": ["MSH-estimate"],
                       "ensemble": {"size": 1, "transient": 5.0},
                       "windows": {"T": 12.0, "tau": 1.0, "sect_window": 2.0},
                       "splitting": {"warmup": 2.0, "stride": 4},
-                      "msh": {"avoid_window": 0.01}}}
+                      "msh": {"radius": 60.0}}}
     assert main(["verify", "-c", write_config(tmp_path, cfg)]) == 1
     (verdict,) = json.loads((out / "lorenz_report.json").read_text())["conditions"]
     assert verdict["verdict"] == "fail" and np.isnan(verdict["rate"])

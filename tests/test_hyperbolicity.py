@@ -17,7 +17,7 @@ from sechyp.lpf import lpf_along
 from sechyp.models import (SuspensionModel, conjugate_model,
                            make_linear_field, make_linear_saddle)
 from sechyp.splitting import estimate_splitting
-from sechyp.util import qr_pos
+from sechyp.util import log_norms, qr_pos, window_products
 
 
 @pytest.fixture(scope="module")
@@ -205,6 +205,25 @@ class TestMnuseNuse:
         lp = lpf_along(lorenz_orbit_60)
         rate = nuse_functional(lp, lorenz_seq_60, 1.0)
         assert abs(rate + 0.9) < 0.1
+
+    @pytest.mark.parametrize("tau", [0.5, 1.0, 2.0, 3.7])
+    def test_nuse_over_blocks_matches_per_step_products(self, lorenz_orbit_60,
+                                                        lorenz_seq_60, tau):
+        # the windows composed from the block factors against the same
+        # windows composed step by step from the per-step LPF factors:
+        # only the grouping of the products differs
+        lp = lpf_along(lorenz_orbit_60)
+        seq = lorenz_seq_60
+        ka, kb = hyperbolicity._nuse_windows(seq, tau)
+        p, ls = window_products(lp.lpf_factors, seq.grid[ka], seq.grid[kb])
+        frames = lp.frames_at(seq.grid)
+        u, _, _ = np.linalg.svd(frames.transpose(0, 2, 1) @ seq.Ecu,
+                                full_matrices=False)
+        u = u[:, :, :seq.d_cu - 1]
+        logs = log_norms(u[kb].transpose(0, 2, 1) @ (p @ u[ka]), ls, inverse=True)
+        ref = np.sum(logs) / np.sum(seq.times[kb] - seq.times[ka])
+        rate = nuse_functional(lp, seq, tau)
+        assert abs(rate - ref) <= 1e-14 * abs(ref)
 
     def test_nuse_matches_top_exponent(self, lorenz):
         # |lambda_top - (-nuse rate)| < 0.05: cross-module consistency;

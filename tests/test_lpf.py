@@ -103,7 +103,7 @@ class TestLPFAlong:
         # equivalent: singular values match over any span
         lp1 = lpf_along(lorenz_orbit)
         lp2 = lpf_along(lorenz_orbit, frame_seed=99)
-        assert not np.allclose(lp1.frames[0], lp2.frames[0])
+        assert not np.allclose(lp1.frames_at([0]), lp2.frames_at([0]))
         for i, j in ((100, 900), (40, 2000), (0, lorenz_orbit.n_steps)):
             m1, s1 = lp1.propagator(i, j)
             m2, s2 = lp2.propagator(i, j)
@@ -142,12 +142,40 @@ class TestLPFAlong:
         sv = np.linalg.svd(lp.lpf_factors, compute_uv=False)
         sv_ref = np.linalg.svd(factors, compute_uv=False)
         assert np.max(np.abs(sv - sv_ref) / sv_ref) <= 1e-13
-        cosines = np.linalg.svd(lp.frames.transpose(0, 2, 1) @ frames,
+        computed = lp.frames_at(np.arange(orbit.n_steps + 1))
+        cosines = np.linalg.svd(computed.transpose(0, 2, 1) @ frames,
                                 compute_uv=False)
         assert np.min(cosines) >= 1.0 - 1e-13
         logdet = np.cumsum(np.linalg.slogdet(lp.lpf_factors)[1])
         logdet_ref = np.cumsum(np.linalg.slogdet(factors)[1])
         assert np.max(np.abs(logdet - logdet_ref)) <= 1e-11
+
+    @pytest.mark.parametrize("which", ["lorenz_orbit", "suspension_orbit_400"])
+    @settings(max_examples=20)
+    @given(seed=st.one_of(st.none(), st.integers(0, 2**32 - 1)),
+           picks=st.lists(st.integers(0, 10**6), min_size=1, max_size=10))
+    def test_frames_at_are_the_factors_frames(self, which, request, seed, picks):
+        # the frames computed at any grid indices are the matching rows of
+        # the complement of the unit flow over the whole grid, rotated by
+        # the seed's matrix: the frames the factors were formed from
+        orbit = request.getfixturevalue(which)
+        lp = lpf_along(orbit, frame_seed=seed)
+        n = orbit.states.shape[1]
+        if isinstance(orbit.model, SuspensionModel):
+            dirs = np.tile([0.0, 0.0, 1.0], (orbit.n_steps + 1, 1))
+        else:
+            dirs = orbit.model.eval_batch(orbit.states)
+            dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+        q = orthonormal_complement(dirs)
+        if seed is not None:
+            q = q @ qr_pos(np.random.default_rng(seed)
+                           .standard_normal((n - 1, n - 1)))[0]
+        idx = np.array(picks) % (orbit.n_steps + 1)
+        assert np.array_equal(lp.frames_at(idx), q[idx])
+        k = idx[idx < orbit.n_steps]
+        assert np.array_equal(
+            lp.lpf_factors[k],
+            q[k + 1].swapaxes(1, 2) @ (orbit.step_cocycles[k] @ q[k]))
 
     def test_near_singularity_raises(self, lorenz):
         orb = integrate(lorenz, np.zeros(3), 1.0)

@@ -11,7 +11,7 @@ from hypothesis.extra import numpy as hnp
 
 from sechyp.flowcalc import wedge2_of
 from sechyp.hyperbolicity import msh_windows
-from sechyp.util import _joined, log_svals, member_products, qr_pos, window_products
+from sechyp.util import log_svals, member_products, qr_pos, window_products
 
 PROPERTY = settings(max_examples=200)
 
@@ -63,24 +63,14 @@ def test_window_products_match_per_window_loop(case):
 @st.composite
 def member_factor_windows(draw):
     """Per member its factors and windows (empty and repeated ones drawn
-    too), and how the members' factors lie in memory: back to back in
-    one store after `lead` other rows, as `lpf.lpf_alongs` keeps them,
-    in that store out of member order, or each in its own array."""
+    too)."""
     d = draw(st.integers(1, 3))
     lengths = draw(st.lists(st.integers(1, 8), min_size=1, max_size=4))
-    lead = draw(st.integers(0, 2))
-    mant = draw(hnp.arrays(np.float64, (lead + sum(lengths), d, d),
+    mant = draw(hnp.arrays(np.float64, (sum(lengths), d, d),
                            elements=st.floats(-1.0, 1.0)))
     exps = draw(hnp.arrays(np.int64, (len(mant), 1, 1),
                            elements=st.integers(-600, 600)))
-    store = np.ldexp(mant, exps)
-    at = lead + np.cumsum([0] + lengths[:-1])
-    parts = [store[a:a + k] for a, k in zip(at, lengths)]
-    layout = draw(st.sampled_from(["store", "reversed", "separate"]))
-    if layout == "reversed":
-        parts = parts[::-1]
-    elif layout == "separate":
-        parts = [p.copy() for p in parts]
+    parts = np.split(np.ldexp(mant, exps), np.cumsum(lengths)[:-1])
     windows = []
     for p in parts:
         pairs = draw(st.lists(st.tuples(st.integers(0, len(p)), st.integers(-1, len(p))),
@@ -88,13 +78,13 @@ def member_factor_windows(draw):
         pairs += draw(st.lists(st.sampled_from(pairs), max_size=3)) if pairs else []
         windows.append((np.array([i for i, _ in pairs], dtype=np.intp),
                         np.array([j for _, j in pairs], dtype=np.intp)))
-    return store, parts, layout, windows
+    return parts, windows
 
 
 @PROPERTY
 @given(member_factor_windows())
 def test_member_products_match_one_call_per_member(case):
-    store, parts, layout, windows = case
+    parts, windows = case
     mats, log_scales = member_products(parts, windows)
     ends = np.cumsum([len(i) for i, _ in windows])[:-1]
     for p, (i, j), m, ls in zip(parts, windows, np.split(mats, ends),
@@ -102,15 +92,6 @@ def test_member_products_match_one_call_per_member(case):
         ref_mats, ref_scales = window_products(p, i, j)
         npt.assert_array_equal(m, ref_mats)
         npt.assert_array_equal(ls, ref_scales)
-
-    joined = _joined(parts)
-    npt.assert_array_equal(joined, np.concatenate(parts))
-    # a view of the store when the members lie back to back in member
-    # order; a copy otherwise, unless there is one member to join
-    if layout == "store" or len(parts) == 1:
-        assert np.shares_memory(joined, parts[0])
-    else:
-        assert not any(np.shares_memory(joined, p) for p in parts)
 
 
 def reference_msh_windows(t, dist, grid, radius, avoid, n_starts=6):

@@ -13,8 +13,13 @@ and one BLAS/OpenMP thread:
   ``configs/intermittent_verify.json``;
 - ``simulate`` and ``spectrum`` on ``configs/lorenz_simulate.json``,
   and ``classify`` on ``configs/lorenz_verify.json``;
-- ``measure`` on one inline config (see ``INLINE``), since no shipped
-  config sets a ``measure`` section;
+- four inline configs (see ``INLINE``) for paths that no other
+  invocation runs: ``measure``, since no shipped config sets a
+  ``measure`` section; ``verify`` on a 4-d ``linear`` field at
+  splitting stride 2, where N^cu is 2-d; and ``simulate`` on
+  ``geometric_lorenz`` with both output formats, on the suspension orbit
+  (``suspension_orbit``, ``save_orbit_cache``) and again on the
+  suspension return map (``"section": "suspension-canonical"``);
 - two ``verify`` runs whose ensemble fails (see ``FAILING``): a member
   that blows up past the bound, and one that passes the Lorenz origin
   too slowly for the linear Poincare flow.
@@ -58,6 +63,23 @@ INLINE = (
     ("measure invariance", "measure", {
         "model": "intermittent_lorenz", "seed": 7,
         "measure": {"kind": "invariance", "n": 100000}}),
+    ("verify linear 4-d stride 2", "verify", {
+        "model": "linear",
+        "params": {"matrix": [[1.0, 0.3, 0.0, 0.0], [0.0, 0.5, 0.2, 0.0],
+                              [0.0, 0.0, 0.2, 0.0], [0.0, 0.1, 0.0, -1.0]]},
+        "seed": 5,
+        "verify": {"conditions": ["NUSE", "MSH-estimate", "MNUSE", "SH"],
+                   "ensemble": {"size": 4, "transient": 0.0},
+                   "windows": {"T": 6.0, "tau": 2.0},
+                   "splitting": {"warmup": 2.0, "stride": 2},
+                   "tau_sensitivity": [2.0, 3.0]}}),
+    ("simulate suspension orbit", "simulate", {
+        "model": "geometric_lorenz", "seed": 3,
+        "simulate": {"n_returns": 2000, "formats": ["csv", "cache"]}}),
+    ("simulate suspension returns", "simulate", {
+        "model": "geometric_lorenz", "seed": 3,
+        "simulate": {"n_returns": 2000, "formats": ["csv", "cache"],
+                     "section": "suspension-canonical"}}),
 )
 # verify configs whose ensemble fails: member 2 blows up past the bound,
 # and member 2 passes the origin below the LPF speed floor
