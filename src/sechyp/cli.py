@@ -130,6 +130,17 @@ def cmd_simulate(cfg, args):
                                          "runs for t_span, a return map or a "
                                          "suspension for n_returns")
     section = _return_section(model, c)
+    if section is not None:
+        reject_set(cfg, ("simulate.t_span", "simulate.formats"),
+                   "simulate with a section does not read it: it writes "
+                   "n_returns crossings to a CSV")
+    elif isinstance(model, SuspensionModel):
+        reject_set(cfg, ("simulate.t_span",), "a suspension does not read it: "
+                                              "simulate runs it for n_returns")
+    elif not isinstance(model, IntervalMap):
+        reject_set(cfg, ("simulate.n_returns",), "a flow without a section does "
+                                                 "not read it: simulate runs it "
+                                                 "for t_span")
     seed = _effective_seed(c, args.seed)
     x0 = _initial_state(model, c["simulate.x0"], "simulate.x0", seed)
     out = _out_dir(c, args)

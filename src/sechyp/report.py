@@ -315,6 +315,11 @@ def _suspension_probes(model):
 
 
 def _suspension_ensemble(model, s, conditions):
+    """Rows of a suspension ensemble and its diagnostics.  The section
+    streams of every seed come first; then each seed's rows are read from
+    them, one seed at a time (`_stream_rows`); then the streams are freed;
+    then the PH sample's orbits and splittings fill in the structural
+    fields of the sampled rows."""
     size = s["ensemble.size"] or 200
     n_returns = s["windows.n_returns"]
     sect_window = s["windows.sect_window"] or 50.0 * model.roof_floor
@@ -332,38 +337,9 @@ def _suspension_ensemble(model, s, conditions):
 
     streams = susp.run_section_streams(model, all_seeds, n_returns,
                                        tilt_warmup=s["ensemble.tilt_warmup"])
-    if any(c in conditions for c in ("MNUSE", "NUSE")):
-        spans = streams.times[-1]
-        longest = max(_taus(s))
-        if spans.min() <= longest:
-            b = int(np.argmax(spans <= longest))
-            raise ConfigError("windows.n_returns",
-                              f"{n_returns} returns leave seed {b} an orbit of span "
-                              f"{spans[b]:.6g}, no longer than the longest tau "
-                              f"window {longest:g} (windows.tau, tau_sensitivity)")
-    if "MSH-estimate" in conditions:
-        for t in streams.times.T:
-            _check_msh_window(t, np.arange(len(t)), avoid)
-
-    rows = []
-    for b in range(all_seeds.shape[0]):
-        out = {"probe": bool(is_probe[b])}
-        if any(c in conditions for c in ("SingularHyp", "SH")):
-            mean_r, min_r, max_r = susp.sectional_rate_stream(streams, b, sect_window)
-            out["sect_rate"], out["sect_min"], out["sect_max"] = mean_r, min_r, max_r
-            out["vol_rate"], out["vol_min"] = mean_r, min_r
-        if "ASH" in conditions:
-            out["ash_max"] = susp.ash_running_max(streams, b)
-        if "MSH-estimate" in conditions:
-            out.update(_suspension_msh_row(streams, b, s["msh.radius"], avoid,
-                                           s["thresholds.margin"]))
-        rows.append(out)
-    for cond, rate in (("MNUSE", susp.mnuse_rate_stream),
-                       ("NUSE", susp.nuse_rate_stream)):
-        if cond in conditions:
-            by_tau = {tau: [rate(streams, b, tau) for b in range(len(rows))]
-                      for tau in _taus(s)}
-            _rate_entries(rows, cond, by_tau, s)
+    rows = _stream_rows(streams, is_probe, s, conditions, sect_window, avoid)
+    clipped = streams.clipped
+    del streams
 
     # uniform structural conditions via the generic matrix machinery on a
     # subsample of seeds plus every probe
@@ -388,17 +364,59 @@ def _suspension_ensemble(model, s, conditions):
         for b, got in zip(sample, _cocycle_entries(seqs, sample_conditions, s,
                                                    spans=dom_spans)):
             rows[b].update(got)
-    return rows, {"clipped_roof_crossings": streams.clipped}
+    return rows, {"clipped_roof_crossings": clipped}
+
+
+def _stream_rows(streams, is_probe, s, conditions, sect_window, avoid):
+    """Each seed's SH, ASH, MSH-estimate, MNUSE and NUSE fields, read from
+    the section streams one seed at a time.  Every seed's orbit is first
+    checked against the longest tau window; each seed's MSH fit windows
+    are checked at its turn."""
+    n_seeds = streams.n_seeds
+    tau_rated = [c for c in ("MNUSE", "NUSE") if c in conditions]
+    if tau_rated:
+        spans = np.array([streams.crossing_times(b)[-1] for b in range(n_seeds)])
+        longest = max(_taus(s))
+        if spans.min() <= longest:
+            b = int(np.argmax(spans <= longest))
+            raise ConfigError("windows.n_returns",
+                              f"{streams.n_returns} returns leave seed {b} an "
+                              f"orbit of span {spans[b]:.6g}, no longer than the "
+                              f"longest tau window {longest:g} (windows.tau, "
+                              "tau_sensitivity)")
+    rates = {"MNUSE": susp.mnuse_rate_stream, "NUSE": susp.nuse_rate_stream}
+    by_tau = {cond: {tau: [] for tau in _taus(s)} for cond in tau_rated}
+    rows = []
+    for b in range(n_seeds):
+        if "MSH-estimate" in conditions:
+            t = streams.seed(b).times
+            _check_msh_window(t, np.arange(len(t)), avoid)
+        out = {"probe": bool(is_probe[b])}
+        if any(c in conditions for c in ("SingularHyp", "SH")):
+            mean_r, min_r, max_r = susp.sectional_rate_stream(streams, b, sect_window)
+            out["sect_rate"], out["sect_min"], out["sect_max"] = mean_r, min_r, max_r
+            out["vol_rate"], out["vol_min"] = mean_r, min_r
+        if "ASH" in conditions:
+            out["ash_max"] = susp.ash_running_max(streams, b)
+        if "MSH-estimate" in conditions:
+            out.update(_suspension_msh_row(streams, b, s["msh.radius"], avoid,
+                                           s["thresholds.margin"]))
+        for cond in tau_rated:
+            for tau, got in by_tau[cond].items():
+                got.append(rates[cond](streams, b, tau))
+        rows.append(out)
+    for cond in tau_rated:
+        _rate_entries(rows, cond, by_tau[cond], s)
+    return rows
 
 
 def _suspension_msh_row(streams, b, radius, avoid, margin):
     """Restricted-LPF decay fits away from the singular line, from the
     scalar streams (N^s is the fiber direction, N^u the center-unstable
     trace in the section)."""
-    t = streams.times[:, b]
-    n_qual, k0, k1 = msh_windows(t, np.abs(streams.x[:, b]), np.arange(len(t)),
-                                 radius, avoid)
-    s_ns, s_nu = streams.cum_gy[:, b], streams.cum_a[:, b]
+    st = streams.seed(b)
+    t, s_ns, s_nu = st.times, st.cum_gy, st.cum_a
+    n_qual, k0, k1 = msh_windows(t, np.abs(st.x), np.arange(len(t)), radius, avoid)
     return _msh_entries(msh_fit(t[k1] - t[k0], s_ns[k1] - s_ns[k0],
                                 -(s_nu[k1] - s_nu[k0]), n_qual), margin)
 

@@ -17,14 +17,17 @@ For ensemble statistics the per-crossing scalars are also exposed as
 vectorized streams across seeds; the fiber direction e_y is exactly
 invariant, and the center-unstable plane is the graph
 span{(1, h, 0), e_s} with tilt recursion h' = (g_x + g_y h) / f'.  The
-streams keep the base coordinate, the crossing times and the log-factors
-on both directions; the fiber coordinate and the slope h are only
-carried from one return to the next.
+streams keep only what cannot be recomputed: the base coordinate and
+the log-factors on both directions.  The fiber coordinate and the slope
+h are only carried from one return to the next, and one seed's crossing
+times (the roof summed along its base coordinates) and prefix sums are
+formed where a reader asks for that seed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -74,40 +77,65 @@ def suspension_orbit(model: SuspensionModel, xy0, n_returns: int) -> OrbitSegmen
         x, y = skew.eval(x, y)
         times[k + 1] = t
         states[k + 1] = (x, y, 0.0)
-    return OrbitSegment(
-        model=model,
-        times=times,
-        states=states,
-        step_cocycles=factors,
-        renorm_log=np.zeros(n_returns),
-    )
+    return OrbitSegment(model, times, states, factors, np.zeros(n_returns))
+
+
+class SeedStream(NamedTuple):
+    """One seed's section streams, indexed by crossing."""
+
+    x: np.ndarray        # (n+1,) quotient coordinates
+    times: np.ndarray    # (n+1,) crossing times, row 0 zero
+    log_a: np.ndarray    # (n,) strided view of the batch's column
+    cum_a: np.ndarray    # (n+1,) prefix sums of log_a, row 0 zero
+    cum_gy: np.ndarray   # (n+1,) prefix sums of log |g_y|, row 0 zero
+
+
+def _prefix_sums(terms):
+    """Row 0 zero, then the running sum of `terms`: one add per row, as a
+    crossing-by-crossing accumulation makes it."""
+    out = np.zeros(len(terms) + 1)
+    np.cumsum(terms, out=out[1:])
+    return out
 
 
 @dataclass
 class SectionStreams:
     """Vectorized per-crossing scalars for a batch of section seeds.
 
-    Arrays are indexed (crossing, seed).  `log_a` is the log of the
-    restricted center-unstable determinant factor per crossing, which
-    is also the one-dimensional restricted linear-Poincare factor on
-    N^cu.  `cum_a` is formed once from `log_a`, not passed in: its
-    prefix sums per seed, so that the log-det over crossings i+1..j is
-    cum_a[j] - cum_a[i].  Every windowed reader indexes it.  `cum_gy`
-    holds the same prefix sums of the stable (fiber) factor log |g_y|.
+    Arrays are indexed (crossing, seed), and hold only what cannot be
+    recomputed.  `log_a` is the log of the restricted center-unstable
+    determinant factor per crossing, which is also the one-dimensional
+    restricted linear-Poincare factor on N^cu; `log_gy` is the log of
+    the stable (fiber) factor |g_y|.  `seed(b)` forms one seed's
+    crossing times and prefix sums, so that the log-det over crossings
+    i+1..j is cum_a[j] - cum_a[i]; every windowed reader and the MSH
+    scan read a seed through it.
     """
 
     model: SuspensionModel
     x: np.ndarray          # (n+1, B) quotient coordinates
-    times: np.ndarray      # (n+1, B) accumulated crossing times
     log_a: np.ndarray      # (n, B)
-    cum_gy: np.ndarray     # (n+1, B) prefix sums of log |g_y|, row 0 zero
+    log_gy: np.ndarray     # (n, B)
     clipped: int           # crossings where the roof argument was clipped
-    cum_a: np.ndarray = field(init=False)   # (n+1, B), row 0 zero
 
-    def __post_init__(self):
-        # sequential down each column: bit-equal to a per-seed cumsum
-        self.cum_a = np.zeros((self.log_a.shape[0] + 1, self.log_a.shape[1]))
-        np.cumsum(self.log_a, axis=0, out=self.cum_a[1:])
+    _last = None           # (b, SeedStream) of the seed formed last
+
+    def crossing_times(self, b):
+        """Seed b's crossing times: row 0 zero, then the running sum of
+        the roof over its base coordinates, clipped at ROOF_CLIP."""
+        xa = np.maximum(np.abs(self.x[:-1, b]), ROOF_CLIP)   # a contiguous copy
+        # a constant roof is a scalar
+        return _prefix_sums(np.broadcast_to(self.model.roof(xa), xa.shape))
+
+    def seed(self, b) -> SeedStream:
+        """Seed b's streams.  The seed formed last is kept, so that the
+        readers of one seed in turn form it once."""
+        if self._last is None or self._last[0] != b:
+            log_a = self.log_a[:, b]
+            self._last = (b, SeedStream(self.x[:, b], self.crossing_times(b), log_a,
+                                        _prefix_sums(log_a),
+                                        _prefix_sums(self.log_gy[:, b])))
+        return self._last[1]
 
     @property
     def n_returns(self):
@@ -125,7 +153,9 @@ def run_section_streams(model: SuspensionModel, seeds, n_returns: int,
     seeds has shape (B, 2).  The tilt recursion is warmed up over
     `tilt_warmup` pre-returns so the center-unstable graph slope has
     converged before crossing 0.  The batch moves through the base
-    map's batched forms and the model's elementwise fiber and roof.
+    map's batched forms and the model's elementwise fiber; the roof is
+    summed per seed, in `SectionStreams.seed`, and here only the
+    crossings whose roof argument is clipped are counted.
     """
     seeds = np.asarray(seeds, dtype=float)
     x = seeds[:, 0].copy()
@@ -147,32 +177,25 @@ def run_section_streams(model: SuspensionModel, seeds, n_returns: int,
         x, y = base.eval_batch(x), skew.fiber(x, y)
 
     xs = np.empty((n_returns + 1, b))
-    ts = np.empty((n_returns + 1, b))
     log_a = np.empty((n_returns, b))
-    cum_gy = np.empty((n_returns + 1, b))
+    log_gy = np.empty((n_returns, b))
 
-    xs[0], ts[0], cum_gy[0] = x, 0.0, 0.0
+    xs[0] = x
     clipped = 0
     for k in range(n_returns):
         if np.count_nonzero(x) < b:
             raise SingularPoint(f"orbit hit the singular line at return {k}")
         fp = base.derivative_batch(x)
         gy = skew.fiber_dy(x, y)
-        xa = np.abs(x)
-        small = xa < ROOF_CLIP
-        if np.any(small):
-            clipped += int(np.sum(small))
-            xa = np.maximum(xa, ROOF_CLIP)
+        clipped += int(np.count_nonzero(np.abs(x) < ROOF_CLIP))
         hn = (skew.fiber_dx(x, y) + gy * h) / fp
-        # one add per row: bit-equal to a per-seed cumsum, as cum_a is
-        cum_gy[k + 1] = cum_gy[k] + np.log(np.maximum(np.abs(gy), 1e-300))
+        log_gy[k] = np.log(np.maximum(np.abs(gy), 1e-300))
         log_a[k] = np.log(np.abs(fp)) + 0.5 * (np.log1p(hn * hn) - np.log1p(h * h))
-        ts[k + 1] = ts[k] + model.roof(xa)
         x, y, h = base.eval_batch(x), skew.fiber(x, y), hn
         xs[k + 1] = x
 
-    return SectionStreams(model=model, x=xs, times=ts, log_a=log_a,
-                          cum_gy=cum_gy, clipped=clipped)
+    return SectionStreams(model=model, x=xs, log_a=log_a, log_gy=log_gy,
+                          clipped=clipped)
 
 
 # ----------------------------------------------------------------------
@@ -182,8 +205,8 @@ def run_section_streams(model: SuspensionModel, seeds, n_returns: int,
 def window_log_det_cu(streams: SectionStreams, seed: int, t0: float, t1: float):
     """log |det D(flow over [t0, t1])| restricted to the center-unstable
     plane, for one seed: the sum of log_a over crossings inside (t0, t1]."""
-    t = streams.times[:, seed]
-    s = streams.cum_a[:, seed]
+    st = streams.seed(seed)
+    t, s = st.times, st.cum_a
     i = np.searchsorted(t[1:], t0, side="right")
     j = np.searchsorted(t[1:], t1, side="right")
     return float(s[j] - s[i])
@@ -199,23 +222,25 @@ def mnuse_rate_stream(streams: SectionStreams, seed: int, tau: float):
     overlap-weighted sum of the per-crossing factors.  The result is
     normalized by tau so it is a rate per unit flow time.
     """
-    t = streams.times[:, seed]
+    st = streams.seed(seed)
+    t = st.times
     T = t[-1] - tau
     if T <= 0:
         raise ValueError("orbit shorter than one tau window")
     tk = t[1:]  # crossing times carrying the factors
     overlap = np.clip(np.minimum(tk, T) - np.maximum(0.0, tk - tau), 0.0, tau)
-    return float(-(streams.log_a[:, seed] @ overlap) / (T * tau))
+    # the strided column view: BLAS sums a contiguous copy in another order
+    return float(-(st.log_a @ overlap) / (T * tau))
 
 
 def nuse_rate_stream(streams: SectionStreams, seed: int, tau: float):
     """Per-unit-time average of log ||(P^tau | N^cu)^{-1}|| over the
     discrete orbit of the time-tau map (exact telescoping sum)."""
-    t = streams.times[:, seed]
+    st = streams.seed(seed)
+    t, s = st.times, st.cum_a
     n = int(np.floor(t[-1] / tau))
     if n < 1:
         raise ValueError("orbit shorter than one tau window")
-    s = streams.cum_a[:, seed]
     edges = np.searchsorted(t[1:], np.arange(n + 1) * tau, side="right")
     return float(-(s[edges[-1]] - s[edges[0]]) / (n * tau))
 
@@ -223,8 +248,8 @@ def nuse_rate_stream(streams: SectionStreams, seed: int, tau: float):
 def ash_running_max(streams: SectionStreams, seed: int):
     """Running max over geometrically spaced horizons of the windowed
     sectional (= 2-plane determinant) rate from time zero."""
-    t = streams.times[:, seed]
-    s = streams.cum_a[:, seed]
+    st = streams.seed(seed)
+    t, s = st.times, st.cum_a
     total = t[-1]
     horizons = np.geomspace(max(4.0 * streams.model.roof_floor, total / 256.0),
                             total, ASH_HORIZONS)
@@ -242,8 +267,7 @@ def sectional_rate_stream(streams: SectionStreams, seed: int, window: float):
     window starting points spread along the orbit.  An orbit no longer
     than the window is one window of its whole time, as the flow
     functional clamps its window to the valid range."""
-    t = streams.times[:, seed]
-    total = t[-1]
+    total = streams.seed(seed).times[-1]
     if total <= window:
         window = total
         starts = np.array([0.0])

@@ -256,6 +256,9 @@ class TestSections:
                       "orientation": 0}}, "simulate.section.orientation"),
         ({"section": {"point": [0, 0, 27.0], "normal": [0, 0, 1.0],
                       "orientation": 2}}, "simulate.section.orientation"),
+        # keys that simulate with a section does not read
+        ({"formats": ["csv"]}, "simulate.formats"),
+        ({"t_span": 5.0}, "simulate.t_span"),
     ])
     def test_bad_returns_config_exit_2(self, tmp_path, capsys, simulate, field):
         path = write_config(tmp_path, {
@@ -420,6 +423,14 @@ def test_shipped_configs_validate():
                            "windows": {"T": 12.0}, "splitting": {"warmup": 2.0},
                            "msh": {"avoid_window": 20.0}}},
      "verify.msh.avoid_window", "20 leaves no MSH fit window"),
+    # simulate keys that the run's branch does not read
+    ("simulate", {"simulate": {"n_returns": 5}}, "simulate.n_returns",
+     "a flow without a section does not read it"),
+    ("simulate", {"model": "geometric_lorenz"}, "simulate.t_span",
+     "a suspension does not read it"),
+    ("simulate", {"model": "geometric_lorenz",
+                  "simulate": {"section": "suspension-canonical"}},
+     "simulate.t_span", "simulate with a section does not read it"),
 ])
 def test_config_fault_exit_2_without_output(tmp_path, capsys, command, section,
                                             field, message):

@@ -138,17 +138,15 @@ def test_member_restrictions_formed_once(monkeypatch, lorenz):
 
 class TestSuspensionMshScan:
     def test_window_ends_at_last_crossing_inside(self):
-        # unit-spaced crossings, one sample (index 4) on the singular
+        # unit-spaced crossings (the constant roof 1), one sample (index 4) on the singular
         # side of the radius: the window [0, 3] of start 0 ends at
         # crossing 3, so only the first crossing past it comes close
         n = 20
         x = np.full((n + 1, 1), 0.5)
         x[4] = 0.01
         streams = SectionStreams(
-            model=load_model("geometric_lorenz"), x=x,
-            times=np.arange(n + 1, dtype=float)[:, None],
-            log_a=np.full((n, 1), 0.5),
-            cum_gy=-np.arange(n + 1, dtype=float)[:, None], clipped=0)
+            model=load_model("geometric_lorenz", {"roof_log_coeff": 0.0}), x=x,
+            log_a=np.full((n, 1), 0.5), log_gy=np.full((n, 1), -1.0), clipped=0)
         row = _suspension_msh_row(streams, 0, radius=0.05, avoid=3.0,
                                   margin=1e-3)
         # starts 0..17 end inside the orbit; 1..4 see crossing 4
@@ -163,10 +161,8 @@ class TestSuspensionMshScan:
         x = np.full((n + 1, 1), 0.01)
         x[:4] = 0.5
         streams = SectionStreams(
-            model=load_model("geometric_lorenz"), x=x,
-            times=np.arange(n + 1, dtype=float)[:, None],
-            log_a=np.full((n, 1), 0.5),
-            cum_gy=-np.arange(n + 1, dtype=float)[:, None], clipped=0)
+            model=load_model("geometric_lorenz", {"roof_log_coeff": 0.0}), x=x,
+            log_a=np.full((n, 1), 0.5), log_gy=np.full((n, 1), -1.0), clipped=0)
         row = _suspension_msh_row(streams, 0, radius=0.05, avoid=3.0,
                                   margin=1e-3)
         assert row["msh_qualifying"] == 1

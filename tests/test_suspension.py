@@ -1,13 +1,17 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sechyp.errors import SingularPoint
+from sechyp.models import load_model
 from sechyp.splitting import estimate_splitting
-from sechyp.suspension import (SectionStreams, ash_running_max, crossing_matrix,
-                               mnuse_rate_stream, nuse_rate_stream,
-                               run_section_streams, sectional_rate_stream,
-                               suspension_orbit, window_log_det_cu)
+from sechyp.suspension import (ROOF_CLIP, SectionStreams, ash_running_max,
+                               crossing_matrix, mnuse_rate_stream,
+                               nuse_rate_stream, run_section_streams,
+                               sectional_rate_stream, suspension_orbit,
+                               window_log_det_cu)
 
 
 @pytest.fixture(scope="module")
@@ -89,7 +93,7 @@ class TestStreams:
         skew = intermittent_suspension.section_map
         b = 3
         x, y, _ = section_orbit(intermittent_suspension, seeds[b], 200)
-        log_gy = np.diff(streams.cum_gy[:, b])
+        log_gy = streams.log_gy[:, b]
         for k in range(0, 200, 17):
             assert x[k] == streams.x[k, b]
             gy = skew.fiber_dy(x[k], y[k])
@@ -138,30 +142,30 @@ class TestStreamFunctionals:
         # cum_a sums the streamed log_a; cum_gy sums log |g_y|, recomputed
         # here from the fiber map along each seed's scalar orbit
         n = streams.n_returns
-        got = getattr(streams, sums)
-        assert got.shape == (n + 1, streams.n_seeds)
         skew = intermittent_suspension.section_map
         for b in range(streams.n_seeds):
+            got = getattr(streams.seed(b), sums)
+            assert got.shape == (n + 1,)
             if sums == "cum_a":
                 terms = streams.log_a[:, b]
             else:
                 x, y, _ = section_orbit(intermittent_suspension, seeds[b], n - 1)
                 terms = np.log(np.abs(skew.fiber_dy(x, y)))
             want = np.concatenate([[0.0], np.cumsum(terms)])
-            assert got[:, b].tobytes() == want.tobytes()
+            assert got.tobytes() == want.tobytes()
 
-    def test_short_orbit_rate_is_its_whole_time(self, intermittent_suspension):
-        # 20 crossings one time unit apart, log-det 0.5 each; a window of
-        # 50 is one window, the whole orbit, at the orbit's own rate
+    def test_short_orbit_rate_is_its_whole_time(self):
+        # 20 crossings one time unit apart (the constant roof 1), log-det
+        # 0.5 each; a window of 50 is one window, the whole orbit, at the
+        # orbit's own rate
         n = 20
-        st = SectionStreams(
-            model=intermittent_suspension, x=np.full((n + 1, 1), 0.5),
-            times=np.arange(n + 1, dtype=float)[:, None],
-            log_a=np.full((n, 1), 0.5),
-            cum_gy=-np.arange(n + 1, dtype=float)[:, None], clipped=0)
-        assert sectional_rate_stream(st, 0, 50.0) == (0.5, 0.5, 0.5)
-        assert sectional_rate_stream(st, 0, 20.0) == (0.5, 0.5, 0.5)
-        assert sectional_rate_stream(st, 0, 5.0) == (0.5, 0.5, 0.5)
+        streams = SectionStreams(
+            model=load_model("geometric_lorenz", {"roof_log_coeff": 0.0}),
+            x=np.full((n + 1, 1), 0.5), log_a=np.full((n, 1), 0.5),
+            log_gy=np.full((n, 1), -1.0), clipped=0)
+        assert sectional_rate_stream(streams, 0, 50.0) == (0.5, 0.5, 0.5)
+        assert sectional_rate_stream(streams, 0, 20.0) == (0.5, 0.5, 0.5)
+        assert sectional_rate_stream(streams, 0, 5.0) == (0.5, 0.5, 0.5)
 
     def test_lebesgue_rates(self, streams):
         # base exponent 1/2 over mean roof 2: center-unstable rate 1/4
@@ -174,7 +178,7 @@ class TestStreamFunctionals:
         # determinant, so the two rates are exact negatives
         for b in (0, 5, 11):
             mn = mnuse_rate_stream(streams, b, 1.0)
-            total = streams.times[-1, b]
+            total = streams.seed(b).times[-1]
             det_rate = window_log_det_cu(streams, b, 0.0, total) / total
             assert abs(mn + det_rate) < 5e-3  # tau-window edge effects
             assert mn < -0.05
@@ -217,3 +221,56 @@ class TestStreamFunctionals:
         frac = np.mean([v >= 1e-3 for v in vals])
         assert frac >= 0.9
         assert abs(np.median(vals) - 0.25) < 0.08
+
+
+def row_accumulation(streams):
+    """times, cum_a and cum_gy, (n+1, B) each, accumulated crossing row by
+    crossing row from the stored streams: the roof of the clipped |x| of
+    a row added to the row before, likewise log |g_y|, and log_a summed
+    down each column of the batch."""
+    n, b = streams.n_returns, streams.n_seeds
+    times, cum_a, cum_gy = (np.zeros((n + 1, b)) for _ in range(3))
+    np.cumsum(streams.log_a, axis=0, out=cum_a[1:])
+    for k in range(n):
+        xa = np.abs(streams.x[k])
+        if np.any(xa < ROOF_CLIP):
+            xa = np.maximum(xa, ROOF_CLIP)
+        times[k + 1] = times[k] + streams.model.roof(xa)
+        cum_gy[k + 1] = cum_gy[k] + streams.log_gy[k]
+    return times, cum_a, cum_gy
+
+
+def test_seed_clipped_at_the_singular_line_counts_each_clipped_crossing():
+    # the two seeds within ROOF_CLIP of x = 0 clip at crossing 0 only:
+    # the base map sends them next to -1 and 1, where they stay
+    streams = run_section_streams(load_model("geometric_lorenz"),
+                                  [[1e-13, 0.2], [-3e-13, -0.4], [0.4, 0.1]],
+                                  30, tilt_warmup=0)
+    assert streams.clipped == 2
+
+
+@given(rng_seed=st.integers(0, 2 ** 32 - 1), n_seeds=st.integers(1, 5),
+       n_returns=st.integers(1, 150), log_roof=st.booleans(),
+       clip=st.booleans(), tilt_warmup=st.sampled_from([0, 12]))
+def test_seed_forms_equal_row_accumulation_and_a_lone_run(
+        rng_seed, n_seeds, n_returns, log_roof, clip, tilt_warmup):
+    # each seed's crossing times and prefix sums equal, bit for bit, the
+    # batch's row-by-row accumulation and the same seed run on its own;
+    # a seed within ROOF_CLIP of the singular line, at tilt_warmup 0,
+    # makes crossing 0 clip, and a constant roof is a scalar
+    model = load_model("geometric_lorenz",
+                       None if log_roof else {"roof_log_coeff": 0.0})
+    seeds = np.random.default_rng(rng_seed).uniform(-1.0, 1.0, (n_seeds, 2))
+    if clip:
+        seeds = np.vstack([seeds, [[-1e-13, 0.3]]])
+        tilt_warmup = 0
+    streams = run_section_streams(model, seeds, n_returns, tilt_warmup=tilt_warmup)
+    assert streams.clipped >= clip
+    want = dict(zip(("times", "cum_a", "cum_gy"), row_accumulation(streams)))
+    for b in range(len(seeds)):
+        alone = run_section_streams(model, seeds[b:b + 1], n_returns,
+                                    tilt_warmup=tilt_warmup).seed(0)
+        got = streams.seed(b)
+        for name, rows in want.items():
+            assert getattr(got, name).tobytes() == rows[:, b].tobytes()
+            assert getattr(alone, name).tobytes() == rows[:, b].tobytes()

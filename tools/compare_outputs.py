@@ -13,11 +13,15 @@ and one BLAS/OpenMP thread:
   ``configs/intermittent_verify.json``;
 - ``simulate`` and ``spectrum`` on ``configs/lorenz_simulate.json``,
   and ``classify`` on ``configs/lorenz_verify.json``;
-- four inline configs (see ``INLINE``) for paths that no other
+- six inline configs (see ``INLINE``) for paths that no other
   invocation runs: ``measure``, since no shipped config sets a
-  ``measure`` section; ``verify`` on a 4-d ``linear`` field at
-  splitting stride 2, where N^cu is 2-d; and ``simulate`` on
-  ``geometric_lorenz`` with both output formats, on the suspension orbit
+  ``measure`` section, once on invariance and once on pesin (whose flow
+  side reads a one-seed section stream through ``mnuse_rate_stream``);
+  ``verify`` on a 4-d ``linear`` field at splitting stride 2, where N^cu
+  is 2-d; ``verify`` on a ``geometric_lorenz`` with a constant roof
+  (``roof_log_coeff`` 0), whose roof is a scalar where the shipped
+  suspension's is an array; and ``simulate`` on ``geometric_lorenz``,
+  with both output formats on the suspension orbit
   (``suspension_orbit``, ``save_orbit_cache``) and again on the
   suspension return map (``"section": "suspension-canonical"``);
 - two ``verify`` runs whose ensemble fails (see ``FAILING``): a member
@@ -63,6 +67,9 @@ INLINE = (
     ("measure invariance", "measure", {
         "model": "intermittent_lorenz", "seed": 7,
         "measure": {"kind": "invariance", "n": 100000}}),
+    ("measure pesin", "measure", {
+        "model": "geometric_lorenz", "seed": 3,
+        "measure": {"kind": "pesin", "n": 20000}}),
     ("verify linear 4-d stride 2", "verify", {
         "model": "linear",
         "params": {"matrix": [[1.0, 0.3, 0.0, 0.0], [0.0, 0.5, 0.2, 0.0],
@@ -73,13 +80,18 @@ INLINE = (
                    "windows": {"T": 6.0, "tau": 2.0},
                    "splitting": {"warmup": 2.0, "stride": 2},
                    "tau_sensitivity": [2.0, 3.0]}}),
+    ("verify suspension constant roof", "verify", {
+        "model": "geometric_lorenz", "params": {"roof_log_coeff": 0.0}, "seed": 4,
+        "verify": {"conditions": ["SH", "ASH", "MNUSE", "NUSE", "MSH-estimate", "PH"],
+                   "ensemble": {"size": 8, "ph_sample": 2},
+                   "windows": {"n_returns": 2000, "tau": 1.0},
+                   "tau_sensitivity": [0.5, 2.0]}}),
     ("simulate suspension orbit", "simulate", {
         "model": "geometric_lorenz", "seed": 3,
         "simulate": {"n_returns": 2000, "formats": ["csv", "cache"]}}),
     ("simulate suspension returns", "simulate", {
         "model": "geometric_lorenz", "seed": 3,
-        "simulate": {"n_returns": 2000, "formats": ["csv", "cache"],
-                     "section": "suspension-canonical"}}),
+        "simulate": {"n_returns": 2000, "section": "suspension-canonical"}}),
 )
 # verify configs whose ensemble fails: member 2 blows up past the bound,
 # and member 2 passes the origin below the LPF speed floor
