@@ -27,10 +27,10 @@ from .errors import ConfigError, SechypError
 from .flowcalc import integrate, orbit_to_csv, save_orbit_cache
 from .hyperbolicity import classify_singularity
 from .lpf import SectionSpec, return_map
-from .measures import (BOOT_BLOCKS, basin_sample, birkhoff_map,
-                       empirical_measure, histogram_to_csv, ks_statistic,
-                       map_pushforward, benettin_spectrum, pesin_check_1d,
-                       series_to_csv, tv_distance, uniform_cdf, warmup_index)
+from .measures import (basin_sample, birkhoff_map, empirical_measure,
+                       flow_spectrum, histogram_to_csv, ks_statistic,
+                       map_pushforward, pesin_check_1d, series_to_csv,
+                       tv_distance, uniform_cdf)
 from .models import (IntervalMap, SuspensionModel, VectorFieldModel,
                      iterate_interval_map, load_model)
 from .report import assemble_report, config_hash
@@ -205,13 +205,8 @@ def cmd_spectrum(cfg, args):
     warmup = float(min(20.0, t_span / 10.0) if warmup is None else warmup)
     _require(warmup < t_span, "spectrum.warmup",
              f"must be less than spectrum.T ({t_span:g})")
-    orbit = integrate(model, x0, t_span, step_control(c))
-    n_acc = orbit.n_steps - warmup_index(orbit, warmup)
-    _require(n_acc >= BOOT_BLOCKS, "spectrum.warmup",
-             f"must leave at least {BOOT_BLOCKS} orbit steps for the "
-             f"bootstrap blocks (leaves {n_acc})")
+    est = flow_spectrum(model, x0, t_span, k, warmup, step_control(c))
     out = _out_dir(c, args)
-    est = benettin_spectrum(orbit, k, warmup=warmup)
     payload = {
         "stamp": _stamp(cfg),
         "model": model.name,

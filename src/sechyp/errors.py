@@ -40,6 +40,19 @@ class ShortOrbit(SechypError, ValueError):
     trimming; a ValueError like the splitting's other member faults."""
 
 
+class WarmupExceedsOrbit(SechypError, ValueError):
+    """Splitting member whose orbit is no longer than twice the warmup."""
+
+
+class NonFiniteBlock(SechypError, ValueError):
+    """Splitting member with a block factor that is not finite."""
+
+
+class SingularBlock(SechypError, ValueError):
+    """Splitting member with an exactly singular block factor, which the
+    backward sweep cannot pull E^s back through."""
+
+
 class SingularPoint(SechypError):
     """Map evaluated at a point where it is undefined."""
 

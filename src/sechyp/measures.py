@@ -9,11 +9,14 @@ chain reports the roof truncation bound explicitly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Callable, Optional
 
 import numpy as np
 
-from .flowcalc import OrbitSegment, batch_rk4, rk4_step
+from .errors import ConfigError
+from .flowcalc import (OrbitSegment, StepControl, batch_rk4, dp5_steps,
+                       rk4_step)
 from .models import IntervalMap, SuspensionModel, VectorFieldModel
 from .util import haar_frame, qr_pos, window_products
 
@@ -24,8 +27,9 @@ BOOT_SEED = 53117
 # error-controlled DP5 steps are close to the identity, so the product of
 # a few stays well conditioned between QR factorisations
 _FLOW_WINDOW = 8
-# states whose Jacobians the divergence average forms at once
-_TRACE_CHUNK = 4096
+# accepted steps handed to a BenettinFold at once (its chunks hold one
+# state and one step factor per step)
+_FOLD_CHUNK = 512
 
 # Geometrically spaced checkpoints of a Birkhoff running average.
 BIRKHOFF_CHECKPOINTS = 40
@@ -95,15 +99,20 @@ def series_to_csv(series: BirkhoffSeries, path, header_comment=None):
 class SpectrumEstimate:
     """Top-k Lyapunov exponents with block-bootstrap half-widths.
 
-    The frame is re-orthonormalized once per window of step factors:
-    up to `_FLOW_WINDOW` = 8 accepted steps on the orbit of a vector
-    field, a single factor (one return map) on a matrix orbit.  Windows
-    never cross the end of the warmup or a bootstrap block edge, and
-    `reorthonormalizations` counts the windows after the warmup.
+    The time after the warmup, from the first grid point at or after it
+    to the end of the run, is cut into `BOOT_BLOCKS` equal time spans; a
+    bootstrap block holds the steps that start at or after its span's
+    start, up to the next block's.  The frame is re-orthonormalized once
+    per window of step factors: up to `_FLOW_WINDOW` = 8 accepted steps
+    on the orbit of a vector field, a single factor (one return map) on
+    a matrix orbit.  Windows never cross the warmup cut or a block edge,
+    and `reorthonormalizations` counts the windows after the warmup.
 
     `divergence_average` is the trapezoid average of the Jacobian trace
-    along the orbit, an independent route to the exponent sum (Liouville
-    identity); `sum_half_width` is the bootstrap half-width of the sum.
+    along the orbit after the warmup (on a matrix orbit, the average of
+    log |det| of its factors), an independent route to the exponent sum
+    (Liouville identity); `sum_half_width` is the bootstrap half-width
+    of the sum.
     """
 
     exponents: np.ndarray
@@ -114,6 +123,147 @@ class SpectrumEstimate:
     sum_half_width: float
 
 
+class BenettinFold:
+    """The Benettin iteration and divergence average of one orbit, fed its
+    accepted steps in chunks of any size as they are taken.
+
+    `add(times, states, factors)` takes the next m steps: their end times
+    (m,), end states (m, n) and step factors (m, n, n); `finish()` gives
+    the `SpectrumEstimate`.  Per window after the warmup the fold keeps
+    its k log values (and its block), per step after the warmup one
+    divergence term; the window still open at the end of a chunk waits
+    for the next one.  The estimate is the same bit for bit however the
+    steps are chunked.
+
+    The orbit starts at time t0 in state x0 and ends at t_end: the
+    block rule (see `SpectrumEstimate`) is fixed before any step is
+    taken, and the edges once the first step after the warmup starts,
+    whatever the run's step count.  A vector-field `model` makes the windows
+    up to `_FLOW_WINDOW` steps long and the divergence the trapezoid of
+    the Jacobian trace; any other model (a matrix orbit) one factor per
+    window and the log |det| of its factors.
+    """
+
+    def __init__(self, model, k: int, t0: float, x0, warmup: float,
+                 t_end: float):
+        x0 = np.asarray(x0, dtype=float)
+        if k > x0.shape[0]:
+            raise ValueError("k exceeds the model dimension")
+        self.model = model
+        self.flow = isinstance(model, VectorFieldModel)
+        self.width = _FLOW_WINDOW if self.flow else 1
+        self.k = k
+        self.cut = t0 + warmup          # steps starting from here count
+        self.t_end = t_end
+        self.edges = None               # inner block edges, once the cut is met
+        self.q = haar_frame(x0.shape[0], k, seed=4201)
+        self.t_last, self.x_last = t0, x0
+        # the open window's step start times and factors
+        self.open_t = np.empty(0)
+        self.open_f = np.empty((0,) + (x0.shape[0],) * 2)
+        self.logs, self.blocks, self.terms = [], [], []
+        self.block_t0 = np.full(BOOT_BLOCKS, np.inf)
+
+    def add(self, times, states, factors):
+        """Fold in the next steps (see the class docstring)."""
+        m = len(times)
+        if m == 0:
+            return
+        t_grid = np.concatenate([[self.t_last], times])
+        starts_t = t_grid[:-1]
+        # divergence terms of the steps that start at or after the cut
+        a = int(np.searchsorted(starts_t, self.cut, side="left"))
+        if a < m:
+            if self.flow:
+                x_grid = np.concatenate([self.x_last[None], states])
+                tr = np.trace(self.model.jacobian_batch(x_grid[a:]),
+                              axis1=1, axis2=2)
+                self.terms.append(0.5 * (tr[1:] + tr[:-1]) * np.diff(t_grid[a:]))
+            else:
+                self.terms.append(np.linalg.slogdet(factors[a:])[1])
+            if self.edges is None:
+                self.edges = np.linspace(starts_t[a], self.t_end,
+                                         BOOT_BLOCKS + 1)[1:-1]
+        self.t_last, self.x_last = t_grid[-1], np.array(states[-1], dtype=float)
+
+        ts = np.concatenate([self.open_t, starts_t])
+        fs = np.concatenate([self.open_f, factors])
+        seg = self._segments(ts)
+        # windows start at each segment's first step, width apart; the
+        # open window is such a start
+        idx = np.arange(len(ts))
+        first = np.maximum.accumulate(
+            np.where(np.concatenate([[True], seg[1:] != seg[:-1]]), idx, 0))
+        starts = np.flatnonzero((idx - first) % self.width == 0)
+        stops = np.append(starts[1:], len(ts))
+        # the last window may go on into the next chunk unless it is full
+        done = len(starts) - int(stops[-1] - starts[-1] < self.width)
+        self._windows(fs, ts, seg, starts[:done], stops[:done])
+        rest = stops[done - 1] if done else 0
+        self.open_t, self.open_f = ts[rest:].copy(), fs[rest:].copy()
+
+    def _segments(self, ts):
+        """Per step start time: -1 in the warmup, else its bootstrap block."""
+        if self.edges is None:
+            return np.full(len(ts), -1)
+        return np.where(ts < self.cut, -1,
+                        np.searchsorted(self.edges, ts, side="right"))
+
+    def _windows(self, fs, ts, seg, starts, stops):
+        """One QR per window fs[starts[w]:stops[w]], in order."""
+        mats, log_scales = window_products(fs, starts, stops)
+        logs = np.empty((len(starts), self.k))
+        q = self.q
+        for w in range(len(starts)):
+            q, r = qr_pos(mats[w] @ q)
+            logs[w] = np.log(np.abs(np.diag(r))) + log_scales[w]
+        self.q = q
+        blocks = seg[starts]
+        post = blocks >= 0              # the warmup's logs are discarded
+        self.logs.append(logs[post])
+        self.blocks.append(blocks[post])
+        np.minimum.at(self.block_t0, blocks[post], ts[starts][post])
+
+    def finish(self) -> SpectrumEstimate:
+        """The estimate of the steps fed so far, taken as the whole orbit.
+
+        Raises ConfigError naming `spectrum.warmup` when a bootstrap
+        block holds no step."""
+        if len(self.open_t):
+            self._windows(self.open_f, self.open_t,
+                          self._segments(self.open_t), [0], [len(self.open_t)])
+        empty = np.flatnonzero(np.isinf(self.block_t0))
+        if len(empty):
+            raise ConfigError(
+                "spectrum.warmup",
+                f"must leave each of the {BOOT_BLOCKS} bootstrap blocks an "
+                f"orbit step: the {self.t_end - self.cut:g} time units after "
+                f"it, cut into {BOOT_BLOCKS} equal blocks, leave block "
+                f"{empty[0] + 1} none")
+        logs = np.concatenate(self.logs)
+        # block 0 starts at the first grid point at or after the cut
+        span = float(self.t_last - self.block_t0[0])
+        exponents = logs.sum(axis=0) / span
+
+        # block bootstrap over contiguous time blocks
+        blocks = np.concatenate(self.blocks)
+        block_sums = np.add.reduceat(
+            logs, np.searchsorted(blocks, np.arange(BOOT_BLOCKS)), axis=0)
+        block_spans = np.diff(np.append(self.block_t0, self.t_last))
+        rng = np.random.default_rng(BOOT_SEED)
+        picks = rng.integers(0, BOOT_BLOCKS, size=(BOOT_RESAMPLES, BOOT_BLOCKS))
+        boot = (block_sums[picks].sum(axis=1)
+                / block_spans[picks].sum(axis=1)[:, None])
+        return SpectrumEstimate(
+            exponents=exponents,
+            half_widths=1.96 * boot.std(axis=0),
+            window=span,
+            reorthonormalizations=len(logs),
+            divergence_average=float(np.sum(np.concatenate(self.terms)) / span),
+            sum_half_width=float(1.96 * boot.sum(axis=1).std()),
+        )
+
+
 def benettin_spectrum(orbit: OrbitSegment, k: int,
                       warmup: float = 0.0) -> SpectrumEstimate:
     """Top-k exponents by QR-reorthonormalized cocycle iteration.
@@ -122,78 +272,36 @@ def benettin_spectrum(orbit: OrbitSegment, k: int,
     log diagonal factors start accumulating (the pushed frame converges
     to the backward singular directions at the spectral-gap rate).  The
     accumulated factors are bootstrapped over contiguous time blocks
-    (50 blocks, 1000 resamples, fixed seed) for confidence half-widths.
-    One QR factorisation per window product (see `SpectrumEstimate`).
+    (50 blocks of equal time span, 1000 resamples, fixed seed) for
+    confidence half-widths.  One QR factorisation per window product
+    (see `SpectrumEstimate`).  The stored orbit goes through the same
+    `BenettinFold` as `flow_spectrum`'s steps, `_FOLD_CHUNK` steps at a
+    time, so `flow_spectrum` of an orbit equals this of its `integrate`
+    output bit for bit.
     """
-    n = orbit.states.shape[1]
-    if k > n:
-        raise ValueError("k exceeds the model dimension")
-    model = orbit.model
-    flow = isinstance(model, VectorFieldModel)
-    i0 = warmup_index(orbit, warmup)
-    n_acc = orbit.n_steps - i0
-    if n_acc < BOOT_BLOCKS:
-        raise ValueError("orbit too short after warmup discard")
-    edges = np.linspace(0, n_acc, BOOT_BLOCKS + 1).astype(int)
-    width = _FLOW_WINDOW if flow else 1
-    # segments: the warmup, then each bootstrap block.  Segment j's
-    # windows start at cuts[j], width apart, and their logs are rows
-    # rows[j]:rows[j + 1]; one segment's window products are held at once
-    cuts = np.concatenate([[0], i0 + edges])
-    rows = np.concatenate([[0], np.cumsum(-(-np.diff(cuts) // width))])
-    logs = np.empty((rows[-1], k))
-    q = haar_frame(n, k, seed=4201)
-    for j in range(BOOT_BLOCKS + 1):
-        starts = np.arange(cuts[j], cuts[j + 1], width)
-        mats, log_scales = window_products(
-            orbit.step_cocycles, starts,
-            np.minimum(starts + width, cuts[j + 1]))
-        for w in range(len(starts)):
-            q, r = qr_pos(mats[w] @ q)
-            logs[rows[j] + w] = np.log(np.abs(np.diag(r))) + log_scales[w]
-    logs = logs[rows[1]:]                    # the warmup's are discarded
-    span = float(orbit.times[-1] - orbit.times[i0])
-    exponents = logs.sum(axis=0) / span
-
-    # block bootstrap over contiguous time blocks
-    block_sums = np.add.reduceat(logs, rows[1:-1] - rows[1], axis=0)
-    block_spans = np.diff(orbit.times[i0 + edges])
-    rng = np.random.default_rng(BOOT_SEED)
-    picks = rng.integers(0, BOOT_BLOCKS, size=(BOOT_RESAMPLES, BOOT_BLOCKS))
-    boot = (block_sums[picks].sum(axis=1)
-            / block_spans[picks].sum(axis=1)[:, None])
-    half = 1.96 * boot.std(axis=0)
-    sum_half = float(1.96 * boot.sum(axis=1).std())
-
-    # independent divergence route (trapezoid of the Jacobian trace)
-    if flow:
-        states = orbit.states[i0:]
-        # in chunks, so that the Jacobians held at once stay small
-        tr = np.concatenate([
-            np.trace(model.jacobian_batch(states[a:a + _TRACE_CHUNK]),
-                     axis1=1, axis2=2)
-            for a in range(0, len(states), _TRACE_CHUNK)])
-        dt = np.diff(orbit.times[i0:])
-        div_avg = float(np.sum(0.5 * (tr[1:] + tr[:-1]) * dt) / span)
-    else:
-        div_avg = float(np.sum(
-            np.linalg.slogdet(orbit.step_cocycles[i0:])[1]) / span)
-
-    return SpectrumEstimate(
-        exponents=exponents,
-        half_widths=half,
-        window=span,
-        reorthonormalizations=len(logs),
-        divergence_average=div_avg,
-        sum_half_width=sum_half,
-    )
+    fold = BenettinFold(orbit.model, k, orbit.times[0], orbit.states[0],
+                        warmup, orbit.times[-1])
+    for a in range(0, orbit.n_steps, _FOLD_CHUNK):
+        b = a + _FOLD_CHUNK
+        fold.add(orbit.times[a + 1:b + 1], orbit.states[a + 1:b + 1],
+                 orbit.step_cocycles[a:b])
+    return fold.finish()
 
 
-def warmup_index(orbit: OrbitSegment, warmup: float) -> int:
-    """Index of the first step that starts at or after `warmup` time
-    units into the orbit; the spectrum accumulates from there."""
-    return int(np.searchsorted(orbit.times, orbit.times[0] + warmup,
-                               side="left"))
+def flow_spectrum(model: VectorFieldModel, x0, t_span: float, k: int,
+                  warmup: float,
+                  step_ctrl: Optional[StepControl] = None) -> SpectrumEstimate:
+    """`benettin_spectrum` of the orbit `integrate(model, x0, t_span,
+    step_ctrl)` would store, without storing it: the accepted steps of
+    `dp5_steps` go into a `BenettinFold` `_FOLD_CHUNK` at a time, as they
+    are taken.  Raises as integrate does."""
+    x0 = np.asarray(x0, dtype=float)
+    fold = BenettinFold(model, k, 0.0, x0, warmup, t_span)
+    steps = dp5_steps(model, x0, t_span, step_ctrl)
+    while chunk := list(islice(steps, _FOLD_CHUNK)):
+        ys = np.stack([y for _, y in chunk])
+        fold.add(np.array([t for t, _ in chunk]), ys[:, :, 0], ys[:, :, 1:])
+    return fold.finish()
 
 
 # ----------------------------------------------------------------------

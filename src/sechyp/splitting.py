@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ShortOrbit, SpectralGapFailure
+from .errors import (NonFiniteBlock, ShortOrbit, SingularBlock,
+                     SpectralGapFailure, WarmupExceedsOrbit)
 from .flowcalc import OrbitSegment
 from .util import (fit_log_rate, haar_frame, log_norms, longest_first,
                    member_products, member_split, principal_angles, qr_pos,
@@ -212,8 +213,10 @@ def splittings_of_blocks(orbits, blocks, d_s: int, warmup: float,
                          init_seed: int = 12902) -> list:
     """Per member its SplittingSequence from its `block_factors` output,
     or the ValueError or SpectralGapFailure `estimate_splitting` raises
-    on it: a member with a non-finite or an exactly singular block fails
-    with a ValueError of its own, and the others are swept without it.
+    on it: a member no longer than twice the warmup fails with
+    WarmupExceedsOrbit, one with a non-finite block with NonFiniteBlock
+    and one with an exactly singular block with SingularBlock (each a
+    SechypError and a ValueError), and the others are swept without it.
 
     Reads no step factors, so the caller may release the orbits'
     `step_cocycles` once the blocks are formed.  One sweep runs each way
@@ -228,7 +231,7 @@ def splittings_of_blocks(orbits, blocks, d_s: int, warmup: float,
     d_cu = n - d_s
     if d_s < 1 or d_cu < 2:
         return [ValueError("need d_s >= 1 and d_cu = n - d_s >= 2") for _ in orbits]
-    out = [ValueError("orbit shorter than twice the warmup")
+    out = [WarmupExceedsOrbit("orbit shorter than twice the warmup")
            if orbit.t_span <= 2 * warmup else None for orbit in orbits]
     for i, failed in enumerate(out):
         if failed is not None:
@@ -240,12 +243,12 @@ def splittings_of_blocks(orbits, blocks, d_s: int, warmup: float,
         f = blocks[i][1]
         nonfinite = np.flatnonzero(~np.isfinite(f).all(axis=(1, 2)))
         if len(nonfinite):
-            out[i] = ValueError(f"block factor {nonfinite[0]} is not finite")
+            out[i] = NonFiniteBlock(f"block factor {nonfinite[0]} is not finite")
             continue
         singular = np.flatnonzero(np.linalg.slogdet(f).sign == 0)
         if len(singular):
-            out[i] = ValueError(f"block factor {singular[-1]} is singular: the "
-                                "backward sweep cannot pull E^s back through it")
+            out[i] = SingularBlock(f"block factor {singular[-1]} is singular: the "
+                                   "backward sweep cannot pull E^s back through it")
     live = [i for i, failed in enumerate(out) if failed is None]
     factors = [blocks[i][1] for i in live]
     kept = [_kept_checkpoints(orbits[i].times[blocks[i][0]], warmup) for i in live]

@@ -15,8 +15,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from sechyp import config, hyperbolicity, report, splitting, util
-from sechyp.errors import (Blowup, NearSingularity, SingularPoint,
-                           SpectralGapFailure, StiffnessFailure)
+from sechyp.errors import (Blowup, NearSingularity, NonFiniteBlock,
+                           SingularBlock, SingularPoint, SpectralGapFailure,
+                           StiffnessFailure, WarmupExceedsOrbit)
 from sechyp.flowcalc import StepControl, batch_rk4, integrate, integrate_batch
 from sechyp.lpf import lpf_along, lpf_alongs
 from sechyp.measures import map_pushforward
@@ -298,9 +299,11 @@ def test_member_splittings_equal_one_member_calls(splitting_pool, member_referen
         assert_bit_equal(seq.gap_cu, ref.gap_cu)
 
 
-@pytest.mark.parametrize("entry", [0.0, np.nan], ids=["zero", "nan"])
+@pytest.mark.parametrize("entry, fault", [(0.0, SingularBlock),
+                                          (np.nan, NonFiniteBlock)],
+                         ids=["zero", "nan"])
 def test_singular_block_fails_only_its_member(splitting_pool, member_reference,
-                                              entry):
+                                              entry, fault):
     # an exactly singular or a non-finite block in member 1: its own
     # outcome, from the one stacked sweep each way the other members share
     members = (0, 1, 3)
@@ -314,7 +317,7 @@ def test_singular_block_fails_only_its_member(splitting_pool, member_reference,
         seqs = splittings_of_blocks(orbits, blocks, 1, MEMBER_WARMUP)
     assert sweep.call_count == 2
     (alone,) = splittings_of_blocks(orbits[1:2], blocks[1:2], 1, MEMBER_WARMUP)
-    assert type(seqs[1]) is type(alone) is ValueError
+    assert type(seqs[1]) is type(alone) is fault
     assert str(seqs[1]) == str(alone)
     for i, seq in ((0, seqs[0]), (3, seqs[2])):
         ref = member_reference(i, 1)
@@ -334,7 +337,7 @@ def _failure_of(orbit):
     return None
 
 
-@pytest.mark.parametrize("order, raised", [((0, 1, 2, 3), ValueError),
+@pytest.mark.parametrize("order, raised", [((0, 1, 2, 3), WarmupExceedsOrbit),
                                            ((0, 2, 1, 3), SpectralGapFailure),
                                            ((3, 2, 0, 1), SpectralGapFailure)])
 def test_first_failing_member_raises(splitting_pool, order, raised):

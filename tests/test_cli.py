@@ -11,8 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sechyp import cli
 from sechyp.cli import exit_code_for, load_config, main
 from sechyp.errors import ConfigError
+from sechyp.flowcalc import StepControl, integrate
+from sechyp.measures import benettin_spectrum
+from sechyp.models import make_lorenz
 from sechyp.report import config_hash
 
 
@@ -110,6 +114,29 @@ class TestSubcommands:
                      "-o", str(tmp_path / "rerun")]) == 0
         assert ((tmp_path / "rerun" / "lorenz_spectrum.json").read_bytes()
                 == (tmp_path / "out" / "lorenz_spectrum.json").read_bytes())
+
+    def test_spectrum_folds_the_steps_without_storing_the_orbit(
+            self, tmp_path, monkeypatch):
+        # the CLI must not store the orbit (cli.integrate raises), and its
+        # JSON equals the estimate of the stored orbit bit for bit
+        def stored(*args):
+            raise AssertionError("spectrum stored the orbit")
+
+        monkeypatch.setattr(cli, "integrate", stored)
+        lorenz, x0 = make_lorenz(10.0, 28.0, 8.0 / 3.0), [1.0, 2.0, 20.0]
+        cfg = {"model": "lorenz", "output_dir": str(tmp_path / "out"),
+               "tolerances": {"rtol": 1e-8, "atol": 1e-11},
+               "spectrum": {"T": 30.0, "warmup": 3.0, "k": 3, "x0": x0}}
+        assert main(["spectrum", "-c", write_config(tmp_path, cfg)]) == 0
+        got = json.loads((tmp_path / "out" / "lorenz_spectrum.json").read_text())
+        est = benettin_spectrum(
+            integrate(lorenz, x0, 30.0, StepControl(rtol=1e-8, atol=1e-11)), 3,
+            warmup=3.0)
+        assert got["exponents"] == est.exponents.tolist()
+        assert got["half_widths"] == est.half_widths.tolist()
+        assert got["sum"] == float(np.sum(est.exponents))
+        for name in ("window", "divergence_average", "sum_half_width"):
+            assert got[name] == getattr(est, name), name
 
     def test_classify_output(self, lorenz_cfg, tmp_path, capsys):
         assert main(["classify", "-c", lorenz_cfg]) == 0
@@ -363,9 +390,10 @@ def test_shipped_configs_validate():
     # rejected before the orbit is integrated
     ("spectrum", {"spectrum": {"T": 5.0, "warmup": 6.0}}, "spectrum.warmup",
      "must be less than spectrum.T"),
-    # rejected once the orbit shows how few steps the warmup leaves
+    # rejected once the run ends with a bootstrap block that no step
+    # starts in
     ("spectrum", {"spectrum": {"T": 5.0, "warmup": 4.999}}, "spectrum.warmup",
-     "must leave at least 50 orbit steps"),
+     "must leave each of the 50 bootstrap blocks an orbit step"),
     ("simulate", {"params": {"sigmaa": 5}}, "params.sigmaa",
      "unknown key; known here: sigma, rho, beta"),
     ("simulate", {"params": {"sigma": -1}}, "params",

@@ -2,8 +2,11 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sechyp import measures
+from sechyp.errors import ConfigError
 from sechyp.flowcalc import OrbitSegment, integrate
 from sechyp.measures import (basin_sample, benettin_spectrum, birkhoff_map,
                              empirical_measure,
@@ -22,14 +25,28 @@ CONJUGATED_LORENZ = conjugate_model(
     np.linalg.qr(np.arange(1.0, 10.0).reshape(3, 3) + np.eye(3))[0])
 
 
+def warmup_index(orbit, warmup):
+    """Index of the first grid point at or after the warmup."""
+    return int(np.searchsorted(orbit.times, orbit.times[0] + warmup,
+                               side="left"))
+
+
+def time_blocks(orbit, i0):
+    """Per step after the warmup cut i0, its bootstrap block: the time
+    from grid point i0 to the end is cut into BOOT_BLOCKS equal spans,
+    and a step belongs to the last span that starts at or before it."""
+    edges = np.linspace(orbit.times[i0], orbit.times[-1],
+                        measures.BOOT_BLOCKS + 1)[1:-1]
+    return np.searchsorted(edges, orbit.times[i0:-1], side="right")
+
+
 def per_step_spectrum(orbit, k, warmup):
     """Reference Benettin estimate: one QR per step factor, a Python
     loop over the bootstrap resamples, and the divergence of a matrix
     orbit by one slogdet per factor.  Returns (exponents, half_widths,
     sum_half_width, matrix_divergence_average)."""
     steps = orbit.n_steps
-    i0 = int(np.searchsorted(orbit.times, orbit.times[0] + warmup,
-                             side="left"))
+    i0 = warmup_index(orbit, warmup)
     q = haar_frame(orbit.states.shape[1], k, seed=4201)
     logs = np.empty((steps - i0, k))
     for i in range(i0):
@@ -38,9 +55,10 @@ def per_step_spectrum(orbit, k, warmup):
         q, r = qr_pos(orbit.step_cocycles[i] @ q)
         logs[i - i0] = np.log(np.abs(np.diag(r)))
     span = float(orbit.times[-1] - orbit.times[i0])
-    edges = np.linspace(0, steps - i0, measures.BOOT_BLOCKS + 1).astype(int)
-    block_sums = np.add.reduceat(logs, edges[:-1], axis=0)
-    block_spans = np.diff(orbit.times[i0 + edges])
+    firsts = np.searchsorted(time_blocks(orbit, i0),
+                             np.arange(measures.BOOT_BLOCKS))
+    block_sums = np.add.reduceat(logs, firsts, axis=0)
+    block_spans = np.diff(orbit.times[i0 + np.append(firsts, steps - i0)])
     rng = np.random.default_rng(measures.BOOT_SEED)
     picks = rng.integers(0, measures.BOOT_BLOCKS,
                          size=(measures.BOOT_RESAMPLES, measures.BOOT_BLOCKS))
@@ -86,10 +104,10 @@ class TestSpectrum:
     ], ids=["conjugated-lorenz", "polynomial"])
     def test_divergence_average_equals_the_per_state_loop(self, model,
                                                            monkeypatch):
-        monkeypatch.setattr(measures, "_TRACE_CHUNK", 7)   # many chunks
+        monkeypatch.setattr(measures, "_FOLD_CHUNK", 7)   # many chunks
         orb = integrate(model, [1.0, 2.0, 20.0], 6.0)
         est = benettin_spectrum(orb, 2, warmup=1.0)
-        i0 = int(np.searchsorted(orb.times, orb.times[0] + 1.0, side="left"))
+        i0 = warmup_index(orb, 1.0)
         tr = np.array([np.trace(model.jacobian(s)) for s in orb.states[i0:]])
         want = (np.sum(0.5 * (tr[1:] + tr[:-1]) * np.diff(orb.times[i0:]))
                 / float(orb.times[-1] - orb.times[i0]))
@@ -117,13 +135,13 @@ class TestSpectrum:
         monkeypatch.setattr(measures, "qr_pos",
                             lambda a: calls.append(1) or qr_pos(a))
         est = benettin_spectrum(lorenz_orbit_60, 3, warmup=5.0)
-        i0 = measures.warmup_index(lorenz_orbit_60, 5.0)
+        i0 = warmup_index(lorenz_orbit_60, 5.0)
         width = measures._FLOW_WINDOW
         assert len(calls) - -(-i0 // width) == est.reorthonormalizations
         # no window crosses a bootstrap block edge
-        edges = np.linspace(0, lorenz_orbit_60.n_steps - i0,
-                            measures.BOOT_BLOCKS + 1).astype(int)
-        assert est.reorthonormalizations == np.sum(-(-np.diff(edges) // width))
+        per_block = np.bincount(time_blocks(lorenz_orbit_60, i0))
+        assert len(per_block) == measures.BOOT_BLOCKS
+        assert est.reorthonormalizations == np.sum(-(-per_block // width))
 
     def test_matrix_orbit_equals_the_per_factor_reference(
             self, intermittent_suspension):
@@ -135,8 +153,7 @@ class TestSpectrum:
         assert est.divergence_average == div
         assert np.array_equal(est.half_widths, half_widths)
         assert est.sum_half_width == sum_half
-        assert est.reorthonormalizations == orb.n_steps - measures.warmup_index(
-            orb, 10.0)
+        assert est.reorthonormalizations == orb.n_steps - warmup_index(orb, 10.0)
 
     def test_rescaled_window_products_keep_their_log_scale(self):
         # a matrix orbit whose factors leave [2^-500, 2^500]: each window
@@ -152,6 +169,40 @@ class TestSpectrum:
         est = benettin_spectrum(orb, 3, warmup=20.0)
         npt.assert_allclose(est.exponents, rates * np.log(2.0), rtol=1e-12,
                             atol=1e-12)
+
+    @settings(max_examples=40)
+    @given(case=st.sampled_from(["lorenz_orbit", "suspension_orbit_400"]),
+           k=st.integers(1, 3), warmup_share=st.floats(0.0, 0.3),
+           sizes=st.lists(st.integers(0, 300), max_size=12))
+    def test_fold_does_not_depend_on_the_chunking(self, case, k, warmup_share,
+                                                   sizes, request):
+        # the steps fed in the drawn chunks (the rest in one last chunk)
+        # against the whole orbit fed as one chunk
+        orb = request.getfixturevalue(case)
+        warmup = warmup_share * orb.t_span
+
+        def fed(bounds):
+            fold = measures.BenettinFold(orb.model, k, orb.times[0],
+                                         orb.states[0], warmup, orb.times[-1])
+            for a, b in zip(bounds[:-1], bounds[1:]):
+                fold.add(orb.times[a + 1:b + 1], orb.states[a + 1:b + 1],
+                         orb.step_cocycles[a:b])
+            return fold.finish()
+
+        cuts = np.minimum(np.cumsum([0] + sizes), orb.n_steps)
+        chunked = fed(np.append(cuts, orb.n_steps))
+        whole = fed([0, orb.n_steps])
+        for name, value in vars(whole).items():
+            assert np.array_equal(getattr(chunked, name), value), name
+
+    def test_empty_bootstrap_block_names_the_warmup(self, lorenz_orbit):
+        # 0.01 time units after the warmup: 50 blocks of 2e-4, shorter
+        # than the orbit's steps
+        with pytest.raises(ConfigError) as err:
+            benettin_spectrum(lorenz_orbit, 3, warmup=lorenz_orbit.t_span - 0.01)
+        assert err.value.field == "spectrum.warmup"
+        assert err.value.message.startswith("must leave each of the 50 "
+                                            "bootstrap blocks an orbit step")
 
     def test_k_exceeds_dimension(self, lorenz_orbit):
         with pytest.raises(ValueError):

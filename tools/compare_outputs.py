@@ -13,9 +13,13 @@ and one BLAS/OpenMP thread:
   ``configs/intermittent_verify.json``;
 - ``simulate`` and ``spectrum`` on ``configs/lorenz_simulate.json``,
   and ``classify`` on ``configs/lorenz_verify.json``;
-- six inline configs (see ``INLINE``) for paths that no other
-  invocation runs: ``measure``, since no shipped config sets a
-  ``measure`` section, once on invariance and once on pesin (whose flow
+- eight inline configs (see ``INLINE``) for paths that no other
+  invocation runs: two ``spectrum`` runs of seconds, on Lorenz at T=60
+  and rtol 1e-9 and on a van der Pol ``polynomial`` field whose
+  Jacobian trace varies along the orbit, so that spectrum bytes are
+  compared without waiting for the shipped T=2000 config; ``measure``,
+  since no shipped config sets a ``measure`` section, once on
+  invariance and once on pesin (whose flow
   side reads a one-seed section stream through ``mnuse_rate_stream``);
   ``verify`` on a 4-d ``linear`` field at splitting stride 2, where N^cu
   is 2-d; ``verify`` on a ``geometric_lorenz`` with a constant roof
@@ -92,6 +96,21 @@ INLINE = (
     ("simulate suspension returns", "simulate", {
         "model": "geometric_lorenz", "seed": 3,
         "simulate": {"n_returns": 2000, "section": "suspension-canonical"}}),
+    ("spectrum lorenz T=60", "spectrum", {
+        "model": "lorenz", "seed": 6, "tolerances": {"rtol": 1e-9, "atol": 1e-12},
+        "spectrum": {"T": 60.0, "warmup": 5.0, "k": 3}}),
+    # van der Pol in (x, y) driving z: the Jacobian trace -x^2 varies
+    ("spectrum van der Pol", "spectrum", {
+        "model": "polynomial",
+        "params": {"table": {"dim": 3, "components": [
+            [{"exponents": [0, 1, 0], "coeff": 1.0}],
+            [{"exponents": [0, 1, 0], "coeff": 1.0},
+             {"exponents": [2, 1, 0], "coeff": -1.0},
+             {"exponents": [1, 0, 0], "coeff": -1.0}],
+            [{"exponents": [0, 0, 1], "coeff": -1.0},
+             {"exponents": [1, 1, 0], "coeff": 1.0}]]}},
+        "tolerances": {"rtol": 1e-9, "atol": 1e-12},
+        "spectrum": {"T": 60.0, "warmup": 5.0, "k": 3, "x0": [1.0, 2.0, 0.5]}}),
 )
 # verify configs whose ensemble fails: member 2 blows up past the bound,
 # and member 2 passes the origin below the LPF speed floor
