@@ -21,14 +21,14 @@ import numpy as np
 from . import __version__
 from . import suspension as susp
 from .config import REPORT_TABLE, reject_set, settings, step_control
-from .errors import ConfigError, NotPeriodic, ShortOrbit
+from .errors import ConfigError, NotPeriodic, ShortOrbit, WarmupExceedsOrbit
 from .flowcalc import batch_rk4, integrate_batch
 from .hyperbolicity import (Functionals, NushPeriodicResult, classify_singularity,
                             msh_fit, msh_windows, nush_periodic_check, sect_windows,
                             tau_windows)
 from .lpf import lpf_alongs
 from .models import SuspensionModel, VectorFieldModel, interval_fixed_points
-from .splitting import (block_factors, estimate_splittings, rate_fits,
+from .splitting import (RATE_STARTS, block_factors, rate_fits, span_windows,
                         splittings_of_blocks)
 
 
@@ -133,20 +133,6 @@ def _rate_entries(rows, cond, by_tau, s):
                                           for tv in s["tau_sensitivity"]}
 
 
-def _lpf_entries(seqs, lpfs, conditions, s):
-    """Per member its NUSE and MSH-estimate row entries from its splitting
-    sequence and LPF cocycle, all members' functionals stacked."""
-    fns = Functionals(seqs, lpfs)
-    rows = [{} for _ in seqs]
-    if "NUSE" in conditions:
-        _rate_entries(rows, "NUSE", {tau: fns.nuse(tau) for tau in _taus(s)}, s)
-    if "MSH-estimate" in conditions:
-        fits = fns.msh(s["msh.radius"], _msh_avoid(s))
-        for out, res in zip(rows, fits):
-            out.update(_msh_entries(res, s["thresholds.margin"]))
-    return rows
-
-
 def _msh_entries(res, margin):
     """The row entries of an MSH fit (`hyperbolicity.MshResult`): NaN
     slopes fail."""
@@ -156,11 +142,12 @@ def _msh_entries(res, margin):
             "msh_qualifying": res.n_qualifying}
 
 
-def _cocycle_entries(seqs, conditions, s, spans=None):
-    """Per member its row entries from its splitting sequence alone, all
-    members' functionals stacked; `spans` are those of the domination
-    and contraction fits (see `splitting.span_windows`)."""
-    fns = Functionals(seqs)
+def _entries(seqs, lpfs, conditions, s, spans=None):
+    """Per member its row entries from its splitting sequence and, for
+    NUSE and MSH-estimate, its LPF cocycle, each functional run once over
+    all members (see `hyperbolicity.Functionals`); `spans` are those of
+    the domination and contraction fits (see `splitting.span_windows`)."""
+    fns = Functionals(seqs, lpfs)
     rows = [{} for _ in seqs]
     if any(c in conditions for c in ("PH", "SingularHyp", "SH")):
         for out, (dom, con) in zip(rows, rate_fits(seqs, spans)):
@@ -181,32 +168,25 @@ def _cocycle_entries(seqs, conditions, s, spans=None):
     if "NNE" in conditions:
         for out, res in zip(rows, fns.nne()):
             out["nne_min"] = res.min_rate
+    # last, since the LPF block factors they form are held to the end: run
+    # first, they raised bench lorenz-verify's peak RSS from 44.7 to 45.1 MB
+    # (2-core VM, one BLAS thread)
+    if "NUSE" in conditions:
+        _rate_entries(rows, "NUSE", {tau: fns.nuse(tau) for tau in _taus(s)}, s)
+    if "MSH-estimate" in conditions:
+        fits = fns.msh(s["msh.radius"], _msh_avoid(s))
+        for out, res in zip(rows, fits):
+            out.update(_msh_entries(res, s["thresholds.margin"]))
     return rows
 
 
 def _ode_rows(seqs, lpfs, conditions, s):
     """The rows of these members in member order, each what the member
     alone gives; raises the first member's `_check_windows` fault before
-    any functional runs.
-
-    Each functional then runs once over all members (see
-    `hyperbolicity.Functionals`), in the order that holds the least at
-    once: the LPF functionals (NUSE, MSH-estimate), after which `lpfs` is
-    emptied, which frees the LPF cocycles when the caller holds no other
-    reference to them, then the rest.
-    """
+    any functional runs."""
     for seq in seqs:
         _check_windows(seq, conditions, s)
-    if not seqs:
-        return []
-    rows = [{} for _ in seqs]
-    if lpfs[0] is not None:
-        for out, got in zip(rows, _lpf_entries(seqs, lpfs, conditions, s)):
-            out.update(got)
-    lpfs.clear()
-    for out, got in zip(rows, _cocycle_entries(seqs, conditions, s)):
-        out.update(got)
-    return rows
+    return _entries(seqs, lpfs, conditions, s)
 
 
 def _ode_ensemble(model, s, conditions):
@@ -244,8 +224,7 @@ def _batch_rows(members, conditions, s):
     The rows, and the exception raised first, are what a loop over the
     members gives that runs `estimate_splitting`, `lpf_along` and
     `_ode_rows` one member at a time.  Each stage runs stacked over the
-    members, in the order that holds the least at once: the LPF
-    factors of the members that integrated (no normal frame is kept:
+    members that integrated: their LPF factors (no normal frame is kept:
     the functionals compute the frames where they read them), then each
     one's block factors, after which its per-step factors are released,
     then the splitting sweeps.  A member fails only in one of these
@@ -264,10 +243,13 @@ def _batch_rows(members, conditions, s):
     blocks = []
     for orbit in orbits:
         blocks.append(block_factors(orbit, stride))
+        # nothing reads the per-step factors after this; kept, they raised
+        # peak RSS on bench lorenz-verify from 44.7 to 47.5 MB and on
+        # configs/lorenz_verify.json from 62.1 to 73.7 MB (2-core VM, one
+        # BLAS thread)
         orbit.step_cocycles = None
     seqs = splittings_of_blocks(orbits, blocks, s["splitting.d_s"],
                                 s["splitting.warmup"])
-    del orbits, blocks
     seqs, lpfs, fault = _before_failure(members, seqs, lpfs)
     if fault is not None:
         for seq in seqs:
@@ -339,6 +321,9 @@ def _suspension_ensemble(model, s, conditions):
                                        tilt_warmup=s["ensemble.tilt_warmup"])
     rows = _stream_rows(streams, is_probe, s, conditions, sect_window, avoid)
     clipped = streams.clipped
+    # the PH sample's splittings need no stream; held through them, the
+    # streams raised bench suspension-verify's peak RSS from 52.6 to 56.3 MB
+    # (2-core VM, one BLAS thread)
     del streams
 
     # uniform structural conditions via the generic matrix machinery on a
@@ -352,17 +337,26 @@ def _suspension_ensemble(model, s, conditions):
         orbits = [susp.suspension_orbit(model, all_seeds[b], ph_returns)
                   for b in sample]
         warmup = 10.0 * model.roof_floor
-        for b, orbit in zip(sample, orbits):
-            if orbit.t_span <= 2 * warmup:
+        seqs = splittings_of_blocks(orbits, [block_factors(orbit, 1) for orbit in orbits],
+                                    1, warmup)
+        # a sampled seed too short for its fits is the config's fault, and
+        # is raised before any other member's failure
+        for b, orbit, seq in zip(sample, orbits, seqs):
+            if (isinstance(seq, (WarmupExceedsOrbit, ShortOrbit))
+                    or (not isinstance(seq, Exception)
+                        and not len(span_windows(seq.times, dom_spans, RATE_STARTS)[0]))):
                 raise ConfigError("windows.n_returns",
                                   f"{ph_returns} returns give seed {b} a PH sample "
-                                  f"orbit of span {orbit.t_span:.6g}, no longer "
-                                  "than twice its warmup of 10 roof floors")
-        seqs = estimate_splittings(orbits, d_s=1, warmup=warmup, stride=1)
+                                  f"orbit of span {orbit.t_span:.6g}, which leaves no "
+                                  "domination window of 2 roof floors or more "
+                                  "between its two warmups of 10 roof floors")
+        for seq in seqs:
+            if isinstance(seq, Exception):
+                raise seq
         # every sampled member's fits, and its NNE when that is requested
         sample_conditions = ["PH"] + [c for c in conditions if c == "NNE"]
-        for b, got in zip(sample, _cocycle_entries(seqs, sample_conditions, s,
-                                                   spans=dom_spans)):
+        for b, got in zip(sample, _entries(seqs, None, sample_conditions, s,
+                                           spans=dom_spans)):
             rows[b].update(got)
     return rows, {"clipped_roof_crossings": clipped}
 
@@ -370,8 +364,8 @@ def _suspension_ensemble(model, s, conditions):
 def _stream_rows(streams, is_probe, s, conditions, sect_window, avoid):
     """Each seed's SH, ASH, MSH-estimate, MNUSE and NUSE fields, read from
     the section streams one seed at a time.  Every seed's orbit is first
-    checked against the longest tau window; each seed's MSH fit windows
-    are checked at its turn."""
+    checked against the longest tau window; a seed whose MSH scan finds
+    no fit window has `msh.avoid_window` checked at its turn."""
     n_seeds = streams.n_seeds
     tau_rated = [c for c in ("MNUSE", "NUSE") if c in conditions]
     if tau_rated:
@@ -388,9 +382,6 @@ def _stream_rows(streams, is_probe, s, conditions, sect_window, avoid):
     by_tau = {cond: {tau: [] for tau in _taus(s)} for cond in tau_rated}
     rows = []
     for b in range(n_seeds):
-        if "MSH-estimate" in conditions:
-            t = streams.seed(b).times
-            _check_msh_window(t, np.arange(len(t)), avoid)
         out = {"probe": bool(is_probe[b])}
         if any(c in conditions for c in ("SingularHyp", "SH")):
             mean_r, min_r, max_r = susp.sectional_rate_stream(streams, b, sect_window)
@@ -401,6 +392,11 @@ def _stream_rows(streams, is_probe, s, conditions, sect_window, avoid):
         if "MSH-estimate" in conditions:
             out.update(_suspension_msh_row(streams, b, s["msh.radius"], avoid,
                                            s["thresholds.margin"]))
+            if np.isnan(out["msh_slopes"][0]):
+                # no fit window on this orbit: the config's fault if there
+                # would be none even where every sample is clear
+                t = streams.seed(b).times
+                _check_msh_window(t, np.arange(len(t)), avoid)
         for cond in tau_rated:
             for tau, got in by_tau[cond].items():
                 got.append(rates[cond](streams, b, tau))

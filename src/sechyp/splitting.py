@@ -36,9 +36,6 @@ GAP_RATIO_FLOOR = 1.0 + 1e-3
 # Verdict margin per unit time separating genuine zero rates from noise.
 RATE_MARGIN = 1e-3
 
-# Blocks whose products are formed at once, which bounds the temporaries.
-_BLOCK_CHUNK = 256
-
 # Window starts per span of the domination and contraction fits.
 RATE_STARTS = 5
 
@@ -135,13 +132,8 @@ def block_factors(orbit: OrbitSegment, stride: int):
     grid = np.arange(0, n_steps + 1, stride)
     if grid[-1] != n_steps:
         grid = np.append(grid, n_steps)
-    steps = orbit.step_cocycles
-    mats = np.empty((len(grid) - 1,) + steps.shape[1:])
-    for lo in range(0, len(mats), _BLOCK_CHUNK):
-        at = slice(lo, lo + _BLOCK_CHUNK)
-        part, log_scales = window_products(steps, grid[:-1][at], grid[1:][at])
-        mats[at] = part * np.exp(log_scales)[:, None, None]
-    return grid, mats
+    mats, log_scales = window_products(orbit.step_cocycles, grid[:-1], grid[1:])
+    return grid, mats * np.exp(log_scales)[:, None, None]
 
 
 def _sweep(factors, n, seed, cols, kept, backward=False):
@@ -190,23 +182,11 @@ def estimate_splitting(orbit: OrbitSegment, d_s: int, warmup: float,
     Raises SpectralGapFailure when the singular-value ratio at either
     cut over one warmup window falls below 1 + 1e-3.
     """
-    return estimate_splittings([orbit], d_s, warmup, init_seed, stride)[0]
-
-
-def estimate_splittings(orbits, d_s: int, warmup: float,
-                        init_seed: int = 12902, stride: int = 1):
-    """`estimate_splitting` of each orbit in a list, one
-    SplittingSequence per member, bit for bit; the first failing member
-    raises what `estimate_splitting` raises on it (see
-    `splittings_of_blocks`).
-    """
-    seqs = splittings_of_blocks(orbits, [block_factors(orbit, stride)
-                                         for orbit in orbits],
-                                d_s, warmup, init_seed)
-    for seq in seqs:
-        if isinstance(seq, Exception):
-            raise seq
-    return seqs
+    (seq,) = splittings_of_blocks([orbit], [block_factors(orbit, stride)], d_s,
+                                  warmup, init_seed)
+    if isinstance(seq, Exception):
+        raise seq
+    return seq
 
 
 def splittings_of_blocks(orbits, blocks, d_s: int, warmup: float,
@@ -381,17 +361,18 @@ def span_windows(times, spans, n_starts):
     n_starts window starts spread evenly over the grid per span.
 
     Spans default to six from a tenth of the grid length up to all of
-    it; longer spans are dropped.  A window ends at the last grid time
-    within its span, and windows shorter than one block are dropped.
+    it; longer spans are dropped, and the arrays are empty when none is
+    left.  A window ends at the last grid time within its span, and
+    windows shorter than one block are dropped.
     """
     window = times[-1] - times[0]
     if spans is None:
         spans = np.linspace(window / 10.0, window, 6)
     spans = np.asarray(spans, dtype=float)
     spans = spans[spans <= window + 1e-12]
-    starts = np.concatenate([
+    starts = np.array([
         np.linspace(times[0], max(times[0], times[-1] - span), n_starts)
-        for span in spans])
+        for span in spans]).reshape(-1)
     ends = np.minimum(starts + np.repeat(spans, n_starts), times[-1])
     i = np.searchsorted(times, starts, side="left")
     j = np.searchsorted(times, ends, side="right") - 1

@@ -26,8 +26,7 @@ from sechyp.models import (conjugate_model, make_expanding_lorenz_map,
                            make_intermittent_lorenz_map, make_linear_field,
                            make_linear_saddle, make_lorenz,
                            polynomial_field_from_table)
-from sechyp.splitting import (block_factors, estimate_splitting, estimate_splittings,
-                              splittings_of_blocks)
+from sechyp.splitting import block_factors, estimate_splitting, splittings_of_blocks
 from sechyp.suspension import suspension_orbit
 from sechyp.util import principal_angles, qr_pos
 
@@ -326,7 +325,7 @@ def test_singular_block_fails_only_its_member(splitting_pool, member_reference,
 
 
 def test_no_members_no_sequences():
-    assert estimate_splittings([], 1, MEMBER_WARMUP) == []
+    assert splittings_of_blocks([], [], 1, MEMBER_WARMUP) == []
 
 
 def _failure_of(orbit):
@@ -346,10 +345,11 @@ def test_first_failing_member_raises(splitting_pool, order, raised):
     orbits = [pool[i] for i in order]
     first = next(exc for exc in map(_failure_of, orbits) if exc is not None)
     assert type(first) is raised
-    with pytest.raises(raised) as got:
-        estimate_splittings(orbits, 1, MEMBER_WARMUP)
-    assert type(got.value) is raised
-    assert str(got.value) == str(first)
+    seqs = splittings_of_blocks(orbits, [block_factors(orbit, 1) for orbit in orbits],
+                                1, MEMBER_WARMUP)
+    got = next(seq for seq in seqs if isinstance(seq, Exception))
+    assert type(got) is raised
+    assert str(got) == str(first)
 
 
 # members of one dimension, different lengths and different models for

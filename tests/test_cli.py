@@ -459,6 +459,18 @@ def test_shipped_configs_validate():
     ("simulate", {"model": "geometric_lorenz",
                   "simulate": {"section": "suspension-canonical"}},
      "simulate.t_span", "simulate with a section does not read it"),
+    # the probes at x = +-1 have roof 1: 21 returns span 21 time units, and
+    # their two warmups of 10 roof floors leave no domination span of 2
+    ("verify", {"model": "geometric_lorenz",
+                "verify": {"conditions": ["SH"], "windows": {"n_returns": 21},
+                           "ensemble": {"size": 1}}},
+     "verify.windows.n_returns", "21 returns give seed"),
+    # a suspension's MSH check: no avoid window of 1000 ends inside an
+    # orbit of 200 returns
+    ("verify", {"model": "geometric_lorenz",
+                "verify": {"conditions": ["MSH-estimate"], "windows": {"n_returns": 200},
+                           "ensemble": {"size": 1}, "msh": {"avoid_window": 1000}}},
+     "verify.msh.avoid_window", "1000 leaves no MSH fit window"),
 ])
 def test_config_fault_exit_2_without_output(tmp_path, capsys, command, section,
                                             field, message):
@@ -488,6 +500,20 @@ def test_msh_with_no_fit_window_is_not_fitted(tmp_path):
                       "msh": {"radius": 60.0}}}
     assert main(["verify", "-c", write_config(tmp_path, cfg)]) == 1
     (verdict,) = json.loads((out / "lorenz_report.json").read_text())["conditions"]
+    assert verdict["verdict"] == "fail" and np.isnan(verdict["rate"])
+
+
+def test_suspension_msh_with_no_fit_window_is_not_fitted(tmp_path):
+    # every |x| is at most 1, so no sample lies farther than radius 2 from
+    # the singular line and no window start qualifies: each seed reads as
+    # not fitted, and MSH fails on NaN slopes
+    out = tmp_path / "out"
+    cfg = {"model": "geometric_lorenz", "seed": 1, "output_dir": str(out),
+           "verify": {"conditions": ["MSH-estimate"], "ensemble": {"size": 2},
+                      "windows": {"n_returns": 200}, "msh": {"radius": 2.0}}}
+    assert main(["verify", "-c", write_config(tmp_path, cfg)]) == 1
+    (verdict,) = json.loads((out / "geometric_lorenz_report.json")
+                            .read_text())["conditions"]
     assert verdict["verdict"] == "fail" and np.isnan(verdict["rate"])
 
 
@@ -644,7 +670,7 @@ def small_configs(draw):
     else:
         windows = {"tau": draw(st.sampled_from([1e-3, 1.0, 5.0]))}
         if model == "geometric_lorenz":
-            windows["n_returns"] = draw(st.sampled_from([10, 50, 200]))
+            windows["n_returns"] = draw(st.sampled_from([10, 21, 50, 200]))
         else:
             windows["T"] = draw(st.sampled_from(SMALL_TIMES))
             windows["sect_window"] = draw(st.sampled_from([1e-3, 3.0, 100.0]))

@@ -60,6 +60,17 @@ class TestFormedOnce:
                             np.exp(-0.5 * np.diff(hand_built_seq.times)),
                             rtol=1e-7)
 
+    def test_block_factors_equal_each_blocks_propagator(self, lorenz):
+        # 1014 blocks, formed in one window_products call: each is the
+        # propagator over its block, bit for bit, on both sides of block 256
+        orbit = integrate(lorenz, [1.0, 1.0, 1.0], 20.0)
+        grid, factors = block_factors(orbit, 3)
+        assert len(factors) == len(grid) - 1 > 256
+        assert grid[-1] == orbit.n_steps
+        for k in range(len(factors)):
+            m, ls = orbit.propagator(grid[k], grid[k + 1])
+            assert factors[k].tobytes() == (m * np.exp(ls)).tobytes(), k
+
 
 class TestEstimate:
     def test_saddle_coordinate_splitting(self, saddle_seq):

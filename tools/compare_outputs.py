@@ -38,13 +38,17 @@ to both trees unchanged.  Each invocation's output files are compared
 byte for byte, like ``cmp``, and so are its standard output, its exit code and the
 ``error:`` lines of its standard error (the other lines of standard
 error, such as warnings, carry tree paths).  One line is printed per
-invocation, with both wall times.  Under it, each JSON output that
-differs gets a line with the largest absolute and relative change over
-its floats, and whether every other field (keys, list lengths, strings
-such as verdicts, booleans, integer counts) is equal; the last line
-gives the largest changes over all invocations.  The exit status is 1
-when anything differs, however small.  Only the standard library is
-used.
+invocation, with both wall times and both peak RSS values (each process
+is reaped with ``os.wait4``, and its ``ru_maxrss`` is read in MB).
+Under it, each JSON output that differs gets a line with the largest
+absolute and relative change over its floats, and whether every other
+field (keys, list lengths, strings such as verdicts, booleans, integer
+counts) is equal.  After the last invocation one line says "all
+identical" or gives the largest JSON changes over all invocations, and
+the last line gives the largest relative rise in peak RSS from
+PARENT_TREE to CHANGE_TREE (a fall when negative) and its invocation.
+The exit status is 1 when any output differs, however small; the RSS
+does not set it.  Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -159,17 +163,25 @@ def invocations(tree):
 
 def run(tree, command, config_path, out):
     """Run one invocation in `tree`: (exit code, stdout bytes, the
-    ``error:`` lines of stderr, wall s)."""
+    ``error:`` lines of stderr, wall s, peak RSS MB).  The streams go to
+    files beside `out`, and the process is reaped with ``os.wait4``,
+    whose ``ru_maxrss`` is the peak RSS."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     env.update({var: "1" for var in THREAD_VARS})
     out.mkdir(parents=True)
-    t0 = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-m", "sechyp.cli", command, "-c",
-                           str(config_path), "-o", str(out)],
-                          cwd=out, env=env, stdout=subprocess.PIPE,
-                          stderr=subprocess.PIPE)
-    errors = [line for line in proc.stderr.splitlines() if line.startswith(b"error:")]
-    return proc.returncode, proc.stdout, errors, time.perf_counter() - t0
+    streams = out.with_suffix(".stdout"), out.with_suffix(".stderr")
+    with open(streams[0], "wb") as stdout, open(streams[1], "wb") as stderr:
+        t0 = time.perf_counter()
+        proc = subprocess.Popen([sys.executable, "-m", "sechyp.cli", command, "-c",
+                                 str(config_path), "-o", str(out)],
+                                cwd=out, env=env, stdout=stdout, stderr=stderr)
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall = time.perf_counter() - t0
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    errors = [line for line in streams[1].read_bytes().splitlines()
+              if line.startswith(b"error:")]
+    return (proc.returncode, streams[0].read_bytes(), errors, wall,
+            usage.ru_maxrss / 1024.0)
 
 
 def differences(a, b):
@@ -226,6 +238,7 @@ def main(argv=None):
     work = Path(tempfile.mkdtemp(prefix="sechyp-compare-"))
     failed = 0
     largest = (0.0, 0.0)
+    rss_change = (-math.inf, "")
     try:
         for n, (label, command, cfg) in enumerate(invocations(trees["change"])):
             case = work / f"case{n:02d}"
@@ -234,8 +247,9 @@ def main(argv=None):
             config_path.write_text(json.dumps(cfg, indent=2))
             got = {side: run(tree, command, config_path, case / side)
                    for side, tree in trees.items()}
-            ((code_a, out_a, err_a, wall_a),
-             (code_b, out_b, err_b, wall_b)) = got.values()
+            ((code_a, out_a, err_a, wall_a, rss_a),
+             (code_b, out_b, err_b, wall_b, rss_b)) = got.values()
+            rss_change = max(rss_change, (rss_b / rss_a - 1.0, label))
             diffs = differences(case / "parent", case / "change")
             if code_a != code_b:
                 diffs.append(f"exit code {code_a} != {code_b}")
@@ -246,7 +260,7 @@ def main(argv=None):
             failed += bool(diffs)
             status = "identical" if not diffs else "DIFFERS: " + ", ".join(diffs)
             print(f"{label:<40s} exit {code_b}  {wall_a:7.2f} s -> {wall_b:7.2f} s  "
-                  f"{status}", flush=True)
+                  f"{rss_a:6.1f} MB -> {rss_b:6.1f} MB  {status}", flush=True)
             for name in diffs:
                 if not name.endswith(".json"):
                     continue
@@ -262,6 +276,7 @@ def main(argv=None):
     print("all identical" if not failed else
           f"{failed} invocation(s) differ; largest JSON change {largest[0]:.3g} "
           f"absolute, {largest[1]:.3g} relative")
+    print(f"largest peak RSS change {rss_change[0]:+.1%} ({rss_change[1]})")
     return 1 if failed else 0
 
 
