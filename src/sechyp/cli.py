@@ -288,8 +288,9 @@ def cmd_measure(cfg, args):
     if kind == "basin":
         _require(model.trapping_region is not None, "measure.grid",
                  "model has no trapping region")
-        _require(len(c["measure.grid"]) == model.dim, "measure.grid",
-                 f"must have one entry per dimension ({model.dim})")
+        for key in ("measure.grid", "measure.reference"):
+            _require(c[key] is None or len(c[key]) == model.dim, key,
+                     f"must have one entry per dimension ({model.dim})")
     seed = _effective_seed(c, args.seed)
     out = _out_dir(c, args)
     n = c["measure.n"] or (10 ** 5 if kind == "pesin" else 10 ** 6)

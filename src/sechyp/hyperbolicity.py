@@ -380,19 +380,21 @@ class Functionals:
     """The flow functionals of a batch of members, evaluated together.
 
     `seqs` are the members' splitting sequences (of one dimension and
-    one d_s) and `lpfs` their LPF cocycles, which only `nuse` and `msh`
-    read, both through one set of LPF block factors per member (its
-    products over the splitting blocks) and one set of N^s and N^cu
-    coordinates at its checkpoints.  Each method evaluates one
-    functional over every member and returns its per-member results.
-    The windows it reads are formed in one `util.member_products` call
-    per factor stream (`Rs`, `Rcu`, the LPF block factors or their
-    restrictions), and each linear-algebra step on the products is
-    one stacked call over all members; every result is bit for bit the
-    member's alone.  The E^cu functionals (SH with SingularHyp's volume,
-    ASH, MNUSE) are sums of the log singular values of `Rcu` window
-    products (`util.log_svals`): the bottom two for a 2-plane, all d_cu
-    for the volume.  The one-member forms below (`mnuse_functional` and
+    one d_s) and `lpfs` per member its LPF over the splitting blocks
+    (`LPFCocycle.blocks(seq.grid)`: its block factors and its normal
+    frames at the checkpoints), which only `nuse` and `msh` read.  The
+    constructor forms from the frames each member's orthonormal
+    coordinates of N^s and N^cu = E^cu ^ X^perp at its checkpoints: the
+    left singular vectors of E^s there, and the first d_cu - 1 of E^cu.
+    Each method evaluates one functional over every member and returns
+    its per-member results.  The windows it reads are formed in one
+    `util.member_products` call per factor stream (`Rs`, `Rcu`, the LPF
+    block factors or their restrictions), and each linear-algebra step
+    on the products is one stacked call over all members; every result
+    is bit for bit the member's alone.  The E^cu functionals (SH with
+    SingularHyp's volume, ASH, MNUSE) are sums of the log singular values
+    of `Rcu` window products (`util.log_svals`): the bottom two for a
+    2-plane, all d_cu for the volume.  The one-member forms below (`mnuse_functional` and
     the rest) are a Functionals of that member.
 
     A member cannot fail here once its windows pass the report's check
@@ -401,11 +403,16 @@ class Functionals:
     block.
     """
 
-    def __init__(self, seqs, lpfs=None):
+    def __init__(self, seqs, lpfs=()):
         self.seqs = list(seqs)
-        self.lpfs = lpfs
-        self._blocks = None
-        self._bases = [None] * len(self.seqs)
+        self.lpf_blocks, self.ns, self.ncu = [], [], []
+        for seq, (blocks, frames) in zip(self.seqs, lpfs):
+            frames_t = frames.transpose(0, 2, 1)
+            ns, _, _ = np.linalg.svd(frames_t @ seq.Es, full_matrices=False)
+            ncu, _, _ = np.linalg.svd(frames_t @ seq.Ecu, full_matrices=False)
+            self.lpf_blocks.append(blocks)
+            self.ns.append(ns)
+            self.ncu.append(ncu[:, :, :seq.d_cu - 1])
 
     def _rcu(self, windows):
         """The log singular values and log scales of the members' `Rcu`
@@ -414,29 +421,6 @@ class Functionals:
         spans = np.concatenate([seq.times[j] - seq.times[i]
                                 for seq, (i, j) in zip(self.seqs, windows)])
         return log_svals(mats), ls, spans
-
-    def _lpf_blocks(self):
-        """Per member its LPF products over its splitting blocks, from
-        checkpoint k to k + 1, each times its exp(log scale): formed once,
-        in one `window_products` call per member."""
-        if self._blocks is None:
-            self._blocks = []
-            for seq, lpf in zip(self.seqs, self.lpfs):
-                p, ls = window_products(lpf.lpf_factors, seq.grid[:-1], seq.grid[1:])
-                self._blocks.append(p * np.exp(ls)[:, None, None])
-        return self._blocks
-
-    def _normal_bases(self, m):
-        """Member m's orthonormal coordinates of N^s and N^cu = E^cu ^ X^perp
-        in the normal frame at each of its checkpoints, formed once: the
-        left singular vectors of E^s there, and the first d_cu - 1 of E^cu."""
-        if self._bases[m] is None:
-            seq = self.seqs[m]
-            frames_t = self.lpfs[m].frames_at(seq.grid).transpose(0, 2, 1)
-            ns, _, _ = np.linalg.svd(frames_t @ seq.Es, full_matrices=False)
-            ncu, _, _ = np.linalg.svd(frames_t @ seq.Ecu, full_matrices=False)
-            self._bases[m] = ns, ncu[:, :, :seq.d_cu - 1]
-        return self._bases[m]
 
     def sectional(self, window):
         """Per member its (`sectional_expansion_functional`,
@@ -478,11 +462,9 @@ class Functionals:
     def nuse(self, tau):
         """Per member its `nuse_functional`."""
         windows = [_nuse_windows(seq, tau) for seq in self.seqs]
-        p, ls = member_products(self._lpf_blocks(), windows)
-        ua = np.concatenate([self._normal_bases(m)[1][ka]
-                             for m, (ka, _) in enumerate(windows)])
-        ub = np.concatenate([self._normal_bases(m)[1][kb]
-                             for m, (_, kb) in enumerate(windows)])
+        p, ls = member_products(self.lpf_blocks, windows)
+        ua = np.concatenate([u[ka] for u, (ka, _) in zip(self.ncu, windows)])
+        ub = np.concatenate([u[kb] for u, (_, kb) in zip(self.ncu, windows)])
         logs = log_norms(ub.transpose(0, 2, 1) @ (p @ ua), ls, inverse=True)
         out = []
         for seq, (ka, kb), lg in zip(self.seqs, windows, member_split(logs, windows)):
@@ -499,8 +481,8 @@ class Functionals:
                             _singular_distances(seq.orbit, seq.orbit.model),
                             seq.grid, radius, avoid_window) for seq in self.seqs]
         ns_f, nu_f = [], []
-        for m, p in enumerate(self._lpf_blocks()):
-            for f, b in zip((ns_f, nu_f), self._normal_bases(m)):
+        for p, *bases in zip(self.lpf_blocks, self.ns, self.ncu):
+            for f, b in zip((ns_f, nu_f), bases):
                 f.append(b[1:].transpose(0, 2, 1) @ (p @ b[:-1]))
         windows = [fit[1:] for fit in fits]
         ln_s = log_norms(*member_products(ns_f, windows))
@@ -636,7 +618,7 @@ def nuse_functional(lpf_cocycle, seq: SplittingSequence, tau: float) -> float:
     """Per-unit-time average of log ||(P^tau | N^cu)^{-1}|| over the orbit
     of the time-tau map, where N^cu = E^cu intersected with the normal
     space of the flow direction."""
-    return Functionals([seq], [lpf_cocycle]).nuse(tau)[0]
+    return Functionals([seq], [lpf_cocycle.blocks(seq.grid)]).nuse(tau)[0]
 
 
 def nne_functional(seq: SplittingSequence) -> FunctionalResult:
@@ -668,7 +650,8 @@ def msh_estimate(lpf_cocycle, seq: SplittingSequence, radius: float,
     on log ||P^t|N^s|| and log ||P^-t|N^u||.  The singular-domination
     component reuses the same restricted factors.
     """
-    return Functionals([seq], [lpf_cocycle]).msh(radius, avoid_window)[0]
+    lpf = lpf_cocycle.blocks(seq.grid)
+    return Functionals([seq], [lpf]).msh(radius, avoid_window)[0]
 
 
 # ----------------------------------------------------------------------

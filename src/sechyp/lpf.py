@@ -19,7 +19,7 @@ import numpy as np
 from .errors import NearSingularity, NoReturn, SingularPoint, TangencyWarning
 from .flowcalc import TIME_RESOLUTION, OrbitSegment, dp5_steps
 from .models import SuspensionModel
-from .util import orthonormal_complement, qr_pos, scaled_product, unit
+from .util import block_products, orthonormal_complement, qr_pos, scaled_product, unit
 
 # Flow speed at or below which an orbit counts as at a singularity,
 # where the normal bundle and so the LPF are undefined.
@@ -60,6 +60,13 @@ class LPFCocycle:
                                               orbit.times[idx]))
         return q if self.rotation is None else q @ self.rotation
 
+    def blocks(self, grid):
+        """The LPF over the blocks between consecutive grid indices, and
+        the normal frames at the grid: ((len(grid) - 1, n-1, n-1) block
+        products, each times its exp(log scale), (len(grid), n, n-1)
+        frames)."""
+        return block_products(self.lpf_factors, grid), self.frames_at(grid)
+
     def propagator(self, i, j):
         """Composed LPF factor over grid indices [i, j] as (matrix, log_scale)."""
         return scaled_product(self.lpf_factors, i, j)
@@ -68,7 +75,8 @@ class LPFCocycle:
 def lpf_along(orbit: OrbitSegment,
               frame_seed: Optional[int] = None) -> LPFCocycle:
     """Per-step linear Poincare flow factors between normal frames: frame
-    k is the orthonormal complement of the flow direction at grid index k.
+    k is the orthonormal complement of the flow direction at grid index k,
+    and the factors are one stacked product Q[1:]^T (Phi Q[:-1]).
 
     Raises NearSingularity when the flow speed drops to SPEED_FLOOR
     anywhere on the grid; the cocycle is undefined at singularities and
@@ -83,48 +91,12 @@ def lpf_along(orbit: OrbitSegment,
     constant vertical coordinate and the normal space is the section
     plane itself.
     """
-    (lpf,) = lpf_alongs([orbit], frame_seed)
-    if isinstance(lpf, Exception):
-        raise lpf
-    return lpf
-
-
-def lpf_alongs(orbits, frame_seed: Optional[int] = None) -> list:
-    """`lpf_along` of each orbit in a list (all of one dimension): per
-    member its LPFCocycle, bit for bit, or the NearSingularity
-    `lpf_along` raises on it.
-
-    A member's frames Q at all its grid points come from one `frames_at`
-    call, and its factors from one stacked product Q[1:]^T (Phi Q[:-1]);
-    there is no loop over steps, and the frames are dropped once the
-    factors are formed.
-    """
-    out = [None] * len(orbits)
-    if not orbits:
-        return out
-    n = orbits[0].states.shape[1]
-    rot = None
-    if frame_seed is not None:
-        rot, _ = qr_pos(np.random.default_rng(frame_seed)
-                        .standard_normal((n - 1, n - 1)))
-    # the factors of the members that pass the speed check share one
-    # allocation, in member order (a failed member's share is never
-    # written): on bench lorenz-verify, seed 1, a 2-core VM, one array
-    # per member peaked at 45.0-45.1 MB of RSS against 44.5-44.6 MB here
-    store = np.empty((sum(orbit.n_steps for orbit in orbits), n - 1, n - 1))
-    at = 0
-    for b, orbit in enumerate(orbits):
-        lpf = LPFCocycle(orbit, store[at:at + orbit.n_steps], rot)
-        try:
-            q = lpf.frames_at(slice(None))
-        except NearSingularity as exc:
-            out[b] = exc
-            continue
-        at += orbit.n_steps
-        np.matmul(q[1:].swapaxes(1, 2), orbit.step_cocycles @ q[:-1],
-                  out=lpf.lpf_factors)
-        out[b] = lpf
-    return out
+    n = orbit.states.shape[1]
+    rot = None if frame_seed is None else qr_pos(
+        np.random.default_rng(frame_seed).standard_normal((n - 1, n - 1)))[0]
+    q = LPFCocycle(orbit, None, rot).frames_at(slice(None))
+    return LPFCocycle(orbit, q[1:].swapaxes(1, 2) @ (orbit.step_cocycles @ q[:-1]),
+                      rot)
 
 
 def _unit_flow(model, states, times):

@@ -21,12 +21,13 @@ import numpy as np
 from . import __version__
 from . import suspension as susp
 from .config import REPORT_TABLE, reject_set, settings, step_control
-from .errors import ConfigError, NotPeriodic, ShortOrbit, WarmupExceedsOrbit
-from .flowcalc import batch_rk4, integrate_batch
+from .errors import (Blowup, ConfigError, NearSingularity, NotPeriodic, ShortOrbit,
+                     WarmupExceedsOrbit)
+from .flowcalc import StepControl, batch_rk4, integrate_batch
 from .hyperbolicity import (Functionals, NushPeriodicResult, classify_singularity,
                             msh_fit, msh_windows, nush_periodic_check, sect_windows,
                             tau_windows)
-from .lpf import lpf_alongs
+from .lpf import lpf_along
 from .models import SuspensionModel, VectorFieldModel, interval_fixed_points
 from .splitting import (RATE_STARTS, block_factors, rate_fits, span_windows,
                         splittings_of_blocks)
@@ -47,7 +48,8 @@ class ConditionVerdict:
 
 # members a flow ensemble integrates and evaluates together at most: one
 # batch of orbits is held at once, about 104 bytes per step and member in
-# 3-d, and with it the batch's LPF factors, 32 more
+# 3-d, 72 of them the step factors, which a member drops once its blocks
+# are formed (and its LPF blocks, from 80 more bytes per step of its own)
 ENSEMBLE_BATCH = 25
 
 
@@ -144,7 +146,8 @@ def _msh_entries(res, margin):
 
 def _entries(seqs, lpfs, conditions, s, spans=None):
     """Per member its row entries from its splitting sequence and, for
-    NUSE and MSH-estimate, its LPF cocycle, each functional run once over
+    NUSE and MSH-estimate, its LPF over the splitting blocks
+    (`LPFCocycle.blocks(seq.grid)`), each functional run once over
     all members (see `hyperbolicity.Functionals`); `spans` are those of
     the domination and contraction fits (see `splitting.span_windows`)."""
     fns = Functionals(seqs, lpfs)
@@ -168,9 +171,6 @@ def _entries(seqs, lpfs, conditions, s, spans=None):
     if "NNE" in conditions:
         for out, res in zip(rows, fns.nne()):
             out["nne_min"] = res.min_rate
-    # last, since the LPF block factors they form are held to the end: run
-    # first, they raised bench lorenz-verify's peak RSS from 44.7 to 45.1 MB
-    # (2-core VM, one BLAS thread)
     if "NUSE" in conditions:
         _rate_entries(rows, "NUSE", {tau: fns.nuse(tau) for tau in _taus(s)}, s)
     if "MSH-estimate" in conditions:
@@ -209,6 +209,10 @@ def _ode_ensemble(model, s, conditions):
     if transient > 0:
         dt = s["ensemble.transient_dt"]
         ics = batch_rk4(model, ics, dt, int(round(transient / dt)))
+        bad = np.flatnonzero(~np.isfinite(ics).all(axis=1))
+        if len(bad):
+            raise Blowup(f"member {bad[0]} is not finite after the RK4 transient "
+                         f"of {transient:g} (ensemble.transient)")
     span, ctrl = s["windows.T"] + 2 * s["splitting.warmup"], step_control(s)
     rows = []
     for lo in range(0, len(ics), ENSEMBLE_BATCH):
@@ -223,26 +227,28 @@ def _batch_rows(members, conditions, s):
 
     The rows, and the exception raised first, are what a loop over the
     members gives that runs `estimate_splitting`, `lpf_along` and
-    `_ode_rows` one member at a time.  Each stage runs stacked over the
-    members that integrated: their LPF factors (no normal frame is kept:
-    the functionals compute the frames where they read them), then each
-    one's block factors, after which its per-step factors are released,
-    then the splitting sweeps.  A member fails only in one of these
-    stages or in its window check, never in the functionals.  When one
-    fails, the members before it have their windows checked, so that an
-    earlier member's ConfigError comes first, and then its failure is
-    raised: no functional runs (a ShortOrbit splitting as the ConfigError
-    of `splitting.stride`).  Else the functionals run stacked over all
+    `_ode_rows` one member at a time.  Each member that integrated has
+    its block factors formed and, for NUSE and MSH-estimate, its LPF over
+    the same blocks (`LPFCocycle.blocks`), after which its per-step
+    factors are released; then the splitting sweeps run stacked over all
+    of them.  A member fails only in one of these stages or in its
+    window check, never in the functionals.  When one fails, the members
+    before it have their windows checked, so that an earlier member's
+    ConfigError comes first, and then its failure is raised: no
+    functional runs (a ShortOrbit splitting as the ConfigError of
+    `splitting.stride`).  Else the functionals run stacked over all
     members (`_ode_rows`).
     """
     orbits = [m for m in members if not isinstance(m, Exception)]
     stride = s["splitting.stride"]
-    lpfs = (lpf_alongs(orbits)
-            if any(c in conditions for c in ("NUSE", "MSH-estimate"))
-            else [None] * len(orbits))
-    blocks = []
+    lpf_read = any(c in conditions for c in ("NUSE", "MSH-estimate"))
+    blocks, lpfs = [], []
     for orbit in orbits:
         blocks.append(block_factors(orbit, stride))
+        try:
+            lpfs.append(lpf_along(orbit).blocks(blocks[-1][0]) if lpf_read else None)
+        except NearSingularity as exc:
+            lpfs.append(exc)
         # nothing reads the per-step factors after this; kept, they raised
         # peak RSS on bench lorenz-verify from 44.7 to 47.5 MB and on
         # configs/lorenz_verify.json from 62.1 to 73.7 MB (2-core VM, one
@@ -260,11 +266,17 @@ def _batch_rows(members, conditions, s):
                               f"in windows.T {s['windows.T']:g} after warmup "
                               "trimming") from fault
         raise fault
-    return _ode_rows(seqs, lpfs, conditions, s)
+    if not lpf_read:
+        return _ode_rows(seqs, (), conditions, s)
+    # each LPF cut to the checkpoints its splitting kept, from block grid
+    # index k = seq.grid[0] // stride on (grid index k is k * stride, save the last)
+    return _ode_rows(seqs, [(f[k:k + seq.n_blocks], q[k:k + len(seq)])
+                            for seq, (f, q) in zip(seqs, lpfs)
+                            for k in [seq.grid[0] // stride]], conditions, s)
 
 
 def _before_failure(members, seqs, lpfs):
-    """The sequences and LPF cocycles of the members before the first one
+    """The sequences and LPF blocks of the members before the first one
     that failed, and that failure (None when none did): a member fails
     with its integration error, else its splitting error, else its LPF
     error.  `seqs` and `lpfs` hold the outcomes of the members that
@@ -355,7 +367,7 @@ def _suspension_ensemble(model, s, conditions):
                 raise seq
         # every sampled member's fits, and its NNE when that is requested
         sample_conditions = ["PH"] + [c for c in conditions if c == "NNE"]
-        for b, got in zip(sample, _entries(seqs, None, sample_conditions, s,
+        for b, got in zip(sample, _entries(seqs, (), sample_conditions, s,
                                            spans=dom_spans)):
             rows[b].update(got)
     return rows, {"clipped_roof_crossings": clipped}
@@ -535,6 +547,10 @@ def assemble_report(model, config: dict) -> dict:
     window = float(s["windows.T"])
     sing_analyses = []
     diagnostics = None
+    if not isinstance(model, (VectorFieldModel, SuspensionModel)):
+        raise ConfigError("model", "verify requires a flow or suspension model")
+    if "NUSH-periodic" in conditions:
+        _check_periodic_seeds(model, s["periodic_seeds"])
     if isinstance(model, VectorFieldModel):
         reject_set(config, _FLOW_UNREAD,
                    "a flow ensemble does not read it: its window is windows.T "
@@ -542,15 +558,13 @@ def assemble_report(model, config: dict) -> dict:
         for sigma in model.singularities:
             sing_analyses.append(classify_singularity(model, sigma, arc_budget=200.0))
         rows = _ode_ensemble(model, s, conditions)
-    elif isinstance(model, SuspensionModel):
+    else:
         reject_set(config, _SUSPENSION_UNREAD,
                    "a suspension ensemble does not read it: its seeds come "
                    "from the section square, its window is windows.n_returns "
                    "and its splittings have d_s = 1")
         rows, diagnostics = _suspension_ensemble(model, s, conditions)
         window = float(s["windows.n_returns"])
-    else:
-        raise ConfigError("model", "verify requires a flow or suspension model")
 
     verdicts = []
     for c in conditions:
@@ -594,6 +608,27 @@ def _consistency_scan(verdicts):
                 w.verdict = "inconclusive"
                 w.details["consistency_violation"] = msg
     return warnings
+
+
+def _check_periodic_seeds(model, seeds):
+    """Raise ConfigError on a `periodic_seeds` entry the model cannot run:
+    a point of the wrong length, a flow period whose largest step (a
+    span / 8) is below the step floor, or a period on a suspension seed."""
+    suspension = isinstance(model, SuspensionModel)
+    dim = 2 if suspension else model.dim
+    floor = 8 * StepControl().min_step_floor
+    for i, seed in enumerate(seeds):
+        if len(seed["point"]) != dim:
+            fault = f"its point must have {dim} entries, " + (
+                "a section point" if suspension else "one per dimension")
+        elif suspension and "period" in seed:
+            fault = "a suspension seed sets no period: it is the roof at the point"
+        elif not suspension and seed.get("period", 1.0) < floor:
+            fault = (f"its period {seed['period']:g} is below {floor:g}, the "
+                     "shortest span an integration takes")
+        else:
+            continue
+        raise ConfigError("periodic_seeds", f"seed {i}: {fault}")
 
 
 def _periodic_verdict(model, s):

@@ -25,9 +25,9 @@ import numpy as np
 from .errors import (NonFiniteBlock, ShortOrbit, SingularBlock,
                      SpectralGapFailure, WarmupExceedsOrbit)
 from .flowcalc import OrbitSegment
-from .util import (fit_log_rate, haar_frame, log_norms, longest_first,
-                   member_products, member_split, principal_angles, qr_pos,
-                   window_products)
+from .util import (block_products, fit_log_rate, haar_frame, log_norms,
+                   longest_first, member_products, member_split, principal_angles,
+                   qr_pos)
 
 # Minimum acceptable singular-value ratio at the splitting cut over one
 # warmup window; below this there is no numerical domination to lock onto.
@@ -132,8 +132,7 @@ def block_factors(orbit: OrbitSegment, stride: int):
     grid = np.arange(0, n_steps + 1, stride)
     if grid[-1] != n_steps:
         grid = np.append(grid, n_steps)
-    mats, log_scales = window_products(orbit.step_cocycles, grid[:-1], grid[1:])
-    return grid, mats * np.exp(log_scales)[:, None, None]
+    return grid, block_products(orbit.step_cocycles, grid)
 
 
 def _sweep(factors, n, seed, cols, kept, backward=False):

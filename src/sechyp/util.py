@@ -133,6 +133,14 @@ def window_products(factors, starts, stops):
     return mats[back], log_scales[back]
 
 
+def block_products(factors, grid):
+    """The products of factors over each block between consecutive grid
+    indices, each times its exp(log scale) (see `window_products`):
+    (len(grid) - 1, d, d)."""
+    mats, log_scales = window_products(factors, grid[:-1], grid[1:])
+    return mats * np.exp(log_scales)[:, None, None]
+
+
 def member_products(parts, windows):
     """`window_products` of several members in one call: `parts` holds each
     member's (K_m, d, d) factors and `windows` per member its (starts,

@@ -1,7 +1,7 @@
 """Property tests: each model's batched forms against its scalar forms,
 map_pushforward's handling of singular points, stacked linear algebra
-(QR, principal angles, member-stacked splitting sweeps and LPF
-transport) and the batched Dormand-Prince run against one call per
+(QR, principal angles, member-stacked splitting sweeps and a batch's
+LPF blocks) and the batched Dormand-Prince run against one call per
 matrix or member, and the ensemble report against its serial member
 loop."""
 
@@ -14,12 +14,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from sechyp import config, hyperbolicity, report, splitting, util
-from sechyp.errors import (Blowup, NearSingularity, NonFiniteBlock,
+from sechyp import config, hyperbolicity, lpf, report, splitting, util
+from sechyp.errors import (Blowup, ConfigError, NearSingularity, NonFiniteBlock,
                            SingularBlock, SingularPoint, SpectralGapFailure,
                            StiffnessFailure, WarmupExceedsOrbit)
 from sechyp.flowcalc import StepControl, batch_rk4, integrate, integrate_batch
-from sechyp.lpf import lpf_along, lpf_alongs
+from sechyp.lpf import lpf_along
 from sechyp.measures import map_pushforward
 from sechyp.models import (conjugate_model, make_expanding_lorenz_map,
                            make_geometric_lorenz_suspension,
@@ -368,28 +368,69 @@ def lpf_pool(member_pool):
     ]
 
 
-def lpf_or_error(orbit):
+# short enough that the origin orbit (member 8, span 1) is split, and so
+# fails in its LPF
+LPF_WARMUP = 0.25
+
+
+def lpf_blocks_or_error(orbit, stride):
+    """One member alone: `estimate_splitting`, then its LPF over the kept
+    checkpoints (`lpf_along(orbit).blocks(seq.grid)`), or the exception
+    the first of them raises."""
     try:
-        return lpf_along(orbit)
-    except NearSingularity as exc:
+        seq = estimate_splitting(orbit, 1, LPF_WARMUP, stride=stride)
+        return lpf_along(orbit).blocks(seq.grid)
+    except (ValueError, SpectralGapFailure, NearSingularity) as exc:
         return exc
 
 
+def batch_lpf_blocks_or_error(orbits, stride):
+    """The LPF blocks `report._batch_rows` hands to the functionals, per
+    member, or the exception it raises (a ShortOrbit splitting as the
+    cause of its ConfigError); the window checks and the functionals do
+    not run, and the orbits are copied, since it releases their per-step
+    factors."""
+    got = []
+    s = config.settings({"conditions": ["NUSE"],
+                         "splitting": {"warmup": LPF_WARMUP, "stride": stride}},
+                        config.REPORT_TABLE)
+    with mock.patch.object(report, "_check_windows"), \
+            mock.patch.object(report, "_ode_rows",
+                              lambda seqs, lpfs, *_: got.extend(lpfs)):
+        try:
+            report._batch_rows([dataclasses.replace(orbit) for orbit in orbits],
+                               ["NUSE"], s)
+        except ConfigError as exc:
+            return exc.__cause__
+        except Exception as exc:
+            return exc
+    return got
+
+
+# members 0-4, 6 and 7 pass; 5 fails in its splitting (no spectral gap)
+# and 8 in its LPF
 @settings(max_examples=25)
+@example(members=[0, 3, 6, 7, 1], stride=5)
+@example(members=[4, 2, 8, 5], stride=2)
+@example(members=[1, 5, 8], stride=3)
 @given(members=st.lists(st.integers(0, 8), min_size=1, max_size=6),
-       picks=st.lists(st.integers(0, 10**6), min_size=1, max_size=8))
-def test_stacked_lpf_equals_one_orbit_transport(lpf_pool, members, picks):
-    got = lpf_alongs([lpf_pool[i] for i in members])
+       stride=st.integers(1, 5))
+def test_batch_lpf_blocks_equal_one_orbit_blocks(lpf_pool, members, stride):
+    # each member's LPF block factors and frames, formed over its whole
+    # block grid and cut to the checkpoints its splitting kept (most grids
+    # end in a short block at strides 2-5, and the warmup cuts checkpoints
+    # at both ends), against lpf_along on that member alone; the first
+    # member that fails, in its splitting or its LPF, is the batch's outcome
+    refs = [lpf_blocks_or_error(lpf_pool[i], stride) for i in members]
+    got = batch_lpf_blocks_or_error([lpf_pool[i] for i in members], stride)
+    first = next((ref for ref in refs if isinstance(ref, Exception)), None)
+    if first is not None:
+        assert type(got) is type(first) and str(got) == str(first)
+        return
     assert len(got) == len(members)
-    for i, lpf in zip(members, got):
-        ref = lpf_or_error(lpf_pool[i])
-        if isinstance(ref, Exception):
-            assert type(lpf) is type(ref) and str(lpf) == str(ref)
-            continue
-        assert lpf.orbit is lpf_pool[i]
-        assert_bit_equal(lpf.lpf_factors, ref.lpf_factors)
-        idx = np.array(picks) % (ref.n_steps + 1)
-        assert_bit_equal(lpf.frames_at(idx), ref.frames_at(idx))
+    for (factors, frames), (ref_factors, ref_frames) in zip(got, refs):
+        assert_bit_equal(factors, ref_factors)
+        assert_bit_equal(frames, ref_frames)
 
 
 # ----------------------------------------------------------------------
@@ -528,9 +569,9 @@ def serial_rows(model, cfg):
         orbit = integrate(model, x0, span, config.step_control(s))
         seq = estimate_splitting(orbit, s["splitting.d_s"], s["splitting.warmup"],
                                  stride=s["splitting.stride"])
-        lpf = (lpf_along(orbit)
-               if {"NUSE", "MSH-estimate"} & set(s["conditions"]) else None)
-        rows.append(report._ode_rows([seq], [lpf], s["conditions"], s)[0])
+        lpfs = ([lpf_along(orbit).blocks(seq.grid)]
+                if {"NUSE", "MSH-estimate"} & set(s["conditions"]) else ())
+        rows.append(report._ode_rows([seq], lpfs, s["conditions"], s)[0])
     return rows
 
 
@@ -655,12 +696,13 @@ def test_stacked_rows_equal_one_member_at_a_time(flow_pool, flow_reference, memb
 
 @pytest.mark.parametrize("n_members", [1, 3])
 def test_one_window_formation_per_functional_tau_and_stream(flow_pool, n_members):
-    # one LPF block formation per member, then one window_products call
-    # per functional, per tau and per factor stream, whatever the member
-    # count: PH's Rs and Rcu (2), SingularHyp and SH together (1, the same
-    # Rcu windows), ASH (1), MNUSE and NUSE at each of the three taus (3
-    # each), and MSH's restricted N^s and N^u block factors (2); and tau =
-    # 1.0, in windows.tau and tau_sensitivity, evaluated once
+    # one LPF block formation per member, next to its tangent block
+    # formation (each one window_products call), then one window_products
+    # call per functional, per tau and per factor stream, whatever the
+    # member count: PH's Rs and Rcu (2), SingularHyp and SH together (1,
+    # the same Rcu windows), ASH (1), MNUSE and NUSE at each of the three
+    # taus (3 each), and MSH's restricted N^s and N^u block factors (2); and
+    # tau = 1.0, in windows.tau and tau_sensitivity, evaluated once
     taus = {"mnuse": [], "nuse": []}
 
     def recording(name):
@@ -672,13 +714,13 @@ def test_one_window_formation_per_functional_tau_and_stream(flow_pool, n_members
         return record
 
     with mock.patch.object(util, "window_products", wraps=util.window_products) as wp, \
-            mock.patch.object(hyperbolicity, "window_products",
-                              wraps=hyperbolicity.window_products) as blocks, \
+            mock.patch.object(lpf, "block_products",
+                              wraps=lpf.block_products) as blocks, \
             mock.patch.object(hyperbolicity.Functionals, "mnuse", recording("mnuse")), \
             mock.patch.object(hyperbolicity.Functionals, "nuse", recording("nuse")):
         rows = batch_rows_or_error(flow_pool[:n_members], [0.5, 1.0, 2.0], 4)
     assert len(rows) == n_members
     assert all(np.isfinite(row["msh_slopes"]).all() for row in rows)
     assert blocks.call_count == n_members
-    assert wp.call_count == 2 + 1 + 1 + 3 + 3 + 2
+    assert wp.call_count == 2 * n_members + 2 + 1 + 1 + 3 + 3 + 2
     assert sorted(taus["mnuse"]) == sorted(taus["nuse"]) == [0.5, 1.0, 2.0]

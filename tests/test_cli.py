@@ -471,6 +471,30 @@ def test_shipped_configs_validate():
                 "verify": {"conditions": ["MSH-estimate"], "windows": {"n_returns": 200},
                            "ensemble": {"size": 1}, "msh": {"avoid_window": 1000}}},
      "verify.msh.avoid_window", "1000 leaves no MSH fit window"),
+    # periodic seeds the model cannot run, rejected before the ensemble
+    ("verify", {"verify": {"conditions": ["NUSH-periodic"],
+                           "periodic_seeds": [{"point": [1, 2], "period": 1.0}]}},
+     "verify.periodic_seeds", "seed 0: its point must have 3 entries, one per dimension"),
+    ("verify", {"model": "geometric_lorenz",
+                "verify": {"conditions": ["NUSH-periodic"],
+                           "periodic_seeds": [{"point": [0.3]}]}},
+     "verify.periodic_seeds", "seed 0: its point must have 2 entries, a section point"),
+    ("verify", {"verify": {"conditions": ["NUSH-periodic"],
+                           "periodic_seeds": [{"point": [1, 2, 20], "period": 1e-14}]}},
+     "verify.periodic_seeds", "seed 0: its period 1e-14 is below 8e-14"),
+    ("verify", {"model": "geometric_lorenz",
+                "verify": {"conditions": ["NUSH-periodic"],
+                           "periodic_seeds": [{"point": [1, 2, 3]}]}},
+     "verify.periodic_seeds", "seed 0: its point must have 2 entries, a section point"),
+    ("verify", {"model": "geometric_lorenz",
+                "verify": {"conditions": ["NUSH-periodic"],
+                           "periodic_seeds": [{"point": [0.5, 0.0]},
+                                              {"point": [1, 2], "period": 2.0}]}},
+     "verify.periodic_seeds", "seed 1: a suspension seed sets no period: it is the "
+                              "roof at the point"),
+    ("measure", {"measure": {"kind": "basin", "grid": [2, 2, 2], "reference": [1.0, 2.0],
+                             "T": 1.0, "ref_T": 1.0}},
+     "measure.reference", "must have one entry per dimension (3)"),
 ])
 def test_config_fault_exit_2_without_output(tmp_path, capsys, command, section,
                                             field, message):
@@ -484,6 +508,23 @@ def test_config_fault_exit_2_without_output(tmp_path, capsys, command, section,
     assert main([command, "-c", write_config(tmp_path, cfg)]) == 2
     err = capsys.readouterr().err
     assert f"config field '{field}': {message}" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_transient_blowup_exits_1_naming_it(tmp_path, capsys):
+    # the default 20-unit RK4 transient of a rate-50 saddle overflows to
+    # inf: the ensemble stops before it integrates any member
+    cfg = {"model": "linear_saddle", "params": {"eigs": [50.0, -1.0, -2.0]},
+           "output_dir": str(tmp_path / "out"),
+           "verify": {"conditions": ["SH"], "ensemble": {"size": 2},
+                      "windows": {"T": 5.0}, "splitting": {"warmup": 1.0}}}
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["verify", "-c", write_config(tmp_path, cfg)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert ("error: Blowup: member 0 is not finite after the RK4 transient of 20 "
+            "(ensemble.transient)") in err
+    assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
 

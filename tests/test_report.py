@@ -130,7 +130,7 @@ def test_member_restrictions_formed_once(monkeypatch, lorenz):
     s = settings({"conditions": conditions, "windows": {"T": 6.0},
                   "tau_sensitivity": [0.5, 1.0, 2.0],
                   "splitting": {"warmup": 3.0, "stride": 2}}, REPORT_TABLE)
-    row = _ode_rows([seq], [lpf_along(orbit)], conditions, s)[0]
+    row = _ode_rows([seq], [lpf_along(orbit).blocks(seq.grid)], conditions, s)[0]
     assert len(calls) == 2
     assert {"ph_pass", "vol_rate", "sect_rate", "ash_max", "mnuse_rate",
             "nuse_rate", "msh_slopes", "nne_min"} <= set(row)

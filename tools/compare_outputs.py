@@ -13,7 +13,7 @@ and one BLAS/OpenMP thread:
   ``configs/intermittent_verify.json``;
 - ``simulate`` and ``spectrum`` on ``configs/lorenz_simulate.json``,
   and ``classify`` on ``configs/lorenz_verify.json``;
-- eight inline configs (see ``INLINE``) for paths that no other
+- nine inline configs (see ``INLINE``) for paths that no other
   invocation runs: two ``spectrum`` runs of seconds, on Lorenz at T=60
   and rtol 1e-9 and on a van der Pol ``polynomial`` field whose
   Jacobian trace varies along the orbit, so that spectrum bytes are
@@ -22,7 +22,9 @@ and one BLAS/OpenMP thread:
   invariance and once on pesin (whose flow
   side reads a one-seed section stream through ``mnuse_rate_stream``);
   ``verify`` on a 4-d ``linear`` field at splitting stride 2, where N^cu
-  is 2-d; ``verify`` on a ``geometric_lorenz`` with a constant roof
+  is 2-d; ``verify`` on Lorenz with NUSE, MSH-estimate and NNE at
+  splitting stride 3, where two of the three members' grids end in a
+  short block; ``verify`` on a ``geometric_lorenz`` with a constant roof
   (``roof_log_coeff`` 0), whose roof is a scalar where the shipped
   suspension's is an array; and ``simulate`` on ``geometric_lorenz``,
   with both output formats on the suspension orbit
@@ -88,6 +90,11 @@ INLINE = (
                    "windows": {"T": 6.0, "tau": 2.0},
                    "splitting": {"warmup": 2.0, "stride": 2},
                    "tau_sensitivity": [2.0, 3.0]}}),
+    ("verify lorenz LPF stride 3", "verify", {
+        "model": "lorenz", "seed": 8,
+        "verify": {"conditions": ["NUSE", "MSH-estimate", "NNE"],
+                   "ensemble": {"size": 3, "transient": 5.0},
+                   "windows": {"T": 20.0}, "splitting": {"warmup": 4.0, "stride": 3}}}),
     ("verify suspension constant roof", "verify", {
         "model": "geometric_lorenz", "params": {"roof_log_coeff": 0.0}, "seed": 4,
         "verify": {"conditions": ["SH", "ASH", "MNUSE", "NUSE", "MSH-estimate", "PH"],
