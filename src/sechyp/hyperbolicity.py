@@ -43,6 +43,9 @@ MSH_STARTS = 6
 
 # Shooting residual below which a periodic orbit counts as closed.
 PERIODIC_RESIDUAL = 1e-10
+# Radius of the ball around its start that a closed orbit must leave: an
+# orbit that stays inside it closes to the residual whatever its start.
+PERIODIC_BALL = 1e3 * PERIODIC_RESIDUAL
 
 # ----------------------------------------------------------------------
 # singularity classification
@@ -680,6 +683,7 @@ def _refine_periodic(model, seed, period_guess, max_iter):
         x_t = orbit.states[-1]
         r = x_t - x
         if np.linalg.norm(r) < PERIODIC_RESIDUAL:
+            _check_leaves_start(orbit, x)
             return x, period, float(np.linalg.norm(r))
         m, ls = orbit.propagator(0, orbit.n_steps)
         m = m * np.exp(ls)
@@ -718,7 +722,16 @@ def _refine_periodic(model, seed, period_guess, max_iter):
     res = float(np.linalg.norm(orbit.states[-1] - x))
     if res >= PERIODIC_RESIDUAL:
         raise NotPeriodic(f"shooting stalled at residual {res:.3e}")
+    _check_leaves_start(orbit, x)
     return x, period, res
+
+
+def _check_leaves_start(orbit, x):
+    """Raise NotPeriodic when an orbit from x never leaves the ball of
+    PERIODIC_BALL around x: its closing then shows no periodic orbit."""
+    if np.linalg.norm(orbit.states - x, axis=1).max() <= PERIODIC_BALL:
+        raise NotPeriodic(f"the orbit over period {orbit.t_span:.3g} stays within "
+                          f"{PERIODIC_BALL:g} of its start")
 
 
 def _equilibrium_nush(model, sigma, tau, d_s):

@@ -3,17 +3,18 @@
 The report runner draws a seeded ensemble from the model's trapping
 region (or the section square for suspensions), evaluates every
 requested condition per member, and aggregates into one verdict per
-condition.  Uniform conditions (PH, SingularHyp, SH, NNE, MSH) must
-hold over the whole sample including designated probe orbits; the
-positive-measure conditions (ASH, NUSE, MNUSE) are aggregated as the
-fraction of Lebesgue-random members that satisfy the bound, with probe
-orbits excluded from the fraction since they carry zero volume.
+condition by one rule (`_aggregate`).  Uniform conditions (PH, SingularHyp,
+SH, NNE, MSH, NUSH-periodic) must hold over the whole sample, designated
+probe orbits included; the positive-measure conditions (ASH, NUSE, MNUSE)
+are aggregated as the fraction of Lebesgue-random members that satisfy
+the bound, probe orbits excluded since they carry zero volume.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import operator
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -208,7 +209,9 @@ def _ode_ensemble(model, s, conditions):
     ics = box[:, 0] + (box[:, 1] - box[:, 0]) * rng.random((size, model.dim))
     if transient > 0:
         dt = s["ensemble.transient_dt"]
-        ics = batch_rk4(model, ics, dt, int(round(transient / dt)))
+        # a member that overflows is named below, without numpy's warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            ics = batch_rk4(model, ics, dt, int(round(transient / dt)))
         bad = np.flatnonzero(~np.isfinite(ics).all(axis=1))
         if len(bad):
             raise Blowup(f"member {bad[0]} is not finite after the RK4 transient "
@@ -433,105 +436,98 @@ def _suspension_msh_row(streams, b, radius, avoid, margin):
 # aggregation
 # ----------------------------------------------------------------------
 
+# per condition: the row key carrying its data; its threshold, as a
+# thresholds.* setting and a sign; how a row's value meets it (None: the
+# key is the row's own pass flag); and, for a positive-measure condition,
+# the thresholds.* setting of the fraction of random rows that must meet
+# it (None: a uniform condition, which every row must meet)
+_RULES = {
+    "PH": ("ph_pass", "thresholds.margin", -1, None, None),
+    "SingularHyp": ("vol_min", "thresholds.margin", 1, operator.ge, None),
+    "SH": ("sect_min", "thresholds.margin", 1, operator.ge, None),
+    "NNE": ("nne_min", "thresholds.margin", -1, operator.ge, None),
+    "MSH-estimate": ("msh_fit_pass", "thresholds.margin", -1, None, None),
+    "NUSH-periodic": ("passed", "thresholds.eta", 1, None, None),
+    "ASH": ("ash_max", "thresholds.margin", 1, operator.ge, "thresholds.ash_fraction"),
+    "MNUSE": ("mnuse_rate", "thresholds.eta", 1, operator.le, "thresholds.min_fraction"),
+    "NUSE": ("nuse_rate", "thresholds.eta", 1, operator.le, "thresholds.min_fraction"),
+}
+_NO_DATA = {"PH": "no PH data"}
+
+
 def _aggregate(condition, rows, s, sing_analyses, window):
-    margin = s["thresholds.margin"]
-    eta = s["thresholds.eta"]
-    random_rows = [r for r in rows if not r.get("probe", False)]
-    # the row key carrying each condition's data, the rows it is taken over
-    # (the positive-measure conditions exclude probes) and its threshold
-    key, pool, threshold = {
-        "PH": ("ph_pass", rows, -margin),
-        "SingularHyp": ("vol_min", rows, margin),
-        "SH": ("sect_min", rows, margin),
-        "ASH": ("ash_max", random_rows, margin),
-        "MNUSE": ("mnuse_rate", random_rows, eta),
-        "NUSE": ("nuse_rate", random_rows, eta),
-        "NNE": ("nne_min", rows, -margin),
-        "MSH-estimate": ("msh_fit_pass", rows, -margin),
-    }[condition]
+    """One condition's verdict over the rows by its `_RULES` entry: a
+    uniform condition passes when every row meets its threshold, a
+    positive-measure one when the fraction of random rows that meet it
+    reaches the required one; either way its gate (`_terms`) must hold.
+    A pool with no row carrying the key is inconclusive."""
+    key, setting, sign, meets, required = _RULES[condition]
+    threshold = sign * s[setting]
+    pool = rows if required is None else [r for r in rows if not r.get("probe", False)]
     have = [r for r in pool if key in r]
     if not have:
-        reason = "no PH data" if condition == "PH" else "no data"
-        return ConditionVerdict(condition, window, np.nan, 0.0, threshold,
-                                "inconclusive", {"reason": reason})
+        return ConditionVerdict(condition, window, np.nan, 0.0, threshold, "inconclusive",
+                                {"reason": _NO_DATA.get(condition, "no data")})
+    holds = [r[key] if meets is None else meets(r[key], threshold) for r in have]
+    fraction = float(np.mean(holds))
+    rate, gate, details = _terms(condition, have, holds, rows, s, sing_analyses)
+    if required is None:
+        ok = all(holds)
+    else:
+        ok = fraction >= s[required]
+        details = {f"{required.removeprefix('thresholds.')}_required": s[required],
+                   **details}
+    return ConditionVerdict(condition, window, float(rate), fraction, threshold,
+                            "pass" if ok and gate else "fail", details)
 
-    def verdict_of(flag):
-        return "pass" if flag else "fail"
 
+def _terms(condition, have, holds, rows, s, sing_analyses):
+    """A condition's rate, its gate (what must hold besides its rule) and
+    its details, from the rows `have` that carry its key and whether each
+    meets its threshold (`holds`); `rows` are all of the ensemble's."""
+    key = _RULES[condition][0]
     if condition == "PH":
-        frac = np.mean([r["ph_pass"] for r in have])
-        worst = max(max(r["dom_slope"], r["con_slope"]) for r in have)
-        return ConditionVerdict(condition, window, float(worst), float(frac),
-                                threshold, verdict_of(frac == 1.0),
-                                {"n_checked": len(have)})
-
+        return (max(max(r["dom_slope"], r["con_slope"]) for r in have), True,
+                {"n_checked": len(have)})
     if condition in ("SingularHyp", "SH"):
-        ph_rows = [r for r in rows if "ph_pass" in r]
-        ph_ok = bool(ph_rows) and all(r["ph_pass"] for r in ph_rows)
-        worst = min(r[key] for r in have)
-        rate = float(np.median([r[key.replace("min", "rate")] for r in have]))
-        ok = ph_ok and worst >= margin
-        frac = np.mean([r[key] >= margin for r in have])
-        return ConditionVerdict(condition, window, rate, float(frac), threshold,
-                                verdict_of(ok),
-                                {"uniform_min": worst, "ph_component": ph_ok,
-                                 "n_checked_ph": len(ph_rows)})
-
+        # the dominated splitting: some row carries it, and every one passes
+        ph = [r["ph_pass"] for r in rows if "ph_pass" in r]
+        ph_ok = bool(ph) and all(ph)
+        return (np.median([r[key.replace("min", "rate")] for r in have]), ph_ok,
+                {"uniform_min": min(r[key] for r in have), "ph_component": ph_ok,
+                 "n_checked_ph": len(ph)})
     if condition == "ASH":
-        ash_fraction = s["thresholds.ash_fraction"]
-        vals = np.array([r["ash_max"] for r in have])
-        frac = float(np.mean(vals >= margin))
-        return ConditionVerdict(condition, window, float(np.median(vals)),
-                                frac, threshold,
-                                verdict_of(frac >= ash_fraction),
-                                {"ash_fraction_required": ash_fraction,
-                                 "note": "evaluated on Lebesgue-random seeds; "
-                                         "zero-volume probe orbits excluded"})
-
+        return (np.median([r[key] for r in have]), True,
+                {"note": "evaluated on Lebesgue-random seeds; "
+                         "zero-volume probe orbits excluded"})
     if condition in ("MNUSE", "NUSE"):
-        min_fraction = s["thresholds.min_fraction"]
-        vals = np.array([r[key] for r in have])
-        frac = float(np.mean(vals <= eta))
-        rate = float(np.median(vals))
-        ok = frac >= min_fraction and rate <= eta
-        details = {"min_fraction_required": min_fraction,
-                   "positive_measure_proxy": frac > 0.0}
-        sens_key = key.replace("rate", "tau")
-        sens = [r[sens_key] for r in have if sens_key in r]
+        rate = np.median([r[key] for r in have])
+        details = {"positive_measure_proxy": any(holds)}
+        tau_key = key.replace("rate", "tau")
+        sens = [r[tau_key] for r in have if tau_key in r]
         if sens:
-            taus = sorted(sens[0].keys(), key=float)
-            details["tau_sensitivity"] = {
-                tv: float(np.median([d[tv] for d in sens])) for tv in taus
-            }
-        return ConditionVerdict(condition, window, rate, frac, threshold,
-                                verdict_of(ok), details)
-
+            details["tau_sensitivity"] = {tv: float(np.median([d[tv] for d in sens]))
+                                          for tv in sorted(sens[0], key=float)}
+        return rate, rate <= s["thresholds.eta"], details
     if condition == "NNE":
-        worst = min(r["nne_min"] for r in have)
-        return ConditionVerdict(
-            condition, window, float(worst), 1.0, threshold,
-            verdict_of(worst >= -margin),
-            {"interpretation": "wedge of the pushed direction with the pushed "
-                               "flow direction, normalized by the flow growth"})
-
-    # MSH-estimate: every member's fits, and the one check that each
-    # singularity is Lorenz-like with the configured stable dimension
-    fit_ok = all(r["msh_fit_pass"] for r in have)
-    sing_ok = True
-    sing_detail = {}
+        return (min(r[key] for r in have), True,
+                {"interpretation": "wedge of the pushed direction with the pushed "
+                                   "flow direction, normalized by the flow growth"})
+    if condition == "NUSH-periodic":
+        return (max(max(r["e_average"], r["wedge_average"]) for r in have), True,
+                {"orbits": have})
+    # MSH-estimate: the one check that each singularity is Lorenz-like
+    # with the configured stable dimension
+    sing = {}
     for idx, sa in enumerate(sing_analyses):
-        ok = bool(sa.lorenz_like)
-        if ok and sa.splitting_dims is not None:
-            ok = sa.splitting_dims[0] == s["splitting.d_s"]
-        sing_detail[f"sing_{idx}"] = {"lorenz_like": sa.lorenz_like, "dims_ok": ok}
-        sing_ok = sing_ok and ok
+        ok = bool(sa.lorenz_like) and (sa.splitting_dims is None
+                                       or sa.splitting_dims[0] == s["splitting.d_s"])
+        sing[f"sing_{idx}"] = {"lorenz_like": sa.lorenz_like, "dims_ok": ok}
+    sing_ok = all(d["dims_ok"] for d in sing.values())
     slopes = [r["msh_slopes"] for r in have if np.isfinite(r["msh_slopes"][0])]
-    worst = max(max(sl[0], sl[1]) for sl in slopes) if slopes else np.nan
-    frac = float(np.mean([r["msh_fit_pass"] for r in have]))
-    return ConditionVerdict(
-        condition, window, float(worst), frac, threshold,
-        verdict_of(fit_ok and sing_ok),
-        {"lpf_fits_pass": fit_ok, "singularities_ok": sing_ok, **sing_detail})
+    rate = max(max(sl[0], sl[1]) for sl in slopes) if slopes else np.nan
+    return rate, sing_ok, {"lpf_fits_pass": all(holds), "singularities_ok": sing_ok,
+                           **sing}
 
 
 def assemble_report(model, config: dict) -> dict:
@@ -640,7 +636,7 @@ def _periodic_verdict(model, s):
     if not seeds:
         return ConditionVerdict("NUSH-periodic", 0.0, np.nan, 0.0, eta,
                                 "inconclusive", {"reason": "no periodic seeds"})
-    results = []
+    rows = []
     for seed in seeds:
         if isinstance(model, SuspensionModel):
             res = _suspension_periodic(model, seed["point"], tau, eta)
@@ -648,17 +644,10 @@ def _periodic_verdict(model, s):
             res = nush_periodic_check(model, seed["point"],
                                       seed.get("period", 1.0),
                                       tau=tau, d_s=d_s, eta=eta)
-        results.append(res)
-    ok = all(r.passed for r in results)
-    worst = max(max(r.e_average, r.wedge_average) for r in results)
-    return ConditionVerdict(
-        "NUSH-periodic", tau, float(worst), float(np.mean([r.passed for r in results])),
-        eta, "pass" if ok else "fail",
-        {"orbits": [{"point": [float(v) for v in np.atleast_1d(r.point)],
-                     "period": r.period,
-                     "e_average": r.e_average,
-                     "wedge_average": r.wedge_average,
-                     "passed": r.passed} for r in results]})
+        rows.append({"point": [float(v) for v in np.atleast_1d(res.point)],
+                     "period": res.period, "e_average": res.e_average,
+                     "wedge_average": res.wedge_average, "passed": res.passed})
+    return _aggregate("NUSH-periodic", rows, s, (), tau)
 
 
 def _suspension_periodic(model, point, tau, eta):

@@ -4,6 +4,7 @@ import json
 import runpy
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -518,7 +519,9 @@ def test_transient_blowup_exits_1_naming_it(tmp_path, capsys):
            "output_dir": str(tmp_path / "out"),
            "verify": {"conditions": ["SH"], "ensemble": {"size": 2},
                       "windows": {"T": 5.0}, "splitting": {"warmup": 1.0}}}
-    with np.errstate(over="ignore", invalid="ignore"):
+    # numpy's overflow warnings, which carry source paths, stay silent
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         code = main(["verify", "-c", write_config(tmp_path, cfg)])
     err = capsys.readouterr().err
     assert code == 1
@@ -526,6 +529,19 @@ def test_transient_blowup_exits_1_naming_it(tmp_path, capsys):
             "(ensemble.transient)") in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+def test_tiny_periodic_seed_period_exits_1_naming_it(tmp_path, capsys):
+    # a period above the step floor over which the orbit never leaves its
+    # start closes trivially: shooting shows no periodic orbit
+    cfg = {"model": "lorenz", "output_dir": str(tmp_path / "out"),
+           "verify": {"conditions": ["NUSH-periodic"],
+                      "periodic_seeds": [{"point": [1, 2, 20], "period": 1e-13}]}}
+    code = main(["verify", "-c", write_config(tmp_path, cfg)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "error: NotPeriodic: " in err
+    assert "Traceback" not in err
 
 
 def test_msh_with_no_fit_window_is_not_fitted(tmp_path):

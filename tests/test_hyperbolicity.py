@@ -369,6 +369,12 @@ class TestPeriodic:
             nush_periodic_check(lorenz, np.array([30.0, -40.0, 80.0]), 0.3,
                                 tau=0.5, max_iter=8)
 
+    def test_tiny_period_that_never_leaves_its_start_is_not_periodic(self, lorenz):
+        # over 1e-13 the orbit moves far less than the shooting residual,
+        # so it closes whatever its start: no periodic orbit is shown
+        with pytest.raises(NotPeriodic, match="stays within 1e-07 of its start"):
+            nush_periodic_check(lorenz, np.array([1.0, 2.0, 20.0]), 1e-13)
+
     def test_shooting_failure_work_is_bounded(self, lorenz, monkeypatch):
         # the trust region on the period keeps a failing shooting from
         # growing the period (and the integration length) without bound

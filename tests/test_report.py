@@ -1,16 +1,23 @@
+from dataclasses import asdict, replace
+from types import SimpleNamespace
+from unittest import mock
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from sechyp import report as report_mod
 from sechyp import splitting
 from sechyp.config import REPORT_TABLE, settings
 from sechyp.errors import ConfigError
 from sechyp.flowcalc import StepControl, integrate
-from sechyp.hyperbolicity import classify_singularity
+from sechyp.hyperbolicity import NushPeriodicResult, classify_singularity
 from sechyp.lpf import lpf_along
 from sechyp.models import load_model
-from sechyp.report import (_aggregate, _ode_rows, _suspension_msh_row,
-                           assemble_report, config_hash)
+from sechyp.report import (ConditionVerdict, _aggregate, _ode_rows, _periodic_verdict,
+                           _suspension_msh_row, assemble_report, config_hash)
 from sechyp.suspension import SectionStreams
 
 
@@ -230,3 +237,214 @@ class TestConsistencyScan:
         mn = ConditionVerdict("MNUSE", 10.0, -0.25, 1.0, -0.05, "pass")
         assert _consistency_scan([sh, mn]) == []
         assert mn.verdict == "pass"
+
+
+# ----------------------------------------------------------------------
+# the one verdict rule against the per-condition branches it replaced
+# ----------------------------------------------------------------------
+
+def _reference_aggregate(condition, rows, s, sing_analyses, window):
+    """The aggregation as six per-condition branches, each forming its own
+    pool, fraction and verdict; its NNE fraction is always 1.0."""
+    margin = s["thresholds.margin"]
+    eta = s["thresholds.eta"]
+    random_rows = [r for r in rows if not r.get("probe", False)]
+    key, pool, threshold = {
+        "PH": ("ph_pass", rows, -margin),
+        "SingularHyp": ("vol_min", rows, margin),
+        "SH": ("sect_min", rows, margin),
+        "ASH": ("ash_max", random_rows, margin),
+        "MNUSE": ("mnuse_rate", random_rows, eta),
+        "NUSE": ("nuse_rate", random_rows, eta),
+        "NNE": ("nne_min", rows, -margin),
+        "MSH-estimate": ("msh_fit_pass", rows, -margin),
+    }[condition]
+    have = [r for r in pool if key in r]
+    if not have:
+        reason = "no PH data" if condition == "PH" else "no data"
+        return ConditionVerdict(condition, window, np.nan, 0.0, threshold,
+                                "inconclusive", {"reason": reason})
+
+    def verdict_of(flag):
+        return "pass" if flag else "fail"
+
+    if condition == "PH":
+        frac = np.mean([r["ph_pass"] for r in have])
+        worst = max(max(r["dom_slope"], r["con_slope"]) for r in have)
+        return ConditionVerdict(condition, window, float(worst), float(frac),
+                                threshold, verdict_of(frac == 1.0),
+                                {"n_checked": len(have)})
+
+    if condition in ("SingularHyp", "SH"):
+        ph_rows = [r for r in rows if "ph_pass" in r]
+        ph_ok = bool(ph_rows) and all(r["ph_pass"] for r in ph_rows)
+        worst = min(r[key] for r in have)
+        rate = float(np.median([r[key.replace("min", "rate")] for r in have]))
+        ok = ph_ok and worst >= margin
+        frac = np.mean([r[key] >= margin for r in have])
+        return ConditionVerdict(condition, window, rate, float(frac), threshold,
+                                verdict_of(ok),
+                                {"uniform_min": worst, "ph_component": ph_ok,
+                                 "n_checked_ph": len(ph_rows)})
+
+    if condition == "ASH":
+        ash_fraction = s["thresholds.ash_fraction"]
+        vals = np.array([r["ash_max"] for r in have])
+        frac = float(np.mean(vals >= margin))
+        return ConditionVerdict(condition, window, float(np.median(vals)),
+                                frac, threshold,
+                                verdict_of(frac >= ash_fraction),
+                                {"ash_fraction_required": ash_fraction,
+                                 "note": "evaluated on Lebesgue-random seeds; "
+                                         "zero-volume probe orbits excluded"})
+
+    if condition in ("MNUSE", "NUSE"):
+        min_fraction = s["thresholds.min_fraction"]
+        vals = np.array([r[key] for r in have])
+        frac = float(np.mean(vals <= eta))
+        rate = float(np.median(vals))
+        ok = frac >= min_fraction and rate <= eta
+        details = {"min_fraction_required": min_fraction,
+                   "positive_measure_proxy": frac > 0.0}
+        sens_key = key.replace("rate", "tau")
+        sens = [r[sens_key] for r in have if sens_key in r]
+        if sens:
+            taus = sorted(sens[0].keys(), key=float)
+            details["tau_sensitivity"] = {
+                tv: float(np.median([d[tv] for d in sens])) for tv in taus
+            }
+        return ConditionVerdict(condition, window, rate, frac, threshold,
+                                verdict_of(ok), details)
+
+    if condition == "NNE":
+        worst = min(r["nne_min"] for r in have)
+        return ConditionVerdict(
+            condition, window, float(worst), 1.0, threshold,
+            verdict_of(worst >= -margin),
+            {"interpretation": "wedge of the pushed direction with the pushed "
+                               "flow direction, normalized by the flow growth"})
+
+    fit_ok = all(r["msh_fit_pass"] for r in have)
+    sing_ok = True
+    sing_detail = {}
+    for idx, sa in enumerate(sing_analyses):
+        ok = bool(sa.lorenz_like)
+        if ok and sa.splitting_dims is not None:
+            ok = sa.splitting_dims[0] == s["splitting.d_s"]
+        sing_detail[f"sing_{idx}"] = {"lorenz_like": sa.lorenz_like, "dims_ok": ok}
+        sing_ok = sing_ok and ok
+    slopes = [r["msh_slopes"] for r in have if np.isfinite(r["msh_slopes"][0])]
+    worst = max(max(sl[0], sl[1]) for sl in slopes) if slopes else np.nan
+    frac = float(np.mean([r["msh_fit_pass"] for r in have]))
+    return ConditionVerdict(
+        condition, window, float(worst), frac, threshold,
+        verdict_of(fit_ok and sing_ok),
+        {"lpf_fits_pass": fit_ok, "singularities_ok": sing_ok, **sing_detail})
+
+
+def _reference_periodic(results, s):
+    """The NUSH-periodic verdict over shooting results, as its own rule."""
+    eta, tau = s["thresholds.eta"], s["windows.tau"]
+    ok = all(r.passed for r in results)
+    worst = max(max(r.e_average, r.wedge_average) for r in results)
+    return ConditionVerdict(
+        "NUSH-periodic", tau, float(worst), float(np.mean([r.passed for r in results])),
+        eta, "pass" if ok else "fail",
+        {"orbits": [{"point": [float(v) for v in np.atleast_1d(r.point)],
+                     "period": r.period,
+                     "e_average": r.e_average,
+                     "wedge_average": r.wedge_average,
+                     "passed": r.passed} for r in results]})
+
+
+_CONDITIONS = ("PH", "SingularHyp", "SH", "ASH", "MNUSE", "NUSE", "NNE", "MSH-estimate")
+# finite rates, with the thresholds' own values among them
+_RATES = st.one_of(st.floats(-2.0, 2.0),
+                   st.sampled_from([0.0, 1e-3, -1e-3, 0.1, -0.1, -0.05]))
+
+
+@st.composite
+def _rows(draw):
+    """An ensemble's rows: probe and random ones, each carrying some of
+    the keys that the conditions read, NaN MSH slopes among them."""
+    taus = draw(st.sampled_from([None, ("0.5", "2.0"), ("1.0",)]))
+    groups = {
+        "ph_pass": lambda: {"ph_pass": draw(st.booleans()), "dom_slope": draw(_RATES),
+                            "con_slope": draw(_RATES)},
+        "vol_min": lambda: {"vol_min": draw(_RATES), "vol_rate": draw(_RATES)},
+        "sect_min": lambda: {"sect_min": draw(_RATES), "sect_rate": draw(_RATES)},
+        "ash_max": lambda: {"ash_max": draw(_RATES)},
+        "nne_min": lambda: {"nne_min": draw(_RATES)},
+        "msh_fit_pass": lambda: {
+            "msh_fit_pass": draw(st.booleans()),
+            "msh_slopes": draw(st.one_of(st.just((np.nan,) * 3),
+                                         st.tuples(_RATES, _RATES, _RATES))),
+            "msh_qualifying": draw(st.integers(0, 6))},
+    }
+    for cond in ("mnuse", "nuse"):
+        groups[f"{cond}_rate"] = lambda cond=cond: {
+            f"{cond}_rate": draw(_RATES),
+            **({f"{cond}_tau": {tv: draw(_RATES) for tv in taus}} if taus else {})}
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        row = {"probe": True} if draw(st.booleans()) else {}
+        for key, make in groups.items():
+            if draw(st.integers(0, 4)):
+                row.update(make())
+        rows.append(row)
+    return rows
+
+
+_SETTINGS = st.builds(
+    lambda margin, eta, ash, frac, d_s: settings(
+        {"thresholds": {"margin": margin, "eta": eta, "ash_fraction": ash,
+                        "min_fraction": frac},
+         "splitting": {"d_s": d_s}}, REPORT_TABLE),
+    st.sampled_from([0.0, 1e-3, 0.1]), st.sampled_from([-0.05, -0.1, -1e-3]),
+    st.sampled_from([0.0, 0.5, 0.9, 1.0]), st.sampled_from([0.0, 0.5, 1.0]),
+    st.sampled_from([1, 2]))
+_SINGULARITIES = st.lists(st.builds(
+    SimpleNamespace, lorenz_like=st.booleans(),
+    splitting_dims=st.sampled_from([None, (1, 1, 1), (2, 1, 1)])), max_size=3)
+
+
+@given(rows=_rows(), s=_SETTINGS, sings=_SINGULARITIES)
+def test_one_rule_gives_every_branch_verdict(rows, s, sings):
+    for condition in _CONDITIONS:
+        got = _aggregate(condition, rows, s, sings, 50.0)
+        want = _reference_aggregate(condition, rows, s, sings, 50.0)
+        if condition == "NNE" and got.verdict != "inconclusive":
+            # the one change: NNE's fraction is the share of rows that meet it
+            have = [r["nne_min"] for r in rows if "nne_min" in r]
+            assert got.fraction == np.mean([v >= -s["thresholds.margin"] for v in have])
+            want = replace(want, fraction=got.fraction)
+        npt.assert_equal(asdict(got), asdict(want), err_msg=condition)
+
+
+_RESULTS = st.lists(st.builds(
+    NushPeriodicResult, point=st.just(np.array([1.0, 2.0, 20.0])),
+    period=st.floats(0.5, 3.0), residual=st.just(0.0), e_average=_RATES,
+    wedge_average=_RATES, passed=st.booleans(), eta=st.just(-0.05)),
+    min_size=1, max_size=4)
+
+
+@given(results=_RESULTS, tau=st.sampled_from([0.5, 1.0]))
+def test_periodic_verdict_goes_through_the_rule(results, tau):
+    s = settings({"windows": {"tau": tau},
+                  "periodic_seeds": [{"point": [1.0, 2.0, 20.0]}] * len(results)},
+                 REPORT_TABLE)
+    shot = iter(results)
+    with mock.patch.object(report_mod, "nush_periodic_check",
+                           lambda *args, **kwargs: next(shot)):
+        got = _periodic_verdict(load_model("lorenz"), s)
+    npt.assert_equal(asdict(got), asdict(_reference_periodic(results, s)))
+
+
+def test_nne_fraction_is_the_share_that_meets_it():
+    # one of four members falls below -margin: NNE fails, and its
+    # fraction is the three of four that meet the threshold
+    rows = [{"nne_min": v} for v in (0.2, -1.0, 0.0, 0.5)]
+    v = _aggregate("NNE", rows, settings({}, REPORT_TABLE), (), 6.0)
+    assert v.verdict == "fail"
+    assert v.fraction == 0.75
+    assert v.rate == -1.0

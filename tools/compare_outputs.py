@@ -13,7 +13,7 @@ and one BLAS/OpenMP thread:
   ``configs/intermittent_verify.json``;
 - ``simulate`` and ``spectrum`` on ``configs/lorenz_simulate.json``,
   and ``classify`` on ``configs/lorenz_verify.json``;
-- nine inline configs (see ``INLINE``) for paths that no other
+- ten inline configs (see ``INLINE``) for paths that no other
   invocation runs: two ``spectrum`` runs of seconds, on Lorenz at T=60
   and rtol 1e-9 and on a van der Pol ``polynomial`` field whose
   Jacobian trace varies along the orbit, so that spectrum bytes are
@@ -24,7 +24,9 @@ and one BLAS/OpenMP thread:
   ``verify`` on a 4-d ``linear`` field at splitting stride 2, where N^cu
   is 2-d; ``verify`` on Lorenz with NUSE, MSH-estimate and NNE at
   splitting stride 3, where two of the three members' grids end in a
-  short block; ``verify`` on a ``geometric_lorenz`` with a constant roof
+  short block; ``verify`` of NNE on a ``linear_saddle``, where members
+  fail the NNE threshold, so its fraction is not one; ``verify`` on a
+  ``geometric_lorenz`` with a constant roof
   (``roof_log_coeff`` 0), whose roof is a scalar where the shipped
   suspension's is an array; and ``simulate`` on ``geometric_lorenz``,
   with both output formats on the suspension orbit
@@ -95,6 +97,10 @@ INLINE = (
         "verify": {"conditions": ["NUSE", "MSH-estimate", "NNE"],
                    "ensemble": {"size": 3, "transient": 5.0},
                    "windows": {"T": 20.0}, "splitting": {"warmup": 4.0, "stride": 3}}}),
+    ("verify linear_saddle NNE fails", "verify", {
+        "model": "linear_saddle", "params": {"eigs": [1.0, -0.5, -2.0]}, "seed": 9,
+        "verify": {"conditions": ["NNE"], "ensemble": {"size": 3, "transient": 0.0},
+                   "windows": {"T": 6.0}, "splitting": {"warmup": 2.0}}}),
     ("verify suspension constant roof", "verify", {
         "model": "geometric_lorenz", "params": {"roof_log_coeff": 0.0}, "seed": 4,
         "verify": {"conditions": ["SH", "ASH", "MNUSE", "NUSE", "MSH-estimate", "PH"],
