@@ -245,6 +245,8 @@ def cmd_classify(cfg, args):
     }
     path = out / f"{c['model']}_classify.json"
     _write_json(path, payload)
+    if args.verbose:
+        print(f"wrote {path}", file=sys.stderr)
     print(json.dumps([r["lorenz_like"] for r in records]))
     return 0
 
@@ -268,6 +270,8 @@ def cmd_verify(cfg, args):
     report["stamp"] = _stamp(cfg)
     path = _out_dir(c, args) / f"{c['model']}_report.json"
     _write_json(path, report)
+    if args.verbose:
+        print(f"wrote {path}", file=sys.stderr)
     for r in report["conditions"]:
         print(f"{r['condition']:>14s}: {r['verdict']:<12s} rate={r['rate']:+.4f} "
               f"fraction={r['fraction']:.3f}")
@@ -361,6 +365,8 @@ def cmd_measure(cfg, args):
 
     path = out / f"{c['model']}_measure_{kind}.json"
     _write_json(path, payload)
+    if args.verbose:
+        print(f"wrote {path}", file=sys.stderr)
     print(json.dumps(payload, sort_keys=True))
     return 0
 

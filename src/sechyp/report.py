@@ -181,15 +181,6 @@ def _entries(seqs, lpfs, conditions, s, spans=None):
     return rows
 
 
-def _ode_rows(seqs, lpfs, conditions, s):
-    """The rows of these members in member order, each what the member
-    alone gives; raises the first member's `_check_windows` fault before
-    any functional runs."""
-    for seq in seqs:
-        _check_windows(seq, conditions, s)
-    return _entries(seqs, lpfs, conditions, s)
-
-
 def _ode_ensemble(model, s, conditions):
     size = s["ensemble.size"] or 100
     transient = s["ensemble.transient"]
@@ -228,19 +219,17 @@ def _ode_ensemble(model, s, conditions):
 def _batch_rows(members, conditions, s):
     """The rows of one `integrate_batch` run's members, in member order.
 
-    The rows, and the exception raised first, are what a loop over the
-    members gives that runs `estimate_splitting`, `lpf_along` and
-    `_ode_rows` one member at a time.  Each member that integrated has
-    its block factors formed and, for NUSE and MSH-estimate, its LPF over
-    the same blocks (`LPFCocycle.blocks`), after which its per-step
-    factors are released; then the splitting sweeps run stacked over all
-    of them.  A member fails only in one of these stages or in its
-    window check, never in the functionals.  When one fails, the members
-    before it have their windows checked, so that an earlier member's
-    ConfigError comes first, and then its failure is raised: no
-    functional runs (a ShortOrbit splitting as the ConfigError of
-    `splitting.stride`).  Else the functionals run stacked over all
-    members (`_ode_rows`).
+    Each member that integrated has its block factors formed and, for
+    NUSE and MSH-estimate, its LPF over the same blocks
+    (`LPFCocycle.blocks`), after which its per-step factors are released;
+    then the splitting sweeps run stacked over all of them.  The members
+    are then walked in order, and each raises at its turn its integration
+    error, else its splitting error (a ShortOrbit as the ConfigError of
+    `splitting.stride`), else its LPF error, else its `_check_windows`
+    fault.  Only when none does do the functionals run, stacked over all
+    members (`_entries`).  So the rows, and the exception raised first,
+    are what a loop gives that runs `estimate_splitting`, `lpf_along`,
+    `_check_windows` and the functionals one member at a time.
     """
     orbits = [m for m in members if not isinstance(m, Exception)]
     stride = s["splitting.stride"]
@@ -257,43 +246,28 @@ def _batch_rows(members, conditions, s):
         # configs/lorenz_verify.json from 62.1 to 73.7 MB (2-core VM, one
         # BLAS thread)
         orbit.step_cocycles = None
-    seqs = splittings_of_blocks(orbits, blocks, s["splitting.d_s"],
-                                s["splitting.warmup"])
-    seqs, lpfs, fault = _before_failure(members, seqs, lpfs)
-    if fault is not None:
-        for seq in seqs:
-            _check_windows(seq, conditions, s)
-        if isinstance(fault, ShortOrbit):
+    outcomes = iter(zip(splittings_of_blocks(orbits, blocks, s["splitting.d_s"],
+                                             s["splitting.warmup"]), lpfs))
+    seqs, cut = [], []
+    for member in members:
+        seq, lpf = (member, None) if isinstance(member, Exception) else next(outcomes)
+        if isinstance(seq, ShortOrbit):
             raise ConfigError("splitting.stride",
                               f"{stride} leaves a member fewer than two checkpoints "
                               f"in windows.T {s['windows.T']:g} after warmup "
-                              "trimming") from fault
-        raise fault
-    if not lpf_read:
-        return _ode_rows(seqs, (), conditions, s)
-    # each LPF cut to the checkpoints its splitting kept, from block grid
-    # index k = seq.grid[0] // stride on (grid index k is k * stride, save the last)
-    return _ode_rows(seqs, [(f[k:k + seq.n_blocks], q[k:k + len(seq)])
-                            for seq, (f, q) in zip(seqs, lpfs)
-                            for k in [seq.grid[0] // stride]], conditions, s)
-
-
-def _before_failure(members, seqs, lpfs):
-    """The sequences and LPF blocks of the members before the first one
-    that failed, and that failure (None when none did): a member fails
-    with its integration error, else its splitting error, else its LPF
-    error.  `seqs` and `lpfs` hold the outcomes of the members that
-    integrated."""
-    kept = ([], [])
-    outcomes = iter(zip(seqs, lpfs))
-    for member in members:
-        pair = (member,) if isinstance(member, Exception) else next(outcomes)
-        for outcome in pair:
-            if isinstance(outcome, Exception):
-                return kept + (outcome,)
-        for out, outcome in zip(kept, pair):
-            out.append(outcome)
-    return kept + (None,)
+                              "trimming") from seq
+        for fault in (seq, lpf):
+            if isinstance(fault, Exception):
+                raise fault
+        _check_windows(seq, conditions, s)
+        seqs.append(seq)
+        if lpf_read:
+            # the LPF cut to the checkpoints its splitting kept, from block
+            # grid index k = seq.grid[0] // stride on (grid index k is
+            # k * stride, save the last)
+            (f, q), k = lpf, seq.grid[0] // stride
+            cut.append((f[k:k + seq.n_blocks], q[k:k + len(seq)]))
+    return _entries(seqs, cut, conditions, s)
 
 
 # ----------------------------------------------------------------------
@@ -316,7 +290,9 @@ def _suspension_ensemble(model, s, conditions):
     streams of every seed come first; then each seed's rows are read from
     them, one seed at a time (`_stream_rows`); then the streams are freed;
     then the PH sample's orbits and splittings fill in the structural
-    fields of the sampled rows."""
+    fields of the sampled rows.  Each of the two seed loops raises a
+    seed's faults at its turn (in the PH sample, its own failure before
+    its config fault)."""
     size = s["ensemble.size"] or 200
     n_returns = s["windows.n_returns"]
     sect_window = s["windows.sect_window"] or 50.0 * model.roof_floor
@@ -354,8 +330,7 @@ def _suspension_ensemble(model, s, conditions):
         warmup = 10.0 * model.roof_floor
         seqs = splittings_of_blocks(orbits, [block_factors(orbit, 1) for orbit in orbits],
                                     1, warmup)
-        # a sampled seed too short for its fits is the config's fault, and
-        # is raised before any other member's failure
+        # a sampled seed too short for its fits is the config's fault
         for b, orbit, seq in zip(sample, orbits, seqs):
             if (isinstance(seq, (WarmupExceedsOrbit, ShortOrbit))
                     or (not isinstance(seq, Exception)
@@ -365,7 +340,6 @@ def _suspension_ensemble(model, s, conditions):
                                   f"orbit of span {orbit.t_span:.6g}, which leaves no "
                                   "domination window of 2 roof floors or more "
                                   "between its two warmups of 10 roof floors")
-        for seq in seqs:
             if isinstance(seq, Exception):
                 raise seq
         # every sampled member's fits, and its NNE when that is requested
@@ -378,25 +352,20 @@ def _suspension_ensemble(model, s, conditions):
 
 def _stream_rows(streams, is_probe, s, conditions, sect_window, avoid):
     """Each seed's SH, ASH, MSH-estimate, MNUSE and NUSE fields, read from
-    the section streams one seed at a time.  Every seed's orbit is first
-    checked against the longest tau window; a seed whose MSH scan finds
-    no fit window has `msh.avoid_window` checked at its turn."""
-    n_seeds = streams.n_seeds
+    the section streams one seed at a time.  At its turn a seed's orbit is
+    checked against the longest tau window, and a seed whose MSH scan
+    finds no fit window has `msh.avoid_window` checked."""
     tau_rated = [c for c in ("MNUSE", "NUSE") if c in conditions]
-    if tau_rated:
-        spans = np.array([streams.crossing_times(b)[-1] for b in range(n_seeds)])
-        longest = max(_taus(s))
-        if spans.min() <= longest:
-            b = int(np.argmax(spans <= longest))
-            raise ConfigError("windows.n_returns",
-                              f"{streams.n_returns} returns leave seed {b} an "
-                              f"orbit of span {spans[b]:.6g}, no longer than the "
-                              f"longest tau window {longest:g} (windows.tau, "
-                              "tau_sensitivity)")
     rates = {"MNUSE": susp.mnuse_rate_stream, "NUSE": susp.nuse_rate_stream}
     by_tau = {cond: {tau: [] for tau in _taus(s)} for cond in tau_rated}
-    rows = []
-    for b in range(n_seeds):
+    longest, rows = max(_taus(s)), []
+    for b in range(streams.n_seeds):
+        if tau_rated and (span := streams.seed(b).times[-1]) <= longest:
+            raise ConfigError("windows.n_returns",
+                              f"{streams.n_returns} returns leave seed {b} an "
+                              f"orbit of span {span:.6g}, no longer than the "
+                              f"longest tau window {longest:g} (windows.tau, "
+                              "tau_sensitivity)")
         out = {"probe": bool(is_probe[b])}
         if any(c in conditions for c in ("SingularHyp", "SH")):
             mean_r, min_r, max_r = susp.sectional_rate_stream(streams, b, sect_window)
@@ -540,6 +509,8 @@ def assemble_report(model, config: dict) -> dict:
     """
     s = settings(config, REPORT_TABLE)
     conditions = list(s["conditions"] or ())
+    if not conditions:
+        raise ConfigError("conditions", "must name at least one condition")
     window = float(s["windows.T"])
     sing_analyses = []
     diagnostics = None

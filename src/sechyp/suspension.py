@@ -120,20 +120,17 @@ class SectionStreams:
 
     _last = None           # (b, SeedStream) of the seed formed last
 
-    def crossing_times(self, b):
-        """Seed b's crossing times: row 0 zero, then the running sum of
-        the roof over its base coordinates, clipped at ROOF_CLIP."""
-        xa = np.maximum(np.abs(self.x[:-1, b]), ROOF_CLIP)   # a contiguous copy
-        # a constant roof is a scalar
-        return _prefix_sums(np.broadcast_to(self.model.roof(xa), xa.shape))
-
     def seed(self, b) -> SeedStream:
-        """Seed b's streams.  The seed formed last is kept, so that the
-        readers of one seed in turn form it once."""
+        """Seed b's streams; its crossing times are row 0 zero, then the
+        running sum of the roof over its base coordinates, clipped at
+        ROOF_CLIP.  The seed formed last is kept, so that the readers of
+        one seed in turn form it once."""
         if self._last is None or self._last[0] != b:
+            xa = np.maximum(np.abs(self.x[:-1, b]), ROOF_CLIP)   # a contiguous copy
+            # a constant roof is a scalar
+            times = _prefix_sums(np.broadcast_to(self.model.roof(xa), xa.shape))
             log_a = self.log_a[:, b]
-            self._last = (b, SeedStream(self.x[:, b], self.crossing_times(b), log_a,
-                                        _prefix_sums(log_a),
+            self._last = (b, SeedStream(self.x[:, b], times, log_a, _prefix_sums(log_a),
                                         _prefix_sums(self.log_gy[:, b])))
         return self._last[1]
 

@@ -395,7 +395,7 @@ def batch_lpf_blocks_or_error(orbits, stride):
                          "splitting": {"warmup": LPF_WARMUP, "stride": stride}},
                         config.REPORT_TABLE)
     with mock.patch.object(report, "_check_windows"), \
-            mock.patch.object(report, "_ode_rows",
+            mock.patch.object(report, "_entries",
                               lambda seqs, lpfs, *_: got.extend(lpfs)):
         try:
             report._batch_rows([dataclasses.replace(orbit) for orbit in orbits],
@@ -571,7 +571,8 @@ def serial_rows(model, cfg):
                                  stride=s["splitting.stride"])
         lpfs = ([lpf_along(orbit).blocks(seq.grid)]
                 if {"NUSE", "MSH-estimate"} & set(s["conditions"]) else ())
-        rows.append(report._ode_rows([seq], lpfs, s["conditions"], s)[0])
+        report._check_windows(seq, s["conditions"], s)
+        rows.append(report._entries([seq], lpfs, s["conditions"], s)[0])
     return rows
 
 
@@ -579,7 +580,7 @@ def test_first_failing_member_raises_what_the_serial_loop_raises():
     model = make_lorenz(10.0, 28.0, 8.0 / 3.0)
     with pytest.raises(Blowup) as serial:
         serial_rows(model, FAILING_ENSEMBLE)
-    with mock.patch.object(report, "_ode_rows", wraps=report._ode_rows) as evaluated:
+    with mock.patch.object(report, "_entries", wraps=report._entries) as evaluated:
         with pytest.raises(Blowup) as batched:
             report.assemble_report(model, FAILING_ENSEMBLE)
     assert str(batched.value) == str(serial.value)
@@ -599,7 +600,7 @@ def test_member_near_the_z_axis_raises_what_the_serial_loop_raises():
            "tolerances": {"rtol": 1e-6, "atol": 1e-9}}
     with pytest.raises(NearSingularity) as serial:
         serial_rows(model, cfg)
-    with mock.patch.object(report, "_ode_rows", wraps=report._ode_rows) as evaluated:
+    with mock.patch.object(report, "_entries", wraps=report._entries) as evaluated:
         with pytest.raises(NearSingularity) as batched:
             report.assemble_report(model, cfg)
     assert str(batched.value) == str(serial.value)

@@ -496,6 +496,16 @@ def test_shipped_configs_validate():
     ("measure", {"measure": {"kind": "basin", "grid": [2, 2, 2], "reference": [1.0, 2.0],
                              "T": 1.0, "ref_T": 1.0}},
      "measure.reference", "must have one entry per dimension (3)"),
+    # rejected before the equilibria are classified or a member integrated
+    ("verify", {"verify": {"conditions": [], "ensemble": {"size": 2}}},
+     "verify.conditions", "must name at least one condition"),
+    # two seeds fail differently: seed 0 has no MSH fit window, and the
+    # probe seed 1 is no longer than the tau window; seed 0 is named
+    ("verify", {"model": "geometric_lorenz",
+                "verify": {"conditions": ["MNUSE", "MSH-estimate"],
+                           "windows": {"n_returns": 10}, "tau_sensitivity": [10.1],
+                           "ensemble": {"size": 1}, "msh": {"avoid_window": 1000}}},
+     "verify.msh.avoid_window", "1000 leaves no MSH fit window"),
 ])
 def test_config_fault_exit_2_without_output(tmp_path, capsys, command, section,
                                             field, message):
@@ -510,6 +520,21 @@ def test_config_fault_exit_2_without_output(tmp_path, capsys, command, section,
     err = capsys.readouterr().err
     assert f"config field '{field}': {message}" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, section", [
+    ("verify", {"verify": {"conditions": ["SH"], "windows": {"T": 5.0},
+                           "ensemble": {"size": 1, "transient": 0.0}}}),
+    ("classify", {"classify": {"arc_budget": 1.0}}),
+    ("measure", {"model": "intermittent_lorenz",
+                 "measure": {"kind": "invariance", "n": 100}}),
+])
+def test_verbose_names_the_file_written(tmp_path, capsys, command, section):
+    cfg = {"model": "lorenz", "output_dir": str(tmp_path / "out"), **section}
+    main([command, "-c", write_config(tmp_path, cfg), "--verbose"])
+    (line,) = capsys.readouterr().err.splitlines()
+    written = Path(line.removeprefix("wrote "))
+    assert written.parent == tmp_path / "out" and written.is_file()
 
 
 def test_transient_blowup_exits_1_naming_it(tmp_path, capsys):

@@ -11,13 +11,14 @@ from hypothesis import strategies as st
 from sechyp import report as report_mod
 from sechyp import splitting
 from sechyp.config import REPORT_TABLE, settings
-from sechyp.errors import ConfigError
+from sechyp.errors import ConfigError, SpectralGapFailure, WarmupExceedsOrbit
 from sechyp.flowcalc import StepControl, integrate
 from sechyp.hyperbolicity import NushPeriodicResult, classify_singularity
 from sechyp.lpf import lpf_along
 from sechyp.models import load_model
-from sechyp.report import (ConditionVerdict, _aggregate, _ode_rows, _periodic_verdict,
-                           _suspension_msh_row, assemble_report, config_hash)
+from sechyp.report import (ConditionVerdict, _aggregate, _check_windows, _entries,
+                           _periodic_verdict, _suspension_msh_row, assemble_report,
+                           config_hash)
 from sechyp.suspension import SectionStreams
 
 
@@ -120,6 +121,22 @@ class TestSuspensionReport:
         assert report["n_seeds"] == 18
         assert v["ASH"]["fraction"] == 1.0
 
+    def test_ph_sample_raises_each_seed_at_its_turn(self, monkeypatch):
+        # sampled seed 0 has no spectral gap and seed 1 is too short for
+        # its warmups: seed 0's own failure comes before seed 1's config
+        # fault (windows.n_returns)
+        splittings = report_mod.splittings_of_blocks
+        monkeypatch.setattr(report_mod, "splittings_of_blocks",
+                            lambda orbits, *args: [
+                                SpectralGapFailure("seed 0 has no gap"),
+                                WarmupExceedsOrbit("seed 1 is short"),
+                                *splittings(orbits[2:], *args)])
+        with pytest.raises(SpectralGapFailure, match="seed 0 has no gap"):
+            assemble_report(load_model("geometric_lorenz"),
+                            {"conditions": ["PH"], "seed": 3,
+                             "ensemble": {"size": 2, "ph_sample": 2},
+                             "windows": {"n_returns": 200}})
+
 
 def test_member_restrictions_formed_once(monkeypatch, lorenz):
     # every functional of a member reads the restrictions its sequence
@@ -137,7 +154,8 @@ def test_member_restrictions_formed_once(monkeypatch, lorenz):
     s = settings({"conditions": conditions, "windows": {"T": 6.0},
                   "tau_sensitivity": [0.5, 1.0, 2.0],
                   "splitting": {"warmup": 3.0, "stride": 2}}, REPORT_TABLE)
-    row = _ode_rows([seq], [lpf_along(orbit).blocks(seq.grid)], conditions, s)[0]
+    _check_windows(seq, conditions, s)
+    row = _entries([seq], [lpf_along(orbit).blocks(seq.grid)], conditions, s)[0]
     assert len(calls) == 2
     assert {"ph_pass", "vol_rate", "sect_rate", "ash_max", "mnuse_rate",
             "nuse_rate", "msh_slopes", "nne_min"} <= set(row)

@@ -32,9 +32,12 @@ and one BLAS/OpenMP thread:
   with both output formats on the suspension orbit
   (``suspension_orbit``, ``save_orbit_cache``) and again on the
   suspension return map (``"section": "suspension-canonical"``);
-- two ``verify`` runs whose ensemble fails (see ``FAILING``): a member
-  that blows up past the bound, and one that passes the Lorenz origin
-  too slowly for the linear Poincare flow.
+- four ``verify`` runs whose ensemble fails (see ``FAILING``): a member
+  that blows up past the bound; one that passes the Lorenz origin too
+  slowly for the linear Poincare flow; a flow whose ``splitting.stride``
+  leaves a member fewer than two checkpoints (exit 2); and a suspension
+  whose ``windows.n_returns`` leaves a seed's orbit no longer than its
+  tau window (exit 2).
 
 The ``report`` subcommand only prints a saved report, so it has no
 invocation of its own.  Configs are read from CHANGE_TREE and handed
@@ -129,8 +132,10 @@ INLINE = (
         "tolerances": {"rtol": 1e-9, "atol": 1e-12},
         "spectrum": {"T": 60.0, "warmup": 5.0, "k": 3, "x0": [1.0, 2.0, 0.5]}}),
 )
-# verify configs whose ensemble fails: member 2 blows up past the bound,
-# and member 2 passes the origin below the LPF speed floor
+# verify configs whose ensemble fails: member 2 blows up past the bound;
+# member 2 passes the origin below the LPF speed floor; the stride leaves
+# member 0 fewer than two checkpoints; 10 returns leave seed 0 an orbit no
+# longer than its tau window 500
 FAILING = (
     ("verify Blowup member", {
         "model": "lorenz", "seed": 48,
@@ -144,6 +149,14 @@ FAILING = (
                                 "box": [[0.0, 1e-51], [0.0, 1e-51], [20.0, 30.0]]},
                    "windows": {"T": 8.0}, "splitting": {"warmup": 3.0},
                    "tolerances": {"rtol": 1e-6, "atol": 1e-9}}}),
+    ("verify splitting.stride fault", {
+        "model": "lorenz",
+        "verify": {"conditions": ["MNUSE"], "ensemble": {"size": 1, "transient": 0.0},
+                   "windows": {"T": 0.5}, "splitting": {"warmup": 0.5, "stride": 50}}}),
+    ("verify suspension n_returns fault", {
+        "model": "geometric_lorenz",
+        "verify": {"conditions": ["MNUSE"], "windows": {"n_returns": 10},
+                   "tau_sensitivity": [500], "ensemble": {"size": 1}}}),
 )
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "NUMEXPR_NUM_THREADS")
